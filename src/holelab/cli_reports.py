@@ -284,13 +284,40 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="holelab", description=__doc__)
-    shared = argparse.ArgumentParser(add_help=False)
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _finite_complex_text(text: str) -> str:
+    """A complex literal with finite parts, kept as text for the record."""
+    try:
+        value = complex(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a complex literal, got {text!r}") from None
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return text
+
+
+def _shared_parser() -> _Parser:
+    """The options every subcommand and `sweep` itself take."""
+    shared = _Parser(add_help=False)
     shared.add_argument("--format", choices=("json", "csv"), default="json")
     shared.add_argument("--output", default=None, help="path or '-' for stdout")
     shared.add_argument("--threads", type=int, default=None,
                         help="worker processes (default: THREADS env or machine)")
+    return shared
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="holelab", description=__doc__)
+    shared = _shared_parser()
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
@@ -302,30 +329,30 @@ def _build_parser() -> _Parser:
 
     p = add("s-of-r")
     p.add_argument("--model", choices=("gef", "ml"), default="gef")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, default=1.0)
+    p.add_argument("--r", type=_finite_float, required=True)
     common(p)
 
     p = add("hole")
     p.add_argument("--model", choices=("gef", "ml"), default="gef")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, default=1.0)
+    p.add_argument("--r", type=_finite_float, required=True)
     p.add_argument("--samples", type=int, default=10_000)
     common(p)
 
     p = add("omega")
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_finite_float, required=True)
     common(p)
 
     p = add("conditioned")
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_finite_float, required=True)
     p.add_argument("--samples", type=int, default=1000)
     common(p)
 
     p = add("zeros")
     p.add_argument("--model", choices=("gef", "ml"), default="gef")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, default=1.0)
+    p.add_argument("--r", type=_finite_float, required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--verify", action="store_true")
@@ -333,24 +360,25 @@ def _build_parser() -> _Parser:
 
     p = add("volume")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
+    p.add_argument("--s", type=_finite_float, required=True)
     p.add_argument("--mc-samples", type=int, default=0)
-    p.add_argument("--annotate-r", type=float, default=None)
-    p.add_argument("--big-c", type=float, default=1.0)
+    p.add_argument("--annotate-r", type=_finite_float, default=None)
+    p.add_argument("--big-c", type=_finite_float, default=1.0)
     common(p)
 
     p = add("covdet")
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--kappa", type=float, default=None)
+    p.add_argument("--r", type=_finite_float, required=True)
+    p.add_argument("--kappa", type=_finite_float, default=None)
     p.add_argument("--n-points", type=int, default=None)
     common(p)
 
     p = add("hermite")
-    p.add_argument("--beta", default="1.0", help="complex literal, e.g. '1.3+0.4j'")
+    p.add_argument("--beta", type=_finite_complex_text, default="1.0",
+                   help="complex literal, e.g. '1.3+0.4j'")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--c1", type=float, default=None)
-    p.add_argument("--c2", type=float, default=None)
+    p.add_argument("--c1", type=_finite_float, default=None)
+    p.add_argument("--c2", type=_finite_float, default=None)
     p.add_argument("--nmax", type=int, default=100_000)
     common(p)
 
@@ -381,6 +409,30 @@ def _execute_single(parser: _Parser, argv: list[str]) -> ReportRecord:
     return ReportRecord(command=args.command, params=_params_dict(args),
                         results=results, seed=getattr(args, "seed", 0),
                         wall_time_ms=elapsed)
+
+
+_SWEEP_OPTIONS = ("--format", "--output", "--threads")
+
+
+def _split_sweep_options(rest: list[str]) -> tuple[list[str], list[str]]:
+    """(the sweep's own --format/--output/--threads tokens, the swept tokens).
+
+    The sweep remainder takes every token after the subcommand, so the
+    shared options given there are picked out rather than swept.
+    """
+    own: list[str] = []
+    swept: list[str] = []
+    i = 0
+    while i < len(rest):
+        tok = rest[i]
+        if tok.split("=", 1)[0] in _SWEEP_OPTIONS:
+            width = 1 if "=" in tok else 2
+            own += rest[i: i + width]
+            i += width
+        else:
+            swept.append(tok)
+            i += 1
+    return own, swept
 
 
 def _expand_sweep(subcommand: str, rest: list[str]) -> list[list[str]]:
@@ -417,6 +469,8 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "sweep":
+            own, args.rest = _split_sweep_options(args.rest)
+            _shared_parser().parse_args(own, namespace=args)
             forward = [] if args.threads is None else ["--threads", str(args.threads)]
             records = [
                 _execute_single(parser, sub_argv + forward)

@@ -3,8 +3,12 @@
 Counting uses two fully independent routes which cross-verify each other:
 
   * the argument principle: the winding number of f along |z| = r, tracked
-    on an adaptively refined circular grid whose argument increments are
-    forced below pi/2 (half the theoretical limit, for aliasing margin);
+    on a circular grid whose argument increments are forced below pi/2
+    (half the theoretical limit, for aliasing margin).  Batches of rows are
+    evaluated by one FFT of log-scaled coefficients on the unit circle, on
+    grids doubled only for the rows not yet resolved; `count_for_coeffs`
+    (local midpoint refinement, then circles nudged by 1e-9) is the one
+    retry path for the rows left;
   * a companion-matrix root oracle (balanced eigenvalues plus one Newton
     polish step and a residual check against the max of |p| on the root's
     own circle).
@@ -24,6 +28,8 @@ from .coeff_models import CoefficientModel
 from .sampling import CoefficientDraw
 
 _MAX_CIRCLE_POINTS = 2**20
+_BATCH_MAX_POINTS = 2**16  # batched grid doubling stops here; count_for_coeffs takes the rest
+_BLOCK_VALUES = 2**20  # circle values per FFT block (16 MB of complex128)
 _TINY_MODULUS_REL = 1e-290  # |f| below this times max|f| hints a boundary zero
 _STRIP_REL = 1e-300  # trailing coefficients below this times max|c| are dropped
 _RESIDUAL_REL = 1e-8
@@ -137,6 +143,9 @@ def _winding_adaptive(c: np.ndarray, r: float, base_points: int,
         nxt[:-1] = theta[1:]
         nxt[-1] = theta[0] + 2.0 * np.pi
         mids = 0.5 * (theta[bad] + nxt[bad])
+        if np.any((mids == theta[bad]) | (mids == nxt[bad])):
+            # a zero closer to the circle than the angular resolution
+            raise _BoundarySuspicion(f"argument gap below angle resolution, r={r!r}")
         f_mids = _horner(c, r * np.exp(1j * mids))
         order = np.argsort(np.concatenate([theta, mids]), kind="stable")
         theta = np.concatenate([theta, mids])[order]
@@ -159,7 +168,8 @@ def _default_base_points(n_coeffs: int) -> int:
 def count_for_coeffs(c: np.ndarray, r: float, base_points: int | None = None) -> tuple[int, int]:
     """(count, refinement levels) for a raw coefficient array.
 
-    On boundary-zero suspicion the circle is nudged to r*(1 +/- 1e-9); both
+    Argument gaps are closed by inserting midpoints where they occur.  On
+    boundary-zero suspicion the circle is nudged to r*(1 +/- 1e-9); both
     retries must agree or the count fails with a diagnostic.
     """
     if base_points is None:
@@ -206,30 +216,92 @@ def count_zeros_disk(ts: TruncatedSeries, r: float, *, verify: bool = False,
                            verified_by_oracle=verified)
 
 
+def _unit_circle_rows(rows: np.ndarray, r: float,
+                      log_coeffs: np.ndarray | None) -> np.ndarray:
+    """Rows rescaled so that |z| = r becomes the unit circle, in log scale.
+
+    Entry n becomes phi_n exp(t_n - M) with t_n = log a_n + n log r and M the
+    row's largest log|phi_n| + t_n: the row then evaluates p(r w) e^(-M), which
+    winds exactly as p does along |z| = r.  No a_n or r^n is ever formed in
+    linear scale, so no term underflows or overflows on its own; the phase is
+    exp(1j * angle), because phi / |phi| overflows for subnormal phi.
+    """
+    t = np.arange(rows.shape[1]) * math.log(r)
+    if log_coeffs is not None:
+        t = t + log_coeffs
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.abs(rows)) + t
+    top = np.max(log_mag, axis=1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0  # an identically zero row stays zero
+    return np.exp(log_mag - top) * np.exp(1j * np.angle(rows))
+
+
+def _unit_circle_pass(D: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(resolved, counts) for scaled rows D on `points` unit-circle points.
+
+    F = points * ifft(D) is sum_n D_n w^n at w = exp(2 pi i k / points);
+    coefficients past `points` are folded onto n mod points first.  Rows go
+    through in blocks, so the temporaries stay near _BLOCK_VALUES values.
+    """
+    resolved = np.zeros(len(D), dtype=bool)
+    counts = np.zeros(len(D), dtype=np.int64)
+    if D.shape[1] > points:
+        D = np.pad(D, ((0, 0), (0, -D.shape[1] % points)))
+        D = D.reshape(len(D), -1, points).sum(axis=1)
+    step = max(1, _BLOCK_VALUES // points)
+    for lo in range(0, len(D), step):
+        F = points * np.fft.ifft(D[lo: lo + step], n=points, axis=1)
+        inc = np.angle(np.roll(F, -1, axis=1) * np.conj(F))
+        absF = np.abs(F)
+        scale = np.max(absF, axis=1)
+        fine = ((np.max(np.abs(inc), axis=1) < _ARG_STEP_LIMIT)
+                & (np.min(absF, axis=1) >= _TINY_MODULUS_REL * scale)
+                & (scale > 0.0))
+        w_float = np.sum(inc, axis=1) / (2.0 * np.pi)
+        w = np.rint(w_float).astype(np.int64)
+        resolved[lo: lo + step] = fine & (np.abs(w_float - w) <= 1e-3)
+        counts[lo: lo + step] = w
+    return resolved, counts
+
+
 def winding_counts_batch(coeff_rows: np.ndarray, r: float,
-                         base_points: int | None = None) -> np.ndarray:
+                         base_points: int | None = None, *,
+                         log_coeffs: np.ndarray | None = None,
+                         strict: bool = True) -> np.ndarray:
     """Winding numbers for many coefficient rows along the same circle.
 
-    The first pass shares one grid across all rows; rows with argument gaps
-    or suspiciously small |f| fall back to the per-row adaptive path, so the
-    result is identical to row-by-row counting.
+    Row i holds c_n = phi_n a_n, or phi_n alone when `log_coeffs` gives
+    log(a_n) (then no a_n is formed in linear scale, where it underflows).
+    Every row is rescaled to the unit circle (`_unit_circle_rows`) and
+    evaluated by one FFT on a shared grid of `base_points` points.  Rows
+    failing the argument-step, tiny-modulus or near-integer checks are
+    re-evaluated together on a grid of twice the points, up to
+    _BATCH_MAX_POINTS; only the rows still unresolved go to the per-row
+    `count_for_coeffs`.  A row that path cannot certify raises
+    ZeroCountError, or with strict=False gets count -1.
     """
-    C = np.asarray(coeff_rows, dtype=np.complex128)
+    rows = np.asarray(coeff_rows, dtype=np.complex128)
     if base_points is None:
-        base_points = _default_base_points(C.shape[1])
-    z = r * np.exp(2j * np.pi * np.arange(base_points) / base_points)
-    powers = np.power.outer(z, np.arange(C.shape[1])).T  # (N+1, P)
-    F = C @ powers
-    inc = np.angle(np.roll(F, -1, axis=1) * np.conj(F))
-    absF = np.abs(F)
-    fine = ((np.max(np.abs(inc), axis=1) < _ARG_STEP_LIMIT)
-            & (np.min(absF, axis=1) >= _TINY_MODULUS_REL * np.max(absF, axis=1))
-            & (np.max(absF, axis=1) > 0.0))
-    w_float = np.sum(inc, axis=1) / (2.0 * np.pi)
-    counts = np.rint(w_float).astype(np.int64)
-    fine &= np.abs(w_float - counts) <= 1e-3
-    for i in np.flatnonzero(~fine):
-        counts[i] = count_for_coeffs(C[i], r, base_points)[0]
+        base_points = _default_base_points(rows.shape[1])
+    D = _unit_circle_rows(rows, r, log_coeffs)
+    counts = np.empty(len(D), dtype=np.int64)
+    todo = np.arange(len(D))
+    points = base_points
+    while len(todo):
+        resolved, got = _unit_circle_pass(D[todo], points)
+        counts[todo[resolved]] = got[resolved]
+        todo = todo[~resolved]
+        if points >= _BATCH_MAX_POINTS:
+            break
+        points *= 2
+    for i in todo:
+        try:
+            counts[i] = count_for_coeffs(D[i], 1.0, base_points)[0]
+        except ZeroCountError as exc:
+            if strict:
+                raise ZeroCountError(
+                    f"row {i} at r={r!r}, counted on the rescaled unit circle: {exc}") from None
+            counts[i] = -1
     return counts
 
 

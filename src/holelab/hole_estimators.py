@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .coeff_models import CoefficientModel, ModelKind, s_asymptotic, s_of_r
-from .evaluate_zeros import ZeroCountError, count_for_coeffs, winding_counts_batch
+from .evaluate_zeros import winding_counts_batch
 from .sampling import (
     Distribution,
     draw_coeffs,
@@ -172,42 +172,17 @@ def smallest_certified_radius(step: float = 0.5, r_max: float = 64.0) -> float:
 # direct Monte Carlo
 
 
-def _hole_chunk(payload) -> tuple[int, int, int]:
+def _hole_chunk(payload) -> tuple[int, int]:
+    """(zero-free rows, rows the kernel could not certify) for one chunk."""
     kind_value, alpha, r, degree, seed, start, stop, base_points = payload
     model = CoefficientModel(ModelKind(kind_value), alpha)
-    a = np.exp(model.log_coeffs(degree))
     rows = np.empty((stop - start, degree + 1), dtype=np.complex128)
     for i in range(start, stop):
         rows[i - start] = draw_coeffs(Distribution.COMPLEX_GAUSSIAN, degree + 1,
                                       sample_seed(seed, i)).values
-    rows *= a
-    zero_free = 0
-    failures = 0
-    counted = 0
-    try:
-        counts = winding_counts_batch(rows, r, base_points)
-    except ZeroCountError:
-        counts = None
-    if counts is not None:
-        return int(np.count_nonzero(counts == 0)), 0, stop - start
-    for row in rows:  # slow path: isolate rows that need fresh perturbations
-        try:
-            cnt = _count_with_retries(row, r, base_points)
-            zero_free += int(cnt == 0)
-            counted += 1
-        except ZeroCountError:
-            failures += 1
-    return zero_free, failures, counted
-
-
-def _count_with_retries(row: np.ndarray, r: float, base_points: int | None) -> int:
-    last: ZeroCountError | None = None
-    for bump in (0.0, 2.7e-9, -5.3e-9, 1.1e-8):
-        try:
-            return count_for_coeffs(row, r * (1.0 + bump), base_points)[0]
-        except ZeroCountError as exc:
-            last = exc
-    raise last
+    counts = winding_counts_batch(rows, r, base_points,
+                                  log_coeffs=model.log_coeffs(degree), strict=False)
+    return int(np.count_nonzero(counts == 0)), int(np.count_nonzero(counts < 0))
 
 
 def hole_mc(model: CoefficientModel, r: float, samples: int, seed: int,
@@ -284,13 +259,11 @@ def conditioned_draw(r: float, master_seed: int, degree: int | None = None) -> n
 
 def _conditioned_chunk(payload) -> tuple[int, int]:
     r, degree, seed, start, stop, base_points = payload
-    model = CoefficientModel.gef()
-    a = np.exp(model.log_coeffs(degree))
     rows = np.empty((stop - start, degree + 1), dtype=np.complex128)
     for i in range(start, stop):
         rows[i - start] = conditioned_draw(r, sample_seed(seed, i), degree)
-    rows *= a
-    counts = winding_counts_batch(rows, r, base_points)
+    counts = winding_counts_batch(rows, r, base_points,
+                                  log_coeffs=CoefficientModel.gef().log_coeffs(degree))
     return int(np.count_nonzero(counts == 0)), stop - start
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import struct
 
@@ -179,3 +181,33 @@ def test_threads_env_var_and_flag_priority(monkeypatch):
     assert resolve_workers(5) == 5  # explicit flag wins
     monkeypatch.delenv("THREADS")
     assert resolve_workers(None) >= 1
+
+
+def test_sweep_readme_line_prints_csv(capsys):
+    code, out = _capture(capsys, ["sweep", "s-of-r", "--r", "1,2,4,8", "--format", "csv"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["command"] for row in rows] == ["s-of-r"] * 4
+    assert [float(row["params.r"]) for row in rows] == [1.0, 2.0, 4.0, 8.0]
+
+
+def test_sweep_options_after_subcommand(capsys, tmp_path):
+    path = tmp_path / "sweep.csv"
+    code, out = _capture(capsys, ["sweep", "omega", "--r", "2,3", "--threads", "1",
+                                  f"--output={path}", "--format", "csv"])
+    assert code == 0 and out == ""
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("command,") and len(lines) == 3
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["s-of-r", "--r", "inf"], "--r"),
+    (["hole", "--r", "inf"], "--r"),
+    (["omega", "--r", "nan"], "--r"),
+    (["volume", "--k", "2", "--t", "-inf", "--s", "1"], "--t"),
+    (["hermite", "--beta", "1+nanj", "--n", "100"], "--beta"),
+    (["sweep", "s-of-r", "--r", "1,inf"], "--r"),
+])
+def test_nonfinite_float_flags_are_usage_errors(capsys, argv, flag):
+    assert run(argv) == 1
+    assert flag in capsys.readouterr().err

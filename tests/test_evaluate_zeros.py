@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from holelab import (
     min_zero_modulus,
     roots_truncated,
     sample_seed,
+    truncation_degree,
 )
+from holelab import evaluate_zeros
 from holelab.evaluate_zeros import eval_series_pairwise, rotate_draw, winding_counts_batch
 from holelab.hermite_asymptotics import all_ones_draw
 
@@ -102,10 +105,12 @@ def test_rotation_invariance_of_counts(gef):
 
 def test_boundary_zero_is_diagnosed(gef):
     # f(z) = z - 1 has its only zero exactly on |z| = 1: the nudged retries
-    # straddle it and must disagree
-    ts = TruncatedSeries(_manual_draw([-1.0, 1.0]), gef)
-    with pytest.raises(ZeroCountError):
-        count_zeros_disk(ts, 1.0)
+    # straddle it and must disagree.  A zero 1.2e-16 off the circle, between
+    # grid points, is closer than midpoint refinement can resolve.
+    for c0 in (-1.0, -1.0 + 1.2e-16j):
+        ts = TruncatedSeries(_manual_draw([c0, 1.0]), gef)
+        with pytest.raises(ZeroCountError):
+            count_zeros_disk(ts, 1.0)
 
 
 def test_batch_counts_equal_single_counts(gef):
@@ -175,3 +180,84 @@ def test_expected_zero_count_small_sample(gef):
     mean = counts.mean()
     se = counts.std(ddof=1) / math.sqrt(len(counts))
     assert abs(mean - 1.0) <= 4.0 * se
+
+
+class _UnitModel:
+    """log a_n = 0: the draw values are the polynomial's coefficients."""
+
+    def log_coeffs(self, n_max):
+        return np.zeros(n_max + 1)
+
+
+def _gaussian_rows(degree, seed, count):
+    return np.array([draw_coeffs(Distribution.COMPLEX_GAUSSIAN, degree + 1,
+                                 sample_seed(seed, i)).values for i in range(count)])
+
+
+@pytest.mark.parametrize("r, count", [(1.0, 40), (2.0, 30), (6.0, 10), (12.0, 4)])
+def test_batch_counts_match_root_oracle(gef, r, count):
+    # certified truncation degrees: 21, 36, 134, 445; 12^445 overflows doubles
+    degree = truncation_degree(gef, r, 1e-9, 1e-6 / 2000)
+    phi = _gaussian_rows(degree, 2718, count)
+    batch = winding_counts_batch(phi, r, log_coeffs=gef.log_coeffs(degree))
+    for i in range(count):
+        if r < 12.0:
+            oracle = count_zeros_disk(TruncatedSeries(_manual_draw(phi[i]), gef), r, verify=True)
+        else:
+            # TruncatedSeries forms a_n linearly, and a_n underflows for
+            # n >= 314, so the oracle counts q(w) = p(r w) / max_n a_n r^n on
+            # |w| < 1 instead
+            t = gef.log_coeffs(degree) + np.arange(degree + 1) * math.log(r)
+            q = TruncatedSeries(_manual_draw(phi[i] * np.exp(t - t.max())), _UnitModel())
+            oracle = count_zeros_disk(q, 1.0, verify=True)
+        assert batch[i] == oracle.count
+
+
+def test_zero_just_off_the_circle_reaches_fallback(gef, monkeypatch):
+    degree = 30
+    a = np.exp(gef.log_coeffs(degree + 1))
+    rows = _gaussian_rows(degree, 99, 20)
+    rows = np.hstack([rows, np.zeros((20, 1))]) * a
+    # zeros at |z| = 1 -+ 1e-7 are far below any batched grid spacing
+    for i, rho in ((3, 1.0 - 1e-7), (11, 1.0 + 1e-7)):
+        rows[i] = np.convolve(rows[i, :-1], [-rho * np.exp(0.4j), 1.0])
+    fallback_calls = []
+    count_for_coeffs = evaluate_zeros.count_for_coeffs
+
+    def spy(c, r, base_points=None):
+        fallback_calls.append(r)
+        return count_for_coeffs(c, r, base_points)
+
+    monkeypatch.setattr(evaluate_zeros, "count_for_coeffs", spy)
+    batch = winding_counts_batch(rows, 1.0)
+    assert len(fallback_calls) >= 2
+    for i in range(20):
+        ts = TruncatedSeries(_manual_draw(rows[i] / a), gef)
+        assert batch[i] == count_zeros_disk(ts, 1.0, verify=True).count
+
+
+def test_batch_counts_terms_whose_coefficient_underflows(gef):
+    # p(z) = 1e-4 + a_400 z^400 at r = 12: a_400 ~ e^-1000 underflows, but
+    # |a_400 12^400| ~ 1.8e-3 dominates, so all 400 zeros lie inside
+    phi = np.zeros((1, 401), dtype=np.complex128)
+    phi[0, 0], phi[0, 400] = 1e-4, 1.0
+    assert winding_counts_batch(phi, 12.0, log_coeffs=gef.log_coeffs(400))[0] == 400
+
+
+def test_batch_at_r12_emits_no_runtime_warning(gef):
+    degree = truncation_degree(gef, 12.0, 1e-9, 1e-6 / 2000)
+    phi = _gaussian_rows(degree, 12, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaled = winding_counts_batch(phi, 12.0, log_coeffs=gef.log_coeffs(degree))
+        # the linear convention too: a_n r^n is never formed
+        linear = winding_counts_batch(phi * np.exp(gef.log_coeffs(degree)), 12.0)
+    assert np.all(scaled > 100) and np.all(linear > 100)
+
+
+def test_uncertified_rows_raise_or_count_minus_one(gef):
+    # z - 1 has its zero on |z| = 1, so no retry can certify that row
+    rows = np.array([[-1.0, 1.0], [0.5, 1.0], [2.0, 1.0]], dtype=np.complex128)
+    with pytest.raises(ZeroCountError):
+        winding_counts_batch(rows, 1.0)
+    assert list(winding_counts_batch(rows, 1.0, strict=False)) == [-1, 1, 0]

@@ -16,6 +16,8 @@ from holelab import (
     omega_log_prob,
     s_of_r,
 )
+from holelab import hole_estimators
+from holelab.evaluate_zeros import _unit_circle_rows, winding_counts_batch
 from holelab.hole_estimators import (
     TAIL_MARGIN_CONST,
     _conditioned_caps_sq_log,
@@ -162,6 +164,22 @@ def test_conditioned_degree_tail_budget():
 def test_conditioned_fraction_is_one_at_certified_radius(gef):
     frac = omega_conditioned_sample(gef, 4.5, 100, 314)
     assert frac == 1.0
+
+
+def test_conditioned_r12_rows_keep_every_term(gef, monkeypatch):
+    # a_n underflows to 0 for n >= 314 at r = 12 while phi_n a_n r^n stays
+    # up to 1/(3r): the rows the kernel evaluates must keep every such term
+    scaled = []
+
+    def spy(rows, r, *args, **kwargs):
+        scaled.append(_unit_circle_rows(np.asarray(rows), r, kwargs.get("log_coeffs")))
+        return winding_counts_batch(rows, r, *args, **kwargs)
+
+    monkeypatch.setattr(hole_estimators, "winding_counts_batch", spy)
+    assert omega_conditioned_sample(gef, 12.0, 4, 1, workers=1) == 1.0
+    rows = np.concatenate(scaled)
+    assert rows.shape == (4, conditioned_degree(12.0) + 1)
+    assert np.all(rows != 0)
 
 
 def test_conditioned_fraction_reported_below_certified_radius(gef):
