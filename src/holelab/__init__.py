@@ -24,7 +24,9 @@ from .sampling import (
     CoefficientDraw,
     Distribution,
     draw_coeffs,
+    draw_rows,
     sample_seed,
+    sample_seeds,
     truncation_degree,
     truncation_tail_bound,
 )

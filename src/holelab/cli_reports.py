@@ -30,8 +30,13 @@ from .covariance_det import (
 )
 from .evaluate_zeros import TruncatedSeries, count_zeros_disk
 from .hermite_asymptotics import annulus_escape, forced_zero_experiment, saddle_deviation
-from .hole_estimators import hole_bracket_report, omega_certificate, omega_conditioned_sample
-from .sampling import Distribution, draw_coeffs, sample_seed, truncation_degree
+from .hole_estimators import (
+    MC_CHUNK,
+    hole_bracket_report,
+    omega_certificate,
+    omega_conditioned_sample,
+)
+from .sampling import CoefficientDraw, Distribution, draw_rows, sample_seeds, truncation_degree
 from .volume_geometry import (
     VolumeQuery,
     log_integral_annotation,
@@ -194,13 +199,16 @@ def _run_conditioned(args) -> dict:
 def _run_zeros(args) -> dict:
     model = _model_from(args)
     degree = args.degree or truncation_degree(model, args.r, 1e-9, 1e-9)
+    dist = Distribution.COMPLEX_GAUSSIAN
     counts = []
-    for i in range(args.samples):
-        draw = draw_coeffs(Distribution.COMPLEX_GAUSSIAN, degree + 1,
-                           sample_seed(args.seed, i))
-        res = count_zeros_disk(TruncatedSeries(draw, model), args.r,
-                               verify=args.verify)
-        counts.append(res.count)
+    for start in range(0, args.samples, MC_CHUNK):  # chunks bound the rows held
+        stop = min(start + MC_CHUNK, args.samples)
+        rows = draw_rows(dist, args.seed, start, stop, degree + 1)
+        for row, key in zip(rows, sample_seeds(args.seed, start, stop)):
+            draw = CoefficientDraw(dist, row, int(key), degree)
+            res = count_zeros_disk(TruncatedSeries(draw, model), args.r,
+                                   verify=args.verify)
+            counts.append(res.count)
     counts = np.asarray(counts, dtype=np.float64)
     return {
         "mean_count": float(np.mean(counts)),

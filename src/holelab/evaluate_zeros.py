@@ -331,19 +331,22 @@ def roots_truncated(ts: TruncatedSeries, *, check_residuals: bool = True) -> np.
     return roots
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _polish_roots(c: np.ndarray, roots: np.ndarray, iters: int = 60) -> np.ndarray:
     """Damped Newton, run to convergence.
 
     Raw companion eigenvalues are near-exact for inner roots but can be off
     by O(1) residuals near the outer root-accumulation circle of high-degree
-    truncations; a step is only accepted where it shrinks |p|.
+    truncations; a step is only accepted where it shrinks |p|.  Far-out
+    roots of high-degree truncations overflow Horner: their non-finite steps
+    are zeroed, and _check_residuals rejects a root whose residual stays
+    non-finite.
     """
     dc = c[1:] * np.arange(1, len(c))
     p = _horner(c, roots)
     for _ in range(iters):
         dp = _horner(dc, roots)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(np.abs(dp) > 0, p / dp, 0.0)
+        step = np.where(np.abs(dp) > 0, p / dp, 0.0)
         step = np.where(np.isfinite(step), step, 0.0)
         if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(roots))):
             break
@@ -364,18 +367,25 @@ def _polish_roots(c: np.ndarray, roots: np.ndarray, iters: int = 60) -> np.ndarr
 
 
 def _check_residuals(c: np.ndarray, roots: np.ndarray) -> None:
+    """Raise unless every |p(z*)| is finite and below 1e-8 max|p| on |z| = |z*|.
+
+    Horner overflows at far-out roots of high-degree truncations; a
+    non-finite residual or circle maximum cannot certify the root, so it
+    fails the check instead of comparing inf with inf.
+    """
     if len(roots) == 0:
         return
-    resid = np.abs(_horner(c, roots))
     phases = np.exp(2j * np.pi * np.arange(64) / 64)
     circle = np.abs(roots)[:, None] * phases[None, :]
-    denom = np.max(np.abs(_horner(c, circle)), axis=1)
-    bad = resid > _RESIDUAL_REL * denom
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs(_horner(c, roots))
+        denom = np.max(np.abs(_horner(c, circle)), axis=1)
+    bad = ~np.isfinite(resid) | ~np.isfinite(denom) | (resid > _RESIDUAL_REL * denom)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise RootResidualError(
-            f"root {roots[i]!r}: residual {resid[i]:.3e} exceeds "
-            f"{_RESIDUAL_REL:g} * {denom[i]:.3e}")
+            f"root {roots[i]!r}: residual {resid[i]:.3e} against circle max "
+            f"{denom[i]:.3e} (both must be finite, ratio <= {_RESIDUAL_REL:g})")
 
 
 def min_zero_modulus(ts: TruncatedSeries) -> float:

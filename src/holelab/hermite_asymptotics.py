@@ -30,8 +30,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .coeff_models import CoefficientModel
-from .evaluate_zeros import TruncatedSeries, min_zero_modulus
-from .sampling import CoefficientDraw, Distribution, draw_coeffs, sample_seed
+from .evaluate_zeros import TruncatedSeries, min_zero_modulus, rotate_draw
+from .sampling import CoefficientDraw, Distribution, draw_rows, sample_seeds
 
 
 @dataclass(frozen=True)
@@ -151,15 +151,15 @@ def _forced_zero_chunk(payload) -> np.ndarray:
     dist_value, start, stop, degree, seed, rotate = payload
     dist = Distribution(dist_value)
     model = CoefficientModel.gef()
+    rows = draw_rows(dist, seed, start, stop, degree + 1)
+    keys = sample_seeds(seed, start, stop)
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        if i == 0:
+    for k in range(stop - start):
+        if start + k == 0:
             draw = all_ones_draw(degree)
         else:
-            draw = draw_coeffs(dist, degree + 1, sample_seed(seed, i))
+            draw = CoefficientDraw(dist, rows[k], int(keys[k]), degree)
         if rotate != 0.0:
-            n = np.arange(degree + 1)
-            draw = CoefficientDraw(draw.dist, draw.values * np.exp(1j * rotate * n),
-                                   draw.master_seed, degree)
-        out[i - start] = min_zero_modulus(TruncatedSeries(draw, model))
+            draw = rotate_draw(draw, rotate)
+        out[k] = min_zero_modulus(TruncatedSeries(draw, model))
     return out

@@ -36,9 +36,9 @@ from .coeff_models import CoefficientModel, ModelKind, s_asymptotic, s_of_r
 from .evaluate_zeros import winding_counts_batch
 from .sampling import (
     Distribution,
-    draw_coeffs,
-    sample_seed,
+    draw_rows,
     truncated_exp_from_uniform,
+    transform_rows,
     truncation_degree,
     uniform_pairs,
 )
@@ -54,8 +54,6 @@ _LN2 = math.log(2.0)
 
 class EstimateMethod(Enum):
     DIRECT_MC = "direct-mc"
-    OMEGA_BOUND = "omega-bound"
-    CONDITIONED_CHECK = "conditioned-check"
 
 
 @dataclass(frozen=True)
@@ -176,10 +174,7 @@ def _hole_chunk(payload) -> tuple[int, int]:
     """(zero-free rows, rows the kernel could not certify) for one chunk."""
     kind_value, alpha, r, degree, seed, start, stop, base_points = payload
     model = CoefficientModel(ModelKind(kind_value), alpha)
-    rows = np.empty((stop - start, degree + 1), dtype=np.complex128)
-    for i in range(start, stop):
-        rows[i - start] = draw_coeffs(Distribution.COMPLEX_GAUSSIAN, degree + 1,
-                                      sample_seed(seed, i)).values
+    rows = draw_rows(Distribution.COMPLEX_GAUSSIAN, seed, start, stop, degree + 1)
     counts = winding_counts_batch(rows, r, base_points,
                                   log_coeffs=model.log_coeffs(degree), strict=False)
     return int(np.count_nonzero(counts == 0)), int(np.count_nonzero(counts < 0))
@@ -240,6 +235,15 @@ def conditioned_degree(r: float, tail_eps: float = 1e-9) -> int:
     return int(math.ceil(er2 + extra))
 
 
+def _conditioned_values(r: float, caps_sq: np.ndarray, u_mag: np.ndarray,
+                        u_phase: np.ndarray) -> np.ndarray:
+    """Conditioned coefficients from uniform pairs (one row or a row block)."""
+    e_sq = np.empty(u_mag.shape)
+    e_sq[..., 0] = truncated_exp_from_uniform(u_mag[..., 0], lower=4.0 * r * r)
+    e_sq[..., 1:] = truncated_exp_from_uniform(u_mag[..., 1:], upper=caps_sq)
+    return np.sqrt(e_sq) * np.exp(2j * np.pi * u_phase)
+
+
 def conditioned_draw(r: float, master_seed: int, degree: int | None = None) -> np.ndarray:
     """One coefficient vector phi_0..phi_degree drawn from the confinement event.
 
@@ -249,19 +253,27 @@ def conditioned_draw(r: float, master_seed: int, degree: int | None = None) -> n
     """
     if degree is None:
         degree = conditioned_degree(r)
-    u_mag, u_phase = uniform_pairs(master_seed, degree + 1)
-    e_sq = np.empty(degree + 1)
-    e_sq[0] = truncated_exp_from_uniform(u_mag[0], lower=4.0 * r * r)
     caps_sq = np.exp(_conditioned_caps_sq_log(r, degree))
-    e_sq[1:] = truncated_exp_from_uniform(u_mag[1:], upper=caps_sq)
-    return np.sqrt(e_sq) * np.exp(2j * np.pi * u_phase)
+    return _conditioned_values(r, caps_sq, *uniform_pairs(master_seed, degree + 1))
+
+
+def conditioned_rows(r: float, seed: int, start: int, stop: int,
+                     degree: int | None = None) -> np.ndarray:
+    """Conditioned draws of samples start..stop-1, shape (stop - start, degree + 1).
+
+    Row k equals conditioned_draw(r, sample_seed(seed, start + k), degree)
+    bit for bit.
+    """
+    if degree is None:
+        degree = conditioned_degree(r)
+    caps_sq = np.exp(_conditioned_caps_sq_log(r, degree))
+    return transform_rows(seed, start, stop, degree + 1,
+                          lambda u_mag, u_phase: _conditioned_values(r, caps_sq, u_mag, u_phase))
 
 
 def _conditioned_chunk(payload) -> tuple[int, int]:
     r, degree, seed, start, stop, base_points = payload
-    rows = np.empty((stop - start, degree + 1), dtype=np.complex128)
-    for i in range(start, stop):
-        rows[i - start] = conditioned_draw(r, sample_seed(seed, i), degree)
+    rows = conditioned_rows(r, seed, start, stop, degree)
     counts = winding_counts_batch(rows, r, base_points,
                                   log_coeffs=CoefficientModel.gef().log_coeffs(degree))
     return int(np.count_nonzero(counts == 0)), stop - start

@@ -28,6 +28,7 @@ from holelab import (
     annulus_escape,
     count_zeros_disk,
     draw_coeffs,
+    draw_rows,
     forced_zero_experiment,
     hole_mc,
     logdet_circulant,
@@ -175,10 +176,7 @@ def test_criterion_6_first_intensity(gef):
     a = np.exp(gef.log_coeffs(degree))
     counts = []
     for start in range(0, 10_000, 2000):
-        rows = np.array([
-            draw_coeffs(Distribution.COMPLEX_GAUSSIAN, degree + 1, sample_seed(606060, i)).values * a
-            for i in range(start, start + 2000)
-        ])
+        rows = draw_rows(Distribution.COMPLEX_GAUSSIAN, 606060, start, start + 2000, degree + 1) * a
         counts.append(winding_counts_batch(rows, 1.0))
     counts = np.concatenate(counts)
     mean = float(np.mean(counts))

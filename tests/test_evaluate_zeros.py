@@ -11,6 +11,7 @@ from holelab import (
     ZeroCountError,
     count_zeros_disk,
     draw_coeffs,
+    draw_rows,
     eval_series,
     max_modulus,
     min_zero_modulus,
@@ -190,8 +191,7 @@ class _UnitModel:
 
 
 def _gaussian_rows(degree, seed, count):
-    return np.array([draw_coeffs(Distribution.COMPLEX_GAUSSIAN, degree + 1,
-                                 sample_seed(seed, i)).values for i in range(count)])
+    return draw_rows(Distribution.COMPLEX_GAUSSIAN, seed, 0, count, degree + 1)
 
 
 @pytest.mark.parametrize("r, count", [(1.0, 40), (2.0, 30), (6.0, 10), (12.0, 4)])
@@ -261,3 +261,10 @@ def test_uncertified_rows_raise_or_count_minus_one(gef):
     with pytest.raises(ZeroCountError):
         winding_counts_batch(rows, 1.0)
     assert list(winding_counts_batch(rows, 1.0, strict=False)) == [-1, 1, 0]
+
+
+def test_residual_check_rejects_overflowed_horner():
+    # z^2 + 1 at z = 1e200 overflows to inf on the root and on its circle;
+    # inf > 1e-8 * inf is False, so only an explicit finiteness test fails it
+    with pytest.raises(evaluate_zeros.RootResidualError):
+        evaluate_zeros._check_residuals(np.array([1, 0, 1], complex), np.array([1e200 + 0j]))

@@ -25,6 +25,7 @@ from holelab.hole_estimators import (
     _log1mexp_from_log,
     conditioned_degree,
     conditioned_draw,
+    conditioned_rows,
     smallest_certified_radius,
     wilson_interval,
 )
@@ -151,6 +152,25 @@ def test_conditioned_draw_satisfies_clause_bounds():
         phi = conditioned_draw(r, seed)
         assert abs(phi[0]) >= 2.0 * r
         assert np.all(np.abs(phi[1:]) ** 2 <= caps)
+
+
+@pytest.mark.parametrize("r", [1.0, 4.5, 12.0])
+def test_conditioned_rows_match_per_sample_objects(r):
+    # oracle: per-sample SeedSequence and Philox objects, one row at a time
+    degree = conditioned_degree(r)
+    caps = np.exp(_conditioned_caps_sq_log(r, degree))
+    start, stop = 3, 3 + 2 * (2**16 // (degree + 1)) + 2  # straddles a generation block
+    rows = conditioned_rows(r, 2**40 + 9, start, stop)
+    assert rows.shape == (stop - start, degree + 1)
+    for k in (0, 1, stop - start - 2, stop - start - 1):
+        key = int(np.random.SeedSequence((2**40 + 9, start + k)).generate_state(1, np.uint64)[0])
+        u = (np.random.Philox(key=key).random_raw(2 * (degree + 1)) >> np.uint64(11)) * 2.0**-53
+        e_sq = np.empty(degree + 1)
+        e_sq[0] = 4.0 * r * r - np.log1p(-u[0])
+        e_sq[1:] = 0.0 - np.log1p(-u[2::2] * -np.expm1(-caps))
+        expected = np.sqrt(e_sq) * np.exp(2j * np.pi * u[1::2])
+        assert rows[k].tobytes() == expected.tobytes()
+        assert conditioned_draw(r, key, degree).tobytes() == expected.tobytes()
 
 
 def test_conditioned_degree_tail_budget():

@@ -6,8 +6,17 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holelab import Distribution, draw_coeffs, sample_seed, truncation_degree, truncation_tail_bound
-from holelab.sampling import truncated_exp_from_uniform, uniform_pairs
+from holelab import (
+    Distribution,
+    draw_coeffs,
+    draw_rows,
+    sample_seed,
+    sample_seeds,
+    truncation_degree,
+    truncation_tail_bound,
+)
+from holelab import sampling
+from holelab.sampling import truncated_exp_from_uniform, uniform_pairs, uniform_rows
 
 
 def test_rademacher_support():
@@ -84,6 +93,103 @@ def test_uniform_pairs_range():
 def test_count_validation():
     with pytest.raises(ValueError):
         draw_coeffs(Distribution.RADEMACHER, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# batched rows against per-sample numpy objects (the oracle)
+
+ORACLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -12345]
+
+
+def _oracle_seed(master_seed, i):
+    ss = np.random.SeedSequence((master_seed & (2**64 - 1), i))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _oracle_pairs(key, count):
+    words = np.random.Philox(key=key).random_raw(2 * count)
+    u = (words >> np.uint64(11)) * 2.0**-53
+    return u[0::2], u[1::2]
+
+
+def _oracle_values(dist, key, count):
+    u_mag, u_phase = _oracle_pairs(key, count)
+    if dist is Distribution.COMPLEX_GAUSSIAN:
+        return np.sqrt(-np.log1p(-u_mag)) * np.exp(2j * np.pi * u_phase)
+    if dist is Distribution.RADEMACHER:
+        return np.where(u_mag < 0.5, 1.0, -1.0).astype(np.complex128)
+    return np.exp(2j * np.pi * u_phase)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("master_seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("start, stop", [(0, 40), (1000, 1037), (2**32 - 3, 2**32)])
+def test_sample_seeds_match_seed_sequence(master_seed, start, stop):
+    got = sample_seeds(master_seed, start, stop)
+    assert got.dtype == np.uint64
+    expected = [_oracle_seed(master_seed, i) for i in range(start, stop)]
+    assert got.tolist() == expected
+    assert [sample_seed(master_seed, i) for i in range(start, stop)] == expected
+
+
+@given(st.integers(min_value=-(2**63), max_value=2**64 - 1),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_seed_hash_property(master_seed, i):
+    expected = _oracle_seed(master_seed, i)
+    assert sample_seed(master_seed, i) == expected
+    assert int(sample_seeds(master_seed, i, i + 1)[0]) == expected
+    u_mag, u_phase = uniform_rows(master_seed, i, i + 1, 3)
+    o_mag, o_phase = _oracle_pairs(expected, 3)
+    assert _same_bits(u_mag[0], o_mag) and _same_bits(u_phase[0], o_phase)
+
+
+@pytest.mark.parametrize("master_seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("start, count", [(0, 1), (0, 22), (517, 1), (517, 300)])
+def test_uniform_and_draw_rows_match_per_sample_objects(master_seed, start, count):
+    stop = start + 6
+    u_mag, u_phase = uniform_rows(master_seed, start, stop, count)
+    assert u_mag.shape == u_phase.shape == (6, count)
+    rows = {dist: draw_rows(dist, master_seed, start, stop, count) for dist in Distribution}
+    for k in range(6):
+        key = _oracle_seed(master_seed, start + k)
+        o_mag, o_phase = _oracle_pairs(key, count)
+        assert _same_bits(np.ascontiguousarray(u_mag[k]), o_mag)
+        assert _same_bits(np.ascontiguousarray(u_phase[k]), o_phase)
+        for dist in Distribution:
+            expected = _oracle_values(dist, key, count)
+            assert _same_bits(rows[dist][k], expected)
+            assert _same_bits(draw_coeffs(dist, count, key).values, expected)
+
+
+def test_rows_straddling_a_generation_block_concatenate():
+    count = 1000
+    per_block = sampling._BLOCK_VALUES // count
+    split = per_block + 3
+    for dist in Distribution:
+        whole = draw_rows(dist, 77, 5, 5 + 2 * per_block + 1, count)
+        parts = np.concatenate([draw_rows(dist, 77, 5, 5 + split, count),
+                                draw_rows(dist, 77, 5 + split, 5 + 2 * per_block + 1, count)])
+        assert _same_bits(whole, parts)
+        for k in (per_block - 1, per_block, 2 * per_block):
+            assert _same_bits(whole[k], _oracle_values(dist, _oracle_seed(77, 5 + k), count))
+
+
+def test_row_ranges_are_validated():
+    with pytest.raises(ValueError):
+        sample_seeds(1, 2**32 - 1, 2**32 + 1)
+    with pytest.raises(ValueError):
+        sample_seed(1, 2**32)
+    with pytest.raises(ValueError):
+        draw_rows(Distribution.STEINHAUS, 1, 2**32, 2**32 + 2, 4)
+    with pytest.raises(ValueError):
+        draw_rows(Distribution.STEINHAUS, 1, 5, 3, 4)
+    with pytest.raises(ValueError):
+        draw_rows(Distribution.STEINHAUS, 1, 0, 3, 0)
+    assert draw_rows(Distribution.STEINHAUS, 1, 2**32, 2**32, 4).shape == (0, 4)
 
 
 # ---------------------------------------------------------------------------
