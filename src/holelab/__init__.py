@@ -21,7 +21,6 @@ from .coeff_models import (
     tail_log_bound,
 )
 from .sampling import (
-    CoefficientDraw,
     Distribution,
     draw_coeffs,
     draw_rows,

@@ -28,7 +28,7 @@ from .covariance_det import (
     minor_gap_report,
     vandermonde_lower_bound,
 )
-from .evaluate_zeros import TruncatedSeries, count_zeros_disk
+from .evaluate_zeros import TruncatedSeries, verify_count, winding_counts_batch
 from .hermite_asymptotics import annulus_escape, forced_zero_experiment, saddle_deviation
 from .hole_estimators import (
     MC_CHUNK,
@@ -36,7 +36,7 @@ from .hole_estimators import (
     omega_certificate,
     omega_conditioned_sample,
 )
-from .sampling import CoefficientDraw, Distribution, draw_rows, sample_seeds, truncation_degree
+from .sampling import Distribution, draw_rows, truncation_degree
 from .volume_geometry import (
     VolumeQuery,
     log_integral_annotation,
@@ -197,19 +197,21 @@ def _run_conditioned(args) -> dict:
 
 
 def _run_zeros(args) -> dict:
+    if args.samples < 1:
+        raise ValueError("samples must be >= 1")
     model = _model_from(args)
     degree = args.degree or truncation_degree(model, args.r, 1e-9, 1e-9)
-    dist = Distribution.COMPLEX_GAUSSIAN
-    counts = []
+    log_coeffs = model.log_coeffs(degree)
+    parts = []
     for start in range(0, args.samples, MC_CHUNK):  # chunks bound the rows held
         stop = min(start + MC_CHUNK, args.samples)
-        rows = draw_rows(dist, args.seed, start, stop, degree + 1)
-        for row, key in zip(rows, sample_seeds(args.seed, start, stop)):
-            draw = CoefficientDraw(dist, row, int(key), degree)
-            res = count_zeros_disk(TruncatedSeries(draw, model), args.r,
-                                   verify=args.verify)
-            counts.append(res.count)
-    counts = np.asarray(counts, dtype=np.float64)
+        rows = draw_rows(Distribution.COMPLEX_GAUSSIAN, args.seed, start, stop, degree + 1)
+        got = winding_counts_batch(rows, args.r, log_coeffs=log_coeffs)
+        if args.verify:
+            for phi, count in zip(rows, got):
+                verify_count(TruncatedSeries(phi, model), args.r, int(count))
+        parts.append(got)
+    counts = np.concatenate(parts).astype(np.float64)
     return {
         "mean_count": float(np.mean(counts)),
         "stderr": float(np.std(counts, ddof=1) / math.sqrt(len(counts))) if len(counts) > 1 else 0.0,

@@ -83,10 +83,6 @@ class CoefficientModel:
         return float(self.log_coeffs(n)[n])
 
 
-def log_coeff(model: CoefficientModel, n: int) -> float:
-    return model.log_coeff(n)
-
-
 def _scan_terms(model: CoefficientModel, r: float) -> np.ndarray:
     """Terms t_n = log(a_n) + n*log(r) out to just past the qualifying block.
 

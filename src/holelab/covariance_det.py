@@ -117,14 +117,6 @@ def vandermonde_lower_bound(spec: CovarianceSpec) -> float:
             + n_pts * (n_pts - 1) * log_kr + n_pts * math.log(n_pts))
 
 
-def vandermonde_lower_bound_regrouped(spec: CovarianceSpec) -> float:
-    """Same bound written as sum_n 2*log(a_n (kr)^n) + N log N (identity check)."""
-    n_pts = spec.n_points
-    n = np.arange(1, n_pts + 1, dtype=np.float64)
-    t = n * math.log(spec.kappa * spec.r) - 0.5 * gammaln(n + 1.0)
-    return 2.0 * float(np.sum(t)) + n_pts * math.log(n_pts)
-
-
 def minor_gap_report(spec: CovarianceSpec) -> dict:
     """Minor bound, log-det, and their gaps to S(kappa*r).
 

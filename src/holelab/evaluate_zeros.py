@@ -1,17 +1,20 @@
 """Truncated series evaluation, max modulus, and zero counting in disks.
 
-Counting uses two fully independent routes which cross-verify each other:
+A draw is a plain complex array phi_0..phi_N; `TruncatedSeries` pairs it
+with a coefficient model.  Counting uses two fully independent routes which
+cross-verify each other:
 
   * the argument principle: the winding number of f along |z| = r, tracked
     on a circular grid whose argument increments are forced below pi/2
-    (half the theoretical limit, for aliasing margin).  Batches of rows are
-    evaluated by one FFT of log-scaled coefficients on the unit circle, on
-    grids doubled only for the rows not yet resolved; `count_for_coeffs`
-    (local midpoint refinement, then circles nudged by 1e-9) is the one
-    retry path for the rows left;
+    (half the theoretical limit, for aliasing margin).  Every count, one
+    series (`count_zeros_disk`) or a batch of rows, goes through
+    `winding_counts_batch`: one FFT of log-scaled coefficients on the unit
+    circle, on grids doubled only for the rows not yet resolved;
+    `count_for_coeffs` (local midpoint refinement, then circles nudged by
+    1e-9) is the one retry path for the rows left;
   * a companion-matrix root oracle (balanced eigenvalues plus one Newton
     polish step and a residual check against the max of |p| on the root's
-    own circle).
+    own circle); `verify_count` checks a count against it.
 
 A hole estimate hinges on "count == 0", so a silent undercount anywhere
 would poison every downstream number; mismatches raise instead of warn.
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff_models import CoefficientModel
-from .sampling import CoefficientDraw
 
 _MAX_CIRCLE_POINTS = 2**20
 _BATCH_MAX_POINTS = 2**16  # batched grid doubling stops here; count_for_coeffs takes the rest
@@ -46,32 +48,29 @@ class RootResidualError(ArithmeticError):
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """A draw paired with a coefficient model: p(z) = sum phi_n a_n z^n."""
+    """Draws phi_0..phi_N paired with a coefficient model: p(z) = sum phi_n a_n z^n."""
 
-    draw: CoefficientDraw
+    phi: np.ndarray
     model: CoefficientModel
-    degree: int | None = None
-
-    def effective_degree(self) -> int:
-        return self.draw.truncation_degree if self.degree is None else self.degree
 
     def coeffs(self) -> np.ndarray:
-        n = self.effective_degree()
-        if n > self.draw.truncation_degree:
-            raise ValueError("degree exceeds the draw's truncation degree")
-        c = self.draw.values[: n + 1] * np.exp(self.model.log_coeffs(n))
-        if not np.all(np.isfinite(c)):
-            raise ValueError("non-finite effective coefficients")
-        if not np.any(c != 0):
-            raise ValueError("identically zero truncated series")
+        """phi_n a_n in linear scale, for Horner and the root oracle (a_n may underflow)."""
+        c = self.phi * np.exp(self.model.log_coeffs(len(self.phi) - 1))
+        _require_finite_nonzero(c, "effective coefficients")
         return c
+
+
+def _require_finite_nonzero(values: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"non-finite {what}")
+    if not np.any(values != 0):
+        raise ValueError(f"identically zero {what}")
 
 
 @dataclass(frozen=True)
 class ZeroCountResult:
     count: int
     radius: float
-    refinement_levels: int
     verified_by_oracle: bool
 
 
@@ -86,13 +85,6 @@ def eval_series(ts: TruncatedSeries, z: complex) -> complex:
     """Horner evaluation of the truncated series at z (scalar or array)."""
     out = _horner(ts.coeffs(), np.asarray(z, dtype=np.complex128))
     return complex(out) if out.ndim == 0 else out
-
-
-def eval_series_pairwise(ts: TruncatedSeries, z: complex) -> complex:
-    """Independent summation order (explicit powers, pairwise sum)."""
-    c = ts.coeffs()
-    powers = np.power(np.complex128(z), np.arange(len(c)))
-    return complex(np.sum(c * powers))
 
 
 def max_modulus(ts: TruncatedSeries, r: float, grid_size: int = 256) -> float:
@@ -123,11 +115,10 @@ class _BoundarySuspicion(Exception):
 
 
 def _winding_adaptive(c: np.ndarray, r: float, base_points: int,
-                      max_points: int = _MAX_CIRCLE_POINTS) -> tuple[int, int]:
+                      max_points: int = _MAX_CIRCLE_POINTS) -> int:
     """Winding number of p along |z| = r by continuous argument tracking."""
     theta = np.linspace(0.0, 2.0 * np.pi, base_points, endpoint=False)
     f = _horner(c, r * np.exp(1j * theta))
-    levels = 0
     while True:
         scale = float(np.max(np.abs(f)))
         if scale == 0.0 or float(np.min(np.abs(f))) < _TINY_MODULUS_REL * scale:
@@ -150,12 +141,11 @@ def _winding_adaptive(c: np.ndarray, r: float, base_points: int,
         order = np.argsort(np.concatenate([theta, mids]), kind="stable")
         theta = np.concatenate([theta, mids])[order]
         f = np.concatenate([f, f_mids])[order]
-        levels += 1
     w_float = float(np.sum(inc)) / (2.0 * np.pi)
     w = int(round(w_float))
     if abs(w_float - w) > 1e-3:
         raise ZeroCountError(f"winding sum {w_float!r} is not near an integer")
-    return w, levels
+    return w
 
 
 def _default_base_points(n_coeffs: int) -> int:
@@ -165,8 +155,8 @@ def _default_base_points(n_coeffs: int) -> int:
     return pts
 
 
-def count_for_coeffs(c: np.ndarray, r: float, base_points: int | None = None) -> tuple[int, int]:
-    """(count, refinement levels) for a raw coefficient array.
+def count_for_coeffs(c: np.ndarray, r: float, base_points: int | None = None) -> int:
+    """Winding number along |z| = r of a raw coefficient array, by Horner.
 
     Argument gaps are closed by inserting midpoints where they occur.  On
     boundary-zero suspicion the circle is nudged to r*(1 +/- 1e-9); both
@@ -183,9 +173,9 @@ def count_for_coeffs(c: np.ndarray, r: float, base_points: int | None = None) ->
                 outcomes.append(_winding_adaptive(c, r * fac, base_points))
             except _BoundarySuspicion as exc:
                 outcomes.append(exc)
-        ok = [o for o in outcomes if isinstance(o, tuple)]
-        if len(ok) == 2 and ok[0][0] == ok[1][0]:
-            return ok[0][0], max(ok[0][1], ok[1][1])
+        ok = [o for o in outcomes if isinstance(o, int)]
+        if len(ok) == 2 and ok[0] == ok[1]:
+            return ok[0]
         raise ZeroCountError(
             "boundary-zero suspicion unresolved: "
             f"{first.detail}; perturbed retries gave {outcomes!r}") from None
@@ -195,25 +185,31 @@ def count_zeros_disk(ts: TruncatedSeries, r: float, *, verify: bool = False,
                      base_points: int | None = None) -> ZeroCountResult:
     """Number of zeros of the truncated series in |z| < r.
 
-    With `verify=True` the companion-matrix oracle recounts the zeros and a
-    mismatch raises: the two routes share no code or representation.
+    The one-row case of `winding_counts_batch` on phi with log a_n kept in
+    log scale, so no term is lost to an underflowing a_n.  With
+    `verify=True`, `verify_count` recounts the zeros by the root oracle.
     """
     if not r > 0:
         raise ValueError("r must be positive")
-    c = ts.coeffs()
-    w, levels = count_for_coeffs(c, r, base_points)
-    if w < 0:
-        raise ZeroCountError(f"negative winding {w} for an analytic function")
-    verified = False
+    phi = np.asarray(ts.phi, dtype=np.complex128)
+    _require_finite_nonzero(phi, "coefficients phi")
+    w = int(winding_counts_batch(phi[None, :], r, base_points,
+                                 log_coeffs=ts.model.log_coeffs(len(phi) - 1))[0])
     if verify:
-        roots = roots_truncated(ts)
-        oracle = int(np.sum(np.abs(roots) < r))
-        if oracle != w:
-            raise ZeroCountError(
-                f"argument principle ({w}) disagrees with root oracle ({oracle}) at r={r!r}")
-        verified = True
-    return ZeroCountResult(count=w, radius=r, refinement_levels=levels,
-                           verified_by_oracle=verified)
+        verify_count(ts, r, w)
+    return ZeroCountResult(count=w, radius=r, verified_by_oracle=verify)
+
+
+def verify_count(ts: TruncatedSeries, r: float, count: int) -> None:
+    """Raise ZeroCountError unless the root oracle finds `count` zeros in |z| < r.
+
+    The companion-matrix roots share no code or representation with the
+    winding count.
+    """
+    oracle = int(np.sum(np.abs(roots_truncated(ts)) < r))
+    if oracle != count:
+        raise ZeroCountError(
+            f"argument principle ({count}) disagrees with root oracle ({oracle}) at r={r!r}")
 
 
 def _unit_circle_rows(rows: np.ndarray, r: float,
@@ -277,8 +273,9 @@ def winding_counts_batch(coeff_rows: np.ndarray, r: float,
     failing the argument-step, tiny-modulus or near-integer checks are
     re-evaluated together on a grid of twice the points, up to
     _BATCH_MAX_POINTS; only the rows still unresolved go to the per-row
-    `count_for_coeffs`.  A row that path cannot certify raises
-    ZeroCountError, or with strict=False gets count -1.
+    `count_for_coeffs`.  A row that path cannot certify, or that winds a
+    negative number of times (impossible for an analytic function), raises
+    ZeroCountError, or with strict=False gets a negative count.
     """
     rows = np.asarray(coeff_rows, dtype=np.complex128)
     if base_points is None:
@@ -296,12 +293,16 @@ def winding_counts_batch(coeff_rows: np.ndarray, r: float,
         points *= 2
     for i in todo:
         try:
-            counts[i] = count_for_coeffs(D[i], 1.0, base_points)[0]
+            counts[i] = count_for_coeffs(D[i], 1.0, base_points)
         except ZeroCountError as exc:
             if strict:
                 raise ZeroCountError(
                     f"row {i} at r={r!r}, counted on the rescaled unit circle: {exc}") from None
             counts[i] = -1
+    if strict and np.any(counts < 0):
+        i = int(np.flatnonzero(counts < 0)[0])
+        raise ZeroCountError(f"negative winding {counts[i]} in row {i} at r={r!r} "
+                             "for an analytic function")
     return counts
 
 
@@ -396,8 +397,9 @@ def min_zero_modulus(ts: TruncatedSeries) -> float:
     return float(np.min(np.abs(roots)))
 
 
-def rotate_draw(draw: CoefficientDraw, theta: float) -> CoefficientDraw:
-    """phi_n -> phi_n * e^(i n theta), mapping f(z) to f(z e^(i theta))."""
-    n = np.arange(len(draw.values))
-    return CoefficientDraw(draw.dist, draw.values * np.exp(1j * theta * n),
-                           draw.master_seed, draw.truncation_degree)
+def rotate_draw(phi: np.ndarray, theta: float) -> np.ndarray:
+    """phi_n -> phi_n * e^(i n theta), mapping f(z) to f(z e^(i theta)).
+
+    n runs along the last axis, so `phi` is one row or a block of rows.
+    """
+    return phi * np.exp(1j * theta * np.arange(phi.shape[-1]))

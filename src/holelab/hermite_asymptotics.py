@@ -31,7 +31,7 @@ from scipy.special import gammaln
 
 from .coeff_models import CoefficientModel
 from .evaluate_zeros import TruncatedSeries, min_zero_modulus, rotate_draw
-from .sampling import CoefficientDraw, Distribution, draw_rows, sample_seeds
+from .sampling import Distribution, draw_rows
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,9 @@ def annulus_escape(beta: complex, c1: float, c2: float, nmax: int) -> int | None
     return int(np.argmax(outside))
 
 
-def all_ones_draw(degree: int) -> CoefficientDraw:
+def all_ones_draw(degree: int) -> np.ndarray:
     """The deterministic draw phi_n = 1, a valid point for both unimodular laws."""
-    return CoefficientDraw(Distribution.RADEMACHER,
-                           np.ones(degree + 1, dtype=np.complex128), 0, degree)
+    return np.ones(degree + 1, dtype=np.complex128)
 
 
 def forced_zero_experiment(dist: Distribution, samples: int, degree: int,
@@ -149,17 +148,11 @@ def forced_zero_experiment(dist: Distribution, samples: int, degree: int,
 
 def _forced_zero_chunk(payload) -> np.ndarray:
     dist_value, start, stop, degree, seed, rotate = payload
-    dist = Distribution(dist_value)
+    rows = draw_rows(Distribution(dist_value), seed, start, stop, degree + 1)
+    if start == 0:
+        rows[0] = all_ones_draw(degree)
+    if rotate != 0.0:
+        rows = rotate_draw(rows, rotate)
     model = CoefficientModel.gef()
-    rows = draw_rows(dist, seed, start, stop, degree + 1)
-    keys = sample_seeds(seed, start, stop)
-    out = np.empty(stop - start)
-    for k in range(stop - start):
-        if start + k == 0:
-            draw = all_ones_draw(degree)
-        else:
-            draw = CoefficientDraw(dist, rows[k], int(keys[k]), degree)
-        if rotate != 0.0:
-            draw = rotate_draw(draw, rotate)
-        out[k] = min_zero_modulus(TruncatedSeries(draw, model))
-    return out
+    # one eigensolve per row: the companion roots have no batched form here
+    return np.array([min_zero_modulus(TruncatedSeries(phi, model)) for phi in rows])

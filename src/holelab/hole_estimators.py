@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
 from .coeff_models import CoefficientModel, ModelKind, s_asymptotic, s_of_r
 from .evaluate_zeros import winding_counts_batch
@@ -114,8 +113,7 @@ def _log1mexp_from_log(log_x: np.ndarray) -> np.ndarray:
 
 def _gef_terms(r: float, m: int) -> np.ndarray:
     """t_n = log(a_n r^n) for n = 1..m with a_n = (n!)^(-1/2)."""
-    n = np.arange(1, m + 1, dtype=np.float64)
-    return n * math.log(r) - 0.5 * gammaln(n + 1.0)
+    return CoefficientModel.gef().log_coeffs(m)[1:] + np.arange(1, m + 1) * math.log(r)
 
 
 def _omega_detail(r: float) -> tuple[float, int]:

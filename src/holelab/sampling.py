@@ -24,7 +24,6 @@ hole sampler relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -46,16 +45,6 @@ class Distribution(Enum):
     COMPLEX_GAUSSIAN = "complex-gaussian"
     RADEMACHER = "rademacher"
     STEINHAUS = "steinhaus"
-
-
-@dataclass(frozen=True)
-class CoefficientDraw:
-    """One realization of the random coefficients phi_0..phi_N."""
-
-    dist: Distribution
-    values: np.ndarray
-    master_seed: int
-    truncation_degree: int
 
 
 def _check_range(start: int, stop: int) -> None:
@@ -204,12 +193,11 @@ def _values_from_uniforms(dist: Distribution, u_mag: np.ndarray,
     raise ValueError(f"unknown distribution {dist!r}")
 
 
-def draw_coeffs(dist: Distribution, count: int, master_seed: int) -> CoefficientDraw:
+def draw_coeffs(dist: Distribution, count: int, master_seed: int) -> np.ndarray:
     """Independent draws phi_0..phi_{count-1} from the given distribution."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    values = _values_from_uniforms(dist, *uniform_pairs(master_seed, count))
-    return CoefficientDraw(dist, values, int(master_seed) & _SEED_MASK, count - 1)
+    return _values_from_uniforms(dist, *uniform_pairs(master_seed, count))
 
 
 def draw_rows(dist: Distribution, master_seed: int, start: int, stop: int,

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,30 @@ def test_unknown_command_is_usage_error(capsys):
 
 def test_numeric_failure_exit_code(capsys):
     assert run(["omega", "--r", "0.5"]) == 2
+
+
+def test_zeros_rejects_too_few_samples(capsys):
+    # an empty sample once gave mean_count null and a numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for samples in ("0", "-3"):
+            assert run(["zeros", "--r", "1", "--samples", samples]) == 2
+    assert "samples must be >= 1" in capsys.readouterr().err
+
+
+def test_zeros_verified_record_frozen(capsys):
+    # frozen values of per-row Horner counts on linear coefficients, an
+    # independent route; --verify also checks every row by the root oracle
+    code, out = _capture(capsys, ["zeros", "--r", "3", "--samples", "200", "--verify",
+                                  "--seed", "1", "--threads", "1"])
+    assert code == 0
+    assert json.loads(out)["results"] == {
+        "mean_count": 9.0050000000000008,
+        "stderr": 0.072810589267961162,
+        "expected_intensity": 9.0,
+        "degree": 54,
+        "verified": True,
+    }
 
 
 def test_float_17_digit_round_trip():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from holelab import (
-    CoefficientDraw,
     Distribution,
     TruncatedSeries,
     ZeroCountError,
@@ -20,16 +19,27 @@ from holelab import (
     truncation_degree,
 )
 from holelab import evaluate_zeros
-from holelab.evaluate_zeros import eval_series_pairwise, rotate_draw, winding_counts_batch
+from holelab.evaluate_zeros import (
+    count_for_coeffs,
+    rotate_draw,
+    verify_count,
+    winding_counts_batch,
+)
 from holelab.hermite_asymptotics import all_ones_draw
 
 # frozen: companion-matrix roots of sum_{n<=200} z^n/sqrt(n!), all phi_n = 1
 ALL_ONES_200_MIN_MODULUS = 3.6140172786532405
 
 
-def _manual_draw(values) -> CoefficientDraw:
-    values = np.asarray(values, dtype=np.complex128)
-    return CoefficientDraw(Distribution.COMPLEX_GAUSSIAN, values, 0, len(values) - 1)
+def _manual_draw(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.complex128)
+
+
+def eval_series_pairwise(ts: TruncatedSeries, z: complex) -> complex:
+    """Independent summation order (explicit powers, pairwise sum)."""
+    c = ts.coeffs()
+    powers = np.power(np.complex128(z), np.arange(len(c)))
+    return complex(np.sum(c * powers))
 
 
 def test_eval_constant_and_linear(gef):
@@ -66,7 +76,7 @@ def test_cauchy_coefficient_estimate(gef):
         draw = draw_coeffs(Distribution.COMPLEX_GAUSSIAN, 30, sample_seed(218, i))
         ts = TruncatedSeries(draw, gef)
         m = max_modulus(ts, r)
-        terms = np.abs(draw.values) * np.exp(gef.log_coeffs(29)) * r ** np.arange(30)
+        terms = np.abs(draw) * np.exp(gef.log_coeffs(29)) * r ** np.arange(30)
         assert np.all(terms <= m * (1.0 + 1e-9))
 
 
@@ -104,6 +114,17 @@ def test_rotation_invariance_of_counts(gef):
         assert base == rotated
 
 
+def test_rotate_draw_rows_and_blocks(gef):
+    block = draw_rows(Distribution.COMPLEX_GAUSSIAN, 5, 0, 3, 12)
+    rotated = rotate_draw(block, 0.7)
+    z = 0.6 - 0.3j
+    for k in range(3):
+        assert np.array_equal(rotated[k], rotate_draw(block[k], 0.7))
+        # the rotated series evaluates f(z e^(i theta))
+        want = eval_series(TruncatedSeries(block[k], gef), z * np.exp(0.7j))
+        assert eval_series(TruncatedSeries(rotated[k], gef), z) == pytest.approx(want, rel=1e-12)
+
+
 def test_boundary_zero_is_diagnosed(gef):
     # f(z) = z - 1 has its only zero exactly on |z| = 1: the nudged retries
     # straddle it and must disagree.  A zero 1.2e-16 off the circle, between
@@ -114,17 +135,24 @@ def test_boundary_zero_is_diagnosed(gef):
             count_zeros_disk(ts, 1.0)
 
 
+def test_verify_count_rejects_a_wrong_count(gef):
+    one_plus_z = TruncatedSeries(_manual_draw([1.0, 1.0]), gef)
+    verify_count(one_plus_z, 2.0, 1)
+    with pytest.raises(ZeroCountError, match="root oracle"):
+        verify_count(one_plus_z, 2.0, 0)
+
+
 def test_batch_counts_equal_single_counts(gef):
+    # count_for_coeffs, per-row Horner on linear coefficients, is the oracle
     degree = 25
     a = np.exp(gef.log_coeffs(degree))
     rows = np.array([
-        draw_coeffs(Distribution.COMPLEX_GAUSSIAN, degree + 1, sample_seed(50, i)).values * a
+        draw_coeffs(Distribution.COMPLEX_GAUSSIAN, degree + 1, sample_seed(50, i)) * a
         for i in range(200)
     ])
     batch = winding_counts_batch(rows, 1.25)
     for i in range(200):
-        draw = draw_coeffs(Distribution.COMPLEX_GAUSSIAN, degree + 1, sample_seed(50, i))
-        assert batch[i] == count_zeros_disk(TruncatedSeries(draw, gef), 1.25).count
+        assert batch[i] == count_for_coeffs(rows[i], 1.25)
 
 
 def test_roots_simple_polynomials(gef):
@@ -161,20 +189,13 @@ def test_min_zero_modulus_all_ones_regression(gef):
     assert min_zero_modulus(ts) == pytest.approx(ALL_ONES_200_MIN_MODULUS, rel=1e-9)
 
 
-def test_degree_restriction(gef):
-    draw = draw_coeffs(Distribution.COMPLEX_GAUSSIAN, 10, 3)
-    ts = TruncatedSeries(draw, gef, degree=15)
-    with pytest.raises(ValueError):
-        ts.coeffs()
-
-
 def test_expected_zero_count_small_sample(gef):
     # quick version of the first-intensity law E n(1) = 1; the acceptance
     # suite runs the full 10^4-draw check
     degree = 25
     a = np.exp(gef.log_coeffs(degree))
     rows = np.array([
-        draw_coeffs(Distribution.COMPLEX_GAUSSIAN, degree + 1, sample_seed(606, i)).values * a
+        draw_coeffs(Distribution.COMPLEX_GAUSSIAN, degree + 1, sample_seed(606, i)) * a
         for i in range(2000)
     ])
     counts = winding_counts_batch(rows, 1.0)
@@ -222,7 +243,6 @@ def test_zero_just_off_the_circle_reaches_fallback(gef, monkeypatch):
     for i, rho in ((3, 1.0 - 1e-7), (11, 1.0 + 1e-7)):
         rows[i] = np.convolve(rows[i, :-1], [-rho * np.exp(0.4j), 1.0])
     fallback_calls = []
-    count_for_coeffs = evaluate_zeros.count_for_coeffs
 
     def spy(c, r, base_points=None):
         fallback_calls.append(r)
@@ -242,6 +262,8 @@ def test_batch_counts_terms_whose_coefficient_underflows(gef):
     phi = np.zeros((1, 401), dtype=np.complex128)
     phi[0, 0], phi[0, 400] = 1e-4, 1.0
     assert winding_counts_batch(phi, 12.0, log_coeffs=gef.log_coeffs(400))[0] == 400
+    # count_zeros_disk runs on the same kernel, so it keeps that term too
+    assert count_zeros_disk(TruncatedSeries(phi[0], gef), 12.0).count == 400
 
 
 def test_batch_at_r12_emits_no_runtime_warning(gef):

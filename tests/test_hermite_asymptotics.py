@@ -168,6 +168,20 @@ def test_forced_zero_rotation_invariance_ks():
     assert scipy.stats.ks_2samp(xs, ys).pvalue > 0.01
 
 
+def test_forced_zero_rotated_record_frozen():
+    # two chunks (64 + 6 rows) cover the all-ones row 0 and whole rotated
+    # blocks; frozen values of rows built and rotated one at a time, with a
+    # tolerance only for the last bits of another LAPACK's eigenvalues
+    rec = forced_zero_experiment(Distribution.STEINHAUS, 70, 80, 22, rotate=0.7)
+    assert rec == pytest.approx({
+        "dist": "steinhaus", "samples": 70, "degree": 80, "seed": 22,
+        "min": 0.6202516739146962, "max": 3.6140172786517826,
+        "mean": 0.8224494176297401, "q25": 0.6856071204350134,
+        "q50": 0.7658248707518095, "q75": 0.8736675783543391,
+        "q90": 0.9385673241579926, "all_finite": True,
+    }, rel=1e-12)
+
+
 def test_forced_zero_validation():
     with pytest.raises(ValueError):
         forced_zero_experiment(Distribution.COMPLEX_GAUSSIAN, 10, 200, 1)

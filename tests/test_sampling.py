@@ -21,25 +21,25 @@ from holelab.sampling import truncated_exp_from_uniform, uniform_pairs, uniform_
 
 def test_rademacher_support():
     draw = draw_coeffs(Distribution.RADEMACHER, 8, 1234)
-    assert set(draw.values.real.tolist()) <= {-1.0, 1.0}
-    assert np.all(draw.values.imag == 0.0)
+    assert set(draw.real.tolist()) <= {-1.0, 1.0}
+    assert np.all(draw.imag == 0.0)
 
 
 def test_steinhaus_unit_modulus():
     draw = draw_coeffs(Distribution.STEINHAUS, 1000, 99)
-    assert np.max(np.abs(np.abs(draw.values) - 1.0)) <= 1e-15
+    assert np.max(np.abs(np.abs(draw) - 1.0)) <= 1e-15
 
 
 def test_gaussian_second_moment():
     draw = draw_coeffs(Distribution.COMPLEX_GAUSSIAN, 10**5, 2024)
-    m2 = float(np.mean(np.abs(draw.values) ** 2))
+    m2 = float(np.mean(np.abs(draw) ** 2))
     assert abs(m2 - 1.0) <= 3.0 / math.sqrt(10**5)
 
 
 def test_gaussian_tail_identity():
     # P(|phi| >= 1) = exp(-1) for the unit complex Gaussian
     draw = draw_coeffs(Distribution.COMPLEX_GAUSSIAN, 10**5, 31)
-    p_hat = float(np.mean(np.abs(draw.values) >= 1.0))
+    p_hat = float(np.mean(np.abs(draw) >= 1.0))
     p = math.exp(-1.0)
     sigma = math.sqrt(p * (1.0 - p) / 10**5)
     assert abs(p_hat - p) <= 3.0 * sigma
@@ -47,21 +47,21 @@ def test_gaussian_tail_identity():
 
 def test_gaussian_modulus_squared_is_exponential():
     draw = draw_coeffs(Distribution.COMPLEX_GAUSSIAN, 10**5, 7)
-    stat = scipy.stats.kstest(np.abs(draw.values) ** 2, "expon").statistic
+    stat = scipy.stats.kstest(np.abs(draw) ** 2, "expon").statistic
     crit_99 = 1.6276 / math.sqrt(10**5)
     assert stat < crit_99
 
 
 def test_steinhaus_phase_uniform():
     draw = draw_coeffs(Distribution.STEINHAUS, 10**5, 5150)
-    assert abs(np.mean(draw.values)) <= 3.0 / math.sqrt(10**5) * (1 / math.sqrt(2)) * 2
+    assert abs(np.mean(draw)) <= 3.0 / math.sqrt(10**5) * (1 / math.sqrt(2)) * 2
 
 
 def test_regeneration_bit_identical():
     for dist in Distribution:
         a = draw_coeffs(dist, 64, 8675309)
         b = draw_coeffs(dist, 64, 8675309)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=40))
@@ -69,13 +69,13 @@ def test_regeneration_bit_identical():
 def test_extension_property(seed, short):
     for dist in Distribution:
         long = draw_coeffs(dist, short + 25, seed)
-        assert np.array_equal(long.values[:short], draw_coeffs(dist, short, seed).values)
+        assert np.array_equal(long[:short], draw_coeffs(dist, short, seed))
 
 
 def test_distinct_seeds_distinct_streams():
     a = draw_coeffs(Distribution.COMPLEX_GAUSSIAN, 16, 1)
     b = draw_coeffs(Distribution.COMPLEX_GAUSSIAN, 16, 2)
-    assert not np.array_equal(a.values, b.values)
+    assert not np.array_equal(a, b)
 
 
 def test_sample_seed_deterministic_and_spread():
@@ -162,7 +162,7 @@ def test_uniform_and_draw_rows_match_per_sample_objects(master_seed, start, coun
         for dist in Distribution:
             expected = _oracle_values(dist, key, count)
             assert _same_bits(rows[dist][k], expected)
-            assert _same_bits(draw_coeffs(dist, count, key).values, expected)
+            assert _same_bits(draw_coeffs(dist, count, key), expected)
 
 
 def test_rows_straddling_a_generation_block_concatenate():
