@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .coeff_models import CoefficientModel, peak_index_range, s_asymptotic, s_of_r_detail
+from .coeff_models import (
+    CoefficientModel,
+    ModelKind,
+    peak_index_range,
+    s_asymptotic,
+    s_of_r_detail,
+)
 from .covariance_det import (
     CovarianceSpec,
     logdet_circulant,
@@ -28,10 +34,9 @@ from .covariance_det import (
     minor_gap_report,
     vandermonde_lower_bound,
 )
-from .evaluate_zeros import TruncatedSeries, verify_count, winding_counts_batch
+from .evaluate_zeros import verify_counts, winding_counts_batch
 from .hermite_asymptotics import annulus_escape, forced_zero_experiment, saddle_deviation
 from .hole_estimators import (
-    MC_CHUNK,
     hole_bracket_report,
     omega_certificate,
     omega_conditioned_sample,
@@ -44,7 +49,7 @@ from .volume_geometry import (
     volume_mc,
     volume_upper_bound_log,
 )
-from ._parallel import resolve_workers
+from ._parallel import resolve_workers, run_chunked
 
 
 @dataclass
@@ -196,22 +201,34 @@ def _run_conditioned(args) -> dict:
             "cert_margin": cert.margin}
 
 
+_ZEROS_JOB = 100  # rows per `zeros` job, fixed by sample index
+
+
+def _zeros_job(payload) -> np.ndarray:
+    """Counts of samples start..stop, each checked by the root oracle under --verify."""
+    kind_value, alpha, r, degree, seed, start, stop, verify = payload
+    model = CoefficientModel(ModelKind(kind_value), alpha)
+    rows = draw_rows(Distribution.COMPLEX_GAUSSIAN, seed, start, stop, degree + 1)
+    counts = winding_counts_batch(rows, r, log_coeffs=model.log_coeffs(degree))
+    if verify:
+        verify_counts(rows, model, r, counts, first_index=start)
+    return counts
+
+
 def _run_zeros(args) -> dict:
     if args.samples < 1:
         raise ValueError("samples must be >= 1")
+    if args.degree is not None and args.degree < 0:
+        raise ValueError(f"--degree must be >= 0, got {args.degree}")
     model = _model_from(args)
-    degree = args.degree or truncation_degree(model, args.r, 1e-9, 1e-9)
-    log_coeffs = model.log_coeffs(degree)
-    parts = []
-    for start in range(0, args.samples, MC_CHUNK):  # chunks bound the rows held
-        stop = min(start + MC_CHUNK, args.samples)
-        rows = draw_rows(Distribution.COMPLEX_GAUSSIAN, args.seed, start, stop, degree + 1)
-        got = winding_counts_batch(rows, args.r, log_coeffs=log_coeffs)
-        if args.verify:
-            for phi, count in zip(rows, got):
-                verify_count(TruncatedSeries(phi, model), args.r, int(count))
-        parts.append(got)
-    counts = np.concatenate(parts).astype(np.float64)
+    degree = (truncation_degree(model, args.r, 1e-9, 1e-9)
+              if args.degree is None else args.degree)
+    payloads = [
+        (model.kind.value, model.alpha, args.r, degree, args.seed, start,
+         min(start + _ZEROS_JOB, args.samples), args.verify)
+        for start in range(0, args.samples, _ZEROS_JOB)
+    ]
+    counts = np.concatenate(run_chunked(_zeros_job, payloads, args.threads)).astype(np.float64)
     return {
         "mean_count": float(np.mean(counts)),
         "stderr": float(np.std(counts, ddof=1) / math.sqrt(len(counts))) if len(counts) > 1 else 0.0,

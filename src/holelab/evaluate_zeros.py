@@ -12,9 +12,13 @@ cross-verify each other:
     circle, on grids doubled only for the rows not yet resolved;
     `count_for_coeffs` (local midpoint refinement, then circles nudged by
     1e-9) is the one retry path for the rows left;
-  * a companion-matrix root oracle (balanced eigenvalues plus one Newton
-    polish step and a residual check against the max of |p| on the root's
-    own circle); `verify_count` checks a count against it.
+  * a companion-matrix root oracle (balanced eigenvalues, a damped Newton
+    polish and a residual check against the max of |p| on the root's own
+    circle).  `roots_rows` is the one implementation: rows of equal
+    stripped length form one stack, solved by one `eigvals` call and
+    polished and checked together; `roots_truncated`, `min_zero_modulus`
+    and `verify_count` are its one-row case, `min_zero_moduli` and
+    `verify_counts` its many-row case, and a failure names the sample.
 
 A hole estimate hinges on "count == 0", so a silent undercount anywhere
 would poison every downstream number; mismatches raise instead of warn.
@@ -31,7 +35,7 @@ from .coeff_models import CoefficientModel
 
 _MAX_CIRCLE_POINTS = 2**20
 _BATCH_MAX_POINTS = 2**16  # batched grid doubling stops here; count_for_coeffs takes the rest
-_BLOCK_VALUES = 2**20  # circle values per FFT block (16 MB of complex128)
+_BLOCK_VALUES = 2**16  # circle values per FFT block (1 MB of complex128, cache-sized)
 _TINY_MODULUS_REL = 1e-290  # |f| below this times max|f| hints a boundary zero
 _STRIP_REL = 1e-300  # trailing coefficients below this times max|c| are dropped
 _RESIDUAL_REL = 1e-8
@@ -55,9 +59,7 @@ class TruncatedSeries:
 
     def coeffs(self) -> np.ndarray:
         """phi_n a_n in linear scale, for Horner and the root oracle (a_n may underflow)."""
-        c = self.phi * np.exp(self.model.log_coeffs(len(self.phi) - 1))
-        _require_finite_nonzero(c, "effective coefficients")
-        return c
+        return _linear_rows(np.asarray(self.phi)[None, :], self.model)[0]
 
 
 def _require_finite_nonzero(values: np.ndarray, what: str) -> None:
@@ -75,9 +77,13 @@ class ZeroCountResult:
 
 
 def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.full(np.shape(z), c[-1], dtype=np.complex128)
-    for k in range(len(c) - 2, -1, -1):
-        acc = acc * z + c[k]
+    """sum_n c[..., n] z^n; each row of a 2-D c pairs with the same row of z."""
+    col = c.shape[:-1] + (1,) * (np.ndim(z) - c.ndim + 1)
+    acc = np.empty(np.shape(z), dtype=np.complex128)
+    acc[...] = c[..., -1].reshape(col)
+    for k in range(c.shape[-1] - 2, -1, -1):
+        acc *= z
+        acc += c[..., k].reshape(col)
     return acc
 
 
@@ -200,16 +206,27 @@ def count_zeros_disk(ts: TruncatedSeries, r: float, *, verify: bool = False,
     return ZeroCountResult(count=w, radius=r, verified_by_oracle=verify)
 
 
-def verify_count(ts: TruncatedSeries, r: float, count: int) -> None:
-    """Raise ZeroCountError unless the root oracle finds `count` zeros in |z| < r.
+def verify_counts(phi_rows: np.ndarray, model: CoefficientModel, r: float,
+                  counts, *, first_index: int = 0) -> None:
+    """Raise ZeroCountError unless the root oracle finds counts[i] zeros of row i in |z| < r.
 
-    The companion-matrix roots share no code or representation with the
-    winding count.
+    Rows hold phi_0..phi_N of samples first_index, first_index + 1, ...; one
+    `roots_rows` call solves them all.  The companion-matrix roots share no
+    code or representation with the winding count.  The error names the
+    first disagreeing sample.
     """
-    oracle = int(np.sum(np.abs(roots_truncated(ts)) < r))
-    if oracle != count:
-        raise ZeroCountError(
-            f"argument principle ({count}) disagrees with root oracle ({oracle}) at r={r!r}")
+    roots = roots_rows(_linear_rows(phi_rows, model, first_index), first_index=first_index)
+    for i, (z, count) in enumerate(zip(roots, counts)):
+        oracle = int(np.sum(np.abs(z) < r))
+        if oracle != count:
+            raise ZeroCountError(
+                f"sample {first_index + i}: argument principle ({count}) disagrees "
+                f"with root oracle ({oracle}) at r={r!r}")
+
+
+def verify_count(ts: TruncatedSeries, r: float, count: int) -> None:
+    """The one-row case of `verify_counts`."""
+    verify_counts(np.asarray(ts.phi)[None, :], ts.model, r, [count])
 
 
 def _unit_circle_rows(rows: np.ndarray, r: float,
@@ -235,9 +252,10 @@ def _unit_circle_rows(rows: np.ndarray, r: float,
 def _unit_circle_pass(D: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
     """(resolved, counts) for scaled rows D on `points` unit-circle points.
 
-    F = points * ifft(D) is sum_n D_n w^n at w = exp(2 pi i k / points);
+    F = ifft(D, norm="forward") is sum_n D_n w^n at w = exp(2 pi i k / points);
     coefficients past `points` are folded onto n mod points first.  Rows go
-    through in blocks, so the temporaries stay near _BLOCK_VALUES values.
+    through in blocks of about _BLOCK_VALUES values, small enough to stay in
+    cache and to keep the temporaries of forked pool workers small.
     """
     resolved = np.zeros(len(D), dtype=bool)
     counts = np.zeros(len(D), dtype=np.int64)
@@ -246,7 +264,7 @@ def _unit_circle_pass(D: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarra
         D = D.reshape(len(D), -1, points).sum(axis=1)
     step = max(1, _BLOCK_VALUES // points)
     for lo in range(0, len(D), step):
-        F = points * np.fft.ifft(D[lo: lo + step], n=points, axis=1)
+        F = np.fft.ifft(D[lo: lo + step], n=points, axis=1, norm="forward")
         inc = np.angle(np.roll(F, -1, axis=1) * np.conj(F))
         absF = np.abs(F)
         scale = np.max(absF, axis=1)
@@ -315,86 +333,144 @@ def _strip_trailing(c: np.ndarray) -> np.ndarray:
     return c[: top + 1]
 
 
-def roots_truncated(ts: TruncatedSeries, *, check_residuals: bool = True) -> np.ndarray:
-    """All roots of the truncated polynomial via the balanced companion matrix.
+def _linear_rows(phi_rows: np.ndarray, model: CoefficientModel,
+                 first_index: int = 0) -> np.ndarray:
+    """phi_n a_n for rows of samples first_index, first_index + 1, ..."""
+    c = phi_rows * np.exp(model.log_coeffs(phi_rows.shape[1] - 1))
+    bad = ~np.all(np.isfinite(c), axis=1) | ~np.any(c != 0, axis=1)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"non-finite or identically zero effective coefficients "
+                         f"in sample {first_index + i}")
+    return c
 
-    Roots are polished by damped Newton to convergence; each residual
-    |p(z*)| is then checked against 1e-8 times the max of |p| on the circle
-    |z| = |z*| (64-point grid, a lower bound for the true max, so the check
-    only errs on the strict side).
+
+def roots_rows(coeff_rows: np.ndarray, *, check_residuals: bool = True,
+               first_index: int = 0) -> list[np.ndarray]:
+    """All roots of each row's polynomial sum_n c_n z^n, solved in stacks.
+
+    Each row drops its trailing coefficients below 1e-300 of its largest.
+    Rows of equal stripped length and equal number of zero constant terms
+    form one stack: one (rows, N, N) companion array of the nonzero part,
+    as `np.roots` builds it, one `np.linalg.eigvals` call, roots at 0 for
+    the zero constant terms, and one damped Newton polish of the whole
+    stack.  Each residual |p(z*)| is then checked against 1e-8 times the
+    max of |p| on the circle |z| = |z*| (64-point grid, a lower bound for
+    the true max, so the check only errs on the strict side).  A failing
+    root raises RootResidualError naming its sample, `first_index` plus
+    its row.  Row for row, the roots equal those of `np.roots` plus the
+    polish bit for bit.
     """
-    c = _strip_trailing(ts.coeffs())
-    if len(c) == 1:
-        return np.empty(0, dtype=np.complex128)
-    roots = _polish_roots(c, np.roots(c[::-1]))
-    if check_residuals:
-        _check_residuals(c, roots)
-    return roots
+    stripped = [_strip_trailing(c) for c in np.asarray(coeff_rows)]
+    stacks: dict[tuple[int, int], list[int]] = {}
+    for i, c in enumerate(stripped):
+        stacks.setdefault((len(c), int(np.flatnonzero(c)[0])), []).append(i)
+    out: list[np.ndarray] = [np.empty(0, dtype=np.complex128)] * len(stripped)
+    for (n, lead), idx in stacks.items():
+        if n == 1:
+            continue
+        C = np.array([stripped[i] for i in idx])
+        roots = np.zeros((len(idx), n - 1), dtype=np.complex128)
+        if n - lead > 1:
+            p = C[:, lead:][:, ::-1]  # highest degree first, as np.roots strips it
+            A = np.zeros((len(idx), n - lead - 1, n - lead - 1), dtype=p.dtype)
+            A[:, 0, :] = -p[:, 1:] / p[:, :1]
+            sub = np.arange(n - lead - 2)
+            A[:, sub + 1, sub] = 1
+            roots[:, : n - lead - 1] = np.linalg.eigvals(A)
+        roots = _polish_roots(C, roots)
+        if check_residuals:
+            _check_residuals(C, roots, [first_index + i for i in idx])
+        for k, i in enumerate(idx):
+            out[i] = roots[k]
+    return out
+
+
+def roots_truncated(ts: TruncatedSeries, *, check_residuals: bool = True) -> np.ndarray:
+    """All roots of the truncated polynomial: the one-row case of `roots_rows`."""
+    return roots_rows(ts.coeffs()[None, :], check_residuals=check_residuals)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _polish_roots(c: np.ndarray, roots: np.ndarray, iters: int = 60) -> np.ndarray:
-    """Damped Newton, run to convergence.
+def _polish_roots(C: np.ndarray, roots: np.ndarray, iters: int = 60) -> np.ndarray:
+    """Damped Newton on a stack of rows, each run to its own convergence.
 
     Raw companion eigenvalues are near-exact for inner roots but can be off
     by O(1) residuals near the outer root-accumulation circle of high-degree
-    truncations; a step is only accepted where it shrinks |p|.  Far-out
-    roots of high-degree truncations overflow Horner: their non-finite steps
-    are zeroed, and _check_residuals rejects a root whose residual stays
+    truncations; a step is only accepted where it shrinks |p|.  A row leaves
+    the active set once its steps are negligible or none of them helps, so
+    every row takes the steps it would take alone.  Far-out roots of
+    high-degree truncations overflow Horner: their non-finite steps are
+    zeroed, and _check_residuals rejects a root whose residual stays
     non-finite.
     """
-    dc = c[1:] * np.arange(1, len(c))
-    p = _horner(c, roots)
+    roots = roots.copy()
+    dC = C[:, 1:] * np.arange(1, C.shape[1])
+    p = _horner(C, roots)
+    active = np.arange(len(roots))
     for _ in range(iters):
-        dp = _horner(dc, roots)
-        step = np.where(np.abs(dp) > 0, p / dp, 0.0)
+        z, pz = roots[active], p[active]
+        dp = _horner(dC[active], z)
+        step = np.where(np.abs(dp) > 0, pz / dp, 0.0)
         step = np.where(np.isfinite(step), step, 0.0)
-        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(roots))):
-            break
-        advanced = np.zeros(len(roots), dtype=bool)
+        going = ~np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(z)), axis=1)
+        active, z, pz, step = active[going], z[going], pz[going], step[going]
+        advanced = np.zeros(z.shape, dtype=bool)
         for damp in (1.0, 0.5, 0.25):
             todo = ~advanced & (np.abs(step) > 0)
             if not todo.any():
                 break
-            cand = roots - damp * step
-            p_cand = _horner(c, cand)
-            improve = todo & (np.abs(p_cand) < np.abs(p))
-            roots = np.where(improve, cand, roots)
-            p = np.where(improve, p_cand, p)
+            cand = z - damp * step
+            p_cand = _horner(C[active], cand)
+            improve = todo & (np.abs(p_cand) < np.abs(pz))
+            z = np.where(improve, cand, z)
+            pz = np.where(improve, p_cand, pz)
             advanced |= improve
-        if not advanced.any():
+        roots[active], p[active] = z, pz
+        active = active[advanced.any(axis=1)]
+        if not len(active):
             break
     return roots
 
 
-def _check_residuals(c: np.ndarray, roots: np.ndarray) -> None:
+def _check_residuals(C: np.ndarray, roots: np.ndarray, samples=None) -> None:
     """Raise unless every |p(z*)| is finite and below 1e-8 max|p| on |z| = |z*|.
 
-    Horner overflows at far-out roots of high-degree truncations; a
-    non-finite residual or circle maximum cannot certify the root, so it
-    fails the check instead of comparing inf with inf.
+    C and roots hold one row per polynomial (1-D: one polynomial).  Horner
+    overflows at far-out roots of high-degree truncations; a non-finite
+    residual or circle maximum cannot certify the root, so it fails the
+    check instead of comparing inf with inf.  The error names the first
+    failing row's entry of `samples` (default: its row).
     """
-    if len(roots) == 0:
-        return
+    C, roots = np.atleast_2d(C), np.atleast_2d(roots)
     phases = np.exp(2j * np.pi * np.arange(64) / 64)
-    circle = np.abs(roots)[:, None] * phases[None, :]
+    circle = np.abs(roots)[..., None] * phases
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = np.abs(_horner(c, roots))
-        denom = np.max(np.abs(_horner(c, circle)), axis=1)
+        resid = np.abs(_horner(C, roots))
+        denom = np.max(np.abs(_horner(C, circle)), axis=-1)
     bad = ~np.isfinite(resid) | ~np.isfinite(denom) | (resid > _RESIDUAL_REL * denom)
     if bad.any():
-        i = int(np.flatnonzero(bad)[0])
+        row, i = (int(k[0]) for k in np.nonzero(bad))
         raise RootResidualError(
-            f"root {roots[i]!r}: residual {resid[i]:.3e} against circle max "
-            f"{denom[i]:.3e} (both must be finite, ratio <= {_RESIDUAL_REL:g})")
+            f"sample {row if samples is None else samples[row]}: root {roots[row, i]!r}: "
+            f"residual {resid[row, i]:.3e} against circle max {denom[row, i]:.3e} "
+            f"(both must be finite, ratio <= {_RESIDUAL_REL:g})")
+
+
+def min_zero_moduli(phi_rows: np.ndarray, model: CoefficientModel, *,
+                    first_index: int = 0) -> np.ndarray:
+    """Smallest |z*| over the roots of each row (+inf for a nonzero constant).
+
+    Rows hold phi_0..phi_N of samples first_index, first_index + 1, ...;
+    one `roots_rows` call solves them all.
+    """
+    roots = roots_rows(_linear_rows(phi_rows, model, first_index), first_index=first_index)
+    return np.array([float(np.min(np.abs(z))) if len(z) else math.inf for z in roots])
 
 
 def min_zero_modulus(ts: TruncatedSeries) -> float:
     """Smallest |z*| over all roots; +inf for a nonzero constant."""
-    roots = roots_truncated(ts)
-    if len(roots) == 0:
-        return math.inf
-    return float(np.min(np.abs(roots)))
+    return float(min_zero_moduli(np.asarray(ts.phi)[None, :], ts.model)[0])
 
 
 def rotate_draw(phi: np.ndarray, theta: float) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .coeff_models import CoefficientModel
-from .evaluate_zeros import TruncatedSeries, min_zero_modulus, rotate_draw
+from .evaluate_zeros import min_zero_moduli, rotate_draw
 from .sampling import Distribution, draw_rows
 
 
@@ -153,6 +153,4 @@ def _forced_zero_chunk(payload) -> np.ndarray:
         rows[0] = all_ones_draw(degree)
     if rotate != 0.0:
         rows = rotate_draw(rows, rotate)
-    model = CoefficientModel.gef()
-    # one eigensolve per row: the companion roots have no batched form here
-    return np.array([min_zero_modulus(TruncatedSeries(phi, model)) for phi in rows])
+    return min_zero_moduli(rows, CoefficientModel.gef(), first_index=start)

@@ -106,6 +106,48 @@ def test_zeros_verified_record_frozen(capsys):
     }
 
 
+def test_zeros_record_is_independent_of_the_worker_count(capsys):
+    argv = ["zeros", "--r", "3", "--samples", "200", "--verify", "--seed", "1"]
+    _, out1 = _capture(capsys, argv + ["--threads", "1"])
+    _, out2 = _capture(capsys, argv + ["--threads", "2"])
+    assert _strip_timing(json.loads(out1)) == _strip_timing(json.loads(out2))
+
+
+def test_zeros_oracle_failure_names_the_sample_for_any_worker_count(capsys, monkeypatch):
+    # one wrong count, in the second 100-row job; forked workers inherit the patch
+    from holelab import Distribution, draw_rows
+    from holelab import cli_reports
+
+    target = draw_rows(Distribution.COMPLEX_GAUSSIAN, 1, 150, 151, 22)[0]
+    kernel = cli_reports.winding_counts_batch
+
+    def one_wrong(rows, r, **kw):
+        counts = kernel(rows, r, **kw)
+        counts[np.all(rows == target, axis=1)] += 1
+        return counts
+
+    monkeypatch.setattr(cli_reports, "winding_counts_batch", one_wrong)
+    errors = []
+    for threads in ("1", "2"):
+        assert run(["zeros", "--r", "1", "--samples", "200", "--verify", "--seed", "1",
+                    "--threads", threads]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "sample 150: argument principle" in errors[0]
+
+
+def test_zeros_degree_flag(capsys):
+    # --degree 0 counts the constant term alone, as the record says
+    code, out = _capture(capsys, ["zeros", "--r", "1", "--samples", "3", "--degree", "0",
+                                  "--verify"])
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["params"]["degree"] == 0 and rec["results"]["degree"] == 0
+    assert rec["results"]["mean_count"] == 0.0
+    assert run(["zeros", "--r", "1", "--samples", "3", "--degree", "-2"]) == 2
+    assert "--degree must be >= 0" in capsys.readouterr().err
+
+
 def test_float_17_digit_round_trip():
     rng = np.random.default_rng(17)
     # random doubles across the exponent range, plus awkward edge cases

@@ -20,9 +20,13 @@ from holelab import (
 )
 from holelab import evaluate_zeros
 from holelab.evaluate_zeros import (
+    RootResidualError,
     count_for_coeffs,
+    min_zero_moduli,
+    roots_rows,
     rotate_draw,
     verify_count,
+    verify_counts,
     winding_counts_batch,
 )
 from holelab.hermite_asymptotics import all_ones_draw
@@ -290,3 +294,100 @@ def test_residual_check_rejects_overflowed_horner():
     # inf > 1e-8 * inf is False, so only an explicit finiteness test fails it
     with pytest.raises(evaluate_zeros.RootResidualError):
         evaluate_zeros._check_residuals(np.array([1, 0, 1], complex), np.array([1e200 + 0j]))
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _polish_one(c, roots, iters=60):
+    """Damped Newton on one row, the per-row polish the stacked oracle replaced."""
+    dc = c[1:] * np.arange(1, len(c))
+    p = evaluate_zeros._horner(c, roots)
+    for _ in range(iters):
+        dp = evaluate_zeros._horner(dc, roots)
+        step = np.where(np.abs(dp) > 0, p / dp, 0.0)
+        step = np.where(np.isfinite(step), step, 0.0)
+        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(roots))):
+            break
+        advanced = np.zeros(len(roots), dtype=bool)
+        for damp in (1.0, 0.5, 0.25):
+            todo = ~advanced & (np.abs(step) > 0)
+            if not todo.any():
+                break
+            cand = roots - damp * step
+            p_cand = evaluate_zeros._horner(c, cand)
+            improve = todo & (np.abs(p_cand) < np.abs(p))
+            roots = np.where(improve, cand, roots)
+            p = np.where(improve, p_cand, p)
+            advanced |= improve
+        if not advanced.any():
+            break
+    return roots
+
+
+def _per_row_roots(c):
+    c = evaluate_zeros._strip_trailing(c)
+    return _polish_one(c, np.roots(c[::-1])) if len(c) > 1 else np.empty(0)
+
+
+def _assert_stack_matches_rows(c_rows):
+    stacked = roots_rows(c_rows)
+    assert len(stacked) == len(c_rows)
+    for c, got in zip(c_rows, stacked):
+        assert np.array_equal(got, _per_row_roots(c))
+
+
+@pytest.mark.parametrize("r", [1.0, 3.0])
+def test_stacked_roots_equal_per_row_roots_gef(gef, r):
+    degree = truncation_degree(gef, r, 1e-9, 1e-9)  # 21 and 54, as `zeros` uses
+    phi = _gaussian_rows(degree, 1, 100)
+    _assert_stack_matches_rows(phi * np.exp(gef.log_coeffs(degree)))
+
+
+@pytest.mark.parametrize("dist, theta", [(Distribution.RADEMACHER, 0.3),
+                                         (Distribution.STEINHAUS, 0.7)])
+def test_stacked_roots_equal_per_row_roots_unimodular(gef, dist, theta):
+    phi = rotate_draw(draw_rows(dist, 5, 0, 8, 201), theta)
+    _assert_stack_matches_rows(phi * np.exp(gef.log_coeffs(200)))
+
+
+def test_stacked_roots_zero_constant_terms_and_mixed_lengths(gef):
+    assert np.array_equal(roots_rows(np.array([[0.0, 1.0]], complex))[0], [0.0])
+    assert min_zero_moduli(np.array([[0.0, 1.0], [3.0, 0.0]], complex), gef).tolist() == [0.0, math.inf]
+    rows = _gaussian_rows(29, 3, 12) * np.exp(gef.log_coeffs(29))
+    rows[2, 25:] = 0  # shorter rows, rows with zero constant terms, and both
+    rows[5, 20:] = 0
+    rows[7, :2] = 0
+    rows[9, 0] = 0
+    rows[9, 26:] = 0
+    _assert_stack_matches_rows(rows)
+    assert np.count_nonzero(roots_rows(rows)[7] == 0) == 2
+
+
+def test_verify_counts_names_the_failing_sample(gef):
+    degree = 21
+    phi = _gaussian_rows(degree, 4, 30)
+    counts = winding_counts_batch(phi, 1.0, log_coeffs=gef.log_coeffs(degree))
+    verify_counts(phi, gef, 1.0, counts, first_index=500)
+    counts[17] += 1
+    with pytest.raises(ZeroCountError, match=r"^sample 517: .*root oracle"):
+        verify_counts(phi, gef, 1.0, counts, first_index=500)
+
+
+def test_residual_failure_names_the_sample():
+    c = np.array([[1, 0, 1], [1, 0, 1]], complex)
+    roots = np.array([[1j, -1j], [1j, 1e200 + 0j]])
+    with pytest.raises(RootResidualError, match=r"^sample 41: "):
+        evaluate_zeros._check_residuals(c, roots, [40, 41])
+
+
+@pytest.mark.parametrize("block", [2**12, 2**20])
+def test_unit_circle_pass_is_independent_of_the_block_size(gef, monkeypatch, block):
+    degree = truncation_degree(gef, 2.0, 1e-9, 1e-9)
+    phi = _gaussian_rows(degree, 8, 600)
+    D = evaluate_zeros._unit_circle_rows(phi, 2.0, gef.log_coeffs(degree))
+    want = [evaluate_zeros._unit_circle_pass(D, points) for points in (32, 256, 2**13)]
+    monkeypatch.setattr(evaluate_zeros, "_BLOCK_VALUES", block)
+    for points, (resolved, counts) in zip((32, 256, 2**13), want):
+        got_resolved, got_counts = evaluate_zeros._unit_circle_pass(D, points)
+        assert np.array_equal(got_resolved, resolved)
+        assert np.array_equal(got_counts, counts)
+    assert 0 < np.count_nonzero(want[0][0]) < len(D)  # 32 points leave some rows unresolved

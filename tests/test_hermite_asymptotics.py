@@ -15,6 +15,7 @@ from holelab import (
     saddle_point_approx,
     saddle_point_log_approx,
 )
+from holelab.evaluate_zeros import RootResidualError
 from holelab.hermite_asymptotics import all_ones_draw, log_g, saddle_deviation
 
 mp.mp.dps = 30
@@ -180,6 +181,13 @@ def test_forced_zero_rotated_record_frozen():
         "q50": 0.7658248707518095, "q75": 0.8736675783543391,
         "q90": 0.9385673241579926, "all_finite": True,
     }, rel=1e-12)
+
+
+def test_forced_zero_oracle_failure_names_the_sample():
+    # the root oracle cannot check sample 57 of seed 6 (ROADMAP item 2); the
+    # stacked oracle still raises, and says which sample it was
+    with pytest.raises(RootResidualError, match=r"^sample 57: "):
+        forced_zero_experiment(Distribution.RADEMACHER, 58, 200, 6)
 
 
 def test_forced_zero_validation():
