@@ -35,7 +35,6 @@ from .evaluate_zeros import (
     ZeroCountResult,
     count_zeros_disk,
     eval_series,
-    max_modulus,
     min_zero_modulus,
     roots_truncated,
 )

@@ -37,6 +37,7 @@ from .covariance_det import (
 from .evaluate_zeros import verify_counts, winding_counts_batch
 from .hermite_asymptotics import annulus_escape, forced_zero_experiment, saddle_deviation
 from .hole_estimators import (
+    TAIL_EPS,
     hole_bracket_report,
     omega_certificate,
     omega_conditioned_sample,
@@ -209,7 +210,7 @@ def _zeros_job(payload) -> np.ndarray:
     kind_value, alpha, r, degree, seed, start, stop, verify = payload
     model = CoefficientModel(ModelKind(kind_value), alpha)
     rows = draw_rows(Distribution.COMPLEX_GAUSSIAN, seed, start, stop, degree + 1)
-    counts = winding_counts_batch(rows, r, log_coeffs=model.log_coeffs(degree))
+    counts = winding_counts_batch(rows, r, log_coeffs=model.log_coeffs(degree), tail_eps=TAIL_EPS)
     if verify:
         verify_counts(rows, model, r, counts, first_index=start)
     return counts
@@ -221,7 +222,7 @@ def _run_zeros(args) -> dict:
     if args.degree is not None and args.degree < 0:
         raise ValueError(f"--degree must be >= 0, got {args.degree}")
     model = _model_from(args)
-    degree = (truncation_degree(model, args.r, 1e-9, 1e-9)
+    degree = (truncation_degree(model, args.r, TAIL_EPS, 1e-9)
               if args.degree is None else args.degree)
     payloads = [
         (model.kind.value, model.alpha, args.r, degree, args.seed, start,

@@ -1,17 +1,31 @@
-"""Truncated series evaluation, max modulus, and zero counting in disks.
+"""Truncated series evaluation and certified zero counting in disks.
 
 A draw is a plain complex array phi_0..phi_N; `TruncatedSeries` pairs it
 with a coefficient model.  Counting uses two fully independent routes which
 cross-verify each other:
 
-  * the argument principle: the winding number of f along |z| = r, tracked
-    on a circular grid whose argument increments are forced below pi/2
-    (half the theoretical limit, for aliasing margin).  Every count, one
-    series (`count_zeros_disk`) or a batch of rows, goes through
-    `winding_counts_batch`: one FFT of log-scaled coefficients on the unit
-    circle, on grids doubled only for the rows not yet resolved;
-    `count_for_coeffs` (local midpoint refinement, then circles nudged by
-    1e-9) is the one retry path for the rows left;
+  * the argument principle, certified arc by arc.  Every count, one series
+    (`count_zeros_disk`, `count_for_coeffs`) or a batch of rows, goes
+    through `winding_counts_batch`.  Each row is rescaled to
+    q(w) = sum d_n w^n = p(r w) e^(-M) and evaluated by FFT on the unit
+    circle.  A grid point w certifies the two half arcs of length s next
+    to it when
+
+        |q(w)| > min(L s, |w q'(w)| s + M2 s^2 / 2) + rho + tau,
+
+    with L = sum n |d_n| and M2 = sum n (n-1) |d_n| bounding |q'| and |q''|
+    on the closed disk, rho the rounding bound of the computed values and
+    tau the truncation tail in the row's scaled units.  On an arc
+    certified from both ends |q| > tau, and each half turns the argument
+    by less than pi/2, so the principal angle of q(w_b) / q(w_a) is the
+    arc's exact increment.  Since the discarded tail is below tau there,
+    Rouche's theorem makes the count one of f itself, holding with the
+    probability the truncation certificate gives (the caller's tail_eps;
+    0 counts the polynomial).  The first grid has the smallest power of
+    two >= 64 and >= (N+1)/2 points.  Rows with many failing arcs are
+    evaluated again on a doubled grid; the others bisect only their
+    failing arcs, evaluating q and q' at the midpoints by Horner.  A row
+    nothing certifies is reported, never guessed;
   * a companion-matrix root oracle (balanced eigenvalues, a damped Newton
     polish and a residual check against the max of |p| on the root's own
     circle).  `roots_rows` is the one implementation: rows of equal
@@ -28,18 +42,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .coeff_models import CoefficientModel
 
-_MAX_CIRCLE_POINTS = 2**20
-_BATCH_MAX_POINTS = 2**16  # batched grid doubling stops here; count_for_coeffs takes the rest
-_BLOCK_VALUES = 2**16  # circle values per FFT block (1 MB of complex128, cache-sized)
-_TINY_MODULUS_REL = 1e-290  # |f| below this times max|f| hints a boundary zero
+_FIRST_GRID = 64  # fewest points of the first grid
+_MAX_GRID_POINTS = 2**16  # whole-grid doubling stops here
+_BISECT_LEVELS = 48  # an arc of the first grid halved this often is below the angle resolution
+_BLOCK_VALUES = 2**16  # circle or coefficient values per block (1 MB of complex128, cache-sized)
+_ROUNDING_REL = 1e-15  # rounding bound per log2(points), times sum (1+n)|d_n|
 _STRIP_REL = 1e-300  # trailing coefficients below this times max|c| are dropped
 _RESIDUAL_REL = 1e-8
-_ARG_STEP_LIMIT = math.pi / 2
 
 
 class ZeroCountError(ArithmeticError):
@@ -93,102 +108,12 @@ def eval_series(ts: TruncatedSeries, z: complex) -> complex:
     return complex(out) if out.ndim == 0 else out
 
 
-def max_modulus(ts: TruncatedSeries, r: float, grid_size: int = 256) -> float:
-    """Max of |f| over |z| = r (where the maximum principle puts it).
-
-    The grid doubles until the maximum moves by less than 1e-6 relative, so
-    the result is a converged lower bound for the true boundary maximum.
-    """
-    if grid_size < 64:
-        raise ValueError("grid_size must be >= 64")
-    c = ts.coeffs()
-    m = grid_size
-    best_prev = -math.inf
-    while True:
-        z = r * np.exp(2j * np.pi * np.arange(m) / m)
-        best = float(np.max(np.abs(_horner(c, z))))
-        if best_prev > 0 and best - best_prev <= 1e-6 * best:
-            return best
-        if m >= _MAX_CIRCLE_POINTS:
-            return best
-        best_prev = best
-        m *= 2
+def count_for_coeffs(c: np.ndarray, r: float) -> int:
+    """Zeros of sum_n c_n z^n in |z| < r: the one-row case of `winding_counts_batch`."""
+    return int(winding_counts_batch(np.asarray(c)[None, :], r)[0])
 
 
-class _BoundarySuspicion(Exception):
-    def __init__(self, detail: str):
-        self.detail = detail
-
-
-def _winding_adaptive(c: np.ndarray, r: float, base_points: int,
-                      max_points: int = _MAX_CIRCLE_POINTS) -> int:
-    """Winding number of p along |z| = r by continuous argument tracking."""
-    theta = np.linspace(0.0, 2.0 * np.pi, base_points, endpoint=False)
-    f = _horner(c, r * np.exp(1j * theta))
-    while True:
-        scale = float(np.max(np.abs(f)))
-        if scale == 0.0 or float(np.min(np.abs(f))) < _TINY_MODULUS_REL * scale:
-            raise _BoundarySuspicion(f"|f| collapses on the circle r={r!r}")
-        inc = np.angle(np.roll(f, -1) * np.conj(f))
-        bad = np.abs(inc) >= _ARG_STEP_LIMIT
-        if not bad.any():
-            break
-        if len(theta) >= max_points:
-            raise _BoundarySuspicion(
-                f"argument gaps persist at {len(theta)} points, r={r!r}")
-        nxt = np.empty_like(theta)
-        nxt[:-1] = theta[1:]
-        nxt[-1] = theta[0] + 2.0 * np.pi
-        mids = 0.5 * (theta[bad] + nxt[bad])
-        if np.any((mids == theta[bad]) | (mids == nxt[bad])):
-            # a zero closer to the circle than the angular resolution
-            raise _BoundarySuspicion(f"argument gap below angle resolution, r={r!r}")
-        f_mids = _horner(c, r * np.exp(1j * mids))
-        order = np.argsort(np.concatenate([theta, mids]), kind="stable")
-        theta = np.concatenate([theta, mids])[order]
-        f = np.concatenate([f, f_mids])[order]
-    w_float = float(np.sum(inc)) / (2.0 * np.pi)
-    w = int(round(w_float))
-    if abs(w_float - w) > 1e-3:
-        raise ZeroCountError(f"winding sum {w_float!r} is not near an integer")
-    return w
-
-
-def _default_base_points(n_coeffs: int) -> int:
-    pts = 256
-    while pts < 4 * n_coeffs and pts < _MAX_CIRCLE_POINTS:
-        pts *= 2
-    return pts
-
-
-def count_for_coeffs(c: np.ndarray, r: float, base_points: int | None = None) -> int:
-    """Winding number along |z| = r of a raw coefficient array, by Horner.
-
-    Argument gaps are closed by inserting midpoints where they occur.  On
-    boundary-zero suspicion the circle is nudged to r*(1 +/- 1e-9); both
-    retries must agree or the count fails with a diagnostic.
-    """
-    if base_points is None:
-        base_points = _default_base_points(len(c))
-    try:
-        return _winding_adaptive(c, r, base_points)
-    except _BoundarySuspicion as first:
-        outcomes = []
-        for fac in (1.0 + 1e-9, 1.0 - 1e-9):
-            try:
-                outcomes.append(_winding_adaptive(c, r * fac, base_points))
-            except _BoundarySuspicion as exc:
-                outcomes.append(exc)
-        ok = [o for o in outcomes if isinstance(o, int)]
-        if len(ok) == 2 and ok[0] == ok[1]:
-            return ok[0]
-        raise ZeroCountError(
-            "boundary-zero suspicion unresolved: "
-            f"{first.detail}; perturbed retries gave {outcomes!r}") from None
-
-
-def count_zeros_disk(ts: TruncatedSeries, r: float, *, verify: bool = False,
-                     base_points: int | None = None) -> ZeroCountResult:
+def count_zeros_disk(ts: TruncatedSeries, r: float, *, verify: bool = False) -> ZeroCountResult:
     """Number of zeros of the truncated series in |z| < r.
 
     The one-row case of `winding_counts_batch` on phi with log a_n kept in
@@ -199,7 +124,7 @@ def count_zeros_disk(ts: TruncatedSeries, r: float, *, verify: bool = False,
         raise ValueError("r must be positive")
     phi = np.asarray(ts.phi, dtype=np.complex128)
     _require_finite_nonzero(phi, "coefficients phi")
-    w = int(winding_counts_batch(phi[None, :], r, base_points,
+    w = int(winding_counts_batch(phi[None, :], r,
                                  log_coeffs=ts.model.log_coeffs(len(phi) - 1))[0])
     if verify:
         verify_count(ts, r, w)
@@ -230,8 +155,8 @@ def verify_count(ts: TruncatedSeries, r: float, count: int) -> None:
 
 
 def _unit_circle_rows(rows: np.ndarray, r: float,
-                      log_coeffs: np.ndarray | None) -> np.ndarray:
-    """Rows rescaled so that |z| = r becomes the unit circle, in log scale.
+                      log_coeffs: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows rescaled so that |z| = r becomes the unit circle, in log scale, and their M.
 
     Entry n becomes phi_n exp(t_n - M) with t_n = log a_n + n log r and M the
     row's largest log|phi_n| + t_n: the row then evaluates p(r w) e^(-M), which
@@ -246,81 +171,241 @@ def _unit_circle_rows(rows: np.ndarray, r: float,
         log_mag = np.log(np.abs(rows)) + t
     top = np.max(log_mag, axis=1, keepdims=True)
     top[~np.isfinite(top)] = 0.0  # an identically zero row stays zero
-    return np.exp(log_mag - top) * np.exp(1j * np.angle(rows))
+    return np.exp(log_mag - top) * np.exp(1j * np.angle(rows)), top[:, 0]
 
 
-def _unit_circle_pass(D: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """(resolved, counts) for scaled rows D on `points` unit-circle points.
+def _row_bounds(D: np.ndarray, log_scale: np.ndarray, tail_eps: float) -> np.ndarray:
+    """Columns L, M2, S, tau of scaled rows D, computed in blocks.
 
-    F = ifft(D, norm="forward") is sum_n D_n w^n at w = exp(2 pi i k / points);
-    coefficients past `points` are folded onto n mod points first.  Rows go
-    through in blocks of about _BLOCK_VALUES values, small enough to stay in
-    cache and to keep the temporaries of forked pool workers small.
+    L = sum n|d_n| and M2 = sum n(n-1)|d_n| bound |q'| and |q''| on the
+    closed unit disk; S = sum (1+n)|d_n| scales the rounding bound; tau is
+    the truncation tail tail_eps in the row's units, tail_eps e^(-M).
     """
-    resolved = np.zeros(len(D), dtype=bool)
-    counts = np.zeros(len(D), dtype=np.int64)
+    n = np.arange(D.shape[1], dtype=np.float64)
+    K = np.empty((len(D), 4))
+    step = max(1, _BLOCK_VALUES // D.shape[1])
+    for lo in range(0, len(D), step):
+        K[lo: lo + step, :3] = np.abs(D[lo: lo + step]) @ np.stack([n, n * (n - 1), 1 + n], axis=1)
+    with np.errstate(over="ignore"):  # a row far below the tail cannot be certified
+        K[:, 3] = np.exp(math.log(tail_eps) - log_scale) if tail_eps > 0 else 0.0
+    return K
+
+
+def _margins(K: np.ndarray, bits) -> tuple[np.ndarray, ...]:
+    """L, M2, rho, rho_g, tau for rows with bounds K, last evaluated on 2**bits points.
+
+    rho bounds the rounding in computed values of q, by FFT or by Horner
+    (which errs by about 4e-16 (1+n) |d_n| per term); rho_g bounds it in
+    w q'(w), whose terms are n d_n.
+    """
+    L, M2, S, tau = K.T
+    return L, M2, _ROUNDING_REL * bits * S, _ROUNDING_REL * bits * (M2 + 2 * L), tau
+
+
+def _certified(absF, absG, s, L, M2, rho, rho_g, tau) -> np.ndarray:
+    """True where |q| > tau on both arcs of length s next to a point w.
+
+    absF and absG are the computed |q(w)| and |w q'(w)|.  Within arc length
+    s of w, |q - q(w)| <= L s by the mean value bound on the chord, and
+    <= |q'(w)| s + M2 s^2 / 2 by Taylor's theorem.
+    """
+    drift = np.minimum(L * s, (absG + rho_g) * s + 0.5 * M2 * s * s)
+    return absF > drift + rho + tau
+
+
+def _circle_values(D: np.ndarray, points: int) -> np.ndarray:
+    """sum_n D_n w^n at w = exp(2 pi i k / points), k = 0..points-1.
+
+    Coefficients past `points` are folded onto n mod points first.
+    """
     if D.shape[1] > points:
         D = np.pad(D, ((0, 0), (0, -D.shape[1] % points)))
         D = D.reshape(len(D), -1, points).sum(axis=1)
-    step = max(1, _BLOCK_VALUES // points)
-    for lo in range(0, len(D), step):
-        F = np.fft.ifft(D[lo: lo + step], n=points, axis=1, norm="forward")
-        inc = np.angle(np.roll(F, -1, axis=1) * np.conj(F))
+    return np.fft.ifft(D, n=points, axis=1, norm="forward")
+
+
+def _values_at(D: np.ndarray, row: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q(w_j) and w_j q'(w_j) of rows D[row[j]], by Horner in blocks of about _BLOCK_VALUES terms."""
+    F = np.empty(len(row), dtype=np.complex128)
+    G = np.empty(len(row), dtype=np.complex128)
+    step = max(1, _BLOCK_VALUES // D.shape[1])
+    for lo in range(0, len(row), step):
+        C = np.ascontiguousarray(D[row[lo: lo + step]].T)
+        z = w[lo: lo + step]
+        q = C[-1].copy()
+        dq = np.zeros_like(q)
+        for c in C[-2::-1]:
+            dq *= z
+            dq += q
+            q *= z
+            q += c
+        F[lo: lo + step] = q
+        G[lo: lo + step] = dq * z
+    return F, G
+
+
+class _Arcs(NamedTuple):
+    """Arcs [theta, theta + 2 half] of the unit circle still to certify.
+
+    fa, ga and fb, gb hold q and w q'(w) at the two ends; `row` names the
+    kernel row each arc belongs to.
+    """
+
+    row: np.ndarray
+    theta: np.ndarray
+    half: np.ndarray
+    fa: np.ndarray
+    ga: np.ndarray
+    fb: np.ndarray
+    gb: np.ndarray
+
+    def take(self, keep: np.ndarray) -> _Arcs:
+        return _Arcs(*(a[keep] for a in self))
+
+
+_NO_ARCS = _Arcs(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0),
+                 *(np.zeros(0, dtype=np.complex128) for _ in range(4)))
+
+
+def _concat_arcs(parts: list[_Arcs]) -> _Arcs:
+    return _Arcs(*(np.concatenate(a) for a in zip(_NO_ARCS, *parts)))
+
+
+def _first_grid(n_coeffs: int) -> int:
+    """Smallest power of two >= _FIRST_GRID and >= n_coeffs / 2."""
+    points = _FIRST_GRID
+    while 2 * points < n_coeffs:
+        points *= 2
+    return points
+
+
+def _grid_pass(D: np.ndarray, K: np.ndarray, idx: np.ndarray, points: int,
+               turn: np.ndarray) -> tuple[np.ndarray, _Arcs]:
+    """Certify rows D[idx] on `points` grid points, in blocks of about _BLOCK_VALUES values.
+
+    Sets turn[i] to the summed increments of row i's certified arcs.  Returns
+    the rows whose failing arcs cost more to bisect than a doubled grid
+    (failing arcs times coefficients > 4 points) and the failing arcs of the
+    others.  w q'(w) is evaluated, by a second FFT, only for rows that fail
+    the L test and may still bisect: |q(w)| > min(L s, M2 s^2 / 2) + rho +
+    tau is necessary for w to certify, so a row failing that on too many
+    arcs goes to the doubled grid at once.
+    """
+    n = D.shape[1]
+    s = math.pi / points
+    theta = 2.0 * math.pi / points * np.arange(points)
+    again, arcs = [idx[:0]], []
+    step = max(1, _BLOCK_VALUES // max(points, n))
+    for lo in range(0, len(idx), step):
+        rows = idx[lo: lo + step]
+        block = D[rows]
+        F = _circle_values(block, points)
         absF = np.abs(F)
-        scale = np.max(absF, axis=1)
-        fine = ((np.max(np.abs(inc), axis=1) < _ARG_STEP_LIMIT)
-                & (np.min(absF, axis=1) >= _TINY_MODULUS_REL * scale)
-                & (scale > 0.0))
-        w_float = np.sum(inc, axis=1) / (2.0 * np.pi)
-        w = np.rint(w_float).astype(np.int64)
-        resolved[lo: lo + step] = fine & (np.abs(w_float - w) <= 1e-3)
-        counts[lo: lo + step] = w
-    return resolved, counts
+        L, M2, rho, rho_g, tau = (m[:, None] for m in _margins(K[rows], math.log2(points)))
+        ok = absF > L * s + rho + tau
+        need = np.flatnonzero(~ok.all(axis=1))
+        maybe = absF[need] > np.minimum(L[need] * s, 0.5 * M2[need] * s * s) + rho[need] + tau[need]
+        need = need[np.count_nonzero(~(maybe & np.roll(maybe, -1, axis=1)), axis=1) * n <= 4 * points]
+        G = np.zeros_like(F)
+        if len(need):
+            G[need] = _circle_values(block[need] * np.arange(n), points)
+            ok[need] = _certified(absF[need], np.abs(G[need]), s, L[need], M2[need],
+                                  rho[need], rho_g[need], tau[need])
+        arc_ok = ok & np.roll(ok, -1, axis=1)
+        many = np.count_nonzero(~arc_ok, axis=1) * n > 4 * points
+        if many.any():
+            again.append(rows[many])
+            rows, F, G, arc_ok = rows[~many], F[~many], G[~many], arc_ok[~many]
+        turn[rows] = np.sum(np.angle(np.roll(F, -1, axis=1) * np.conj(F)), axis=1, where=arc_ok)
+        i, k = np.nonzero(~arc_ok)
+        k1 = (k + 1) % points
+        arcs.append(_Arcs(rows[i], theta[k], np.full(len(k), s),
+                          F[i, k], G[i, k], F[i, k1], G[i, k1]))
+    return np.concatenate(again), _concat_arcs(arcs)
 
 
-def winding_counts_batch(coeff_rows: np.ndarray, r: float,
-                         base_points: int | None = None, *,
-                         log_coeffs: np.ndarray | None = None,
+def _bisect(D: np.ndarray, K: np.ndarray, bits: np.ndarray, arcs: _Arcs,
+            turn: np.ndarray) -> np.ndarray:
+    """Halve failing arcs, one level for all rows at once, and certify the halves.
+
+    Adds the increments of the halves that certify to `turn`.  Returns the
+    rows left uncertified: those with arcs still failing after
+    _BISECT_LEVELS halvings, and those whose failing arcs cost more Horner
+    terms a level than 4 _MAX_GRID_POINTS.
+    """
+    refused = np.zeros(len(D), dtype=bool)
+    for _ in range(_BISECT_LEVELS):
+        if not len(arcs.row):
+            return refused
+        crowded = np.bincount(arcs.row, minlength=len(D)) * D.shape[1] > 4 * _MAX_GRID_POINTS
+        if crowded.any():
+            refused |= crowded
+            arcs = arcs.take(~crowded[arcs.row])
+        mid = arcs.theta + arcs.half
+        fm, gm = _values_at(D, arcs.row, np.exp(1j * mid))
+        s = 0.5 * arcs.half
+        margins = _margins(K[arcs.row], bits[arcs.row])
+        ok_a, ok_m, ok_b = (_certified(np.abs(f), np.abs(g), s, *margins)
+                            for f, g in ((arcs.fa, arcs.ga), (fm, gm), (arcs.fb, arcs.gb)))
+        left, right = ok_a & ok_m, ok_m & ok_b
+        turn += np.bincount(arcs.row[left], weights=np.angle(fm[left] * np.conj(arcs.fa[left])),
+                            minlength=len(D))
+        turn += np.bincount(arcs.row[right], weights=np.angle(arcs.fb[right] * np.conj(fm[right])),
+                            minlength=len(D))
+        arcs = _concat_arcs([
+            _Arcs(arcs.row, arcs.theta, s, arcs.fa, arcs.ga, fm, gm).take(~left),
+            _Arcs(arcs.row, mid, s, fm, gm, arcs.fb, arcs.gb).take(~right)])
+    refused[arcs.row] = True
+    return refused
+
+
+def winding_counts_batch(coeff_rows: np.ndarray, r: float, *,
+                         log_coeffs: np.ndarray | None = None, tail_eps: float = 0.0,
                          strict: bool = True) -> np.ndarray:
-    """Winding numbers for many coefficient rows along the same circle.
+    """Certified winding numbers for many coefficient rows along the same circle.
 
     Row i holds c_n = phi_n a_n, or phi_n alone when `log_coeffs` gives
     log(a_n) (then no a_n is formed in linear scale, where it underflows).
     Every row is rescaled to the unit circle (`_unit_circle_rows`) and
-    evaluated by one FFT on a shared grid of `base_points` points.  Rows
-    failing the argument-step, tiny-modulus or near-integer checks are
-    re-evaluated together on a grid of twice the points, up to
-    _BATCH_MAX_POINTS; only the rows still unresolved go to the per-row
-    `count_for_coeffs`.  A row that path cannot certify, or that winds a
-    negative number of times (impossible for an analytic function), raises
-    ZeroCountError, or with strict=False gets a negative count.
+    certified arc by arc as the module docstring states, with tau =
+    tail_eps e^(-M): a bound on the truncation tail |f - p| on |z| = r
+    makes the count one of f.  The first grid is shared by all rows; rows
+    with many failing arcs go together to doubled grids, up to 2^16
+    points, and the others bisect their failing arcs together.
+    A row nothing certifies, or one that winds a negative number of times
+    (impossible for an analytic function), raises ZeroCountError, or with
+    strict=False gets a negative count (-1 when uncertified).
     """
     rows = np.asarray(coeff_rows, dtype=np.complex128)
-    if base_points is None:
-        base_points = _default_base_points(rows.shape[1])
-    D = _unit_circle_rows(rows, r, log_coeffs)
-    counts = np.empty(len(D), dtype=np.int64)
+    D, log_scale = _unit_circle_rows(rows, r, log_coeffs)
+    K = _row_bounds(D, log_scale, tail_eps)
+    turn = np.zeros(len(D))
+    bits = np.zeros(len(D))
     todo = np.arange(len(D))
-    points = base_points
+    points = _first_grid(D.shape[1])
+    arcs = []
     while len(todo):
-        resolved, got = _unit_circle_pass(D[todo], points)
-        counts[todo[resolved]] = got[resolved]
-        todo = todo[~resolved]
-        if points >= _BATCH_MAX_POINTS:
+        bits[todo] = math.log2(points)
+        todo, failing = _grid_pass(D, K, todo, points, turn)
+        arcs.append(failing)
+        if points >= _MAX_GRID_POINTS:
             break
         points *= 2
-    for i in todo:
-        try:
-            counts[i] = count_for_coeffs(D[i], 1.0, base_points)
-        except ZeroCountError as exc:
-            if strict:
-                raise ZeroCountError(
-                    f"row {i} at r={r!r}, counted on the rescaled unit circle: {exc}") from None
-            counts[i] = -1
-    if strict and np.any(counts < 0):
-        i = int(np.flatnonzero(counts < 0)[0])
-        raise ZeroCountError(f"negative winding {counts[i]} in row {i} at r={r!r} "
-                             "for an analytic function")
+    uncertified = _bisect(D, K, bits, _concat_arcs(arcs), turn)
+    uncertified[todo] = True
+    w_float = turn / (2.0 * np.pi)
+    counts = np.rint(w_float).astype(np.int64)
+    uncertified |= np.abs(w_float - counts) > 1e-3
+    bad = uncertified | (counts < 0)
+    if strict and bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ZeroCountError(
+            f"row {i} at r={r!r}: " + (
+                "no certified winding number (|f| on the circle is not bounded "
+                "away from the rounding error and the truncation tail)"
+                if uncertified[i] else
+                f"negative winding {counts[i]} for an analytic function"))
+    counts[uncertified] = -1
     return counts
 
 

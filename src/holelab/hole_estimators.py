@@ -48,6 +48,7 @@ Z95 = 1.959963984540054
 # fractional offset of e r^2 from its floor.
 TAIL_MARGIN_CONST = 1.0 / (1.0 - math.exp(-0.25))
 MC_CHUNK = 2048
+TAIL_EPS = 1e-9  # bound on the truncation tail on |z| <= r; every count is certified against it
 _LN2 = math.log(2.0)
 
 
@@ -170,28 +171,31 @@ def smallest_certified_radius(step: float = 0.5, r_max: float = 64.0) -> float:
 
 def _hole_chunk(payload) -> tuple[int, int]:
     """(zero-free rows, rows the kernel could not certify) for one chunk."""
-    kind_value, alpha, r, degree, seed, start, stop, base_points = payload
+    kind_value, alpha, r, degree, seed, start, stop = payload
     model = CoefficientModel(ModelKind(kind_value), alpha)
     rows = draw_rows(Distribution.COMPLEX_GAUSSIAN, seed, start, stop, degree + 1)
-    counts = winding_counts_batch(rows, r, base_points,
-                                  log_coeffs=model.log_coeffs(degree), strict=False)
+    counts = winding_counts_batch(rows, r, log_coeffs=model.log_coeffs(degree),
+                                  tail_eps=TAIL_EPS, strict=False)
     return int(np.count_nonzero(counts == 0)), int(np.count_nonzero(counts < 0))
 
 
 def hole_mc(model: CoefficientModel, r: float, samples: int, seed: int,
-            *, workers: int | None = 1, base_points: int | None = None) -> HoleEstimate:
-    """Fraction of draws whose truncated series is zero-free on |z| < r.
+            *, workers: int | None = 1) -> HoleEstimate:
+    """Fraction of draws whose series is zero-free on |z| < r.
 
     Truncation comes from the tail certificate at eps = 1e-9 with failure
-    budget 1e-6/samples.  Identical seeds give bit-identical results for any
-    worker count (per-sample seeding, fixed chunking, integer tallies).
+    budget 1e-6/samples, and each count is certified against that tail, so
+    it holds for f itself unless the certificate fails.  Rows the kernel
+    cannot certify are tallied as failures and left out.  Identical seeds
+    give bit-identical results for any worker count (per-sample seeding,
+    fixed chunking, integer tallies).
     """
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    degree = truncation_degree(model, r, 1e-9, 1e-6 / samples)
+    degree = truncation_degree(model, r, TAIL_EPS, 1e-6 / samples)
     payloads = [
         (model.kind.value, model.alpha, r, degree, seed, start,
-         min(start + MC_CHUNK, samples), base_points)
+         min(start + MC_CHUNK, samples))
         for start in range(0, samples, MC_CHUNK)
     ]
     parts = run_chunked(_hole_chunk, payloads, workers)
@@ -221,7 +225,7 @@ def _conditioned_caps_sq_log(r: float, degree: int) -> np.ndarray:
     return caps
 
 
-def conditioned_degree(r: float, tail_eps: float = 1e-9) -> int:
+def conditioned_degree(r: float, tail_eps: float = TAIL_EPS) -> int:
     """Truncation degree for conditioned draws.
 
     On the event, index n > floor(e r^2) contributes at most
@@ -270,16 +274,15 @@ def conditioned_rows(r: float, seed: int, start: int, stop: int,
 
 
 def _conditioned_chunk(payload) -> tuple[int, int]:
-    r, degree, seed, start, stop, base_points = payload
+    r, degree, seed, start, stop = payload
     rows = conditioned_rows(r, seed, start, stop, degree)
-    counts = winding_counts_batch(rows, r, base_points,
-                                  log_coeffs=CoefficientModel.gef().log_coeffs(degree))
+    counts = winding_counts_batch(rows, r, log_coeffs=CoefficientModel.gef().log_coeffs(degree),
+                                  tail_eps=TAIL_EPS)
     return int(np.count_nonzero(counts == 0)), stop - start
 
 
 def omega_conditioned_sample(model: CoefficientModel, r: float, samples: int,
-                             seed: int, *, workers: int | None = 1,
-                             base_points: int | None = None) -> float:
+                             seed: int, *, workers: int | None = 1) -> float:
     """Zero-free fraction among draws conditioned on the confinement event.
 
     With a valid certificate this must be exactly 1.0; below the certified
@@ -293,7 +296,7 @@ def omega_conditioned_sample(model: CoefficientModel, r: float, samples: int,
         raise ValueError("conditioned sampling defined for r >= 1")
     degree = conditioned_degree(r)
     payloads = [
-        (r, degree, seed, start, min(start + MC_CHUNK, samples), base_points)
+        (r, degree, seed, start, min(start + MC_CHUNK, samples))
         for start in range(0, samples, MC_CHUNK)
     ]
     parts = run_chunked(_conditioned_chunk, payloads, workers)

@@ -1,8 +1,11 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holelab import (
     Distribution,
@@ -12,7 +15,7 @@ from holelab import (
     draw_coeffs,
     draw_rows,
     eval_series,
-    max_modulus,
+    hole_mc,
     min_zero_modulus,
     roots_truncated,
     sample_seed,
@@ -63,27 +66,6 @@ def test_dual_evaluation_agreement(gef):
         assert abs(horner - pairwise) <= 1e-11 * max(1.0, abs(horner))
 
 
-def test_max_modulus_trivial(gef):
-    assert max_modulus(TruncatedSeries(_manual_draw([1.0]), gef), 3.0) == 1.0
-    assert max_modulus(TruncatedSeries(_manual_draw([0.0, 1.0]), gef), 2.0) == pytest.approx(2.0, rel=1e-9)
-
-
-def test_max_modulus_grid_size_validation(gef):
-    with pytest.raises(ValueError):
-        max_modulus(TruncatedSeries(_manual_draw([1.0]), gef), 1.0, grid_size=32)
-
-
-def test_cauchy_coefficient_estimate(gef):
-    # |phi_n| a_n r^n <= M(r), up to the boundary-grid slack
-    r = 1.0
-    for i in range(20):
-        draw = draw_coeffs(Distribution.COMPLEX_GAUSSIAN, 30, sample_seed(218, i))
-        ts = TruncatedSeries(draw, gef)
-        m = max_modulus(ts, r)
-        terms = np.abs(draw) * np.exp(gef.log_coeffs(29)) * r ** np.arange(30)
-        assert np.all(terms <= m * (1.0 + 1e-9))
-
-
 def test_count_zeros_trivial_cases(gef):
     cubic = TruncatedSeries(_manual_draw([0.0, 0.0, 0.0, 1.5 + 0.5j]), gef)
     assert count_zeros_disk(cubic, 1.0, verify=True).count == 3
@@ -130,9 +112,9 @@ def test_rotate_draw_rows_and_blocks(gef):
 
 
 def test_boundary_zero_is_diagnosed(gef):
-    # f(z) = z - 1 has its only zero exactly on |z| = 1: the nudged retries
-    # straddle it and must disagree.  A zero 1.2e-16 off the circle, between
-    # grid points, is closer than midpoint refinement can resolve.
+    # f(z) = z - 1 has its only zero exactly on |z| = 1, and a zero 1.2e-16
+    # off the circle, between grid points, lies within the rounding bound:
+    # no arc next to either can be certified.
     for c0 in (-1.0, -1.0 + 1.2e-16j):
         ts = TruncatedSeries(_manual_draw([c0, 1.0]), gef)
         with pytest.raises(ZeroCountError):
@@ -146,8 +128,56 @@ def test_verify_count_rejects_a_wrong_count(gef):
         verify_count(one_plus_z, 2.0, 0)
 
 
+class _BoundarySuspicion(Exception):
+    pass
+
+
+def _winding_by_midpoints(c, r, base_points):
+    """Winding number of p along |z| = r by argument tracking on Horner values.
+
+    Midpoints are inserted wherever a sampled argument step reaches pi/2: a
+    heuristic, independent of the certified kernel's FFT, bounds and arcs.
+    """
+    theta = np.linspace(0.0, 2.0 * np.pi, base_points, endpoint=False)
+    f = evaluate_zeros._horner(c, r * np.exp(1j * theta))
+    while True:
+        scale = float(np.max(np.abs(f)))
+        if scale == 0.0 or float(np.min(np.abs(f))) < 1e-290 * scale:
+            raise _BoundarySuspicion
+        inc = np.angle(np.roll(f, -1) * np.conj(f))
+        bad = np.abs(inc) >= np.pi / 2
+        if not bad.any():
+            break
+        if len(theta) >= 2**20:
+            raise _BoundarySuspicion
+        nxt = np.append(theta[1:], theta[0] + 2.0 * np.pi)
+        mids = 0.5 * (theta[bad] + nxt[bad])
+        if np.any((mids == theta[bad]) | (mids == nxt[bad])):
+            raise _BoundarySuspicion
+        order = np.argsort(np.concatenate([theta, mids]), kind="stable")
+        theta = np.concatenate([theta, mids])[order]
+        f = np.concatenate([f, evaluate_zeros._horner(c, r * np.exp(1j * mids))])[order]
+    w_float = float(np.sum(inc)) / (2.0 * np.pi)
+    w = int(round(w_float))
+    assert abs(w_float - w) <= 1e-3
+    return w
+
+
+def _reference_count(c, r):
+    """Midpoint counter on >= 256 points; on suspicion, circles nudged by -+1e-9 must agree."""
+    base_points = 256
+    while base_points < 4 * len(c):
+        base_points *= 2
+    try:
+        return _winding_by_midpoints(c, r, base_points)
+    except _BoundarySuspicion:
+        counts = {_winding_by_midpoints(c, r * fac, base_points) for fac in (1 + 1e-9, 1 - 1e-9)}
+        assert len(counts) == 1
+        return counts.pop()
+
+
 def test_batch_counts_equal_single_counts(gef):
-    # count_for_coeffs, per-row Horner on linear coefficients, is the oracle
+    # the Horner midpoint counter the certified kernel replaced is the reference
     degree = 25
     a = np.exp(gef.log_coeffs(degree))
     rows = np.array([
@@ -156,7 +186,8 @@ def test_batch_counts_equal_single_counts(gef):
     ])
     batch = winding_counts_batch(rows, 1.25)
     for i in range(200):
-        assert batch[i] == count_for_coeffs(rows[i], 1.25)
+        assert batch[i] == _reference_count(rows[i], 1.25)
+        assert count_for_coeffs(rows[i], 1.25) == batch[i]
 
 
 def test_roots_simple_polynomials(gef):
@@ -238,26 +269,41 @@ def test_batch_counts_match_root_oracle(gef, r, count):
         assert batch[i] == oracle.count
 
 
+def _spy_on_paths(monkeypatch):
+    """Record the grid sizes each grid pass used and the rows that bisected arcs."""
+    seen = {"grids": [], "bisected": set()}
+    grid_pass, bisect = evaluate_zeros._grid_pass, evaluate_zeros._bisect
+
+    def grid_spy(D, K, idx, points, turn):
+        seen["grids"].append(points)
+        return grid_pass(D, K, idx, points, turn)
+
+    def bisect_spy(D, K, bits, arcs, turn):
+        seen["bisected"].update(arcs.row.tolist())
+        return bisect(D, K, bits, arcs, turn)
+
+    monkeypatch.setattr(evaluate_zeros, "_grid_pass", grid_spy)
+    monkeypatch.setattr(evaluate_zeros, "_bisect", bisect_spy)
+    return seen
+
+
 def test_zero_just_off_the_circle_reaches_fallback(gef, monkeypatch):
     degree = 30
     a = np.exp(gef.log_coeffs(degree + 1))
     rows = _gaussian_rows(degree, 99, 20)
     rows = np.hstack([rows, np.zeros((20, 1))]) * a
-    # zeros at |z| = 1 -+ 1e-7 are far below any batched grid spacing
+    without = winding_counts_batch(rows[[3, 11]], 1.0)
+    # zeros at |z| = 1 -+ 1e-7 are far below the first grid's spacing
     for i, rho in ((3, 1.0 - 1e-7), (11, 1.0 + 1e-7)):
         rows[i] = np.convolve(rows[i, :-1], [-rho * np.exp(0.4j), 1.0])
-    fallback_calls = []
-
-    def spy(c, r, base_points=None):
-        fallback_calls.append(r)
-        return count_for_coeffs(c, r, base_points)
-
-    monkeypatch.setattr(evaluate_zeros, "count_for_coeffs", spy)
+    seen = _spy_on_paths(monkeypatch)
     batch = winding_counts_batch(rows, 1.0)
-    assert len(fallback_calls) >= 2
+    assert {3, 11} <= seen["bisected"]
     for i in range(20):
         ts = TruncatedSeries(_manual_draw(rows[i] / a), gef)
         assert batch[i] == count_zeros_disk(ts, 1.0, verify=True).count
+    # the zero inside adds one to row 3's count, the one outside none to row 11's
+    assert list(batch[[3, 11]]) == [without[0] + 1, without[1]]
 
 
 def test_batch_counts_terms_whose_coefficient_underflows(gef):
@@ -287,6 +333,60 @@ def test_uncertified_rows_raise_or_count_minus_one(gef):
     with pytest.raises(ZeroCountError):
         winding_counts_batch(rows, 1.0)
     assert list(winding_counts_batch(rows, 1.0, strict=False)) == [-1, 1, 0]
+
+
+def test_two_zeros_in_one_grid_cell_are_both_counted():
+    # (w - a1)(w - a2) padded to degree 32, both zeros 1e-3 inside |w| = 1 and
+    # 2e-3 apart in angle around the midpoint of grid points 10 and 11 of 256:
+    # every sampled argument step is small, yet the arc between turns by 2 pi
+    mid = 2.0 * np.pi * 10.5 / 256
+    zeros = (1.0 - 1e-3) * np.exp(1j * (mid + np.array([1e-3, -1e-3])))
+    c = np.zeros(33, dtype=np.complex128)
+    c[:3] = np.poly(zeros)[::-1]
+    assert winding_counts_batch(c[None, :], 1.0)[0] == 2
+    assert count_for_coeffs(c, 1.0) == 2
+
+
+def _true_count(c):
+    """Zeros of sum c_n w^n in |w| < 1: mpmath roots of the exact double coefficients."""
+    c = np.trim_zeros(c, "b")
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots([mpmath.mpc(complex(x)) for x in c[::-1]],
+                                 maxsteps=500, extraprec=300) if len(c) > 1 else []
+        return sum(1 for z in roots if abs(z) < 1)
+
+
+_FIRST_CELL = 2.0 * np.pi / 64  # spacing of the first grid below degree 128
+
+
+@st.composite
+def _hard_roots(draw):
+    """Roots anywhere, roots 1e-6..1e-3 off |w| = 1, and pairs of those inside one grid cell."""
+    angle = st.floats(0.0, 2.0 * np.pi)
+
+    def near_circle():
+        return 1.0 + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-6.0, -3.0))
+
+    roots = [draw(st.floats(0.2, 2.0)) * np.exp(1j * draw(angle))
+             for _ in range(draw(st.integers(0, 4)))]
+    roots += [near_circle() * np.exp(1j * draw(angle)) for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(0, 2))):
+        theta, gap = draw(angle), 10.0 ** draw(st.floats(-6.0, math.log10(_FIRST_CELL)))
+        roots += [near_circle() * np.exp(1j * (theta + side * gap / 2)) for side in (-1, 1)]
+    return roots
+
+
+@given(_hard_roots(), st.integers(0, 60))
+@settings(max_examples=60, deadline=None)
+def test_kernel_never_returns_a_wrong_count(roots, degree):
+    c = np.zeros(max(len(roots), degree) + 1, dtype=np.complex128)
+    c[: len(roots) + 1] = np.poly(roots)[::-1] if roots else 1.0
+    got = winding_counts_batch(c[None, :], 1.0, strict=False)[0]
+    if got == -1:
+        with pytest.raises(ZeroCountError):
+            winding_counts_batch(c[None, :], 1.0)
+    else:
+        assert got == _true_count(c)
 
 
 def test_residual_check_rejects_overflowed_horner():
@@ -381,13 +481,20 @@ def test_residual_failure_names_the_sample():
 
 @pytest.mark.parametrize("block", [2**12, 2**20])
 def test_unit_circle_pass_is_independent_of_the_block_size(gef, monkeypatch, block):
+    # the whole kernel: first and doubled grids, arc bisection, chunks, workers
     degree = truncation_degree(gef, 2.0, 1e-9, 1e-9)
     phi = _gaussian_rows(degree, 8, 600)
-    D = evaluate_zeros._unit_circle_rows(phi, 2.0, gef.log_coeffs(degree))
-    want = [evaluate_zeros._unit_circle_pass(D, points) for points in (32, 256, 2**13)]
+
+    def kernel(rows):
+        return winding_counts_batch(rows, 2.0, log_coeffs=gef.log_coeffs(degree), tail_eps=1e-9)
+
+    want = kernel(phi)
+    hole = hole_mc(gef, 2.0, 4500, 8, workers=1)
+    seen = _spy_on_paths(monkeypatch)
     monkeypatch.setattr(evaluate_zeros, "_BLOCK_VALUES", block)
-    for points, (resolved, counts) in zip((32, 256, 2**13), want):
-        got_resolved, got_counts = evaluate_zeros._unit_circle_pass(D, points)
-        assert np.array_equal(got_resolved, resolved)
-        assert np.array_equal(got_counts, counts)
-    assert 0 < np.count_nonzero(want[0][0]) < len(D)  # 32 points leave some rows unresolved
+    assert np.array_equal(kernel(phi), want)
+    assert max(seen["grids"]) > min(seen["grids"])  # some rows took a doubled grid
+    assert 0 < len(seen["bisected"]) < len(phi)  # and some bisected arcs
+    chunks = np.concatenate([kernel(phi[lo: lo + 37]) for lo in range(0, len(phi), 37)])
+    assert np.array_equal(chunks, want)
+    assert hole_mc(gef, 2.0, 4500, 8, workers=2) == hole

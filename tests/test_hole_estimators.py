@@ -192,7 +192,7 @@ def test_conditioned_r12_rows_keep_every_term(gef, monkeypatch):
     scaled = []
 
     def spy(rows, r, *args, **kwargs):
-        scaled.append(_unit_circle_rows(np.asarray(rows), r, kwargs.get("log_coeffs")))
+        scaled.append(_unit_circle_rows(np.asarray(rows), r, kwargs.get("log_coeffs"))[0])
         return winding_counts_batch(rows, r, *args, **kwargs)
 
     monkeypatch.setattr(hole_estimators, "winding_counts_batch", spy)
