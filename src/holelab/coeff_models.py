@@ -7,6 +7,9 @@ once r is moderately large:
   * square-root-factorial coefficients  a_n = (n!)^(-1/2)
   * Mittag-Leffler coefficients         a_n = 1 / Gamma(alpha*n + 1)
 
+Both come from `log_gamma`, the standard library's `math.lgamma` applied
+elementwise, the one special function the lab needs.
+
 The central quantity is
 
     S(r) = 2 * sum_{n : a_n r^n >= 1} log(a_n r^n),
@@ -23,11 +26,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
 # Leading constant of the quartic growth law claimed for the
 # square-root-factorial family: (3/4) * e^2.
 QUARTIC_LAW_CONST = 0.75 * math.e**2
+
+
+def log_gamma(x: np.ndarray) -> np.ndarray:
+    """log Gamma(x) for an array of x > 0, elementwise by `math.lgamma`."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.fromiter(map(math.lgamma, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 class ModelKind(Enum):
@@ -63,8 +71,8 @@ class CoefficientModel:
 
     def _log_coeff_block(self, n: np.ndarray) -> np.ndarray:
         if self.kind is ModelKind.GEF:
-            return -0.5 * gammaln(n + 1.0)
-        return -gammaln(self.alpha * n + 1.0)
+            return -0.5 * log_gamma(n + 1.0)
+        return -log_gamma(self.alpha * n + 1.0)
 
     def log_coeffs(self, n_max: int) -> np.ndarray:
         """log(a_n) for n = 0..n_max as a read-only view of the cache."""

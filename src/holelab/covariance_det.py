@@ -6,8 +6,9 @@ with explicit eigenvalues
 
     lambda_m = N * sum_{n >= 0, n = m (mod N)} x^n / n!,   x = (kappa*r)^2.
 
-The eigenvalue route works in log scale out to r = 20 and beyond, where the
-dense matrix (diagonal e^x) cannot even be factorized in double precision.
+The eigenvalue route works in log scale (log n! by `math.lgamma`) out to
+r = 20 and beyond, where the dense matrix (diagonal e^x) cannot even be
+factorized in double precision; the dense oracle uses numpy's Cholesky.
 A Cauchy-Binet minor of the square-root-factorial Vandermonde factor yields
 the closed-form lower bound implemented in `vandermonde_lower_bound`.
 """
@@ -18,10 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gammaln
 
-from .coeff_models import CoefficientModel, s_of_r
+from .coeff_models import CoefficientModel, log_gamma, s_of_r
 
 _EIG_TERM_CUTOFF = math.log(1e-18)
 
@@ -70,7 +69,7 @@ def circulant_log_eigenvalues(spec: CovarianceSpec) -> np.ndarray:
         n = m
         acc = -math.inf
         while True:
-            term = n * log_x - float(gammaln(n + 1.0))
+            term = n * log_x - math.lgamma(n + 1.0)
             acc = np.logaddexp(acc, term)
             if n > x and term < acc + _EIG_TERM_CUTOFF:
                 break
@@ -85,7 +84,7 @@ def logdet_circulant(spec: CovarianceSpec) -> float:
 
 
 def logdet_dense(spec: CovarianceSpec) -> float:
-    """Oracle route: build Sigma and Cholesky-factorize it.
+    """Oracle route: build Sigma and Cholesky-factorize it (numpy's LAPACK Cholesky).
 
     Only feasible while the smallest eigenvalue stays clear of the rounding
     floor; a nonpositive pivot fails loudly with its index.
@@ -97,10 +96,29 @@ def logdet_dense(spec: CovarianceSpec) -> float:
     z = grid_points(spec)
     sigma = np.exp(np.outer(z, np.conj(z)))
     try:
-        chol = scipy.linalg.cholesky(sigma, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"nonpositive pivot in dense factorization: {exc}") from exc
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(
+            "nonpositive pivot in dense factorization: leading minor "
+            f"{_first_failing_pivot(sigma)} is not positive definite") from exc
     return 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
+
+
+def _first_failing_pivot(sigma: np.ndarray) -> int:
+    """1-based index of the first leading minor that numpy's Cholesky rejects.
+
+    Pivot k fails exactly when the leading k x k block factors and the
+    (k+1) x (k+1) one does not, so bisection over the block size finds it.
+    """
+    lo, hi = 0, len(sigma)  # the leading lo-block factors, the hi-block does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.linalg.cholesky(sigma[:mid, :mid])
+            lo = mid
+        except np.linalg.LinAlgError:
+            hi = mid
+    return hi
 
 
 def vandermonde_lower_bound(spec: CovarianceSpec) -> float:
@@ -112,7 +130,7 @@ def vandermonde_lower_bound(spec: CovarianceSpec) -> float:
     """
     n_pts = spec.n_points
     log_kr = math.log(spec.kappa * spec.r)
-    sum_2log_a = -float(np.sum(gammaln(np.arange(1, n_pts + 1, dtype=np.float64) + 1.0)))
+    sum_2log_a = -float(np.sum(log_gamma(np.arange(1, n_pts + 1, dtype=np.float64) + 1.0)))
     return (sum_2log_a + 2.0 * n_pts * log_kr
             + n_pts * (n_pts - 1) * log_kr + n_pts * math.log(n_pts))
 

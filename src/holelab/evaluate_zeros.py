@@ -54,6 +54,7 @@ _BISECT_LEVELS = 48  # an arc of the first grid halved this often is below the a
 _BLOCK_VALUES = 2**16  # circle or coefficient values per block (1 MB of complex128, cache-sized)
 _ROUNDING_REL = 1e-15  # rounding bound per log2(points), times sum (1+n)|d_n|
 _STRIP_REL = 1e-300  # trailing coefficients below this times max|c| are dropped
+_MAX_LOG_RATIO = 745.0  # t_n - M of a nonzero entry is at most -log(2^-1074) = 744.4
 _RESIDUAL_REL = 1e-8
 
 
@@ -158,20 +159,24 @@ def _unit_circle_rows(rows: np.ndarray, r: float,
                       log_coeffs: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Rows rescaled so that |z| = r becomes the unit circle, in log scale, and their M.
 
-    Entry n becomes phi_n exp(t_n - M) with t_n = log a_n + n log r and M the
-    row's largest log|phi_n| + t_n: the row then evaluates p(r w) e^(-M), which
-    winds exactly as p does along |z| = r.  No a_n or r^n is ever formed in
-    linear scale, so no term underflows or overflows on its own; the phase is
-    exp(1j * angle), because phi / |phi| overflows for subnormal phi.
+    Entry n becomes phi_n h_n h_n with h_n = exp((t_n - M)/2), t_n = log a_n +
+    n log r and M the row's largest log|phi_n| + t_n: the row then evaluates
+    p(r w) e^(-M), which winds exactly as p does along |z| = r.  No a_n or r^n
+    is ever formed in linear scale, so no term underflows or overflows on its
+    own.  The factor is split in two halves because exp(t_n - M) alone
+    overflows when the largest term is subnormal (t_n - M up to 744.4);
+    phi_n h_n stays finite, and so does its product with h_n, which is at
+    most 1 in modulus.  Past 745 the entry is zero, and the clip keeps h_n
+    finite so that it stays zero.
     """
     t = np.arange(rows.shape[1]) * math.log(r)
     if log_coeffs is not None:
         t = t + log_coeffs
     with np.errstate(divide="ignore"):
-        log_mag = np.log(np.abs(rows)) + t
-    top = np.max(log_mag, axis=1, keepdims=True)
+        top = np.max(np.log(np.abs(rows)) + t, axis=1, keepdims=True)
     top[~np.isfinite(top)] = 0.0  # an identically zero row stays zero
-    return np.exp(log_mag - top) * np.exp(1j * np.angle(rows)), top[:, 0]
+    half = np.exp(0.5 * np.minimum(t - top, _MAX_LOG_RATIO))
+    return rows * half * half, top[:, 0]
 
 
 def _row_bounds(D: np.ndarray, log_scale: np.ndarray, tail_eps: float) -> np.ndarray:

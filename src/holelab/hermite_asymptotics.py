@@ -27,11 +27,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .coeff_models import CoefficientModel
 from .evaluate_zeros import min_zero_moduli, rotate_draw
 from .sampling import Distribution, draw_rows
+
+_ESCAPE_BLOCK = 1024  # recurrence steps between escape checks
 
 
 @dataclass(frozen=True)
@@ -45,19 +46,35 @@ def hermite_coeffs(beta: complex, nmax: int) -> HermiteSeries:
     if nmax < 2:
         raise ValueError("nmax must be >= 2")
     beta = complex(beta)
-    h = np.empty(nmax + 1, dtype=np.complex128)
-    h[0] = 1.0
-    h[1] = beta
-    inv_sqrt = 1.0 / np.sqrt(np.arange(1.0, nmax + 1.0))
-    ratio = np.sqrt(np.arange(1.0, nmax + 1.0) / np.arange(2.0, nmax + 2.0))
-    for n in range(1, nmax):
-        h[n + 1] = beta * h[n] * inv_sqrt[n] + h[n - 1] * ratio[n - 1]
+    h = _recurrence_start(beta, nmax)
+    _recurrence_fill(h, beta, 1, nmax)
     return HermiteSeries(beta=beta, scaled=h)
 
 
+def _recurrence_start(beta: complex, nmax: int) -> np.ndarray:
+    """Room for h_0..h_nmax (at least h_0, h_1), with h_0 = 1 and h_1 = beta set."""
+    h = np.empty(max(nmax, 1) + 1, dtype=np.complex128)
+    h[0] = 1.0
+    h[1] = beta
+    return h
+
+
+def _recurrence_fill(h: np.ndarray, beta: complex, lo: int, hi: int) -> None:
+    """Fill h_{lo+1}..h_hi in place from h_{lo-1} and h_lo; lo >= 1.
+
+    Every step is the same floating-point operation whatever the block
+    bounds, so filling in blocks gives the same h_n bit for bit.
+    """
+    n = np.arange(float(lo), float(hi))
+    inv_sqrt = 1.0 / np.sqrt(n + 1.0)
+    ratio = np.sqrt(n / (n + 1.0))
+    for i, step, carry in zip(range(lo, hi), inv_sqrt.tolist(), ratio.tolist()):
+        h[i + 1] = beta * h[i] * step + h[i - 1] * carry
+
+
 def log_g(series: HermiteSeries, n: int) -> complex:
-    """Complex log of g_n recovered from the scaled sequence."""
-    return complex(np.log(series.scaled[n])) - 0.5 * float(gammaln(n + 1.0))
+    """Complex log of g_n = h_n / sqrt(n!) recovered from the scaled sequence."""
+    return complex(np.log(series.scaled[n])) - 0.5 * math.lgamma(n + 1.0)
 
 
 def saddle_point_log_approx(beta: complex, n: int) -> complex:
@@ -90,14 +107,29 @@ def saddle_deviation(beta: complex, n: int, series: HermiteSeries | None = None)
 
 
 def annulus_escape(beta: complex, c1: float, c2: float, nmax: int) -> int | None:
-    """Smallest n <= nmax with |h_n| outside [c1, c2], or None."""
+    """Smallest n <= nmax with |h_n| outside [c1, c2], or None.
+
+    The recurrence runs in blocks of `_ESCAPE_BLOCK` steps and stops after
+    the block holding the first escape.
+    """
     if not 0 < c1 <= c2:
         raise ValueError("need 0 < c1 <= c2")
-    mags = np.abs(hermite_coeffs(beta, max(nmax, 2)).scaled[: nmax + 1])
-    outside = (mags < c1) | (mags > c2)
-    if not outside.any():
-        return None
-    return int(np.argmax(outside))
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
+    beta = complex(beta)
+    h = _recurrence_start(beta, nmax)
+    lo, checked = 1, 0  # h_0..h_lo are filled, h_0..h_{checked-1} lie in the band
+    while True:
+        mags = np.abs(h[checked: min(lo, nmax) + 1])
+        outside = np.flatnonzero((mags < c1) | (mags > c2))
+        if outside.size:
+            return checked + int(outside[0])
+        if lo >= nmax:
+            return None
+        checked = lo + 1
+        hi = min(lo + _ESCAPE_BLOCK, nmax)
+        _recurrence_fill(h, beta, lo, hi)
+        lo = hi
 
 
 def all_ones_draw(degree: int) -> np.ndarray:

@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import holelab
 from holelab.cli_reports import ReportRecord, emit, record_to_json, records_to_csv, run
 
 
@@ -20,6 +25,17 @@ def _strip_timing(record: dict) -> dict:
     record = dict(record)
     record.pop("wall_time_ms", None)
     return record
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: the CLI must start without it
+    src = str(Path(holelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = ("import sys, holelab.cli_reports; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_s_of_r_command(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from holelab import CoefficientModel, peak_index_range, s_asymptotic, s_of_r, s_of_r_detail, tail_log_bound
-from holelab.coeff_models import QUARTIC_LAW_CONST, ModelKind
+from holelab.coeff_models import QUARTIC_LAW_CONST, ModelKind, log_gamma
 
 mp.mp.dps = 30
 
@@ -38,6 +38,24 @@ def test_log_coeff_matches_loggamma_high_precision(gef):
     for n in (1, 7, 10, 100, 5000):
         exact = float(-mp.mpf(0.5) * mp.loggamma(n + 1))
         assert gef.log_coeff(n) == pytest.approx(exact, rel=1e-13)
+
+
+def _max_scaled_error(values, exact) -> float:
+    """Largest |value - exact| / max(1, |exact|)."""
+    exact = np.array([float(x) for x in exact])
+    return float(np.max(np.abs(values - exact) / np.maximum(1.0, np.abs(exact))))
+
+
+def test_log_gamma_helper_matches_mpmath():
+    # every n up to 300, then a geometric sample of indices out to 2e5
+    n = np.unique(np.concatenate([np.arange(301), np.geomspace(301, 2e5, 400).astype(int)]))
+    gef = CoefficientModel.gef().log_coeffs(int(n[-1]))[n]
+    assert _max_scaled_error(gef, [-mp.loggamma(int(k) + 1) / 2 for k in n]) <= 1e-14
+    half = CoefficientModel.mittag_leffler(0.5).log_coeffs(int(n[-1]))[n]
+    assert _max_scaled_error(half, [-mp.loggamma(mp.mpf(int(k)) / 2 + 1) for k in n]) <= 1e-14
+    x = np.array([[0.5, 1.0, 1.5], [2.0, 10.25, 1e5]])
+    assert log_gamma(x).shape == x.shape
+    assert _max_scaled_error(log_gamma(x).ravel(), [mp.loggamma(v) for v in x.ravel()]) <= 1e-14
 
 
 def test_cache_append_only(ml1):

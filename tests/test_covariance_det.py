@@ -96,6 +96,13 @@ def test_dense_positive_pivots_default_specs():
         logdet_dense(CovarianceSpec.default(r))  # raises on nonpositive pivot
 
 
+def test_dense_failure_names_the_first_nonpositive_pivot():
+    # at r = 4 the default grid's leading 21 x 21 block is the first that is
+    # not positive definite in double precision (LAPACK's reported pivot)
+    with pytest.raises(ArithmeticError, match=r"leading minor 21 "):
+        logdet_dense(CovarianceSpec.default(4.0))
+
+
 def test_eigenvalues_positive_and_finite():
     for spec in (CovarianceSpec.default(2.0), CovarianceSpec(1.2, 0.9, 12)):
         log_eigs = circulant_log_eigenvalues(spec)

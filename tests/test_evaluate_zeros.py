@@ -316,6 +316,38 @@ def test_batch_counts_terms_whose_coefficient_underflows(gef):
     assert count_zeros_disk(TruncatedSeries(phi[0], gef), 12.0).count == 400
 
 
+def test_rows_whose_largest_term_is_subnormal():
+    # 8w^3 - 26w^2 + 5w + 3 = (w - 1/2)(w + 1/4)(w - 3) times 77 smallest
+    # subnormals: integer multiples of 2^-1074 are exact, the largest term is
+    # 1e-320, and exp(t_0 - M) = e^736 alone would overflow
+    poly = np.array([3.0, 5.0, -26.0, 8.0])
+    rows = np.zeros((4, 41), dtype=np.complex128)
+    rows[0, :4] = poly * 77 * 2.0**-1074
+    rows[1] = 1j * rows[0]
+    rows[2, :4] = poly  # the same zeros at normal scale
+    rows[3, 5] = 2.0**-1074  # w^5 times the smallest subnormal
+    for r, count in ((0.3, 1), (1.0, 2), (4.0, 3)):
+        assert list(winding_counts_batch(rows, r)) == [count, count, count, 5]
+
+
+def test_rows_whose_terms_span_more_than_600_decades(gef):
+    # at r = 60 the terms a_n r^n rise from 1 at n = 0 to e^1800 (782 decades)
+    # at the peak n = 3599 or 3600 (a tie up to rounding) and fall to e^-111
+    # at n = 10^4.  A row keeping the peak counts its zeros; a row without it
+    # counts none, although its zero entries sit up to 1800 nats above its
+    # largest term
+    r, degree = 60.0, 10_000
+    t = gef.log_coeffs(degree) + np.arange(degree + 1) * math.log(r)
+    peak = int(np.argmax(t))
+    assert peak in (3599, 3600) and t[peak] > 600 * math.log(10) and t[-1] < 0
+    rows = np.zeros((2, degree + 1), dtype=np.complex128)
+    rows[:, 0] = 1.0
+    rows[:, -1] = 1j
+    rows[0, peak] = -1.0
+    counts = winding_counts_batch(rows, r, log_coeffs=gef.log_coeffs(degree))
+    assert list(counts) == [peak, 0]
+
+
 def test_batch_at_r12_emits_no_runtime_warning(gef):
     degree = truncation_degree(gef, 12.0, 1e-9, 1e-6 / 2000)
     phi = _gaussian_rows(degree, 12, 50)

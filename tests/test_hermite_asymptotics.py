@@ -134,6 +134,44 @@ def test_annulus_escape_examples():
     assert annulus_escape(1.0, 1e-6, 1e12, 50) is None
 
 
+def _hermite_reference(beta, nmax):
+    """The recurrence as one loop over whole-range coefficient arrays."""
+    h = np.empty(nmax + 1, dtype=np.complex128)
+    h[0], h[1] = 1.0, beta
+    inv_sqrt = 1.0 / np.sqrt(np.arange(1.0, nmax + 1.0))
+    ratio = np.sqrt(np.arange(1.0, nmax + 1.0) / np.arange(2.0, nmax + 2.0))
+    for n in range(1, nmax):
+        h[n + 1] = beta * h[n] * inv_sqrt[n] + h[n - 1] * ratio[n - 1]
+    return h
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.3 + 0.7j, -2.0])
+def test_hermite_coeffs_equal_the_one_loop_recurrence_bit_for_bit(beta):
+    assert np.array_equal(hermite_coeffs(beta, 5000).scaled, _hermite_reference(complex(beta), 5000))
+
+
+def _escape_by_full_scan(beta, c1, c2, nmax):
+    """Reference: the first index of the whole series h_0..h_nmax outside [c1, c2]."""
+    mags = np.abs(_hermite_reference(complex(beta), max(nmax, 2))[: nmax + 1])
+    outside = np.flatnonzero((mags < c1) | (mags > c2))
+    return int(outside[0]) if outside.size else None
+
+
+def test_annulus_escape_stops_early_with_the_full_scan_answer():
+    # an early escape, inside the first block of the recurrence
+    assert annulus_escape(1.0, 0.5, 2.0, 10**5) == _escape_by_full_scan(1.0, 0.5, 2.0, 10**5) == 4
+    # no escape: every block is run and checked
+    assert _escape_by_full_scan(1.0, 1e-6, 1e40, 5000) is None
+    assert annulus_escape(1.0, 1e-6, 1e40, 5000) is None
+    # the first escape lies past the first block; nmax on it finds it, one less does not
+    first = _escape_by_full_scan(1.0, 0.5, 1e20, 10**4)
+    assert first is not None and first > 2048  # third block
+    assert annulus_escape(1.0, 0.5, 1e20, first) == first
+    assert annulus_escape(1.0, 0.5, 1e20, first - 1) is None
+    for nmax in (0, 1, 2, 3):
+        assert annulus_escape(0.3, 0.5, 2.0, nmax) == _escape_by_full_scan(0.3, 0.5, 2.0, nmax)
+
+
 def test_annulus_escape_monotone_in_band():
     wide = annulus_escape(1.0, 0.5, 4.0, 10**4)
     narrow = annulus_escape(1.0, 0.5, 2.0, 10**4)
@@ -145,6 +183,8 @@ def test_annulus_escape_validation():
         annulus_escape(1.0, 0.0, 1.0, 10)
     with pytest.raises(ValueError):
         annulus_escape(1.0, 2.0, 1.0, 10)
+    with pytest.raises(ValueError):
+        annulus_escape(1.0, 0.5, 2.0, -1)
 
 
 def test_forced_zero_record_and_all_ones_sample(gef):
