@@ -28,8 +28,9 @@ cross-verify each other:
     nothing certifies is reported, never guessed;
   * a companion-matrix root oracle (balanced eigenvalues, a damped Newton
     polish and a residual check against the max of |p| on the root's own
-    circle).  `roots_rows` is the one implementation: rows of equal
-    stripped length form one stack, solved by one `eigvals` call and
+    circle, taken from one 64-point FFT per root).  `roots_rows` is the one
+    implementation: rows of equal stripped length form one stack, handed
+    to `eigvals` in slices of at most about 2^20 companion entries and
     polished and checked together; `roots_truncated`, `min_zero_modulus`
     and `verify_count` are its one-row case, `min_zero_moduli` and
     `verify_counts` its many-row case, and a failure names the sample.
@@ -56,6 +57,8 @@ _ROUNDING_REL = 1e-15  # rounding bound per log2(points), times sum (1+n)|d_n|
 _STRIP_REL = 1e-300  # trailing coefficients below this times max|c| are dropped
 _MAX_LOG_RATIO = 745.0  # t_n - M of a nonzero entry is at most -log(2^-1074) = 744.4
 _RESIDUAL_REL = 1e-8
+_RESIDUAL_POINTS = 64  # points of the circle |z| = |z*| the residual check takes its max over
+_COMPANION_ENTRIES = 2**20  # companion-matrix entries per eigvals call (16 MB of complex128)
 
 
 class ZeroCountError(ArithmeticError):
@@ -176,7 +179,9 @@ def _unit_circle_rows(rows: np.ndarray, r: float,
         top = np.max(np.log(np.abs(rows)) + t, axis=1, keepdims=True)
     top[~np.isfinite(top)] = 0.0  # an identically zero row stays zero
     half = np.exp(0.5 * np.minimum(t - top, _MAX_LOG_RATIO))
-    return rows * half * half, top[:, 0]
+    D = rows * half
+    D *= half
+    return D, top[:, 0]
 
 
 def _row_bounds(D: np.ndarray, log_scale: np.ndarray, tail_eps: float) -> np.ndarray:
@@ -284,6 +289,17 @@ def _first_grid(n_coeffs: int) -> int:
     return points
 
 
+def _neighbour_products(F: np.ndarray) -> np.ndarray:
+    """q(w_(k+1)) conj(q(w_k)) for every grid point w_k of rows F, the last wrapping to w_0.
+
+    Written into one array, conj(F) overwritten in place.
+    """
+    out = np.conj(F)
+    np.multiply(F[:, 1:], out[:, :-1], out=out[:, :-1])
+    np.multiply(F[:, 0], out[:, -1], out=out[:, -1])
+    return out
+
+
 def _grid_pass(D: np.ndarray, K: np.ndarray, idx: np.ndarray, points: int,
                turn: np.ndarray) -> tuple[np.ndarray, _Arcs]:
     """Certify rows D[idx] on `points` grid points, in blocks of about _BLOCK_VALUES values.
@@ -321,7 +337,7 @@ def _grid_pass(D: np.ndarray, K: np.ndarray, idx: np.ndarray, points: int,
         if many.any():
             again.append(rows[many])
             rows, F, G, arc_ok = rows[~many], F[~many], G[~many], arc_ok[~many]
-        turn[rows] = np.sum(np.angle(np.roll(F, -1, axis=1) * np.conj(F)), axis=1, where=arc_ok)
+        turn[rows] = np.sum(np.angle(_neighbour_products(F)), axis=1, where=arc_ok)
         i, k = np.nonzero(~arc_ok)
         k1 = (k + 1) % points
         arcs.append(_Arcs(rows[i], theta[k], np.full(len(k), s),
@@ -441,15 +457,17 @@ def roots_rows(coeff_rows: np.ndarray, *, check_residuals: bool = True,
 
     Each row drops its trailing coefficients below 1e-300 of its largest.
     Rows of equal stripped length and equal number of zero constant terms
-    form one stack: one (rows, N, N) companion array of the nonzero part,
-    as `np.roots` builds it, one `np.linalg.eigvals` call, roots at 0 for
-    the zero constant terms, and one damped Newton polish of the whole
-    stack.  Each residual |p(z*)| is then checked against 1e-8 times the
-    max of |p| on the circle |z| = |z*| (64-point grid, a lower bound for
-    the true max, so the check only errs on the strict side).  A failing
-    root raises RootResidualError naming its sample, `first_index` plus
-    its row.  Row for row, the roots equal those of `np.roots` plus the
-    polish bit for bit.
+    form one stack: (rows, N, N) companion arrays of the nonzero part, as
+    `np.roots` builds them, handed to `np.linalg.eigvals` in slices of at
+    most about 2^20 entries (`eigvals` solves each matrix on its own, so
+    slicing changes no root), roots at 0 for the zero constant terms, and
+    one damped Newton polish of the whole stack.  Each residual |p(z*)| is
+    then checked against 1e-8 times the max of |p| on the circle
+    |z| = |z*| (64-point grid, a lower bound for the true max, so the
+    check only errs on the strict side).  A failing root raises
+    RootResidualError naming its sample, `first_index` plus its row.  Row
+    for row, the roots equal those of `np.roots` plus the polish bit for
+    bit.
     """
     stripped = [_strip_trailing(c) for c in np.asarray(coeff_rows)]
     stacks: dict[tuple[int, int], list[int]] = {}
@@ -461,13 +479,17 @@ def roots_rows(coeff_rows: np.ndarray, *, check_residuals: bool = True,
             continue
         C = np.array([stripped[i] for i in idx])
         roots = np.zeros((len(idx), n - 1), dtype=np.complex128)
-        if n - lead > 1:
+        m = n - lead - 1
+        if m > 0:
             p = C[:, lead:][:, ::-1]  # highest degree first, as np.roots strips it
-            A = np.zeros((len(idx), n - lead - 1, n - lead - 1), dtype=p.dtype)
-            A[:, 0, :] = -p[:, 1:] / p[:, :1]
-            sub = np.arange(n - lead - 2)
-            A[:, sub + 1, sub] = 1
-            roots[:, : n - lead - 1] = np.linalg.eigvals(A)
+            sub = np.arange(m - 1)
+            step = max(1, _COMPANION_ENTRIES // (m * m))
+            for lo in range(0, len(idx), step):
+                part = p[lo: lo + step]
+                A = np.zeros((len(part), m, m), dtype=p.dtype)
+                A[:, 0, :] = -part[:, 1:] / part[:, :1]
+                A[:, sub + 1, sub] = 1
+                roots[lo: lo + step, :m] = np.linalg.eigvals(A)
         roots = _polish_roots(C, roots)
         if check_residuals:
             _check_residuals(C, roots, [first_index + i for i in idx])
@@ -526,18 +548,18 @@ def _polish_roots(C: np.ndarray, roots: np.ndarray, iters: int = 60) -> np.ndarr
 def _check_residuals(C: np.ndarray, roots: np.ndarray, samples=None) -> None:
     """Raise unless every |p(z*)| is finite and below 1e-8 max|p| on |z| = |z*|.
 
-    C and roots hold one row per polynomial (1-D: one polynomial).  Horner
-    overflows at far-out roots of high-degree truncations; a non-finite
-    residual or circle maximum cannot certify the root, so it fails the
-    check instead of comparing inf with inf.  The error names the first
-    failing row's entry of `samples` (default: its row).
+    C and roots hold one row per polynomial (1-D: one polynomial).  The
+    residual is Horner's; the circle maximum comes from `_circle_max`, one
+    64-point FFT per root.  Both overflow at far-out roots of high-degree
+    truncations; a non-finite residual or circle maximum cannot certify
+    the root, so it fails the check instead of comparing inf with inf.
+    The error names the first failing row's entry of `samples` (default:
+    its row).
     """
     C, roots = np.atleast_2d(C), np.atleast_2d(roots)
-    phases = np.exp(2j * np.pi * np.arange(64) / 64)
-    circle = np.abs(roots)[..., None] * phases
     with np.errstate(over="ignore", invalid="ignore"):
         resid = np.abs(_horner(C, roots))
-        denom = np.max(np.abs(_horner(C, circle)), axis=-1)
+    denom = _circle_max(C, roots)
     bad = ~np.isfinite(resid) | ~np.isfinite(denom) | (resid > _RESIDUAL_REL * denom)
     if bad.any():
         row, i = (int(k[0]) for k in np.nonzero(bad))
@@ -545,6 +567,41 @@ def _check_residuals(C: np.ndarray, roots: np.ndarray, samples=None) -> None:
             f"sample {row if samples is None else samples[row]}: root {roots[row, i]!r}: "
             f"residual {resid[row, i]:.3e} against circle max {denom[row, i]:.3e} "
             f"(both must be finite, ratio <= {_RESIDUAL_REL:g})")
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _circle_max(C: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """max |p| over the 64 points |z*| e^(2 pi i k / 64) of each root z*, for `_check_residuals`.
+
+    Row i of C holds p's coefficients c_n and row i of roots its roots.
+    With b_n = c_n |z*|^n folded mod 64, B_j = sum of b_n over n = j mod 64,
+    the 64 values are p(|z*| e^(2 pi i k / 64)) = sum_j B_j e^(2 pi i j k / 64):
+    one 64-point FFT per root, in blocks of about _BLOCK_VALUES values b_n.
+    b_n is formed as (c_n h_n) h_n with h_n = exp((n log|z*| - s)/2) and s
+    the largest log|b_n|, so that no power |z*|^n overflows on its own; the
+    max is scaled back by e^s, which is inf where p itself overflows.
+    """
+    rho = np.abs(roots).ravel()
+    row = np.repeat(np.arange(len(C)), roots.shape[1])
+    width = -(-C.shape[1] // _RESIDUAL_POINTS) * _RESIDUAL_POINTS
+    n = np.arange(C.shape[1])
+    log_c = np.log(np.abs(C))
+    out = np.empty(len(rho))
+    step = max(1, _BLOCK_VALUES // width)
+    for lo in range(0, len(rho), step):
+        t = n * np.log(rho[lo: lo + step, None])
+        t[:, 0] = 0.0  # rho^0 = 1, also at a root at 0
+        c = C[row[lo: lo + step]]
+        s = np.max(log_c[row[lo: lo + step]] + t, axis=1, keepdims=True)
+        s[~np.isfinite(s)] = 0.0  # an all-zero b stays zero; a non-finite rho still fails
+        h = np.exp(0.5 * np.minimum(t - s, _MAX_LOG_RATIO))
+        b = np.zeros((len(c), width), dtype=np.complex128)
+        np.multiply(c, h, out=b[:, : C.shape[1]])
+        b[:, : C.shape[1]] *= h
+        B = b.reshape(len(b), -1, _RESIDUAL_POINTS).sum(axis=1)
+        values = np.fft.ifft(B, axis=1, norm="forward")
+        out[lo: lo + step] = np.max(np.abs(values), axis=1) * np.exp(s[:, 0])
+    return out.reshape(roots.shape)
 
 
 def min_zero_moduli(phi_rows: np.ndarray, model: CoefficientModel, *,

@@ -122,17 +122,17 @@ def _philox_words(keys: np.ndarray, count: int) -> np.ndarray:
 
     One generator serves every row: its key is rewritten and its counter
     and buffer reset, which is the state a fresh Philox(key=k) starts in.
+    The state holds Python ints, so setting it converts no array per row.
     """
     words = np.empty((len(keys), 2 * count), dtype=np.uint64)
     bg = np.random.Philox(0)
+    key = [0, 0]
     state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64),
-                       "key": np.zeros(2, dtype=np.uint64)},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    key = state["state"]["key"]
-    for k in range(len(keys)):
-        key[0] = keys[k]
+    for k, seed in enumerate(keys.tolist()):
+        key[0] = seed
         bg.state = state
         words[k] = bg.random_raw(2 * count)
     return words
@@ -184,8 +184,9 @@ def transform_rows(master_seed: int, start: int, stop: int, count: int,
 def _values_from_uniforms(dist: Distribution, u_mag: np.ndarray,
                           u_phase: np.ndarray) -> np.ndarray:
     if dist is Distribution.COMPLEX_GAUSSIAN:
-        mag = np.sqrt(-np.log1p(-u_mag))
-        return mag * np.exp(2j * np.pi * u_phase)
+        values = np.exp(2j * np.pi * u_phase)
+        values *= np.sqrt(-np.log1p(-u_mag))
+        return values
     if dist is Distribution.RADEMACHER:
         return np.where(u_mag < 0.5, 1.0, -1.0).astype(np.complex128)
     if dist is Distribution.STEINHAUS:

@@ -218,6 +218,7 @@ def test_criterion_8_saddle_point_ratio():
     assert elapsed < 10.0
 
 
+@pytest.mark.slow
 def test_criterion_9_forced_zero_evidence():
     t0 = time.monotonic()
     rad = forced_zero_experiment(Distribution.RADEMACHER, 1000, 200, 909090, workers=1)

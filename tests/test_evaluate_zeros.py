@@ -467,18 +467,52 @@ def _assert_stack_matches_rows(c_rows):
         assert np.array_equal(got, _per_row_roots(c))
 
 
+def _gef_stack(gef, r):
+    degree = truncation_degree(gef, r, 1e-9, 1e-9)  # 21 and 54, as `zeros` uses
+    return _gaussian_rows(degree, 1, 100) * np.exp(gef.log_coeffs(degree))
+
+
+def _unimodular_stack(gef, dist, theta):
+    return rotate_draw(draw_rows(dist, 5, 0, 8, 201), theta) * np.exp(gef.log_coeffs(200))
+
+
+STACKS = [
+    pytest.param(lambda gef: _gef_stack(gef, 1.0), id="gef-r1"),
+    pytest.param(lambda gef: _gef_stack(gef, 3.0), id="gef-r3"),
+    pytest.param(lambda gef: _unimodular_stack(gef, Distribution.RADEMACHER, 0.3),
+                 id="rademacher-d200"),
+    pytest.param(lambda gef: _unimodular_stack(gef, Distribution.STEINHAUS, 0.7),
+                 id="steinhaus-d200"),
+]
+
+
 @pytest.mark.parametrize("r", [1.0, 3.0])
 def test_stacked_roots_equal_per_row_roots_gef(gef, r):
-    degree = truncation_degree(gef, r, 1e-9, 1e-9)  # 21 and 54, as `zeros` uses
-    phi = _gaussian_rows(degree, 1, 100)
-    _assert_stack_matches_rows(phi * np.exp(gef.log_coeffs(degree)))
+    _assert_stack_matches_rows(_gef_stack(gef, r))
 
 
 @pytest.mark.parametrize("dist, theta", [(Distribution.RADEMACHER, 0.3),
                                          (Distribution.STEINHAUS, 0.7)])
 def test_stacked_roots_equal_per_row_roots_unimodular(gef, dist, theta):
-    phi = rotate_draw(draw_rows(dist, 5, 0, 8, 201), theta)
-    _assert_stack_matches_rows(phi * np.exp(gef.log_coeffs(200)))
+    _assert_stack_matches_rows(_unimodular_stack(gef, dist, theta))
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_companion_slices_equal_the_whole_stack(gef, monkeypatch, stack):
+    rows = stack(gef)
+    whole = roots_rows(rows)
+    monkeypatch.setattr(evaluate_zeros, "_COMPANION_ENTRIES", 1)  # one matrix per eigvals call
+    for got, want in zip(roots_rows(rows), whole, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_fft_circle_max_matches_horner(gef, stack):
+    C = stack(gef)
+    roots = np.array(roots_rows(C, check_residuals=False))
+    circle = np.abs(roots)[..., None] * np.exp(2j * np.pi * np.arange(64) / 64)
+    horner = np.max(np.abs(evaluate_zeros._horner(C, circle)), axis=-1)
+    np.testing.assert_allclose(evaluate_zeros._circle_max(C, roots), horner, rtol=1e-12, atol=0)
 
 
 def test_stacked_roots_zero_constant_terms_and_mixed_lengths(gef):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -200,6 +201,49 @@ def test_conditioned_r12_rows_keep_every_term(gef, monkeypatch):
     rows = np.concatenate(scaled)
     assert rows.shape == (4, conditioned_degree(12.0) + 1)
     assert np.all(rows != 0)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conditioned_chunk_memory_does_not_grow_with_its_rows(gef):
+    # a 2048-row chunk at r = 12 (degree 481) streams through blocks of
+    # about 543 rows, so it peaks near a 512-row chunk, not four times it
+    omega_conditioned_sample(gef, 12.0, 1, 1, workers=1)  # warm every cache first
+    small = _traced_peak(lambda: omega_conditioned_sample(gef, 12.0, 512, 1, workers=1))
+    full = _traced_peak(lambda: omega_conditioned_sample(gef, 12.0, 2048, 1, workers=1))
+    assert full <= 1.5 * small
+
+
+@pytest.mark.parametrize("block", [2**12, 2**20])
+def test_streamed_chunks_are_independent_of_the_block_size(gef, monkeypatch, block):
+    hole = hole_mc(gef, 3.0, 4500, 8, workers=1)
+    frac = omega_conditioned_sample(gef, 4.5, 300, 2, workers=1)
+    monkeypatch.setattr(hole_estimators, "_STREAM_VALUES", block)
+    assert hole_mc(gef, 3.0, 4500, 8, workers=1) == hole
+    assert omega_conditioned_sample(gef, 4.5, 300, 2, workers=1) == frac
+
+
+def test_uncertified_conditioned_row_names_its_sample(gef, monkeypatch):
+    # the kernel refuses the row of sample 2053, six rows into the second chunk
+    target = conditioned_rows(4.5, 2, 2053, 2054)[0]
+
+    def kernel(rows, r, **kwargs):
+        counts = winding_counts_batch(rows, r, **kwargs)
+        counts[np.all(rows == target, axis=1)] = -1
+        return counts
+
+    monkeypatch.setattr(hole_estimators, "winding_counts_batch", kernel)
+    monkeypatch.setattr(hole_estimators, "_STREAM_VALUES", 2**12)
+    assert omega_conditioned_sample(gef, 4.5, 2053, 2, workers=1) == 1.0
+    with pytest.raises(hole_estimators.ZeroCountError, match=r"^sample 2053 at r=4.5: "):
+        omega_conditioned_sample(gef, 4.5, 2100, 2, workers=1)
 
 
 def test_conditioned_fraction_reported_below_certified_radius(gef):
