@@ -39,7 +39,6 @@ from .evaluate_zeros import (
     roots_truncated,
 )
 from .hole_estimators import (
-    EstimateMethod,
     HoleEstimate,
     OmegaCertificate,
     hole_bracket_report,

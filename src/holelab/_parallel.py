@@ -1,7 +1,10 @@
 """Deterministic chunked execution, serial or across a process pool.
 
-Chunk boundaries are fixed by sample index, never by worker count, and
-chunk results are reduced in chunk order, so any worker count produces
+Every parallel job covers one range of sample indices from
+`sample_ranges`, so chunk boundaries are fixed by sample index, never by
+worker count.  Callers bind a job's shared arguments with
+`functools.partial` and pass the ranges as payloads; results come back in
+range order and are reduced in that order, so any worker count produces
 bit-identical output.
 """
 
@@ -19,6 +22,11 @@ def resolve_workers(workers: int | None = None) -> int:
     if env:
         return max(1, int(env))
     return os.cpu_count() or 1
+
+
+def sample_ranges(samples: int, rows: int) -> list[range]:
+    """Consecutive ranges of at most `rows` indices covering 0..samples-1."""
+    return [range(start, min(start + rows, samples)) for start in range(0, samples, rows)]
 
 
 def run_chunked(fn, payloads, workers: int | None = None) -> list:

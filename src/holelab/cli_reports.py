@@ -16,13 +16,13 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .coeff_models import (
     CoefficientModel,
-    ModelKind,
     peak_index_range,
     s_asymptotic,
     s_of_r_detail,
@@ -34,7 +34,7 @@ from .covariance_det import (
     minor_gap_report,
     vandermonde_lower_bound,
 )
-from .evaluate_zeros import verify_counts, winding_counts_batch
+from .evaluate_zeros import require_certified, verify_counts, winding_counts_batch
 from .hermite_asymptotics import annulus_escape, forced_zero_experiment, saddle_deviation
 from .hole_estimators import (
     TAIL_EPS,
@@ -50,7 +50,7 @@ from .volume_geometry import (
     volume_mc,
     volume_upper_bound_log,
 )
-from ._parallel import resolve_workers, run_chunked
+from ._parallel import resolve_workers, run_chunked, sample_ranges
 
 
 @dataclass
@@ -205,14 +205,15 @@ def _run_conditioned(args) -> dict:
 _ZEROS_JOB = 100  # rows per `zeros` job, fixed by sample index
 
 
-def _zeros_job(payload) -> np.ndarray:
-    """Counts of samples start..stop, each checked by the root oracle under --verify."""
-    kind_value, alpha, r, degree, seed, start, stop, verify = payload
-    model = CoefficientModel(ModelKind(kind_value), alpha)
-    rows = draw_rows(Distribution.COMPLEX_GAUSSIAN, seed, start, stop, degree + 1)
-    counts = winding_counts_batch(rows, r, log_coeffs=model.log_coeffs(degree), tail_eps=TAIL_EPS)
+def _zeros_job(model: CoefficientModel, r: float, degree: int, seed: int, verify: bool,
+               samples: range) -> np.ndarray:
+    """Counts of `samples`, each checked by the root oracle under --verify."""
+    rows = draw_rows(Distribution.COMPLEX_GAUSSIAN, seed, samples.start, samples.stop, degree + 1)
+    counts = winding_counts_batch(rows, r, log_coeffs=model.log_coeffs(degree),
+                                  tail_eps=TAIL_EPS, strict=False)
+    require_certified(counts, r, samples.start)
     if verify:
-        verify_counts(rows, model, r, counts, first_index=start)
+        verify_counts(rows, model, r, counts, first_index=samples.start)
     return counts
 
 
@@ -224,12 +225,9 @@ def _run_zeros(args) -> dict:
     model = _model_from(args)
     degree = (truncation_degree(model, args.r, TAIL_EPS, 1e-9)
               if args.degree is None else args.degree)
-    payloads = [
-        (model.kind.value, model.alpha, args.r, degree, args.seed, start,
-         min(start + _ZEROS_JOB, args.samples), args.verify)
-        for start in range(0, args.samples, _ZEROS_JOB)
-    ]
-    counts = np.concatenate(run_chunked(_zeros_job, payloads, args.threads)).astype(np.float64)
+    job = partial(_zeros_job, model, args.r, degree, args.seed, args.verify)
+    counts = np.concatenate(run_chunked(job, sample_ranges(args.samples, _ZEROS_JOB),
+                                        args.threads)).astype(np.float64)
     return {
         "mean_count": float(np.mean(counts)),
         "stderr": float(np.std(counts, ddof=1) / math.sqrt(len(counts))) if len(counts) > 1 else 0.0,

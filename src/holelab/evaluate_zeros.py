@@ -430,6 +430,19 @@ def winding_counts_batch(coeff_rows: np.ndarray, r: float, *,
     return counts
 
 
+def require_certified(counts: np.ndarray, r: float, first_index: int) -> None:
+    """Raise ZeroCountError naming the first sample without a certified count.
+
+    `counts` come from `winding_counts_batch(..., strict=False)`, where an
+    uncertified row or a negative winding reads below 0; row i is sample
+    first_index + i.
+    """
+    bad = np.flatnonzero(counts < 0)
+    if len(bad):
+        raise ZeroCountError(f"sample {first_index + int(bad[0])} at r={r!r}: no certified "
+                             f"non-negative winding number")
+
+
 def _strip_trailing(c: np.ndarray) -> np.ndarray:
     scale = float(np.max(np.abs(c)))
     if scale == 0.0 or not math.isfinite(scale):

@@ -25,14 +25,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .coeff_models import CoefficientModel
 from .evaluate_zeros import min_zero_moduli, rotate_draw
 from .sampling import Distribution, draw_rows
+from ._parallel import run_chunked, sample_ranges
 
 _ESCAPE_BLOCK = 1024  # recurrence steps between escape checks
+_FORCED_ZERO_JOB = 64  # rows per forced-zero job, fixed by sample index
 
 
 @dataclass(frozen=True)
@@ -153,12 +156,8 @@ def forced_zero_experiment(dist: Distribution, samples: int, degree: int,
         raise ValueError("degree must be >= 50")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    from ._parallel import run_chunked
-
-    chunks = [(start, min(start + 64, samples)) for start in range(0, samples, 64)]
-    payloads = [(dist.value, start, stop, degree, seed, rotate) for start, stop in chunks]
-    parts = run_chunked(_forced_zero_chunk, payloads, workers)
-    mods = np.concatenate(parts)
+    mods = np.concatenate(run_chunked(partial(_forced_zero_job, dist, degree, seed, rotate),
+                                      sample_ranges(samples, _FORCED_ZERO_JOB), workers))
     if not np.all(np.isfinite(mods)):
         raise ArithmeticError("non-finite minimum zero modulus encountered")
     q25, q50, q75, q90 = (float(q) for q in np.quantile(mods, [0.25, 0.5, 0.75, 0.9]))
@@ -178,11 +177,12 @@ def forced_zero_experiment(dist: Distribution, samples: int, degree: int,
     }
 
 
-def _forced_zero_chunk(payload) -> np.ndarray:
-    dist_value, start, stop, degree, seed, rotate = payload
-    rows = draw_rows(Distribution(dist_value), seed, start, stop, degree + 1)
-    if start == 0:
+def _forced_zero_job(dist: Distribution, degree: int, seed: int, rotate: float,
+                     samples: range) -> np.ndarray:
+    """Smallest zero moduli of `samples`, sample 0 replaced by the all-ones draw."""
+    rows = draw_rows(dist, seed, samples.start, samples.stop, degree + 1)
+    if samples.start == 0:
         rows[0] = all_ones_draw(degree)
     if rotate != 0.0:
         rows = rotate_draw(rows, rotate)
-    return min_zero_moduli(rows, CoefficientModel.gef(), first_index=start)
+    return min_zero_moduli(rows, CoefficientModel.gef(), first_index=samples.start)

@@ -22,23 +22,23 @@ When the worst-case triangle-inequality margin
 is positive, Omega_r forces |f| > 0 on the closed disk of radius r, so
 exp(log P(Omega_r)) is then a rigorous lower bound for the hole probability.
 
-Both Monte Carlo estimators run in chunks of 2048 samples, fixed by sample
-index.  Within a chunk, rows are drawn and counted in blocks of about 2^18
-coefficient values (543 rows at the conditioned degree for r = 12, the
-whole chunk at r = 1), so a worker's memory stays bounded as the
-truncation degree grows like r^2.
+Both Monte Carlo estimators split their samples into jobs by sample index
+(`_parallel.sample_ranges`), and each job draws and counts its rows in one
+call.  A job holds at most 2048 rows and at most about 2^18 coefficient
+values (2048 rows at r = 1, 543 at the conditioned degree for r = 12), so a
+worker's memory stays bounded as the truncation degree grows like r^2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from .coeff_models import CoefficientModel, ModelKind, s_asymptotic, s_of_r
-from .evaluate_zeros import ZeroCountError, winding_counts_batch
+from .evaluate_zeros import ZeroCountError, require_certified, winding_counts_batch
 from .sampling import (
     Distribution,
     draw_rows,
@@ -47,26 +47,21 @@ from .sampling import (
     truncation_degree,
     uniform_pairs,
 )
-from ._parallel import run_chunked
+from ._parallel import run_chunked, sample_ranges
 
 Z95 = 1.959963984540054
 # Sum of the clause-(iii) worst-case tail e^(-(k-1)/4), k >= 1; covers any
 # fractional offset of e r^2 from its floor.
 TAIL_MARGIN_CONST = 1.0 / (1.0 - math.exp(-0.25))
-MC_CHUNK = 2048
-_STREAM_VALUES = 2**18  # coefficient values drawn and counted at once within a chunk (4 MB)
+MC_CHUNK = 2048  # most rows in one Monte Carlo job
+_STREAM_VALUES = 2**18  # most coefficient values drawn and counted in one job (4 MB)
 TAIL_EPS = 1e-9  # bound on the truncation tail on |z| <= r; every count is certified against it
 _LN2 = math.log(2.0)
-
-
-class EstimateMethod(Enum):
-    DIRECT_MC = "direct-mc"
 
 
 @dataclass(frozen=True)
 class HoleEstimate:
     radius: float
-    method: EstimateMethod
     point_value: float
     ci_low: float
     ci_high: float
@@ -176,39 +171,18 @@ def smallest_certified_radius(step: float = 0.5, r_max: float = 64.0) -> float:
 # direct Monte Carlo
 
 
-def _stream_counts(draw, log_coeffs: np.ndarray, r: float, start: int, stop: int,
-                   *, strict: bool) -> tuple[int, int]:
-    """(zero-free rows, uncertified rows) among samples start..stop-1.
-
-    draw(lo, hi) gives the coefficient rows of samples lo..hi-1.  The chunk
-    is drawn and counted in blocks of about _STREAM_VALUES coefficient
-    values, so its memory does not grow with the degree.  Each row is drawn
-    and counted on its own, so the blocking changes no count.  With
-    `strict`, a row the kernel cannot certify raises ZeroCountError naming
-    its sample.
-    """
-    step = max(1, _STREAM_VALUES // len(log_coeffs))
-    zero_free = uncertified = 0
-    for lo in range(start, stop, step):
-        hi = min(lo + step, stop)
-        counts = winding_counts_batch(draw(lo, hi), r, log_coeffs=log_coeffs,
-                                      tail_eps=TAIL_EPS, strict=False)
-        bad = np.flatnonzero(counts < 0)
-        if strict and len(bad):
-            raise ZeroCountError(f"sample {lo + int(bad[0])} at r={r!r}: no certified "
-                                 f"non-negative winding number")
-        zero_free += int(np.count_nonzero(counts == 0))
-        uncertified += len(bad)
-    return zero_free, uncertified
+def _job_rows(degree: int) -> int:
+    """Rows per Monte Carlo job: at most MC_CHUNK and about _STREAM_VALUES values."""
+    return min(MC_CHUNK, max(1, _STREAM_VALUES // (degree + 1)))
 
 
-def _hole_chunk(payload) -> tuple[int, int]:
-    """(zero-free rows, rows the kernel could not certify) for one chunk."""
-    kind_value, alpha, r, degree, seed, start, stop = payload
-    model = CoefficientModel(ModelKind(kind_value), alpha)
-    return _stream_counts(
-        lambda lo, hi: draw_rows(Distribution.COMPLEX_GAUSSIAN, seed, lo, hi, degree + 1),
-        model.log_coeffs(degree), r, start, stop, strict=False)
+def _hole_job(model: CoefficientModel, r: float, degree: int, seed: int,
+              samples: range) -> tuple[int, int]:
+    """(zero-free rows, rows the kernel could not certify) among `samples`."""
+    rows = draw_rows(Distribution.COMPLEX_GAUSSIAN, seed, samples.start, samples.stop, degree + 1)
+    counts = winding_counts_batch(rows, r, log_coeffs=model.log_coeffs(degree),
+                                  tail_eps=TAIL_EPS, strict=False)
+    return int(np.count_nonzero(counts == 0)), int(np.count_nonzero(counts < 0))
 
 
 def hole_mc(model: CoefficientModel, r: float, samples: int, seed: int,
@@ -225,12 +199,8 @@ def hole_mc(model: CoefficientModel, r: float, samples: int, seed: int,
     if samples < 100:
         raise ValueError("samples must be >= 100")
     degree = truncation_degree(model, r, TAIL_EPS, 1e-6 / samples)
-    payloads = [
-        (model.kind.value, model.alpha, r, degree, seed, start,
-         min(start + MC_CHUNK, samples))
-        for start in range(0, samples, MC_CHUNK)
-    ]
-    parts = run_chunked(_hole_chunk, payloads, workers)
+    parts = run_chunked(partial(_hole_job, model, r, degree, seed),
+                        sample_ranges(samples, _job_rows(degree)), workers)
     zero_free = sum(p[0] for p in parts)
     failures = sum(p[1] for p in parts)
     if failures > 1e-3 * samples:
@@ -238,8 +208,7 @@ def hole_mc(model: CoefficientModel, r: float, samples: int, seed: int,
     effective = samples - failures
     p_hat = zero_free / effective
     lo, hi = wilson_interval(zero_free, effective)
-    return HoleEstimate(radius=r, method=EstimateMethod.DIRECT_MC,
-                        point_value=p_hat, ci_low=lo, ci_high=hi,
+    return HoleEstimate(radius=r, point_value=p_hat, ci_low=lo, ci_high=hi,
                         samples=effective, seed=seed)
 
 
@@ -278,12 +247,6 @@ def _conditioned_values(r: float, caps_sq: np.ndarray, u_mag: np.ndarray,
     return np.sqrt(e_sq) * np.exp(2j * np.pi * u_phase)
 
 
-def _conditioned_transform(r: float, degree: int):
-    """(u_mag, u_phase) blocks -> conditioned coefficients, the caps formed once."""
-    caps_sq = np.exp(_conditioned_caps_sq_log(r, degree))
-    return lambda u_mag, u_phase: _conditioned_values(r, caps_sq, u_mag, u_phase)
-
-
 def conditioned_draw(r: float, master_seed: int, degree: int | None = None) -> np.ndarray:
     """One coefficient vector phi_0..phi_degree drawn from the confinement event.
 
@@ -306,16 +269,17 @@ def conditioned_rows(r: float, seed: int, start: int, stop: int,
     """
     if degree is None:
         degree = conditioned_degree(r)
-    return transform_rows(seed, start, stop, degree + 1, _conditioned_transform(r, degree))
+    caps_sq = np.exp(_conditioned_caps_sq_log(r, degree))
+    return transform_rows(seed, start, stop, degree + 1, partial(_conditioned_values, r, caps_sq))
 
 
-def _conditioned_chunk(payload) -> int:
-    """Zero-free rows among one chunk of conditioned draws; an uncertified row raises."""
-    r, degree, seed, start, stop = payload
-    transform = _conditioned_transform(r, degree)
-    return _stream_counts(lambda lo, hi: transform_rows(seed, lo, hi, degree + 1, transform),
-                          CoefficientModel.gef().log_coeffs(degree), r, start, stop,
-                          strict=True)[0]
+def _conditioned_job(r: float, degree: int, seed: int, samples: range) -> int:
+    """Zero-free rows among conditioned `samples`; an uncertified row raises naming its sample."""
+    rows = conditioned_rows(r, seed, samples.start, samples.stop, degree)
+    counts = winding_counts_batch(rows, r, log_coeffs=CoefficientModel.gef().log_coeffs(degree),
+                                  tail_eps=TAIL_EPS, strict=False)
+    require_certified(counts, r, samples.start)
+    return int(np.count_nonzero(counts == 0))
 
 
 def omega_conditioned_sample(model: CoefficientModel, r: float, samples: int,
@@ -332,11 +296,8 @@ def omega_conditioned_sample(model: CoefficientModel, r: float, samples: int,
     if not r >= 1:
         raise ValueError("conditioned sampling defined for r >= 1")
     degree = conditioned_degree(r)
-    payloads = [
-        (r, degree, seed, start, min(start + MC_CHUNK, samples))
-        for start in range(0, samples, MC_CHUNK)
-    ]
-    return sum(run_chunked(_conditioned_chunk, payloads, workers)) / samples
+    return sum(run_chunked(partial(_conditioned_job, r, degree, seed),
+                           sample_ranges(samples, _job_rows(degree)), workers)) / samples
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff_models import log_gamma
+from ._parallel import sample_ranges
 
 _SEED_MASK = (1 << 64) - 1
 _MC_CHUNK = 1 << 18
@@ -94,18 +95,13 @@ def volume_mc(q: VolumeQuery, samples: int, seed: int) -> VolumeMCResult:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     hits = 0
-    done = 0
-    chunk_index = 0
     # prod(x_j) <= s with x_j = t*u_j  <=>  prod(u_j) <= s / t^k
     ratio = q.s * q.t ** (-q.k)
-    while done < samples:
-        n = min(_MC_CHUNK, samples - done)
+    for chunk_index, chunk in enumerate(sample_ranges(samples, _MC_CHUNK)):
         key = np.array([seed & _SEED_MASK, chunk_index], dtype=np.uint64)
-        words = np.random.Philox(key=key).random_raw(n * q.k)
-        u = ((words >> np.uint64(11)) * 2.0**-53).reshape(n, q.k)
+        words = np.random.Philox(key=key).random_raw(len(chunk) * q.k)
+        u = ((words >> np.uint64(11)) * 2.0**-53).reshape(len(chunk), q.k)
         hits += int(np.count_nonzero(np.prod(u, axis=1) <= ratio))
-        done += n
-        chunk_index += 1
     p = hits / samples
     box = q.t ** q.k
     stderr = box * math.sqrt(p * (1.0 - p) / samples)

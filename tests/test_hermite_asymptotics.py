@@ -203,9 +203,9 @@ def test_forced_zero_rotation_invariance_ks():
     a = forced_zero_experiment(Distribution.STEINHAUS, 60, 80, 21)
     b = forced_zero_experiment(Distribution.STEINHAUS, 60, 80, 22, rotate=0.7)
     # re-run the raw samples for the KS statistic
-    from holelab.hermite_asymptotics import _forced_zero_chunk
-    xs = _forced_zero_chunk((Distribution.STEINHAUS.value, 0, 60, 80, 21, 0.0))
-    ys = _forced_zero_chunk((Distribution.STEINHAUS.value, 0, 60, 80, 22, 0.7))
+    from holelab.hermite_asymptotics import _forced_zero_job
+    xs = _forced_zero_job(Distribution.STEINHAUS, 80, 21, 0.0, range(0, 60))
+    ys = _forced_zero_job(Distribution.STEINHAUS, 80, 22, 0.7, range(0, 60))
     assert scipy.stats.ks_2samp(xs, ys).pvalue > 0.01
 
 

@@ -9,7 +9,6 @@ import pytest
 mp.mp.dps = 60  # the log(1 - e^-x) oracle needs headroom at x ~ 1e-12
 
 from holelab import (
-    EstimateMethod,
     hole_bracket_report,
     hole_mc,
     omega_certificate,
@@ -18,6 +17,7 @@ from holelab import (
     s_of_r,
 )
 from holelab import hole_estimators
+from holelab._parallel import run_chunked, sample_ranges
 from holelab.evaluate_zeros import _unit_circle_rows, winding_counts_batch
 from holelab.hole_estimators import (
     TAIL_MARGIN_CONST,
@@ -246,6 +246,24 @@ def test_uncertified_conditioned_row_names_its_sample(gef, monkeypatch):
         omega_conditioned_sample(gef, 4.5, 2100, 2, workers=1)
 
 
+def test_jobs_hold_2048_rows_at_r1_and_bounded_values_at_conditioned_r12(gef, monkeypatch):
+    calls = []
+
+    def spy(fn, payloads, workers=None):
+        calls.append((fn, payloads))
+        return run_chunked(fn, payloads, workers)
+
+    monkeypatch.setattr(hole_estimators, "run_chunked", spy)
+    hole_mc(gef, 1.0, 5000, 7, workers=1)
+    omega_conditioned_sample(gef, 12.0, 1200, 1, workers=1)
+    (_, hole_jobs), (conditioned_job, conditioned_jobs) = calls
+    assert hole_jobs == [range(0, 2048), range(2048, 4096), range(4096, 5000)]
+    degree = conditioned_job.args[1]
+    assert degree == conditioned_degree(12.0)
+    assert conditioned_jobs == sample_ranges(1200, 543)
+    assert all(len(job) * (degree + 1) <= 2**18 for job in conditioned_jobs)
+
+
 def test_conditioned_fraction_reported_below_certified_radius(gef):
     frac = omega_conditioned_sample(gef, 1.0, 100, 314)
     assert 0.0 <= frac <= 1.0
@@ -261,7 +279,6 @@ def test_conditioned_validation(gef, ml1):
 def test_hole_mc_tiny_radius(gef):
     est = hole_mc(gef, 0.05, 1000, 3)
     assert est.ci_high >= 0.99
-    assert est.method is EstimateMethod.DIRECT_MC
 
 
 def test_hole_mc_reproducible_and_worker_independent(gef):
