@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .coeff_models import (
     CoefficientModel,
+    expected_zero_count,
     peak_index_range,
     s_asymptotic,
     s_of_r_detail,
@@ -34,7 +35,7 @@ from .covariance_det import (
     minor_gap_report,
     vandermonde_lower_bound,
 )
-from .evaluate_zeros import require_certified, verify_counts, winding_counts_batch
+from .evaluate_zeros import verify_counts, winding_counts_batch
 from .hermite_asymptotics import annulus_escape, forced_zero_experiment, saddle_deviation
 from .hole_estimators import (
     TAIL_EPS,
@@ -205,13 +206,12 @@ def _run_conditioned(args) -> dict:
 _ZEROS_JOB = 100  # rows per `zeros` job, fixed by sample index
 
 
-def _zeros_job(model: CoefficientModel, r: float, degree: int, seed: int, verify: bool,
-               samples: range) -> np.ndarray:
+def _zeros_job(model: CoefficientModel, r: float, degree: int, tail_eps: float, seed: int,
+               verify: bool, samples: range) -> np.ndarray:
     """Counts of `samples`, each checked by the root oracle under --verify."""
     rows = draw_rows(Distribution.COMPLEX_GAUSSIAN, seed, samples.start, samples.stop, degree + 1)
     counts = winding_counts_batch(rows, r, log_coeffs=model.log_coeffs(degree),
-                                  tail_eps=TAIL_EPS, strict=False)
-    require_certified(counts, r, samples.start)
+                                  tail_eps=tail_eps, first_index=samples.start)
     if verify:
         verify_counts(rows, model, r, counts, first_index=samples.start)
     return counts
@@ -225,13 +225,14 @@ def _run_zeros(args) -> dict:
     model = _model_from(args)
     degree = (truncation_degree(model, args.r, TAIL_EPS, 1e-9)
               if args.degree is None else args.degree)
-    job = partial(_zeros_job, model, args.r, degree, args.seed, args.verify)
+    tail_eps = TAIL_EPS if args.degree is None else 0.0  # a user degree certifies no tail
+    job = partial(_zeros_job, model, args.r, degree, tail_eps, args.seed, args.verify)
     counts = np.concatenate(run_chunked(job, sample_ranges(args.samples, _ZEROS_JOB),
                                         args.threads)).astype(np.float64)
     return {
         "mean_count": float(np.mean(counts)),
         "stderr": float(np.std(counts, ddof=1) / math.sqrt(len(counts))) if len(counts) > 1 else 0.0,
-        "expected_intensity": args.r ** 2,
+        "expected_intensity": expected_zero_count(model, args.r),
         "degree": degree,
         "verified": bool(args.verify),
     }

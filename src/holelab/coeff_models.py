@@ -145,6 +145,28 @@ def s_asymptotic(model: CoefficientModel, r: float) -> float:
     return r ** (2.0 / model.alpha) / (2.0 * model.alpha)
 
 
+def expected_zero_count(model: CoefficientModel, r: float) -> float:
+    """Edelman-Kostlan mean zero count in |z| < r: r^2 K'(r^2) / K(r^2), K(t) = sum a_n^2 t^n.
+
+    That is the mean of n under the weights a_n^2 r^(2n), summed in log scale
+    until they fall by e^-100 past the peak (log a_n is concave, so the rest
+    is negligible).  For GEF, K(t) = e^t and the mean is r^2 exactly.
+    """
+    if not r > 0:
+        raise ValueError("r must be positive")
+    if model.kind is ModelKind.GEF:
+        return r ** 2
+    n_max = 64
+    while True:
+        n = np.arange(n_max + 1, dtype=np.float64)
+        u = 2.0 * (model.log_coeffs(n_max) + n * math.log(r))
+        peak = int(np.argmax(u))
+        if peak < n_max and u[-1] < u[peak] - 100.0:
+            w = np.exp(u - u[peak])
+            return float(np.dot(n, w) / np.sum(w))
+        n_max *= 2
+
+
 def peak_index_range(model: CoefficientModel, r: float) -> tuple[int, int]:
     """Index interval where a_n r^n attains its local maximum.
 

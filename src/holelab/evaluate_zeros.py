@@ -25,7 +25,7 @@ cross-verify each other:
     two >= 64 and >= (N+1)/2 points.  Rows with many failing arcs are
     evaluated again on a doubled grid; the others bisect only their
     failing arcs, evaluating q and q' at the midpoints by Horner.  A row
-    nothing certifies is reported, never guessed;
+    nothing certifies raises, naming its sample, and is never guessed;
   * a companion-matrix root oracle (balanced eigenvalues, a damped Newton
     polish and a residual check against the max of |p| on the root's own
     circle, taken from one 64-point FFT per root).  `roots_rows` is the one
@@ -382,7 +382,7 @@ def _bisect(D: np.ndarray, K: np.ndarray, bits: np.ndarray, arcs: _Arcs,
 
 def winding_counts_batch(coeff_rows: np.ndarray, r: float, *,
                          log_coeffs: np.ndarray | None = None, tail_eps: float = 0.0,
-                         strict: bool = True) -> np.ndarray:
+                         first_index: int = 0) -> np.ndarray:
     """Certified winding numbers for many coefficient rows along the same circle.
 
     Row i holds c_n = phi_n a_n, or phi_n alone when `log_coeffs` gives
@@ -393,9 +393,10 @@ def winding_counts_batch(coeff_rows: np.ndarray, r: float, *,
     makes the count one of f.  The first grid is shared by all rows; rows
     with many failing arcs go together to doubled grids, up to 2^16
     points, and the others bisect their failing arcs together.
-    A row nothing certifies, or one that winds a negative number of times
-    (impossible for an analytic function), raises ZeroCountError, or with
-    strict=False gets a negative count (-1 when uncertified).
+    Row i is sample first_index + i.  A row nothing certifies, or one that
+    winds a negative number of times (impossible for an analytic function),
+    raises ZeroCountError naming the first such sample: no caller gets a
+    count the kernel could not certify.
     """
     rows = np.asarray(coeff_rows, dtype=np.complex128)
     D, log_scale = _unit_circle_rows(rows, r, log_coeffs)
@@ -418,29 +419,15 @@ def winding_counts_batch(coeff_rows: np.ndarray, r: float, *,
     counts = np.rint(w_float).astype(np.int64)
     uncertified |= np.abs(w_float - counts) > 1e-3
     bad = uncertified | (counts < 0)
-    if strict and bad.any():
+    if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise ZeroCountError(
-            f"row {i} at r={r!r}: " + (
+            f"sample {first_index + i} at r={r!r}: " + (
                 "no certified winding number (|f| on the circle is not bounded "
                 "away from the rounding error and the truncation tail)"
                 if uncertified[i] else
                 f"negative winding {counts[i]} for an analytic function"))
-    counts[uncertified] = -1
     return counts
-
-
-def require_certified(counts: np.ndarray, r: float, first_index: int) -> None:
-    """Raise ZeroCountError naming the first sample without a certified count.
-
-    `counts` come from `winding_counts_batch(..., strict=False)`, where an
-    uncertified row or a negative winding reads below 0; row i is sample
-    first_index + i.
-    """
-    bad = np.flatnonzero(counts < 0)
-    if len(bad):
-        raise ZeroCountError(f"sample {first_index + int(bad[0])} at r={r!r}: no certified "
-                             f"non-negative winding number")
 
 
 def _strip_trailing(c: np.ndarray) -> np.ndarray:
@@ -511,9 +498,9 @@ def roots_rows(coeff_rows: np.ndarray, *, check_residuals: bool = True,
     return out
 
 
-def roots_truncated(ts: TruncatedSeries, *, check_residuals: bool = True) -> np.ndarray:
+def roots_truncated(ts: TruncatedSeries) -> np.ndarray:
     """All roots of the truncated polynomial: the one-row case of `roots_rows`."""
-    return roots_rows(ts.coeffs()[None, :], check_residuals=check_residuals)[0]
+    return roots_rows(ts.coeffs()[None, :])[0]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")

@@ -23,10 +23,11 @@ is positive, Omega_r forces |f| > 0 on the closed disk of radius r, so
 exp(log P(Omega_r)) is then a rigorous lower bound for the hole probability.
 
 Both Monte Carlo estimators split their samples into jobs by sample index
-(`_parallel.sample_ranges`), and each job draws and counts its rows in one
-call.  A job holds at most 2048 rows and at most about 2^18 coefficient
-values (2048 rows at r = 1, 543 at the conditioned degree for r = 12), so a
-worker's memory stays bounded as the truncation degree grows like r^2.
+(`_parallel.sample_ranges`) and run one job, `_zero_free_job`, which draws
+and counts its rows in one call; a row the kernel cannot certify raises,
+naming its sample.  A job holds at most 2048 rows and at most about 2^18
+coefficient values (2048 rows at r = 1, 543 at the conditioned degree for
+r = 12), so a worker's memory stays bounded as the degree grows like r^2.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from .coeff_models import CoefficientModel, ModelKind, s_asymptotic, s_of_r
-from .evaluate_zeros import ZeroCountError, require_certified, winding_counts_batch
+from .evaluate_zeros import ZeroCountError, winding_counts_batch
 from .sampling import (
     Distribution,
     draw_rows,
@@ -176,13 +177,11 @@ def _job_rows(degree: int) -> int:
     return min(MC_CHUNK, max(1, _STREAM_VALUES // (degree + 1)))
 
 
-def _hole_job(model: CoefficientModel, r: float, degree: int, seed: int,
-              samples: range) -> tuple[int, int]:
-    """(zero-free rows, rows the kernel could not certify) among `samples`."""
-    rows = draw_rows(Distribution.COMPLEX_GAUSSIAN, seed, samples.start, samples.stop, degree + 1)
-    counts = winding_counts_batch(rows, r, log_coeffs=model.log_coeffs(degree),
-                                  tail_eps=TAIL_EPS, strict=False)
-    return int(np.count_nonzero(counts == 0)), int(np.count_nonzero(counts < 0))
+def _zero_free_job(draw, log_coeffs: np.ndarray, r: float, samples: range) -> int:
+    """Zero-free rows among `samples`, drawn by draw(start, stop); an uncertified row raises."""
+    counts = winding_counts_batch(draw(samples.start, samples.stop), r, log_coeffs=log_coeffs,
+                                  tail_eps=TAIL_EPS, first_index=samples.start)
+    return int(np.count_nonzero(counts == 0))
 
 
 def hole_mc(model: CoefficientModel, r: float, samples: int, seed: int,
@@ -191,25 +190,20 @@ def hole_mc(model: CoefficientModel, r: float, samples: int, seed: int,
 
     Truncation comes from the tail certificate at eps = 1e-9 with failure
     budget 1e-6/samples, and each count is certified against that tail, so
-    it holds for f itself unless the certificate fails.  Rows the kernel
-    cannot certify are tallied as failures and left out.  Identical seeds
-    give bit-identical results for any worker count (per-sample seeding,
-    fixed chunking, integer tallies).
+    it holds for f itself unless the certificate fails.  A row the kernel
+    cannot certify raises ZeroCountError naming its sample; no row leaves
+    the denominator.  Identical seeds give bit-identical results for any
+    worker count (per-sample seeding, fixed chunking, integer tallies).
     """
     if samples < 100:
         raise ValueError("samples must be >= 100")
     degree = truncation_degree(model, r, TAIL_EPS, 1e-6 / samples)
-    parts = run_chunked(partial(_hole_job, model, r, degree, seed),
-                        sample_ranges(samples, _job_rows(degree)), workers)
-    zero_free = sum(p[0] for p in parts)
-    failures = sum(p[1] for p in parts)
-    if failures > 1e-3 * samples:
-        raise RuntimeError(f"{failures} unresolved zero counts out of {samples}")
-    effective = samples - failures
-    p_hat = zero_free / effective
-    lo, hi = wilson_interval(zero_free, effective)
-    return HoleEstimate(radius=r, point_value=p_hat, ci_low=lo, ci_high=hi,
-                        samples=effective, seed=seed)
+    draw = partial(draw_rows, Distribution.COMPLEX_GAUSSIAN, seed, count=degree + 1)
+    zero_free = sum(run_chunked(partial(_zero_free_job, draw, model.log_coeffs(degree), r),
+                                sample_ranges(samples, _job_rows(degree)), workers))
+    lo, hi = wilson_interval(zero_free, samples)
+    return HoleEstimate(radius=r, point_value=zero_free / samples, ci_low=lo, ci_high=hi,
+                        samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +220,15 @@ def _conditioned_caps_sq_log(r: float, degree: int) -> np.ndarray:
     return caps
 
 
-def conditioned_degree(r: float, tail_eps: float = TAIL_EPS) -> int:
+def conditioned_degree(r: float) -> int:
     """Truncation degree for conditioned draws.
 
     On the event, index n > floor(e r^2) contributes at most
     e^(-(n - e r^2)/4) to |f| on the disk; the degree is chosen so the
-    discarded deterministic tail sum is below tail_eps.
+    discarded deterministic tail sum is below TAIL_EPS.
     """
     er2 = math.e * r * r
-    extra = 4.0 * math.log(TAIL_MARGIN_CONST / tail_eps)
+    extra = 4.0 * math.log(TAIL_MARGIN_CONST / TAIL_EPS)
     return int(math.ceil(er2 + extra))
 
 
@@ -273,15 +267,6 @@ def conditioned_rows(r: float, seed: int, start: int, stop: int,
     return transform_rows(seed, start, stop, degree + 1, partial(_conditioned_values, r, caps_sq))
 
 
-def _conditioned_job(r: float, degree: int, seed: int, samples: range) -> int:
-    """Zero-free rows among conditioned `samples`; an uncertified row raises naming its sample."""
-    rows = conditioned_rows(r, seed, samples.start, samples.stop, degree)
-    counts = winding_counts_batch(rows, r, log_coeffs=CoefficientModel.gef().log_coeffs(degree),
-                                  tail_eps=TAIL_EPS, strict=False)
-    require_certified(counts, r, samples.start)
-    return int(np.count_nonzero(counts == 0))
-
-
 def omega_conditioned_sample(model: CoefficientModel, r: float, samples: int,
                              seed: int, *, workers: int | None = 1) -> float:
     """Zero-free fraction among draws conditioned on the confinement event.
@@ -296,7 +281,8 @@ def omega_conditioned_sample(model: CoefficientModel, r: float, samples: int,
     if not r >= 1:
         raise ValueError("conditioned sampling defined for r >= 1")
     degree = conditioned_degree(r)
-    return sum(run_chunked(partial(_conditioned_job, r, degree, seed),
+    draw = partial(conditioned_rows, r, seed, degree=degree)
+    return sum(run_chunked(partial(_zero_free_job, draw, model.log_coeffs(degree), r),
                            sample_ranges(samples, _job_rows(degree)), workers)) / samples
 
 

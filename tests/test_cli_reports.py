@@ -187,6 +187,38 @@ def test_zeros_degree_flag(capsys):
     assert "--degree must be >= 0" in capsys.readouterr().err
 
 
+def test_zeros_user_degree_counts_the_polynomial(capsys, monkeypatch):
+    # a user-set degree certifies no truncation tail, so its counts must not
+    # be certified against one (at r = 3, degree 5 leaves a tail far above 1e-9)
+    from holelab import cli_reports
+
+    seen = []
+    kernel = cli_reports.winding_counts_batch
+
+    def spy(rows, r, **kw):
+        seen.append(kw["tail_eps"])
+        return kernel(rows, r, **kw)
+
+    monkeypatch.setattr(cli_reports, "winding_counts_batch", spy)
+    code, out = _capture(capsys, ["zeros", "--r", "3", "--samples", "20", "--degree", "5",
+                                  "--threads", "1"])
+    assert code == 0 and seen == [0.0]
+    assert json.loads(out)["results"]["degree"] == 5
+    seen.clear()
+    assert _capture(capsys, ["zeros", "--r", "3", "--samples", "20", "--threads", "1"])[0] == 0
+    assert seen == [cli_reports.TAIL_EPS]
+
+
+def test_zeros_expected_intensity_is_the_model_mean(capsys):
+    # Edelman-Kostlan mean r^2 K'(r^2)/K(r^2), frozen from an mpmath sum; r^2 only for GEF
+    for argv, mean in ((["--model", "ml", "--alpha", "0.5"], 7.482692364138342),
+                       (["--model", "ml", "--alpha", "2"], 0.520699162346642),
+                       ([], 4.0)):
+        code, out = _capture(capsys, ["zeros", "--r", "2", "--samples", "2"] + argv)
+        assert code == 0
+        assert json.loads(out)["results"]["expected_intensity"] == pytest.approx(mean, rel=1e-12)
+
+
 def test_float_17_digit_round_trip():
     rng = np.random.default_rng(17)
     # random doubles across the exponent range, plus awkward edge cases

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from holelab import CoefficientModel, peak_index_range, s_asymptotic, s_of_r, s_of_r_detail, tail_log_bound
-from holelab.coeff_models import QUARTIC_LAW_CONST, ModelKind, log_gamma
+from holelab.coeff_models import QUARTIC_LAW_CONST, ModelKind, expected_zero_count, log_gamma
 
 mp.mp.dps = 30
 
@@ -176,6 +176,22 @@ def test_tail_log_bound_dominates(gef):
         for n in range(start, start + 200):
             t = gef.log_coeff(n) + n * math.log(r)
             assert t <= tail_log_bound(r, n) + 1e-12
+
+
+@pytest.mark.parametrize("alpha, r", [(0.5, 2.0), (2.0, 2.0), (1.0, 3.0), (0.25, 1.5), (3.0, 0.1)])
+def test_expected_zero_count_matches_mpmath_sum(alpha, r):
+    # E N(r) = sum n a_n^2 r^(2n) / sum a_n^2 r^(2n), a_n = 1/Gamma(alpha n + 1)
+    weight = lambda n: mp.mpf(r) ** (2 * n) / mp.gamma(alpha * n + 1) ** 2
+    exact = mp.nsum(lambda n: n * weight(n), [0, mp.inf]) / mp.nsum(weight, [0, mp.inf])
+    model = CoefficientModel.mittag_leffler(alpha)
+    assert expected_zero_count(model, r) == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_expected_zero_count_gef_is_r_squared(gef):
+    for r in (0.3, 1.0, 3.0, 12.0):
+        assert expected_zero_count(gef, r) == r ** 2
+    with pytest.raises(ValueError):
+        expected_zero_count(gef, 0.0)
 
 
 def test_s_of_r_rejects_nonpositive_radius(gef):

@@ -359,12 +359,14 @@ def test_batch_at_r12_emits_no_runtime_warning(gef):
     assert np.all(scaled > 100) and np.all(linear > 100)
 
 
-def test_uncertified_rows_raise_or_count_minus_one(gef):
+def test_uncertified_row_raises_naming_its_sample(gef):
     # z - 1 has its zero on |z| = 1, so no retry can certify that row
     rows = np.array([[-1.0, 1.0], [0.5, 1.0], [2.0, 1.0]], dtype=np.complex128)
-    with pytest.raises(ZeroCountError):
+    with pytest.raises(ZeroCountError, match=r"^sample 0 at r=1\.0: no certified winding"):
         winding_counts_batch(rows, 1.0)
-    assert list(winding_counts_batch(rows, 1.0, strict=False)) == [-1, 1, 0]
+    with pytest.raises(ZeroCountError, match=r"^sample 12 at r=1\.0: no certified winding"):
+        winding_counts_batch(rows[[1, 2, 0]], 1.0, first_index=10)
+    assert list(winding_counts_batch(rows[1:], 1.0)) == [1, 0]
 
 
 def test_two_zeros_in_one_grid_cell_are_both_counted():
@@ -413,12 +415,11 @@ def _hard_roots(draw):
 def test_kernel_never_returns_a_wrong_count(roots, degree):
     c = np.zeros(max(len(roots), degree) + 1, dtype=np.complex128)
     c[: len(roots) + 1] = np.poly(roots)[::-1] if roots else 1.0
-    got = winding_counts_batch(c[None, :], 1.0, strict=False)[0]
-    if got == -1:
-        with pytest.raises(ZeroCountError):
-            winding_counts_batch(c[None, :], 1.0)
-    else:
-        assert got == _true_count(c)
+    try:
+        got = winding_counts_batch(c[None, :], 1.0)[0]
+    except ZeroCountError:
+        return  # a refusal, never a wrong count
+    assert got == _true_count(c)
 
 
 def test_residual_check_rejects_overflowed_horner():

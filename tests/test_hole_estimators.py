@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import tracemalloc
 
 import mpmath as mp
@@ -16,10 +17,11 @@ from holelab import (
     omega_log_prob,
     s_of_r,
 )
-from holelab import hole_estimators
+from holelab import Distribution, draw_rows, evaluate_zeros, hole_estimators, truncation_degree
 from holelab._parallel import run_chunked, sample_ranges
 from holelab.evaluate_zeros import _unit_circle_rows, winding_counts_batch
 from holelab.hole_estimators import (
+    TAIL_EPS,
     TAIL_MARGIN_CONST,
     _conditioned_caps_sq_log,
     _log1mexp,
@@ -176,7 +178,7 @@ def test_conditioned_rows_match_per_sample_objects(r):
 
 def test_conditioned_degree_tail_budget():
     r = 4.5
-    degree = conditioned_degree(r, tail_eps=1e-9)
+    degree = conditioned_degree(r)
     er2 = math.e * r * r
     n = np.arange(degree + 1, degree + 4000)
     assert float(np.sum(np.exp(-0.25 * (n - er2)))) <= 1e-9
@@ -230,16 +232,23 @@ def test_streamed_chunks_are_independent_of_the_block_size(gef, monkeypatch, blo
     assert omega_conditioned_sample(gef, 4.5, 300, 2, workers=1) == frac
 
 
+def _refuse_row(monkeypatch, row, r, log_coeffs):
+    """Make the kernel's arc bisection refuse every row equal to `row` (phi_0..phi_N)."""
+    target = _unit_circle_rows(row[None, :], r, log_coeffs)[0][0]
+    bisect = evaluate_zeros._bisect
+
+    def refuse(D, *args):
+        refused = bisect(D, *args)
+        refused[np.all(D == target, axis=1)] = True
+        return refused
+
+    monkeypatch.setattr(evaluate_zeros, "_bisect", refuse)
+
+
 def test_uncertified_conditioned_row_names_its_sample(gef, monkeypatch):
     # the kernel refuses the row of sample 2053, six rows into the second chunk
-    target = conditioned_rows(4.5, 2, 2053, 2054)[0]
-
-    def kernel(rows, r, **kwargs):
-        counts = winding_counts_batch(rows, r, **kwargs)
-        counts[np.all(rows == target, axis=1)] = -1
-        return counts
-
-    monkeypatch.setattr(hole_estimators, "winding_counts_batch", kernel)
+    degree = conditioned_degree(4.5)
+    _refuse_row(monkeypatch, conditioned_rows(4.5, 2, 2053, 2054)[0], 4.5, gef.log_coeffs(degree))
     monkeypatch.setattr(hole_estimators, "_STREAM_VALUES", 2**12)
     assert omega_conditioned_sample(gef, 4.5, 2053, 2, workers=1) == 1.0
     with pytest.raises(hole_estimators.ZeroCountError, match=r"^sample 2053 at r=4.5: "):
@@ -258,10 +267,34 @@ def test_jobs_hold_2048_rows_at_r1_and_bounded_values_at_conditioned_r12(gef, mo
     omega_conditioned_sample(gef, 12.0, 1200, 1, workers=1)
     (_, hole_jobs), (conditioned_job, conditioned_jobs) = calls
     assert hole_jobs == [range(0, 2048), range(2048, 4096), range(4096, 5000)]
-    degree = conditioned_job.args[1]
+    degree = len(conditioned_job.args[1]) - 1
     assert degree == conditioned_degree(12.0)
     assert conditioned_jobs == sample_ranges(1200, 543)
     assert all(len(job) * (degree + 1) <= 2**18 for job in conditioned_jobs)
+
+
+def test_uncertified_hole_row_raises_naming_its_sample(gef, monkeypatch):
+    # the kernel refuses sample 2100, in the second 2048-row job: the estimate
+    # must not quietly drop it from its denominator; forked workers inherit the patch
+    degree = truncation_degree(gef, 1.0, TAIL_EPS, 1e-6 / 3000)
+    row = draw_rows(Distribution.COMPLEX_GAUSSIAN, 5, 2100, 2101, degree + 1)[0]
+    _refuse_row(monkeypatch, row, 1.0, gef.log_coeffs(degree))
+    for workers in (1, 2):
+        with pytest.raises(hole_estimators.ZeroCountError, match=r"^sample 2100 at r=1\.0: "):
+            hole_mc(gef, 1.0, 3000, 5, workers=workers)
+
+
+def test_hole_job_pickles_without_the_model_cache(gef, monkeypatch):
+    # the gef fixture caches 120 001 log a_n; a job ships only the degree + 1 it uses
+    jobs = []
+
+    def spy(fn, payloads, workers=None):
+        jobs.append(fn)
+        return run_chunked(fn, payloads, workers)
+
+    monkeypatch.setattr(hole_estimators, "run_chunked", spy)
+    hole_mc(gef, 1.0, 200, 3, workers=1)
+    assert len(pickle.dumps(jobs[0])) < 8192
 
 
 def test_conditioned_fraction_reported_below_certified_radius(gef):
