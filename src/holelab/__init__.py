@@ -3,7 +3,7 @@
 The package evaluates, at desk scale, the exact formulas that govern hole
 probabilities of Gaussian Taylor series: the qualifying-index log-sum S(r),
 a certified coefficient-confinement lower-bound event, zero counting by the
-argument principle with a companion-matrix oracle, the closed-form volume of
+argument principle with an Aberth-Ehrlich root oracle, the closed-form volume of
 product-constrained boxes, circulant covariance log-determinants with their
 Vandermonde minor bound, and the saddle-point coefficient asymptotics behind
 forced-zero experiments for unimodular coefficients.

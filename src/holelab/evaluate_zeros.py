@@ -26,14 +26,26 @@ cross-verify each other:
     evaluated again on a doubled grid; the others bisect only their
     failing arcs, evaluating q and q' at the midpoints by Horner.  A row
     nothing certifies raises, naming its sample, and is never guessed;
-  * a companion-matrix root oracle (balanced eigenvalues, a damped Newton
-    polish and a residual check against the max of |p| on the root's own
-    circle, taken from one 64-point FFT per root).  `roots_rows` is the one
-    implementation: rows of equal stripped length form one stack, handed
-    to `eigvals` in slices of at most about 2^20 companion entries and
-    polished and checked together; `roots_truncated`, `min_zero_modulus`
-    and `verify_count` are its one-row case, `min_zero_moduli` and
-    `verify_counts` its many-row case, and a failure names the sample.
+  * a root oracle by the Aberth-Ehrlich iteration.  `roots_rows` is the
+    one implementation: rows of equal stripped length form one stack, and
+    all of a stack's approximations move at once, each by
+    1 / (p'/p - sum_j 1/(z - z_j)), with p'/p by Horner in z inside the
+    unit circle and in 1/z outside it, so that no value overflows.  They
+    start on the circles of each row's Newton polygon.  An approximation
+    stops at a relative step of 1e-15, or once its steps stop shrinking
+    while |p| is at the rounding level of its evaluation, and a row is
+    done when all of its approximations have stopped.  The oracle refuses
+    a row still moving after a fixed number of sweeps and a row in which
+    two approximations coincide to a few ulps (one root found twice, so
+    another is missed).  Every root's residual is then checked against
+    the max of |p| on its own circle, from one 64-point FFT per root, and
+    a failing root is refused too.  The check proves only that each
+    returned z is a root of a polynomial close to p in that sense; it
+    cannot place an ill-conditioned root within its neighbourhood, which
+    is why a count stands only when the roots and the kernel agree.
+    `roots_truncated`, `min_zero_modulus` and `verify_count` are the
+    one-row case of `roots_rows`, `min_zero_moduli` and `verify_counts`
+    its many-row case, and a failure names the sample.
 
 A hole estimate hinges on "count == 0", so a silent undercount anywhere
 would poison every downstream number; mismatches raise instead of warn.
@@ -58,7 +70,12 @@ _STRIP_REL = 1e-300  # trailing coefficients below this times max|c| are dropped
 _MAX_LOG_RATIO = 745.0  # t_n - M of a nonzero entry is at most -log(2^-1074) = 744.4
 _RESIDUAL_REL = 1e-8
 _RESIDUAL_POINTS = 64  # points of the circle |z| = |z*| the residual check takes its max over
-_COMPANION_ENTRIES = 2**20  # companion-matrix entries per eigvals call (16 MB of complex128)
+_PAIR_ENTRIES = 2**16  # pairs per block of the Aberth sums (1 MB of complex128, cache-sized)
+_ABERTH_SWEEPS = 200  # sweeps of the Aberth iteration before a row is refused
+_STEP_REL = 1e-15  # an approximation stops once its step is at most this times its modulus
+_COINCIDE_ULPS = 4  # approximations closer than this many ulps of their modulus coincide
+_NOISE_ULPS = 4  # |p(z)| below this many ulps of sum |c_k| |z|^k is rounding noise
+_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))  # turn between neighbouring start circles
 
 
 class ZeroCountError(ArithmeticError):
@@ -140,8 +157,8 @@ def verify_counts(phi_rows: np.ndarray, model: CoefficientModel, r: float,
     """Raise ZeroCountError unless the root oracle finds counts[i] zeros of row i in |z| < r.
 
     Rows hold phi_0..phi_N of samples first_index, first_index + 1, ...; one
-    `roots_rows` call solves them all.  The companion-matrix roots share no
-    code or representation with the winding count.  The error names the
+    `roots_rows` call solves them all.  The Aberth roots share no code or
+    representation with the winding count.  The error names the
     first disagreeing sample.
     """
     roots = roots_rows(_linear_rows(phi_rows, model, first_index), first_index=first_index)
@@ -451,23 +468,19 @@ def _linear_rows(phi_rows: np.ndarray, model: CoefficientModel,
     return c
 
 
-def roots_rows(coeff_rows: np.ndarray, *, check_residuals: bool = True,
-               first_index: int = 0) -> list[np.ndarray]:
+def roots_rows(coeff_rows: np.ndarray, *, first_index: int = 0) -> list[np.ndarray]:
     """All roots of each row's polynomial sum_n c_n z^n, solved in stacks.
 
     Each row drops its trailing coefficients below 1e-300 of its largest.
     Rows of equal stripped length and equal number of zero constant terms
-    form one stack: (rows, N, N) companion arrays of the nonzero part, as
-    `np.roots` builds them, handed to `np.linalg.eigvals` in slices of at
-    most about 2^20 entries (`eigvals` solves each matrix on its own, so
-    slicing changes no root), roots at 0 for the zero constant terms, and
-    one damped Newton polish of the whole stack.  Each residual |p(z*)| is
-    then checked against 1e-8 times the max of |p| on the circle
-    |z| = |z*| (64-point grid, a lower bound for the true max, so the
-    check only errs on the strict side).  A failing root raises
-    RootResidualError naming its sample, `first_index` plus its row.  Row
-    for row, the roots equal those of `np.roots` plus the polish bit for
-    bit.
+    form one stack: roots at 0 for the zero constant terms, and the roots
+    of the nonzero part by one Aberth-Ehrlich iteration of the whole stack
+    (`_aberth_roots`).  Each residual |p(z*)| is then checked against 1e-8
+    times the max of |p| on the circle |z| = |z*| (64-point grid, a lower
+    bound for the true max, so the check only errs on the strict side).
+    A row the iteration leaves unconverged, a row in which two
+    approximations coincide, and a failing root raise RootResidualError
+    naming the sample, `first_index` plus its row.
     """
     stripped = [_strip_trailing(c) for c in np.asarray(coeff_rows)]
     stacks: dict[tuple[int, int], list[int]] = {}
@@ -478,21 +491,11 @@ def roots_rows(coeff_rows: np.ndarray, *, check_residuals: bool = True,
         if n == 1:
             continue
         C = np.array([stripped[i] for i in idx])
+        samples = [first_index + i for i in idx]
         roots = np.zeros((len(idx), n - 1), dtype=np.complex128)
-        m = n - lead - 1
-        if m > 0:
-            p = C[:, lead:][:, ::-1]  # highest degree first, as np.roots strips it
-            sub = np.arange(m - 1)
-            step = max(1, _COMPANION_ENTRIES // (m * m))
-            for lo in range(0, len(idx), step):
-                part = p[lo: lo + step]
-                A = np.zeros((len(part), m, m), dtype=p.dtype)
-                A[:, 0, :] = -part[:, 1:] / part[:, :1]
-                A[:, sub + 1, sub] = 1
-                roots[lo: lo + step, :m] = np.linalg.eigvals(A)
-        roots = _polish_roots(C, roots)
-        if check_residuals:
-            _check_residuals(C, roots, [first_index + i for i in idx])
+        if n - lead > 1:
+            roots[:, : n - lead - 1] = _aberth_roots(C[:, lead:], samples)
+        _check_residuals(C, roots, samples)
         for k, i in enumerate(idx):
             out[i] = roots[k]
     return out
@@ -503,46 +506,177 @@ def roots_truncated(ts: TruncatedSeries) -> np.ndarray:
     return roots_rows(ts.coeffs()[None, :])[0]
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _polish_roots(C: np.ndarray, roots: np.ndarray, iters: int = 60) -> np.ndarray:
-    """Damped Newton on a stack of rows, each run to its own convergence.
+def _aberth_roots(P: np.ndarray, samples) -> np.ndarray:
+    """Roots of rows P = p_0..p_m (p_0 and p_m nonzero) by the Aberth-Ehrlich iteration.
 
-    Raw companion eigenvalues are near-exact for inner roots but can be off
-    by O(1) residuals near the outer root-accumulation circle of high-degree
-    truncations; a step is only accepted where it shrinks |p|.  A row leaves
-    the active set once its steps are negligible or none of them helps, so
-    every row takes the steps it would take alone.  Far-out roots of
-    high-degree truncations overflow Horner: their non-finite steps are
-    zeroed, and _check_residuals rejects a root whose residual stays
-    non-finite.
+    Every approximation z of a row moves at once by 1 / (p'(z)/p(z) -
+    sum_j 1/(z - z_j)) (Aberth, Math. Comp. 27, 1973), starting from the
+    circles of the row's Newton polygon.  An approximation stops once its
+    step is at most 1e-15 of its modulus, or once its step has stopped
+    shrinking (it is more than half the one before) while the computed
+    |p(z)| is below 4 ulps of sum |c_k| |z|^k, the scale of Horner's own
+    rounding: up to that rounding, z then solves a polynomial whose
+    coefficients differ from p's by 4 ulps each, and further steps follow
+    rounding noise.  Well-conditioned roots pass the first test.  The
+    outer roots of the all-ones row of degree 200 never do: a change of
+    that size in its coefficients moves them by up to about 5%, and they
+    stop by the second test anywhere in that range.  A stopped
+    approximation keeps its place and keeps repelling the others.  A row
+    leaves the active set when all of its approximations have stopped,
+    so every row takes the steps it would take alone.  A row still
+    active after _ABERTH_SWEEPS sweeps, or one whose approximations
+    coincide (`_check_distinct`), raises RootResidualError naming its
+    entry of `samples`.
     """
-    roots = roots.copy()
-    dC = C[:, 1:] * np.arange(1, C.shape[1])
-    p = _horner(C, roots)
-    active = np.arange(len(roots))
-    for _ in range(iters):
-        z, pz = roots[active], p[active]
-        dp = _horner(dC[active], z)
-        step = np.where(np.abs(dp) > 0, pz / dp, 0.0)
-        step = np.where(np.isfinite(step), step, 0.0)
-        going = ~np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(z)), axis=1)
-        active, z, pz, step = active[going], z[going], pz[going], step[going]
-        advanced = np.zeros(z.shape, dtype=bool)
-        for damp in (1.0, 0.5, 0.25):
-            todo = ~advanced & (np.abs(step) > 0)
-            if not todo.any():
-                break
-            cand = z - damp * step
-            p_cand = _horner(C[active], cand)
-            improve = todo & (np.abs(p_cand) < np.abs(pz))
-            z = np.where(improve, cand, z)
-            pz = np.where(improve, p_cand, pz)
-            advanced |= improve
-        roots[active], p[active] = z, pz
-        active = active[advanced.any(axis=1)]
+    Z = _newton_polygon_starts(P)
+    P, R = _unit_end(P), _unit_end(P[:, ::-1])
+    last = np.full(Z.shape, np.inf)  # each approximation's latest step length
+    moving = np.ones(Z.shape, dtype=bool)
+    active = np.arange(len(P))
+    for _ in range(_ABERTH_SWEEPS):
+        z, still = Z[active], moving[active]
+        step, noisy = _aberth_steps(P[active], R[active], z)
+        step[~still] = 0
+        Z[active] = z - step
+        length, before = np.abs(step), last[active]
+        last[active] = np.where(still, length, before)
+        stalled = noisy & (length > 0.5 * before)
+        still &= ~(stalled | (length <= _STEP_REL * np.abs(z)))  # a non-finite step never stops
+        moving[active] = still
+        active = active[still.any(axis=1)]
         if not len(active):
             break
-    return roots
+    if len(active):
+        raise RootResidualError(f"sample {samples[active[0]]}: the Aberth iteration did not "
+                                f"converge in {_ABERTH_SWEEPS} sweeps")
+    _check_distinct(Z, samples)
+    return Z
+
+
+def _unit_end(P: np.ndarray) -> np.ndarray:
+    """Rows P scaled by the power of two that brings p_0 into [1/2, 1).
+
+    A power of two moves no root and rounds nothing.  For |x| <= 1 the
+    term p_0 then keeps the largest term of sum p_k x^k at 1/2 or more, so
+    Horner's value never underflows, however many decades the
+    coefficients span.
+    """
+    return P * np.exp2(-np.frexp(np.abs(P[:, :1]))[1])
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _newton_polygon_starts(P: np.ndarray) -> np.ndarray:
+    """Starting points of the Aberth iteration on the circles of each row's Newton polygon.
+
+    An edge of the upper convex hull of the points (k, log|p_k|) from
+    vertex a to vertex b has slope -log u; p then has about b - a roots of
+    modulus near u (Bini, Numer. Algorithms 13, 1996).  They start evenly
+    spaced on the circle |z| = u, at the angles 2 pi (j - a + 1/2) / (b - a),
+    j = a..b-1, turned by a times the golden angle so that the points of
+    neighbouring circles do not line up.  The hull is built by a monotone
+    chain, one column at a time for all rows at once; zero coefficients
+    (log 0 = -inf) never enter it.
+    """
+    rows, n = P.shape
+    y = np.log(np.abs(P))
+    every = np.arange(rows)
+    hull = np.zeros((rows, n), dtype=np.intp)  # each row's vertices, hull[:, :top + 1]
+    top = np.zeros(rows, dtype=np.intp)
+    for k in range(1, n):
+        live = np.isfinite(y[:, k])
+        while True:  # drop the last vertex b while it lies on or below the chord from a to k
+            b = hull[every, top]
+            a = hull[every, np.maximum(top - 1, 0)]
+            ya = y[every, a]
+            pop = live & (top > 0) & ((y[every, b] - ya) * (k - a) <= (y[:, k] - ya) * (b - a))
+            if not pop.any():
+                break
+            top -= pop
+        top += live
+        hull[every[live], top[live]] = k
+    col = np.arange(n)
+    vertex = np.zeros((rows, n), dtype=bool)
+    vertex[every.repeat(top + 1), hull[col <= top[:, None]]] = True
+    a = np.maximum.accumulate(np.where(vertex, col, 0), axis=1)[:, :-1]
+    b = np.minimum.accumulate(np.where(vertex, col, n)[:, ::-1], axis=1)[:, -2::-1]
+    radius = np.exp((np.take_along_axis(y, a, 1) - np.take_along_axis(y, b, 1)) / (b - a))
+    angle = 2.0 * math.pi * (col[:-1] - a + 0.5) / (b - a) + _GOLDEN_ANGLE * a
+    return radius * np.exp(1j * angle)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _aberth_steps(P: np.ndarray, R: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Aberth steps of every approximation z in rows Z, and whether p(z) is at the rounding level.
+
+    P holds each row's p_0..p_m and R the same reversed, each scaled by
+    `_unit_end`.  Horner runs on P in z where |z| <= 1 and on R in w = 1/z
+    elsewhere, that is on the reversed polynomial q(w) = w^m p(1/w), where
+    p'(z)/p(z) = w (m - w q'(w)/q(w)).  Either way |x| <= 1, so no far
+    approximation overflows and, by the scaling, no value underflows.  The
+    step is 1 / (p'/p - sum_j 1/(z - z_j)); an approximation at which p or
+    q vanishes exactly is a root and takes none.  The computed value is at
+    the rounding level when it is below 4 eps sum_k |c_k| |x|^k, with c_k
+    the coefficients Horner's rule ran on and x = z or w.
+    """
+    m = Z.shape[1]
+    inner = np.abs(Z) <= 1.0
+    w = np.where(inner, Z, 1.0 / Z)
+    size = np.abs(w)
+    absP, absR = np.abs(P), np.abs(R)
+    v = np.where(inner, P[:, m, None], R[:, m, None])
+    dv = np.zeros_like(v)
+    bound = np.abs(v)
+    for k in range(m - 1, -1, -1):
+        dv *= w
+        dv += v
+        v *= w
+        v += np.where(inner, P[:, k, None], R[:, k, None])
+        bound *= size
+        bound += np.where(inner, absP[:, k, None], absR[:, k, None])
+    ratio = dv / v
+    step = 1.0 / (np.where(inner, ratio, w * (m - w * ratio)) - _pair_sums(Z))
+    step[v == 0] = 0
+    return step, np.abs(v) <= _NOISE_ULPS * np.finfo(float).eps * bound
+
+
+def _pair_sums(Z: np.ndarray) -> np.ndarray:
+    """sum over j != i of 1/(z_i - z_j) in each row of Z, in blocks of about _PAIR_ENTRIES pairs.
+
+    Exactly zero differences, z_i with itself and any approximations that
+    coincide, are left out.  Each row's sum is taken alone, so the block
+    size changes no bit.
+    """
+    S = np.empty_like(Z)
+    step = max(1, _PAIR_ENTRIES // Z.shape[1] ** 2)
+    for lo in range(0, len(Z), step):
+        z = Z[lo: lo + step]
+        d = z[:, :, None] - z[:, None, :]
+        d[d == 0] = np.inf
+        np.reciprocal(d, out=d)
+        S[lo: lo + step] = d.sum(axis=2)
+    return S
+
+
+def _check_distinct(Z: np.ndarray, samples) -> None:
+    """Raise unless every two approximations of a row lie more than a few ulps apart.
+
+    A simultaneous iteration can converge twice to one root and miss
+    another; the residual check cannot see that, since both copies are
+    roots.  Rows are compared in blocks of about _PAIR_ENTRIES pairs.
+    """
+    m = Z.shape[1]
+    diagonal = np.arange(m)
+    step = max(1, _PAIR_ENTRIES // m ** 2)
+    for lo in range(0, len(Z), step):
+        z = Z[lo: lo + step]
+        gap = np.abs(z[:, :, None] - z[:, None, :])
+        gap[:, diagonal, diagonal] = np.inf
+        close = gap <= _COINCIDE_ULPS * np.finfo(float).eps * np.abs(z)[:, :, None]
+        if close.any():
+            row, i, j = (int(k[0]) for k in np.nonzero(close))
+            raise RootResidualError(
+                f"sample {samples[lo + row]}: approximations {z[row, i]!r} and {z[row, j]!r} "
+                f"coincide to {_COINCIDE_ULPS} ulps (one root found twice, another missed)")
 
 
 def _check_residuals(C: np.ndarray, roots: np.ndarray, samples=None) -> None:

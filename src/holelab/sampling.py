@@ -138,8 +138,18 @@ def _philox_words(keys: np.ndarray, count: int) -> np.ndarray:
     return words
 
 
+def unit_floats(words: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) from the top 53 bits of 64-bit words.
+
+    The shifted word is below 2^53, so its int64 view converts to float64
+    exactly and gives the values the uint64 word gives, through numpy's
+    int64-times-float loop instead of its mixed uint64 promotion.
+    """
+    return (words >> np.uint64(11)).view(np.int64) * _WORD_TO_UNIT
+
+
 def _split_uniforms(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u = (words >> np.uint64(11)) * _WORD_TO_UNIT
+    u = unit_floats(words)
     return u[..., 0::2], u[..., 1::2]
 
 

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff_models import log_gamma
+from .sampling import unit_floats
 from ._parallel import sample_ranges
 
 _SEED_MASK = (1 << 64) - 1
-_MC_CHUNK = 1 << 18
+_MC_CHUNK = 1 << 18  # samples per keyed stream
+_MC_BLOCK = 1 << 14  # samples per draw from a stream (at most 8 words each: 1 MB)
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,9 @@ def volume_mc(q: VolumeQuery, samples: int, seed: int) -> VolumeMCResult:
     """Hit-or-miss estimate: uniform points in [0,t]^k, count prod <= s.
 
     Chunked Philox streams keyed by (seed, chunk) make the tally independent
-    of chunk scheduling.  Binomial normal-approximation interval at 95%.
+    of chunk scheduling.  Each chunk's stream is drawn in consecutive blocks
+    of _MC_BLOCK samples, the same words as one draw, so memory stays at
+    one block.  Binomial normal-approximation interval at 95%.
     """
     if q.k > 8:
         raise ValueError("hit-or-miss degrades beyond k = 8")
@@ -98,10 +102,10 @@ def volume_mc(q: VolumeQuery, samples: int, seed: int) -> VolumeMCResult:
     # prod(x_j) <= s with x_j = t*u_j  <=>  prod(u_j) <= s / t^k
     ratio = q.s * q.t ** (-q.k)
     for chunk_index, chunk in enumerate(sample_ranges(samples, _MC_CHUNK)):
-        key = np.array([seed & _SEED_MASK, chunk_index], dtype=np.uint64)
-        words = np.random.Philox(key=key).random_raw(len(chunk) * q.k)
-        u = ((words >> np.uint64(11)) * 2.0**-53).reshape(len(chunk), q.k)
-        hits += int(np.count_nonzero(np.prod(u, axis=1) <= ratio))
+        bits = np.random.Philox(key=np.array([seed & _SEED_MASK, chunk_index], dtype=np.uint64))
+        for block in sample_ranges(len(chunk), _MC_BLOCK):
+            u = unit_floats(bits.random_raw(len(block) * q.k)).reshape(len(block), q.k)
+            hits += int(np.count_nonzero(np.prod(u, axis=1) <= ratio))
     p = hits / samples
     box = q.t ** q.k
     stderr = box * math.sqrt(p * (1.0 - p) / samples)

@@ -123,6 +123,14 @@ def test_zeros_verified_record_frozen(capsys):
     }
 
 
+def test_zeros_verifies_at_r12(capsys):
+    # degree 445; the companion-matrix oracle refused sample 0 (root 18.28i)
+    code, out = _capture(capsys, ["zeros", "--r", "12", "--samples", "20", "--verify",
+                                  "--seed", "1"])
+    assert code == 0
+    assert json.loads(out)["results"]["verified"] is True
+
+
 def test_zeros_record_is_independent_of_the_worker_count(capsys):
     argv = ["zeros", "--r", "3", "--samples", "200", "--verify", "--seed", "1"]
     _, out1 = _capture(capsys, argv + ["--threads", "1"])

@@ -461,11 +461,29 @@ def _per_row_roots(c):
     return _polish_one(c, np.roots(c[::-1])) if len(c) > 1 else np.empty(0)
 
 
+# Aberth roots against companion eigenvalues with a Newton polish, root by
+# root; the four STACKS agree to within 6e-16
+ROOT_REL = 1e-13
+
+
+def _assert_same_roots(got, want):
+    """got and want are one multiset: as many 0s, the rest paired one to one within ROOT_REL."""
+    assert len(got) == len(want)
+    assert np.count_nonzero(got == 0) == np.count_nonzero(want == 0)
+    got, want = got[got != 0], want[want != 0]
+    if not len(want):
+        return
+    gap = np.abs(got[:, None] - want[None, :])
+    nearest = np.argmin(gap, axis=1)
+    assert sorted(nearest.tolist()) == list(range(len(want)))
+    assert np.all(gap[np.arange(len(got)), nearest] <= ROOT_REL * np.abs(want[nearest]))
+
+
 def _assert_stack_matches_rows(c_rows):
     stacked = roots_rows(c_rows)
     assert len(stacked) == len(c_rows)
     for c, got in zip(c_rows, stacked):
-        assert np.array_equal(got, _per_row_roots(c))
+        _assert_same_roots(got, _per_row_roots(c))
 
 
 def _gef_stack(gef, r):
@@ -499,18 +517,19 @@ def test_stacked_roots_equal_per_row_roots_unimodular(gef, dist, theta):
 
 
 @pytest.mark.parametrize("stack", STACKS)
-def test_companion_slices_equal_the_whole_stack(gef, monkeypatch, stack):
+def test_pair_blocks_equal_the_whole_stack(gef, monkeypatch, stack):
     rows = stack(gef)
     whole = roots_rows(rows)
-    monkeypatch.setattr(evaluate_zeros, "_COMPANION_ENTRIES", 1)  # one matrix per eigvals call
-    for got, want in zip(roots_rows(rows), whole, strict=True):
-        assert got.tobytes() == want.tobytes()
+    for entries in (1, 3 * rows.shape[1] ** 2):  # one row per block, then three
+        monkeypatch.setattr(evaluate_zeros, "_PAIR_ENTRIES", entries)
+        for got, want in zip(roots_rows(rows), whole, strict=True):
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("stack", STACKS)
 def test_fft_circle_max_matches_horner(gef, stack):
     C = stack(gef)
-    roots = np.array(roots_rows(C, check_residuals=False))
+    roots = np.array(roots_rows(C))
     circle = np.abs(roots)[..., None] * np.exp(2j * np.pi * np.arange(64) / 64)
     horner = np.max(np.abs(evaluate_zeros._horner(C, circle)), axis=-1)
     np.testing.assert_allclose(evaluate_zeros._circle_max(C, roots), horner, rtol=1e-12, atol=0)
@@ -527,6 +546,58 @@ def test_stacked_roots_zero_constant_terms_and_mixed_lengths(gef):
     rows[9, 26:] = 0
     _assert_stack_matches_rows(rows)
     assert np.count_nonzero(roots_rows(rows)[7] == 0) == 2
+
+
+def test_unconverged_row_names_its_sample(gef, monkeypatch):
+    # one sweep converges no row of this stack; the first row of the stack is refused
+    rows = _gef_stack(gef, 1.0)[:5]
+    monkeypatch.setattr(evaluate_zeros, "_ABERTH_SWEEPS", 1)
+    with pytest.raises(RootResidualError, match=r"^sample 300: the Aberth iteration did not"):
+        roots_rows(rows, first_index=300)
+    rows[0] = 0
+    rows[0, 0] = 3.0  # a constant has no roots to iterate on, so row 1 is refused
+    with pytest.raises(RootResidualError, match=r"^sample 301: the Aberth iteration did not"):
+        roots_rows(rows, first_index=300)
+
+
+def test_coinciding_approximations_name_their_sample():
+    z = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 2.0 * (1 + 2**-52)]], dtype=np.complex128)
+    evaluate_zeros._check_distinct(z[:1], [40])
+    with pytest.raises(RootResidualError, match=r"^sample 41: approximations .* coincide"):
+        evaluate_zeros._check_distinct(z, [40, 41])
+
+
+def test_duplicated_start_names_its_sample(gef, monkeypatch):
+    # two equal starting points move alike and settle on one root together
+    starts = evaluate_zeros._newton_polygon_starts
+
+    def duplicate(P):
+        Z = starts(P)
+        Z[1, 4] = Z[1, 3]
+        return Z
+
+    monkeypatch.setattr(evaluate_zeros, "_newton_polygon_starts", duplicate)
+    with pytest.raises(RootResidualError, match=r"^sample 71: approximations .* coincide"):
+        roots_rows(_gef_stack(gef, 1.0)[:3], first_index=70)
+
+
+@pytest.mark.parametrize("seed, sample", [(1, 0), (6, 3)])
+def test_starts_lie_on_newton_polygon_circles(seed, sample):
+    # edge a..b of the upper hull of (k, log|p_k|) gives b - a starts of modulus
+    # (|p_a| / |p_b|)^(1/(b - a)); checked against a hull from scratch
+    p = _gaussian_rows(40, seed, sample + 1)[sample] * np.exp(-0.5 * np.arange(41))
+    p[[7, 19]] = 0
+    y = np.log(np.abs(p), where=p != 0, out=np.full(41, -np.inf))
+    hull = [0]
+    for k in np.flatnonzero(p != 0)[1:]:
+        while len(hull) > 1 and ((y[hull[-1]] - y[hull[-2]]) * (k - hull[-2])
+                                 <= (y[k] - y[hull[-2]]) * (hull[-1] - hull[-2])):
+            hull.pop()
+        hull.append(k)
+    want = np.concatenate([np.full(b - a, math.exp((y[a] - y[b]) / (b - a)))
+                           for a, b in zip(hull, hull[1:])])
+    got = np.abs(evaluate_zeros._newton_polygon_starts(p[None, :])[0])
+    np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
 def test_verify_counts_names_the_failing_sample(gef):

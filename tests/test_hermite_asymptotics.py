@@ -223,11 +223,30 @@ def test_forced_zero_rotated_record_frozen():
     }, rel=1e-12)
 
 
-def test_forced_zero_oracle_failure_names_the_sample():
-    # the root oracle cannot check sample 57 of seed 6 (ROADMAP item 2); the
-    # stacked oracle still raises, and says which sample it was
+def test_forced_zero_oracle_failure_names_the_sample(monkeypatch):
+    # sample 57's roots are spoiled before the residual check, which refuses
+    # them and says which sample it was
+    from holelab import evaluate_zeros
+
+    check = evaluate_zeros._check_residuals
+
+    def spoil_57(C, roots, samples):
+        roots = roots.copy()
+        roots[samples.index(57), 0] += 0.5
+        check(C, roots, samples)
+
+    monkeypatch.setattr(evaluate_zeros, "_check_residuals", spoil_57)
     with pytest.raises(RootResidualError, match=r"^sample 57: "):
         forced_zero_experiment(Distribution.RADEMACHER, 58, 200, 6)
+
+
+@pytest.mark.parametrize("seed", [4, 6])
+def test_forced_zero_seeds_the_companion_oracle_refused(seed):
+    # the companion-matrix oracle refused sample 45 of seed 4 and sample 57 of seed 6
+    rec = forced_zero_experiment(Distribution.RADEMACHER, 100, 200, seed)
+    quantiles = [rec[k] for k in ("min", "q25", "q50", "q75", "q90", "max")]
+    assert all(math.isfinite(q) for q in quantiles)
+    assert quantiles == sorted(quantiles) and quantiles[0] > 0
 
 
 def test_forced_zero_validation():

@@ -90,6 +90,18 @@ def test_uniform_pairs_range():
         assert np.all(u >= 0.0) and np.all(u < 1.0)
 
 
+def test_unit_floats_equal_the_uint64_route():
+    # 0, 2^64 - 1 and the words around 2^63 and the 53-bit boundary, then 10^6 random words
+    edges = np.array([0, 1, 2**11 - 1, 2**11, 2**53, 2**63 - 1, 2**63, 2**64 - 2**11,
+                      2**64 - 1], dtype=np.uint64)
+    words = np.concatenate([edges, np.random.Philox(key=5).random_raw(10**6)])
+    got = sampling.unit_floats(words)
+    want = (words >> np.uint64(11)) * 2.0**-53
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert got[0] == 0.0 and got[8] == 1.0 - 2.0**-53
+
+
 def test_count_validation():
     with pytest.raises(ValueError):
         draw_coeffs(Distribution.RADEMACHER, 0, 1)

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holelab import VolumeQuery, volume_exact, volume_mc, volume_upper_bound
+from holelab import volume_geometry
+from holelab._parallel import sample_ranges
 from holelab.volume_geometry import log_integral_annotation, volume_exact_log, volume_upper_bound_log
 
 # frozen oracle values (hit-or-miss MC at 1e7 points and mpmath closed form)
@@ -95,6 +97,28 @@ def test_mc_reproducible_and_chunk_invariant():
     a = volume_mc(q, 300_000, 23)
     b = volume_mc(q, 300_000, 23)
     assert a == b
+
+
+def _hits_one_draw_per_chunk(q, samples, seed):
+    """volume_mc's tally with each chunk's words drawn at once."""
+    ratio = q.s * q.t ** (-q.k)
+    hits = 0
+    for index, chunk in enumerate(sample_ranges(samples, volume_geometry._MC_CHUNK)):
+        bits = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+        words = bits.random_raw(len(chunk) * q.k)
+        u = ((words >> np.uint64(11)) * 2.0**-53).reshape(len(chunk), q.k)
+        hits += int(np.count_nonzero(np.prod(u, axis=1) <= ratio))
+    return hits
+
+
+@pytest.mark.parametrize("block", [1000, 12345, 1 << 20])
+def test_mc_hits_do_not_depend_on_the_block_size(monkeypatch, block):
+    # 300 000 samples span two chunks; blocks of 1000 and 12345 split each one unevenly
+    q = VolumeQuery(3, 2.0, 1.0)
+    want = _hits_one_draw_per_chunk(q, 300_000, 23)
+    assert volume_mc(q, 300_000, 23).hits == want
+    monkeypatch.setattr(volume_geometry, "_MC_BLOCK", block)
+    assert volume_mc(q, 300_000, 23).hits == want
 
 
 def test_mc_dimension_limit():
