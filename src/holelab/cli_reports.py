@@ -321,6 +321,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _finite_complex_text(text: str) -> str:
     """A complex literal with finite parts, kept as text for the record."""
     try:
@@ -337,8 +347,9 @@ def _shared_parser() -> _Parser:
     shared = _Parser(add_help=False)
     shared.add_argument("--format", choices=("json", "csv"), default="json")
     shared.add_argument("--output", default=None, help="path or '-' for stdout")
-    shared.add_argument("--threads", type=int, default=None,
-                        help="worker processes (default: THREADS env or machine)")
+    shared.add_argument("--threads", type=_positive_int, default=None,
+                        help="worker processes (default: THREADS env, else the CPUs "
+                             "this process may run on)")
     return shared
 
 
@@ -429,7 +440,10 @@ def _params_dict(args) -> dict:
 
 def _execute_single(parser: _Parser, argv: list[str]) -> ReportRecord:
     args = parser.parse_args(argv)
-    args.threads = resolve_workers(args.threads)
+    try:
+        args.threads = resolve_workers(args.threads)
+    except ValueError as exc:  # a bad THREADS value
+        raise _UsageError(str(exc)) from None
     start = time.monotonic()
     results = _RUNNERS[args.command](args)
     elapsed = int(1000 * (time.monotonic() - start))

@@ -683,44 +683,54 @@ def _check_residuals(C: np.ndarray, roots: np.ndarray, samples=None) -> None:
     """Raise unless every |p(z*)| is finite and below 1e-8 max|p| on |z| = |z*|.
 
     C and roots hold one row per polynomial (1-D: one polynomial).  The
-    residual is Horner's; the circle maximum comes from `_circle_max`, one
-    64-point FFT per root.  Both overflow at far-out roots of high-degree
-    truncations; a non-finite residual or circle maximum cannot certify
-    the root, so it fails the check instead of comparing inf with inf.
-    The error names the first failing row's entry of `samples` (default:
-    its row).
+    residual is Horner's, in z where |z*| <= 1 and, as in `_aberth_steps`,
+    elsewhere on the reversed polynomial q(w) = w^m p(1/w) in w = 1/z,
+    scaled by the power of two that brings its constant term c_m into
+    [1/2, 1): no power of a far root overflows and, since C is stripped
+    (c_m is not zero), no value underflows.  Residual and circle maximum
+    (`_circle_max`, one 64-point FFT per root) are compared in the e^(-s)
+    scale the circle maximum is formed in, where both stay finite.  A
+    residual or maximum that is still not finite (a non-finite root)
+    fails the check.  The error names the first failing row's entry of
+    `samples` (default: its row) and gives both in the e^(-s) scale.
     """
     C, roots = np.atleast_2d(C), np.atleast_2d(roots)
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = np.abs(_horner(C, roots))
-    denom = _circle_max(C, roots)
-    bad = ~np.isfinite(resid) | ~np.isfinite(denom) | (resid > _RESIDUAL_REL * denom)
+    peak, s = _circle_max(C, roots)
+    rho = np.abs(roots)
+    e = np.frexp(np.abs(C[:, -1:]))[1]  # q = 2^e times the reversed row scaled as in `_unit_end`
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        far = ((C.shape[1] - 1) * np.log(rho) + e * math.log(2.0)
+               + np.log(np.abs(_horner(C[:, ::-1] * np.exp2(-e), 1.0 / roots))))
+        near = np.log(np.abs(_horner(C, roots)))
+        resid = np.exp(np.where(rho > 1.0, far, near) - s)
+    bad = ~np.isfinite(resid) | ~np.isfinite(peak) | (resid > _RESIDUAL_REL * peak)
     if bad.any():
         row, i = (int(k[0]) for k in np.nonzero(bad))
         raise RootResidualError(
             f"sample {row if samples is None else samples[row]}: root {roots[row, i]!r}: "
-            f"residual {resid[row, i]:.3e} against circle max {denom[row, i]:.3e} "
-            f"(both must be finite, ratio <= {_RESIDUAL_REL:g})")
+            f"residual {resid[row, i]:.3e} against circle max {peak[row, i]:.3e} "
+            f"in units of e^{s[row, i]:.6g} (both must be finite, ratio <= {_RESIDUAL_REL:g})")
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _circle_max(C: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """max |p| over the 64 points |z*| e^(2 pi i k / 64) of each root z*, for `_check_residuals`.
+def _circle_max(C: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(peak, s) with max |p| = peak e^s over the 64 points |z*| e^(2 pi i k / 64) of each root z*.
 
     Row i of C holds p's coefficients c_n and row i of roots its roots.
-    With b_n = c_n |z*|^n folded mod 64, B_j = sum of b_n over n = j mod 64,
-    the 64 values are p(|z*| e^(2 pi i k / 64)) = sum_j B_j e^(2 pi i j k / 64):
-    one 64-point FFT per root, in blocks of about _BLOCK_VALUES values b_n.
-    b_n is formed as (c_n h_n) h_n with h_n = exp((n log|z*| - s)/2) and s
-    the largest log|b_n|, so that no power |z*|^n overflows on its own; the
-    max is scaled back by e^s, which is inf where p itself overflows.
+    With b_n = c_n |z*|^n e^(-s) folded mod 64, B_j = sum of b_n over
+    n = j mod 64, the 64 values are p(|z*| e^(2 pi i k / 64)) e^(-s) =
+    sum_j B_j e^(2 pi i j k / 64): one 64-point FFT per root, in blocks of
+    about _BLOCK_VALUES values b_n.  s is the largest log(|c_n| |z*|^n)
+    (0 where all are zero or s is not finite), so every |b_n| <= 1, and
+    b_n is formed as (c_n h_n) h_n with h_n = exp((n log|z*| - s)/2) so
+    that no power |z*|^n overflows on its own.
     """
     rho = np.abs(roots).ravel()
     row = np.repeat(np.arange(len(C)), roots.shape[1])
     width = -(-C.shape[1] // _RESIDUAL_POINTS) * _RESIDUAL_POINTS
     n = np.arange(C.shape[1])
     log_c = np.log(np.abs(C))
-    out = np.empty(len(rho))
+    peak, scale = np.empty(len(rho)), np.empty(len(rho))
     step = max(1, _BLOCK_VALUES // width)
     for lo in range(0, len(rho), step):
         t = n * np.log(rho[lo: lo + step, None])
@@ -734,8 +744,9 @@ def _circle_max(C: np.ndarray, roots: np.ndarray) -> np.ndarray:
         b[:, : C.shape[1]] *= h
         B = b.reshape(len(b), -1, _RESIDUAL_POINTS).sum(axis=1)
         values = np.fft.ifft(B, axis=1, norm="forward")
-        out[lo: lo + step] = np.max(np.abs(values), axis=1) * np.exp(s[:, 0])
-    return out.reshape(roots.shape)
+        peak[lo: lo + step] = np.max(np.abs(values), axis=1)
+        scale[lo: lo + step] = s[:, 0]
+    return peak.reshape(roots.shape), scale.reshape(roots.shape)
 
 
 def min_zero_moduli(phi_rows: np.ndarray, model: CoefficientModel, *,

@@ -329,6 +329,27 @@ def test_threads_env_var_and_flag_priority(monkeypatch):
     assert resolve_workers(None) >= 1
 
 
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    from holelab._parallel import resolve_workers
+
+    monkeypatch.delenv("THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert resolve_workers(None) == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_non_positive_threads_flag_is_a_usage_error(capsys, threads):
+    assert run(["s-of-r", "--r", "1", "--threads", threads]) == 1
+    assert "--threads: must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_threads_env_var_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("THREADS", value)
+    assert run(["s-of-r", "--r", "1"]) == 1
+    assert f"usage error: THREADS must be a positive integer, got {value!r}" in capsys.readouterr().err
+
+
 def test_sweep_readme_line_prints_csv(capsys):
     code, out = _capture(capsys, ["sweep", "s-of-r", "--r", "1,2,4,8", "--format", "csv"])
     assert code == 0

@@ -532,7 +532,8 @@ def test_fft_circle_max_matches_horner(gef, stack):
     roots = np.array(roots_rows(C))
     circle = np.abs(roots)[..., None] * np.exp(2j * np.pi * np.arange(64) / 64)
     horner = np.max(np.abs(evaluate_zeros._horner(C, circle)), axis=-1)
-    np.testing.assert_allclose(evaluate_zeros._circle_max(C, roots), horner, rtol=1e-12, atol=0)
+    peak, s = evaluate_zeros._circle_max(C, roots)
+    np.testing.assert_allclose(peak * np.exp(s), horner, rtol=1e-12, atol=0)
 
 
 def test_stacked_roots_zero_constant_terms_and_mixed_lengths(gef):
@@ -615,6 +616,23 @@ def test_residual_failure_names_the_sample():
     roots = np.array([[1j, -1j], [1j, 1e200 + 0j]])
     with pytest.raises(RootResidualError, match=r"^sample 41: "):
         evaluate_zeros._check_residuals(c, roots, [40, 41])
+
+
+def test_far_roots_of_a_high_degree_row_verify(gef):
+    # sample 4 of `zeros --r 12 --degree 280 --seed 1`: Horner in z overflowed
+    # at its root 174.5+57.6j, which is now checked in 1/z
+    degree = 280
+    phi = draw_rows(Distribution.COMPLEX_GAUSSIAN, 1, 4, 5, degree + 1)
+    counts = winding_counts_batch(phi, 12.0, log_coeffs=gef.log_coeffs(degree), tail_eps=0.0,
+                                  first_index=4)
+    verify_counts(phi, gef, 12.0, counts, first_index=4)
+    C = evaluate_zeros._strip_trailing(evaluate_zeros._linear_rows(phi, gef, 4)[0])
+    roots = roots_rows(C[None, :])[0]
+    far = int(np.argmax(np.abs(roots)))
+    assert abs(roots[far]) > 150.0
+    roots[far] *= 1 + 1e-6  # a planted bad far root is still refused
+    with pytest.raises(RootResidualError, match=r"^sample 4: root .*in units of e\^"):
+        evaluate_zeros._check_residuals(C, roots, [4])
 
 
 @pytest.mark.parametrize("block", [2**12, 2**20])
