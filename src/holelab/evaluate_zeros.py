@@ -45,7 +45,9 @@ cross-verify each other:
     is why a count stands only when the roots and the kernel agree.
     `roots_truncated`, `min_zero_modulus` and `verify_count` are the
     one-row case of `roots_rows`, `min_zero_moduli` and `verify_counts`
-    its many-row case, and a failure names the sample.
+    its many-row case, and a failure names the sample.  `verify_counts`
+    solves each row as p(r w) e^(-M), formed in log scale, and counts the
+    roots with |w| < 1.
 
 A hole estimate hinges on "count == 0", so a silent undercount anywhere
 would poison every downstream number; mismatches raise instead of warn.
@@ -157,13 +159,14 @@ def verify_counts(phi_rows: np.ndarray, model: CoefficientModel, r: float,
     """Raise ZeroCountError unless the root oracle finds counts[i] zeros of row i in |z| < r.
 
     Rows hold phi_0..phi_N of samples first_index, first_index + 1, ...; one
-    `roots_rows` call solves them all.  The Aberth roots share no code or
-    representation with the winding count.  The error names the
-    first disagreeing sample.
+    `roots_rows` call solves them all, on the rows of p(r w) formed by
+    `_disk_rows`, and the zeros in |z| < r are the roots with |w| < 1.
+    The Aberth roots share no code with the winding count.  The error
+    names the first disagreeing sample.
     """
-    roots = roots_rows(_linear_rows(phi_rows, model, first_index), first_index=first_index)
-    for i, (z, count) in enumerate(zip(roots, counts)):
-        oracle = int(np.sum(np.abs(z) < r))
+    roots = roots_rows(_disk_rows(phi_rows, model, r, first_index), first_index=first_index)
+    for i, (w, count) in enumerate(zip(roots, counts)):
+        oracle = int(np.sum(np.abs(w) < 1.0))
         if oracle != count:
             raise ZeroCountError(
                 f"sample {first_index + i}: argument principle ({count}) disagrees "
@@ -466,6 +469,31 @@ def _linear_rows(phi_rows: np.ndarray, model: CoefficientModel,
         raise ValueError(f"non-finite or identically zero effective coefficients "
                          f"in sample {first_index + i}")
     return c
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _disk_rows(phi_rows: np.ndarray, model: CoefficientModel, r: float,
+               first_index: int = 0) -> np.ndarray:
+    """Coefficients of p(r w) e^(-M) for rows of samples first_index, first_index + 1, ...
+
+    Entry n is phi_n a_n r^n e^(-M), M the row's largest log(|phi_n| a_n r^n),
+    formed in log scale as in `_circle_max`: (phi_n h_n) h_n with h_n =
+    exp((log a_n + n log r - M)/2), the exponent clipped at 745 so that h_n
+    stays finite and a zero phi_n stays zero.  No a_n or r^n is formed in
+    linear scale, so a term is lost only where it is below 1e-300 of the
+    row's largest, which `roots_rows` strips anyway.
+    """
+    t = model.log_coeffs(phi_rows.shape[1] - 1) + np.arange(phi_rows.shape[1]) * math.log(r)
+    top = np.max(np.log(np.abs(phi_rows)) + t, axis=1, keepdims=True)
+    bad = ~np.isfinite(top[:, 0])
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"non-finite or identically zero effective coefficients "
+                         f"in sample {first_index + i}")
+    h = np.exp(0.5 * np.minimum(t - top, _MAX_LOG_RATIO))
+    D = phi_rows * h
+    D *= h
+    return D
 
 
 def roots_rows(coeff_rows: np.ndarray, *, first_index: int = 0) -> list[np.ndarray]:

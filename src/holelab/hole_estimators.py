@@ -15,6 +15,10 @@ P(|w| >= lam) = exp(-lam^2):
 with lam_n = (3r a_n r^n)^(-1) and mu_n^2 = exp((n - e r^2)/2).  The exact
 probabilities 1 - e^(-lam^2) are used throughout instead of the classical
 bracketing lam^2/2 <= P <= lam^2 (the bracket survives as a test assertion).
+One function, `_conditioned_caps_sq_log`, gives log lam_n^2 and log mu_n^2:
+the conditioned sampler draws under those caps, and the sum above runs
+over the same caps, so the probability reported is that of the event
+sampled.
 When the worst-case triangle-inequality margin
 
     2r - floor(e r^2)/(3r) - 1/(1 - e^(-1/4))
@@ -55,6 +59,7 @@ Z95 = 1.959963984540054
 # fractional offset of e r^2 from its floor.
 TAIL_MARGIN_CONST = 1.0 / (1.0 - math.exp(-0.25))
 MC_CHUNK = 2048  # most rows in one Monte Carlo job
+_MC_CUTOFF = 25.0  # largest S(r) at which the hole report runs Monte Carlo
 _STREAM_VALUES = 2**18  # most coefficient values drawn and counted in one job (4 MB)
 TAIL_EPS = 1e-9  # bound on the truncation tail on |z| <= r; every count is certified against it
 _LN2 = math.log(2.0)
@@ -79,11 +84,11 @@ class OmegaCertificate:
     tail_cut: int
 
 
-def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("n must be positive")
-    p = successes / n
+    p, z = successes / n, Z95
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n)) / denom
@@ -115,33 +120,30 @@ def _log1mexp_from_log(log_x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gef_terms(r: float, m: int) -> np.ndarray:
-    """t_n = log(a_n r^n) for n = 1..m with a_n = (n!)^(-1/2)."""
-    return CoefficientModel.gef().log_coeffs(m)[1:] + np.arange(1, m + 1) * math.log(r)
+def _conditioned_caps_sq_log(r: float, degree: int) -> np.ndarray:
+    """log of the squared magnitude caps for indices 1..degree: log lam_n^2 and log mu_n^2.
+
+    The one definition of clauses (ii) and (iii): the sampler draws under
+    these caps and `omega_log_prob` sums their probabilities.
+    """
+    er2 = math.e * r * r
+    m = int(math.floor(er2))
+    n = np.arange(1, degree + 1, dtype=np.float64)
+    caps = 0.5 * (n - er2)
+    log_terms = CoefficientModel.gef().log_coeffs(m)[1:] + n[:m] * math.log(r)  # log(a_n r^n)
+    caps[:m] = -2.0 * log_terms - math.log(9.0 * r * r)
+    return caps
 
 
 def _omega_detail(r: float) -> tuple[float, int]:
     if not r >= 1:
         raise ValueError("confinement event defined for r >= 1")
-    er2 = math.e * r * r
-    m = int(math.floor(er2))
-    # clause (i)
-    total = -4.0 * r * r
-    # clause (ii): lam_n^2 = (9 r^2)^(-1) (a_n r^n)^(-2), kept in log scale
-    log_lam_sq = -2.0 * _gef_terms(r, m) - math.log(9.0 * r * r)
-    total += float(np.sum(_log1mexp_from_log(log_lam_sq)))
-    # clause (iii): mu_n^2 = exp((n - e r^2)/2); remainder after stopping is
-    # below sum 2 e^(-mu^2) < 1e-15 once mu^2 > 36
-    n = m + 1
-    while True:
-        mu_sq = math.exp(0.5 * (n - er2))
-        if mu_sq <= _LN2:
-            total += math.log(-math.expm1(-mu_sq))
-        else:
-            total += math.log1p(-math.exp(-mu_sq))
-        if mu_sq > 36.0:
-            return total, n
-        n += 1
+    # clause (iii) stops at the first n with mu_n^2 > 36; the terms left out
+    # sum to below 2 e^(-36) < 1e-15
+    tail_cut = math.floor(math.e * r * r + 2.0 * math.log(36.0)) + 1
+    caps = _conditioned_caps_sq_log(r, tail_cut)
+    # clause (i) is P(|phi_0| >= 2r) = e^(-4 r^2)
+    return -4.0 * r * r + float(np.sum(_log1mexp_from_log(caps))), tail_cut
 
 
 def omega_log_prob(r: float) -> float:
@@ -158,14 +160,14 @@ def omega_certificate(r: float) -> OmegaCertificate:
                             valid=margin > 0.0, tail_cut=tail_cut)
 
 
-def smallest_certified_radius(step: float = 0.5, r_max: float = 64.0) -> float:
-    """Smallest radius on the {1, 1+step, ...} grid with a valid certificate."""
+def smallest_certified_radius() -> float:
+    """Smallest radius on the grid 1, 1.5, ..., 64 with a valid certificate."""
     r = 1.0
-    while r <= r_max:
+    while r <= 64.0:
         if omega_certificate(r).valid:
             return r
-        r = round(r + step, 12)
-    raise RuntimeError(f"no valid certificate up to r = {r_max}")
+        r += 0.5
+    raise RuntimeError("no valid certificate up to r = 64")
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +210,6 @@ def hole_mc(model: CoefficientModel, r: float, samples: int, seed: int,
 
 # ---------------------------------------------------------------------------
 # sampling conditioned on the confinement event
-
-
-def _conditioned_caps_sq_log(r: float, degree: int) -> np.ndarray:
-    """log of the squared magnitude caps for indices 1..degree."""
-    m = int(math.floor(math.e * r * r))
-    caps = np.empty(degree)
-    caps[:m] = -2.0 * _gef_terms(r, m) - math.log(9.0 * r * r)
-    n = np.arange(m + 1, degree + 1, dtype=np.float64)
-    caps[m:] = 0.5 * (n - math.e * r * r)
-    return caps
 
 
 def conditioned_degree(r: float) -> int:
@@ -291,12 +283,11 @@ def omega_conditioned_sample(model: CoefficientModel, r: float, samples: int,
 
 
 def hole_bracket_report(model: CoefficientModel, r: float, samples: int, seed: int,
-                        *, mc_cutoff: float = 25.0,
-                        workers: int | None = 1) -> dict:
+                        *, workers: int | None = 1) -> dict:
     """One record bracketing the hole probability at radius r.
 
     Emits the exact sum, its growth law, the confinement-event bound with
-    certificate status, and (when S(r) <= mc_cutoff, i.e. the probability is
+    certificate status, and (when S(r) <= 25, i.e. the probability is
     within Monte Carlo reach) a direct estimate with its Wilson interval.
     """
     s_val = s_of_r(model, r)
@@ -326,7 +317,7 @@ def hole_bracket_report(model: CoefficientModel, r: float, samples: int, seed: i
             # (log P < -900 already at r = 4.5); the log field carries it
             record["certified_lower_bound"] = math.exp(cert.log_prob)
             record["certified_lower_bound_log"] = cert.log_prob
-    if s_val <= mc_cutoff:
+    if s_val <= _MC_CUTOFF:
         est = hole_mc(model, r, samples, seed, workers=workers)
         record.update(mc_skipped=False, p_hat=est.point_value,
                       ci_low=est.ci_low, ci_high=est.ci_high,

@@ -116,21 +116,18 @@ def volume_mc(q: VolumeQuery, samples: int, seed: int) -> VolumeMCResult:
                           hits=hits, samples=samples)
 
 
-def log_integral_annotation(r: float, big_c: float = 1.0,
-                            delta: float | None = None) -> dict:
+def log_integral_annotation(r: float, big_c: float = 1.0) -> dict:
     """Report-only bound for the log-volume integral over the grid-moduli event.
 
     With N = floor(e r^2), t = exp(2 r^2) and s = exp(4 N log r + C r^2 / delta^2)
     the chain I' <= 2^N * s * V_N(t, s) is evaluated through the factorial
-    upper bound, all in log scale.  C is a free scale parameter (default 1);
-    delta defaults to r^(-4/5).  No lower bound on delta is enforced: the
-    regime this annotation is usually paired with is delta = r^(-4/5), which
-    shrinks with r.
+    upper bound, all in log scale.  C is a free scale parameter (default 1)
+    and delta = r^(-4/5), the regime this annotation is paired with; it
+    shrinks with r, and no lower bound on it is enforced.
     """
     if not r > 1:
         raise ValueError("annotation needs r > 1")
-    if delta is None:
-        delta = r ** (-0.8)
+    delta = r ** (-0.8)
     n_pts = int(math.floor(math.e * r * r))
     log_s = 4.0 * n_pts * math.log(r) + big_c * r * r / delta**2
     log_t = 2.0 * r * r

@@ -635,6 +635,17 @@ def test_far_roots_of_a_high_degree_row_verify(gef):
         evaluate_zeros._check_residuals(C, roots, [4])
 
 
+def test_counts_at_r_16_verify(gef):
+    # sample 0 of `zeros --r 16 --seed 1`: rows formed from a_n in linear scale
+    # lost every term past n ~ 294, some within e^-1.4 of the largest, and the
+    # oracle found 256 zeros; rows of p(16 w) in log scale keep all 769 terms
+    degree = 768
+    phi = draw_rows(Distribution.COMPLEX_GAUSSIAN, 1, 0, 1, degree + 1)
+    counts = winding_counts_batch(phi, 16.0, log_coeffs=gef.log_coeffs(degree), tail_eps=1e-9)
+    assert counts.tolist() == [257]
+    verify_counts(phi, gef, 16.0, counts)
+
+
 @pytest.mark.parametrize("block", [2**12, 2**20])
 def test_unit_circle_pass_is_independent_of_the_block_size(gef, monkeypatch, block):
     # the whole kernel: first and doubled grids, arc bisection, chunks, workers

@@ -37,8 +37,10 @@ from holelab.hole_estimators import (
 OMEGA_ORACLE = {
     1.0: -8.458576646883174,
     2.0: -64.78479088916725,
+    4.5: -989.52914776262923,
     5.0: -1446.7601744896376,
     10.0: -19841.120822886330,
+    12.0: -40349.849626681725,
     20.0: -301805.11887253491,
 }
 
@@ -80,6 +82,21 @@ def test_gaussian_small_ball_bracket():
 def test_omega_log_prob_frozen_oracle():
     for r, expect in OMEGA_ORACLE.items():
         assert omega_log_prob(r) == pytest.approx(expect, rel=1e-13)
+
+
+def _stepped_tail_cut(r):
+    """The first n > floor(e r^2) with mu_n^2 = exp((n - e r^2)/2) > 36, found by stepping."""
+    er2 = math.e * r * r
+    n = math.floor(er2) + 1
+    while not math.exp(0.5 * (n - er2)) > 36.0:
+        n += 1
+    return n
+
+
+def test_tail_cut_matches_a_stepping_loop():
+    grid = [1.0 + 0.05 * k for k in range(380)] + [20.0 + 0.5 * k for k in range(201)]
+    for r in grid:
+        assert omega_certificate(r).tail_cut == _stepped_tail_cut(r), r
 
 
 def test_omega_clause_one_contribution():
