@@ -28,26 +28,29 @@ cross-verify each other:
     nothing certifies raises, naming its sample, and is never guessed;
   * a root oracle by the Aberth-Ehrlich iteration.  `roots_rows` is the
     one implementation: rows of equal stripped length form one stack, and
-    all of a stack's approximations move at once, each by
+    all of a stack's moving approximations move at once, each by
     1 / (p'/p - sum_j 1/(z - z_j)), with p'/p by Horner in z inside the
     unit circle and in 1/z outside it, so that no value overflows.  They
-    start on the circles of each row's Newton polygon.  An approximation
-    stops at a relative step of 1e-15, or once its steps stop shrinking
-    while |p| is at the rounding level of its evaluation, and a row is
-    done when all of its approximations have stopped.  The oracle refuses
-    a row still moving after a fixed number of sweeps and a row in which
-    two approximations coincide to a few ulps (one root found twice, so
-    another is missed).  Every root's residual is then checked against
-    the max of |p| on its own circle, from one 64-point FFT per root, and
-    a failing root is refused too.  The check proves only that each
-    returned z is a root of a polynomial close to p in that sense; it
-    cannot place an ill-conditioned root within its neighbourhood, which
-    is why a count stands only when the roots and the kernel agree.
-    `roots_truncated`, `min_zero_modulus` and `verify_count` are the
-    one-row case of `roots_rows`, `min_zero_moduli` and `verify_counts`
-    its many-row case, and a failure names the sample.  `verify_counts`
-    solves each row as p(r w) e^(-M), formed in log scale, and counts the
-    roots with |w| < 1.
+    start on the circles of each row's Newton polygon.  Each sweep puts
+    the approximations still moving first in their rows and steps only as
+    many columns as the row with the most of them needs; the sum over j
+    runs over every approximation of the row, in real arithmetic.  An
+    approximation stops at a relative step of 1e-15, or once its steps
+    stop shrinking while |p| is at the rounding level of its evaluation,
+    and a row is done when all of its approximations have stopped.  The
+    oracle refuses a row still moving after a fixed number of sweeps and
+    a row in which two approximations coincide to a few ulps (one root
+    found twice, so another is missed).  Every root's residual is then
+    checked against the max of |p| on its own circle, from one 64-point
+    FFT per root, and a failing root is refused too.  The check proves
+    only that each returned z is a root of a polynomial close to p in
+    that sense; it cannot place an ill-conditioned root within its
+    neighbourhood, which is why a count stands only when the roots and
+    the kernel agree.  `roots_truncated`, `min_zero_modulus` and
+    `verify_count` are the one-row case of `roots_rows`, `min_zero_moduli`
+    and `verify_counts` its many-row case, and a failure names the sample.
+    `verify_counts` solves each row as p(r w) e^(-M), formed in log scale,
+    and counts the roots with |w| < 1.
 
 A hole estimate hinges on "count == 0", so a silent undercount anywhere
 would poison every downstream number; mismatches raise instead of warn.
@@ -72,7 +75,7 @@ _STRIP_REL = 1e-300  # trailing coefficients below this times max|c| are dropped
 _MAX_LOG_RATIO = 745.0  # t_n - M of a nonzero entry is at most -log(2^-1074) = 744.4
 _RESIDUAL_REL = 1e-8
 _RESIDUAL_POINTS = 64  # points of the circle |z| = |z*| the residual check takes its max over
-_PAIR_ENTRIES = 2**16  # pairs per block of the Aberth sums (1 MB of complex128, cache-sized)
+_PAIR_ENTRIES = 2**15  # pairs per block of the Aberth sums (256 KB per float64 array, cache-sized)
 _ABERTH_SWEEPS = 200  # sweeps of the Aberth iteration before a row is refused
 _STEP_REL = 1e-15  # an approximation stops once its step is at most this times its modulus
 _COINCIDE_ULPS = 4  # approximations closer than this many ulps of their modulus coincide
@@ -537,8 +540,8 @@ def roots_truncated(ts: TruncatedSeries) -> np.ndarray:
 def _aberth_roots(P: np.ndarray, samples) -> np.ndarray:
     """Roots of rows P = p_0..p_m (p_0 and p_m nonzero) by the Aberth-Ehrlich iteration.
 
-    Every approximation z of a row moves at once by 1 / (p'(z)/p(z) -
-    sum_j 1/(z - z_j)) (Aberth, Math. Comp. 27, 1973), starting from the
+    Every moving approximation z of a row moves at once by 1 / (p'(z)/p(z)
+    - sum_j 1/(z - z_j)) (Aberth, Math. Comp. 27, 1973), starting from the
     circles of the row's Newton polygon.  An approximation stops once its
     step is at most 1e-15 of its modulus, or once its step has stopped
     shrinking (it is more than half the one before) while the computed
@@ -549,12 +552,19 @@ def _aberth_roots(P: np.ndarray, samples) -> np.ndarray:
     outer roots of the all-ones row of degree 200 never do: a change of
     that size in its coefficients moves them by up to about 5%, and they
     stop by the second test anywhere in that range.  A stopped
-    approximation keeps its place and keeps repelling the others.  A row
-    leaves the active set when all of its approximations have stopped,
-    so every row takes the steps it would take alone.  A row still
-    active after _ABERTH_SWEEPS sweeps, or one whose approximations
-    coincide (`_check_distinct`), raises RootResidualError naming its
-    entry of `samples`.
+    approximation keeps its place and keeps repelling the others.
+
+    Each sweep steps only the approximations still moving.  A stable sort
+    moves them to the front of each active row, and the sweep takes the
+    first `width` columns, `width` the largest moving count among the
+    active rows; the few stopped ones among them take no step.  The sum
+    over j still runs over all m approximations of the row in their
+    original order, so every approximation moves exactly as it would in a
+    sweep of the whole row.  A row leaves the active set when all of its
+    approximations have stopped, so every row takes the steps it would
+    take alone.  A row still active after _ABERTH_SWEEPS sweeps, or one
+    whose approximations coincide (`_check_distinct`), raises
+    RootResidualError naming its entry of `samples`.
     """
     Z = _newton_polygon_starts(P)
     P, R = _unit_end(P), _unit_end(P[:, ::-1])
@@ -562,15 +572,18 @@ def _aberth_roots(P: np.ndarray, samples) -> np.ndarray:
     moving = np.ones(Z.shape, dtype=bool)
     active = np.arange(len(P))
     for _ in range(_ABERTH_SWEEPS):
-        z, still = Z[active], moving[active]
-        step, noisy = _aberth_steps(P[active], R[active], z)
+        rows, flags = active[:, None], moving[active]
+        width = int(flags.sum(axis=1).max())
+        cols = np.argsort(~flags, axis=1, kind="stable")[:, :width]  # moving ones first
+        z, still, before = Z[rows, cols], moving[rows, cols], last[rows, cols]
+        step, noisy = _aberth_steps(P[active], R[active], Z[active], cols)
         step[~still] = 0
-        Z[active] = z - step
-        length, before = np.abs(step), last[active]
-        last[active] = np.where(still, length, before)
+        Z[rows, cols] = z - step
+        length = np.abs(step)
+        last[rows, cols] = np.where(still, length, before)
         stalled = noisy & (length > 0.5 * before)
         still &= ~(stalled | (length <= _STEP_REL * np.abs(z)))  # a non-finite step never stops
-        moving[active] = still
+        moving[rows, cols] = still
         active = active[still.any(axis=1)]
         if not len(active):
             break
@@ -633,55 +646,91 @@ def _newton_polygon_starts(P: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _aberth_steps(P: np.ndarray, R: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Aberth steps of every approximation z in rows Z, and whether p(z) is at the rounding level.
+def _aberth_steps(P: np.ndarray, R: np.ndarray, Z: np.ndarray,
+                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Aberth steps of the approximations Z[row, cols[row, k]], and whether p is at the rounding level.
 
-    P holds each row's p_0..p_m and R the same reversed, each scaled by
-    `_unit_end`.  Horner runs on P in z where |z| <= 1 and on R in w = 1/z
-    elsewhere, that is on the reversed polynomial q(w) = w^m p(1/w), where
-    p'(z)/p(z) = w (m - w q'(w)/q(w)).  Either way |x| <= 1, so no far
-    approximation overflows and, by the scaling, no value underflows.  The
-    step is 1 / (p'/p - sum_j 1/(z - z_j)); an approximation at which p or
-    q vanishes exactly is a root and takes none.  The computed value is at
-    the rounding level when it is below 4 eps sum_k |c_k| |x|^k, with c_k
-    the coefficients Horner's rule ran on and x = z or w.
+    Row i of Z holds all approximations of a row, and row i of cols the
+    columns of those to step.  P holds each row's p_0..p_m and R the same
+    reversed, each scaled by `_unit_end`.  Horner runs on P in z where
+    |z| <= 1 and on R in w = 1/z elsewhere, that is on the reversed
+    polynomial q(w) = w^m p(1/w), where p'(z)/p(z) = w (m - w q'(w)/q(w)).
+    Either way |x| <= 1, so no far approximation overflows and, by the
+    scaling, no value underflows.  Coefficient k of each approximation is
+    one gather from a table row that interleaves every row's r_k and p_k,
+    at column 2 row + (|z| <= 1).  The step is 1 / (p'/p - sum_j 1/(z -
+    z_j)), the sum over the whole row of Z (`_pair_sums`); an
+    approximation at which p or q vanishes exactly is a root and takes
+    none.  The computed value is at the rounding level when it is below
+    4 eps sum_k |c_k| |x|^k, with c_k the coefficients Horner's rule ran
+    on and x = z or w.
     """
     m = Z.shape[1]
-    inner = np.abs(Z) <= 1.0
-    w = np.where(inner, Z, 1.0 / Z)
+    z = np.take_along_axis(Z, cols, 1)
+    inner = np.abs(z) <= 1.0
+    w = np.where(inner, z, 1.0 / z)
     size = np.abs(w)
-    absP, absR = np.abs(P), np.abs(R)
-    v = np.where(inner, P[:, m, None], R[:, m, None])
+    coeffs = np.empty((m + 1, len(P), 2), dtype=np.complex128)
+    coeffs[:, :, 0], coeffs[:, :, 1] = R.T, P.T
+    coeffs = coeffs.reshape(m + 1, -1)
+    sizes = np.abs(coeffs)
+    pick = 2 * np.arange(len(z))[:, None] + inner
+    v = coeffs[m].take(pick)
     dv = np.zeros_like(v)
-    bound = np.abs(v)
+    bound = sizes[m].take(pick)
+    ck, sk = np.empty_like(v), np.empty_like(bound)  # reused: no temporaries per k
     for k in range(m - 1, -1, -1):
         dv *= w
         dv += v
         v *= w
-        v += np.where(inner, P[:, k, None], R[:, k, None])
+        v += coeffs[k].take(pick, out=ck, mode="clip")  # "clip" writes to out unbuffered
         bound *= size
-        bound += np.where(inner, absP[:, k, None], absR[:, k, None])
+        bound += sizes[k].take(pick, out=sk, mode="clip")
     ratio = dv / v
-    step = 1.0 / (np.where(inner, ratio, w * (m - w * ratio)) - _pair_sums(Z))
+    step = 1.0 / (np.where(inner, ratio, w * (m - w * ratio)) - _pair_sums(Z, cols))
     step[v == 0] = 0
     return step, np.abs(v) <= _NOISE_ULPS * np.finfo(float).eps * bound
 
 
-def _pair_sums(Z: np.ndarray) -> np.ndarray:
-    """sum over j != i of 1/(z_i - z_j) in each row of Z, in blocks of about _PAIR_ENTRIES pairs.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore")
+def _pair_sums(Z: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum over j != i of 1/(z_i - z_j) for z_i = Z[row, cols[row, k]], in blocks of rows.
 
-    Exactly zero differences, z_i with itself and any approximations that
-    coincide, are left out.  Each row's sum is taken alone, so the block
-    size changes no bit.
+    The sum runs over every z_j of the row in its order, so a z_i takes the
+    same sum whichever columns are asked for with it and however the rows
+    are blocked (about _PAIR_ENTRIES pairs per block, in buffers reused
+    from block to block).  Each term is conj(d)/|d|^2, d = z_i - z_j, in
+    real arithmetic; where |d|^2 leaves the normal range (|d| below about
+    1e-154 or above about 1e154) it is the complex 1/d instead, so no term
+    underflows or overflows that would not in 1/d.  Exactly zero
+    differences, z_i with itself and any approximations that coincide,
+    are left out.
     """
-    S = np.empty_like(Z)
-    step = max(1, _PAIR_ENTRIES // Z.shape[1] ** 2)
+    S = np.empty(cols.shape, dtype=np.complex128)
+    step = max(1, _PAIR_ENTRIES // (cols.shape[1] * Z.shape[1]))
+    block = np.empty((4, min(step, len(Z)), cols.shape[1], Z.shape[1]))
+    tiny = np.finfo(float).tiny
     for lo in range(0, len(Z), step):
-        z = Z[lo: lo + step]
-        d = z[:, :, None] - z[:, None, :]
-        d[d == 0] = np.inf
-        np.reciprocal(d, out=d)
-        S[lo: lo + step] = d.sum(axis=2)
+        row, k = Z[lo: lo + step], cols[lo: lo + step]
+        z = np.take_along_axis(row, k, 1)[:, :, None]
+        row = row[:, None, :]
+        dx, dy, q, dy2 = block[:, : len(k)]
+        np.subtract(z.real, row.real, out=dx)
+        np.subtract(z.imag, row.imag, out=dy)
+        np.multiply(dx, dx, out=q)
+        q += np.multiply(dy, dy, out=dy2)
+        np.put_along_axis(q, k[:, :, None], 1.0, 2)  # z_i with itself: 0 / 1
+        if not q.min() >= tiny or q.max() == np.inf:  # rare: take those terms as 1/d
+            odd = ~(q >= tiny) | (q == np.inf)
+            d = dx[odd].astype(np.complex128)
+            d.imag = dy[odd]
+            d[d == 0] = np.inf
+            np.reciprocal(d, out=d)
+            dx[odd], dy[odd], q[odd] = d.real, -d.imag, 1.0
+        dx /= q
+        dy /= q
+        S.real[lo: lo + step] = dx.sum(axis=2)
+        S.imag[lo: lo + step] = -dy.sum(axis=2)
     return S
 
 

@@ -526,6 +526,101 @@ def test_pair_blocks_equal_the_whole_stack(gef, monkeypatch, stack):
             assert got.tobytes() == want.tobytes()
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _full_row_steps(P, R, Z):
+    """Aberth steps of every approximation of rows Z, Horner broadcasting row coefficients."""
+    m = Z.shape[1]
+    inner = np.abs(Z) <= 1.0
+    w = np.where(inner, Z, 1.0 / Z)
+    size = np.abs(w)
+    v = np.where(inner, P[:, m, None], R[:, m, None])
+    dv = np.zeros_like(v)
+    bound = np.abs(v)
+    for k in range(m - 1, -1, -1):
+        dv = dv * w + v
+        v = v * w + np.where(inner, P[:, k, None], R[:, k, None])
+        bound = bound * size + np.where(inner, np.abs(P[:, k, None]), np.abs(R[:, k, None]))
+    ratio = dv / v
+    sums = evaluate_zeros._pair_sums(Z, np.broadcast_to(np.arange(m), Z.shape))
+    step = 1.0 / (np.where(inner, ratio, w * (m - w * ratio)) - sums)
+    step[v == 0] = 0
+    return step, np.abs(v) <= evaluate_zeros._NOISE_ULPS * np.finfo(float).eps * bound
+
+
+def _full_row_sweeps(P):
+    """The Aberth iteration that steps every approximation of an active row and
+    zeroes the steps of stopped ones; also the largest moving count of each sweep."""
+    Z = evaluate_zeros._newton_polygon_starts(P)
+    P, R = evaluate_zeros._unit_end(P), evaluate_zeros._unit_end(P[:, ::-1])
+    last = np.full(Z.shape, np.inf)
+    moving = np.ones(Z.shape, dtype=bool)
+    active = np.arange(len(P))
+    widths = []
+    for _ in range(evaluate_zeros._ABERTH_SWEEPS):
+        z, still = Z[active], moving[active]
+        widths.append(int(still.sum(axis=1).max()))
+        step, noisy = _full_row_steps(P[active], R[active], z)
+        step[~still] = 0
+        Z[active] = z - step
+        length, before = np.abs(step), last[active]
+        last[active] = np.where(still, length, before)
+        stalled = noisy & (length > 0.5 * before)
+        still &= ~(stalled | (length <= evaluate_zeros._STEP_REL * np.abs(z)))
+        moving[active] = still
+        active = active[still.any(axis=1)]
+        if not len(active):
+            break
+    assert not len(active)
+    return Z, widths
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_moving_first_sweep_equals_the_full_row_sweep(gef, monkeypatch, stack):
+    P = np.array([evaluate_zeros._strip_trailing(c) for c in stack(gef)])
+    assert np.all(P[:, 0] != 0)
+    want, widths = _full_row_sweeps(P)
+    seen = []
+    steps = evaluate_zeros._aberth_steps
+
+    def spy(P, R, Z, cols):
+        seen.append(cols.shape[1])
+        return steps(P, R, Z, cols)
+
+    monkeypatch.setattr(evaluate_zeros, "_aberth_steps", spy)
+    got = evaluate_zeros._aberth_roots(P, range(len(P)))
+    assert got.tobytes() == want.tobytes()
+    assert seen == widths  # each sweep is as wide as its most-moving active row
+    assert min(widths) < P.shape[1] - 1
+
+
+def test_pair_sums_keep_the_range_of_complex_reciprocals():
+    # near 1e-160 |d|^2 underflows and near 1e160 it overflows; the sums still
+    # agree with the complex 1/(z_i - z_j) to a few ulps of sum |1/(z_i - z_j)|
+    rng = np.random.default_rng(3)
+    Z = rng.normal(size=(5, 9)) + 1j * rng.normal(size=(5, 9))
+    Z[0] *= 1e-160
+    Z[1] *= 1e160
+    Z[2, :4] *= 1e-160  # both ends in one row
+    Z[2, 4:] *= 1e160
+    Z[3, 6] = Z[3, 2]  # exactly equal approximations: their pair is left out
+    Z[4, 1] = Z[4, 7] = Z[4, 5] = Z[4, 5] * 1e-160
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = Z[:, :, None] - Z[:, None, :]
+        terms = np.where(d == 0, 0, 1 / d)
+    want = terms.sum(axis=2)
+    for cols in (np.broadcast_to(np.arange(9), Z.shape), np.array([[8, 0, 3]] * 5)):
+        got = evaluate_zeros._pair_sums(Z, cols)
+        pick = np.take_along_axis(want, cols, 1)
+        scale = np.take_along_axis(np.abs(terms).sum(axis=2), cols, 1)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - pick) <= 4 * np.finfo(float).eps * scale)
+    for size in (1e-160, 1e160):  # coincidence is still judged in ulps of the modulus
+        a = np.complex128(size * (1 + 1j))
+        near = np.array([[a, 2 * a, np.nextafter(a.real, 0) + 1j * a.imag]])
+        with pytest.raises(RootResidualError, match="coincide"):
+            evaluate_zeros._check_distinct(near, [0])
+
+
 @pytest.mark.parametrize("stack", STACKS)
 def test_fft_circle_max_matches_horner(gef, stack):
     C = stack(gef)

@@ -121,6 +121,18 @@ def test_mc_hits_do_not_depend_on_the_block_size(monkeypatch, block):
     assert volume_mc(q, 300_000, 23).hits == want
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_mc_products_equal_np_prod(k):
+    # the running product multiplies left to right, as np.prod does; each s is one
+    # of the products itself (t = 1), so a product one ulp off changes the hits
+    samples = 40_000  # one chunk, several blocks
+    words = np.random.Philox(key=np.array([5, 0], dtype=np.uint64)).random_raw(samples * k)
+    prods = np.prod(((words >> np.uint64(11)) * 2.0**-53).reshape(samples, k), axis=1)
+    for s in np.sort(prods)[samples // 16:: samples // 8]:
+        q = VolumeQuery(k, 1.0, float(s))
+        assert volume_mc(q, samples, 5).hits == np.count_nonzero(prods <= s)
+
+
 def test_mc_dimension_limit():
     with pytest.raises(ValueError):
         volume_mc(VolumeQuery(9, 1.0, 0.5), 100, 1)
