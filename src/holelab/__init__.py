@@ -34,7 +34,6 @@ from .evaluate_zeros import (
     ZeroCountError,
     ZeroCountResult,
     count_zeros_disk,
-    eval_series,
     min_zero_modulus,
     roots_truncated,
 )

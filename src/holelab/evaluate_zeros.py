@@ -1,4 +1,4 @@
-"""Truncated series evaluation and certified zero counting in disks.
+"""Certified zero counting of truncated series in disks.
 
 A draw is a plain complex array phi_0..phi_N; `TruncatedSeries` pairs it
 with a coefficient model.  Counting uses two fully independent routes which
@@ -46,11 +46,19 @@ cross-verify each other:
     only that each returned z is a root of a polynomial close to p in
     that sense; it cannot place an ill-conditioned root within its
     neighbourhood, which is why a count stands only when the roots and
-    the kernel agree.  `roots_truncated`, `min_zero_modulus` and
-    `verify_count` are the one-row case of `roots_rows`, `min_zero_moduli`
-    and `verify_counts` its many-row case, and a failure names the sample.
-    `verify_counts` solves each row as p(r w) e^(-M), formed in log scale,
-    and counts the roots with |w| < 1.
+    the kernel agree.  The oracle forms its rows one way, in log scale
+    (`_peak_scaled`): p(r w) e^(-M) for `verify_counts`, which counts the
+    roots with |w| < 1, p(z) e^(-M) for `min_zero_moduli` and
+    `roots_truncated`, and c_n |z*|^n e^(-s) for each root's circle
+    maximum.
+
+Each route checks its rows once: a row that is all zero or holds a NaN or
+inf raises ValueError naming its sample, in `_unit_circle_rows` before it
+is scaled and in `roots_rows` before it is solved (log scaling keeps such
+a row bad).  `count_zeros_disk`, `count_for_coeffs`, `roots_truncated` and
+`min_zero_modulus` are the one-row case of the batch functions; they, with
+`TruncatedSeries` and `ZeroCountResult`, stay only because the benchmark's
+per-layer metrics and some tests name them.
 
 A hole estimate hinges on "count == 0", so a silent undercount anywhere
 would poison every downstream number; mismatches raise instead of warn.
@@ -98,17 +106,6 @@ class TruncatedSeries:
     phi: np.ndarray
     model: CoefficientModel
 
-    def coeffs(self) -> np.ndarray:
-        """phi_n a_n in linear scale, for Horner and the root oracle (a_n may underflow)."""
-        return _linear_rows(np.asarray(self.phi)[None, :], self.model)[0]
-
-
-def _require_finite_nonzero(values: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"non-finite {what}")
-    if not np.any(values != 0):
-        raise ValueError(f"identically zero {what}")
-
 
 @dataclass(frozen=True)
 class ZeroCountResult:
@@ -128,12 +125,6 @@ def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def eval_series(ts: TruncatedSeries, z: complex) -> complex:
-    """Horner evaluation of the truncated series at z (scalar or array)."""
-    out = _horner(ts.coeffs(), np.asarray(z, dtype=np.complex128))
-    return complex(out) if out.ndim == 0 else out
-
-
 def count_for_coeffs(c: np.ndarray, r: float) -> int:
     """Zeros of sum_n c_n z^n in |z| < r: the one-row case of `winding_counts_batch`."""
     return int(winding_counts_batch(np.asarray(c)[None, :], r)[0])
@@ -144,16 +135,14 @@ def count_zeros_disk(ts: TruncatedSeries, r: float, *, verify: bool = False) -> 
 
     The one-row case of `winding_counts_batch` on phi with log a_n kept in
     log scale, so no term is lost to an underflowing a_n.  With
-    `verify=True`, `verify_count` recounts the zeros by the root oracle.
+    `verify=True`, `verify_counts` recounts the zeros by the root oracle.
     """
     if not r > 0:
         raise ValueError("r must be positive")
-    phi = np.asarray(ts.phi, dtype=np.complex128)
-    _require_finite_nonzero(phi, "coefficients phi")
-    w = int(winding_counts_batch(phi[None, :], r,
-                                 log_coeffs=ts.model.log_coeffs(len(phi) - 1))[0])
+    phi = np.asarray(ts.phi)[None, :]
+    w = int(winding_counts_batch(phi, r, log_coeffs=ts.model.log_coeffs(phi.shape[1] - 1))[0])
     if verify:
-        verify_count(ts, r, w)
+        verify_counts(phi, ts.model, r, [w])
     return ZeroCountResult(count=w, radius=r, verified_by_oracle=verify)
 
 
@@ -167,7 +156,7 @@ def verify_counts(phi_rows: np.ndarray, model: CoefficientModel, r: float,
     The Aberth roots share no code with the winding count.  The error
     names the first disagreeing sample.
     """
-    roots = roots_rows(_disk_rows(phi_rows, model, r, first_index), first_index=first_index)
+    roots = roots_rows(_disk_rows(phi_rows, model, r), first_index=first_index)
     for i, (w, count) in enumerate(zip(roots, counts)):
         oracle = int(np.sum(np.abs(w) < 1.0))
         if oracle != count:
@@ -176,13 +165,8 @@ def verify_counts(phi_rows: np.ndarray, model: CoefficientModel, r: float,
                 f"with root oracle ({oracle}) at r={r!r}")
 
 
-def verify_count(ts: TruncatedSeries, r: float, count: int) -> None:
-    """The one-row case of `verify_counts`."""
-    verify_counts(np.asarray(ts.phi)[None, :], ts.model, r, [count])
-
-
-def _unit_circle_rows(rows: np.ndarray, r: float,
-                      log_coeffs: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _unit_circle_rows(rows: np.ndarray, r: float, log_coeffs: np.ndarray | None,
+                      first_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Rows rescaled so that |z| = r becomes the unit circle, in log scale, and their M.
 
     Entry n becomes phi_n h_n h_n with h_n = exp((t_n - M)/2), t_n = log a_n +
@@ -193,14 +177,19 @@ def _unit_circle_rows(rows: np.ndarray, r: float,
     overflows when the largest term is subnormal (t_n - M up to 744.4);
     phi_n h_n stays finite, and so does its product with h_n, which is at
     most 1 in modulus.  Past 745 the entry is zero, and the clip keeps h_n
-    finite so that it stays zero.
+    finite so that it stays zero.  M is not finite exactly when the row is
+    all zero or holds a NaN or inf; such a row raises ValueError naming
+    its sample, row i being sample first_index + i.
     """
     t = np.arange(rows.shape[1]) * math.log(r)
     if log_coeffs is not None:
         t = t + log_coeffs
     with np.errstate(divide="ignore"):
         top = np.max(np.log(np.abs(rows)) + t, axis=1, keepdims=True)
-    top[~np.isfinite(top)] = 0.0  # an identically zero row stays zero
+    bad = ~np.isfinite(top[:, 0])
+    if bad.any():
+        raise ValueError(f"sample {first_index + int(np.flatnonzero(bad)[0])}: "
+                         f"no usable coefficients (all zero, or a NaN or inf entry)")
     half = np.exp(0.5 * np.minimum(t - top, _MAX_LOG_RATIO))
     D = rows * half
     D *= half
@@ -416,13 +405,14 @@ def winding_counts_batch(coeff_rows: np.ndarray, r: float, *,
     makes the count one of f.  The first grid is shared by all rows; rows
     with many failing arcs go together to doubled grids, up to 2^16
     points, and the others bisect their failing arcs together.
-    Row i is sample first_index + i.  A row nothing certifies, or one that
-    winds a negative number of times (impossible for an analytic function),
-    raises ZeroCountError naming the first such sample: no caller gets a
-    count the kernel could not certify.
+    Row i is sample first_index + i.  A row that is all zero or holds a
+    NaN or inf raises ValueError before any is counted.  A row nothing
+    certifies, or one that winds a negative number of times (impossible
+    for an analytic function), raises ZeroCountError naming the first such
+    sample: no caller gets a count the kernel could not certify.
     """
     rows = np.asarray(coeff_rows, dtype=np.complex128)
-    D, log_scale = _unit_circle_rows(rows, r, log_coeffs)
+    D, log_scale = _unit_circle_rows(rows, r, log_coeffs, first_index)
     K = _row_bounds(D, log_scale, tail_eps)
     turn = np.zeros(len(D))
     bits = np.zeros(len(D))
@@ -453,56 +443,56 @@ def winding_counts_batch(coeff_rows: np.ndarray, r: float, *,
     return counts
 
 
-def _strip_trailing(c: np.ndarray) -> np.ndarray:
+def _strip_trailing(c: np.ndarray, sample: int) -> np.ndarray:
     scale = float(np.max(np.abs(c)))
-    if scale == 0.0 or not math.isfinite(scale):
-        raise ValueError("degenerate polynomial: no usable coefficients")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"sample {sample}: no usable coefficients (all zero, or a NaN or inf entry)")
     keep = np.abs(c) >= _STRIP_REL * scale
     top = int(np.flatnonzero(keep)[-1])
     return c[: top + 1]
 
 
-def _linear_rows(phi_rows: np.ndarray, model: CoefficientModel,
-                 first_index: int = 0) -> np.ndarray:
-    """phi_n a_n for rows of samples first_index, first_index + 1, ..."""
-    c = phi_rows * np.exp(model.log_coeffs(phi_rows.shape[1] - 1))
-    bad = ~np.all(np.isfinite(c), axis=1) | ~np.any(c != 0, axis=1)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"non-finite or identically zero effective coefficients "
-                         f"in sample {first_index + i}")
-    return c
+def _peak_scaled(c: np.ndarray, log_terms: np.ndarray, t: np.ndarray,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows c_n e^(t_n - s) and each row's s = max_n log|c_n| + t_n (0 if not finite).
+
+    log_terms holds log|c_n| + t_n and is overwritten with h, so the
+    scaling makes no temporary of that size; t is one row shared by all
+    rows or one per row.  Entry n is (c_n h_n) h_n with h_n =
+    exp((t_n - s)/2), the exponent clipped at 745: no e^(t_n) is formed on
+    its own, every entry has modulus at most 1, a term is lost only below
+    1e-300 of the row's largest (which `roots_rows` strips anyway), a zero
+    c_n stays zero and a NaN or inf stays non-finite.  Written into `out`
+    when given.
+    """
+    s = np.max(log_terms, axis=1, keepdims=True)
+    s[~np.isfinite(s)] = 0.0
+    h = np.subtract(t, s, out=log_terms)
+    np.minimum(h, _MAX_LOG_RATIO, out=h)
+    h *= 0.5
+    np.exp(h, out=h)
+    D = np.multiply(c, h, out=out)
+    D *= h
+    return D, s[:, 0]
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def _disk_rows(phi_rows: np.ndarray, model: CoefficientModel, r: float,
-               first_index: int = 0) -> np.ndarray:
-    """Coefficients of p(r w) e^(-M) for rows of samples first_index, first_index + 1, ...
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _disk_rows(phi_rows: np.ndarray, model: CoefficientModel, r: float) -> np.ndarray:
+    """Coefficients of p(r w) e^(-M), M the row's largest log(|phi_n| a_n r^n).
 
-    Entry n is phi_n a_n r^n e^(-M), M the row's largest log(|phi_n| a_n r^n),
-    formed in log scale as in `_circle_max`: (phi_n h_n) h_n with h_n =
-    exp((log a_n + n log r - M)/2), the exponent clipped at 745 so that h_n
-    stays finite and a zero phi_n stays zero.  No a_n or r^n is formed in
-    linear scale, so a term is lost only where it is below 1e-300 of the
-    row's largest, which `roots_rows` strips anyway.
+    Entry n is phi_n a_n r^n e^(-M), formed by `_peak_scaled` with t_n =
+    log a_n + n log r.
     """
     t = model.log_coeffs(phi_rows.shape[1] - 1) + np.arange(phi_rows.shape[1]) * math.log(r)
-    top = np.max(np.log(np.abs(phi_rows)) + t, axis=1, keepdims=True)
-    bad = ~np.isfinite(top[:, 0])
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"non-finite or identically zero effective coefficients "
-                         f"in sample {first_index + i}")
-    h = np.exp(0.5 * np.minimum(t - top, _MAX_LOG_RATIO))
-    D = phi_rows * h
-    D *= h
-    return D
+    return _peak_scaled(phi_rows, np.log(np.abs(phi_rows)) + t, t)[0]
 
 
 def roots_rows(coeff_rows: np.ndarray, *, first_index: int = 0) -> list[np.ndarray]:
     """All roots of each row's polynomial sum_n c_n z^n, solved in stacks.
 
-    Each row drops its trailing coefficients below 1e-300 of its largest.
+    Each row drops its trailing coefficients below 1e-300 of its largest;
+    a row that is all zero or holds a NaN or inf raises ValueError naming
+    its sample, `first_index` plus its row, before any row is solved.
     Rows of equal stripped length and equal number of zero constant terms
     form one stack: roots at 0 for the zero constant terms, and the roots
     of the nonzero part by one Aberth-Ehrlich iteration of the whole stack
@@ -513,7 +503,7 @@ def roots_rows(coeff_rows: np.ndarray, *, first_index: int = 0) -> list[np.ndarr
     approximations coincide, and a failing root raise RootResidualError
     naming the sample, `first_index` plus its row.
     """
-    stripped = [_strip_trailing(c) for c in np.asarray(coeff_rows)]
+    stripped = [_strip_trailing(c, first_index + i) for i, c in enumerate(np.asarray(coeff_rows))]
     stacks: dict[tuple[int, int], list[int]] = {}
     for i, c in enumerate(stripped):
         stacks.setdefault((len(c), int(np.flatnonzero(c)[0])), []).append(i)
@@ -534,7 +524,7 @@ def roots_rows(coeff_rows: np.ndarray, *, first_index: int = 0) -> list[np.ndarr
 
 def roots_truncated(ts: TruncatedSeries) -> np.ndarray:
     """All roots of the truncated polynomial: the one-row case of `roots_rows`."""
-    return roots_rows(ts.coeffs()[None, :])[0]
+    return roots_rows(_disk_rows(np.asarray(ts.phi)[None, :], ts.model, 1.0))[0]
 
 
 def _aberth_roots(P: np.ndarray, samples) -> np.ndarray:
@@ -797,10 +787,10 @@ def _circle_max(C: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarra
     With b_n = c_n |z*|^n e^(-s) folded mod 64, B_j = sum of b_n over
     n = j mod 64, the 64 values are p(|z*| e^(2 pi i k / 64)) e^(-s) =
     sum_j B_j e^(2 pi i j k / 64): one 64-point FFT per root, in blocks of
-    about _BLOCK_VALUES values b_n.  s is the largest log(|c_n| |z*|^n)
-    (0 where all are zero or s is not finite), so every |b_n| <= 1, and
-    b_n is formed as (c_n h_n) h_n with h_n = exp((n log|z*| - s)/2) so
-    that no power |z*|^n overflows on its own.
+    about _BLOCK_VALUES values b_n.  b_n and s are formed by `_peak_scaled`
+    with t_n = n log|z*| (t_0 = 0), one row of t per root, so every |b_n|
+    <= 1 and no power |z*|^n overflows on its own; a non-finite |z*|
+    still fails.
     """
     rho = np.abs(roots).ravel()
     row = np.repeat(np.arange(len(C)), roots.shape[1])
@@ -812,17 +802,13 @@ def _circle_max(C: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarra
     for lo in range(0, len(rho), step):
         t = n * np.log(rho[lo: lo + step, None])
         t[:, 0] = 0.0  # rho^0 = 1, also at a root at 0
-        c = C[row[lo: lo + step]]
-        s = np.max(log_c[row[lo: lo + step]] + t, axis=1, keepdims=True)
-        s[~np.isfinite(s)] = 0.0  # an all-zero b stays zero; a non-finite rho still fails
-        h = np.exp(0.5 * np.minimum(t - s, _MAX_LOG_RATIO))
-        b = np.zeros((len(c), width), dtype=np.complex128)
-        np.multiply(c, h, out=b[:, : C.shape[1]])
-        b[:, : C.shape[1]] *= h
+        block = row[lo: lo + step]
+        b = np.zeros((len(block), width), dtype=np.complex128)
+        _, scale[lo: lo + step] = _peak_scaled(C[block], log_c[block] + t, t,
+                                               out=b[:, : C.shape[1]])
         B = b.reshape(len(b), -1, _RESIDUAL_POINTS).sum(axis=1)
         values = np.fft.ifft(B, axis=1, norm="forward")
         peak[lo: lo + step] = np.max(np.abs(values), axis=1)
-        scale[lo: lo + step] = s[:, 0]
     return peak.reshape(roots.shape), scale.reshape(roots.shape)
 
 
@@ -831,9 +817,10 @@ def min_zero_moduli(phi_rows: np.ndarray, model: CoefficientModel, *,
     """Smallest |z*| over the roots of each row (+inf for a nonzero constant).
 
     Rows hold phi_0..phi_N of samples first_index, first_index + 1, ...;
-    one `roots_rows` call solves them all.
+    one `roots_rows` call solves them all, on the rows of p(z) e^(-M)
+    formed by `_disk_rows` at r = 1.
     """
-    roots = roots_rows(_linear_rows(phi_rows, model, first_index), first_index=first_index)
+    roots = roots_rows(_disk_rows(phi_rows, model, 1.0), first_index=first_index)
     return np.array([float(np.min(np.abs(z))) if len(z) else math.inf for z in roots])
 
 

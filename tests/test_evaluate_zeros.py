@@ -14,7 +14,6 @@ from holelab import (
     count_zeros_disk,
     draw_coeffs,
     draw_rows,
-    eval_series,
     hole_mc,
     min_zero_modulus,
     roots_truncated,
@@ -28,13 +27,14 @@ from holelab.evaluate_zeros import (
     min_zero_moduli,
     roots_rows,
     rotate_draw,
-    verify_count,
     verify_counts,
     winding_counts_batch,
 )
 from holelab.hermite_asymptotics import all_ones_draw
 
-# frozen: companion-matrix roots of sum_{n<=200} z^n/sqrt(n!), all phi_n = 1
+# frozen: smallest modulus of the roots of sum_{n<=200} z^n/sqrt(n!), all
+# phi_n = 1, from companion-matrix eigenvalues; the root oracle is checked
+# against it to rel 1e-9
 ALL_ONES_200_MIN_MODULUS = 3.6140172786532405
 
 
@@ -42,27 +42,35 @@ def _manual_draw(values) -> np.ndarray:
     return np.asarray(values, dtype=np.complex128)
 
 
-def eval_series_pairwise(ts: TruncatedSeries, z: complex) -> complex:
+def _linear(phi, model) -> np.ndarray:
+    """phi_n a_n, the coefficients of the truncated series."""
+    return phi * np.exp(model.log_coeffs(len(phi) - 1))
+
+
+def eval_series_horner(phi, model, z) -> complex:
+    """Horner evaluation (the module's `_horner`) of sum phi_n a_n z^n at one z."""
+    return complex(evaluate_zeros._horner(_linear(phi, model), np.complex128(z)))
+
+
+def eval_series_pairwise(phi, model, z: complex) -> complex:
     """Independent summation order (explicit powers, pairwise sum)."""
-    c = ts.coeffs()
+    c = _linear(phi, model)
     powers = np.power(np.complex128(z), np.arange(len(c)))
     return complex(np.sum(c * powers))
 
 
 def test_eval_constant_and_linear(gef):
-    const = TruncatedSeries(_manual_draw([1.0]), gef)
-    assert eval_series(const, 2.7 - 1.2j) == 1.0 + 0.0j
-    lin = TruncatedSeries(_manual_draw([0.0, 1.0]), gef)  # a_1 = 1 so f(z) = z
-    assert eval_series(lin, 0.25 + 0.5j) == 0.25 + 0.5j
+    assert eval_series_horner(_manual_draw([1.0]), gef, 2.7 - 1.2j) == 1.0 + 0.0j
+    # a_1 = 1 so f(z) = z
+    assert eval_series_horner(_manual_draw([0.0, 1.0]), gef, 0.25 + 0.5j) == 0.25 + 0.5j
 
 
 def test_dual_evaluation_agreement(gef):
     z = 0.3 + 0.4j
     for i in range(50):
         draw = draw_coeffs(Distribution.COMPLEX_GAUSSIAN, 40, sample_seed(314, i))
-        ts = TruncatedSeries(draw, gef)
-        horner = eval_series(ts, z)
-        pairwise = eval_series_pairwise(ts, z)
+        horner = eval_series_horner(draw, gef, z)
+        pairwise = eval_series_pairwise(draw, gef, z)
         assert abs(horner - pairwise) <= 1e-11 * max(1.0, abs(horner))
 
 
@@ -107,8 +115,8 @@ def test_rotate_draw_rows_and_blocks(gef):
     for k in range(3):
         assert np.array_equal(rotated[k], rotate_draw(block[k], 0.7))
         # the rotated series evaluates f(z e^(i theta))
-        want = eval_series(TruncatedSeries(block[k], gef), z * np.exp(0.7j))
-        assert eval_series(TruncatedSeries(rotated[k], gef), z) == pytest.approx(want, rel=1e-12)
+        want = eval_series_horner(block[k], gef, z * np.exp(0.7j))
+        assert eval_series_horner(rotated[k], gef, z) == pytest.approx(want, rel=1e-12)
 
 
 def test_boundary_zero_is_diagnosed(gef):
@@ -122,10 +130,10 @@ def test_boundary_zero_is_diagnosed(gef):
 
 
 def test_verify_count_rejects_a_wrong_count(gef):
-    one_plus_z = TruncatedSeries(_manual_draw([1.0, 1.0]), gef)
-    verify_count(one_plus_z, 2.0, 1)
+    one_plus_z = _manual_draw([[1.0, 1.0]])
+    verify_counts(one_plus_z, gef, 2.0, [1])
     with pytest.raises(ZeroCountError, match="root oracle"):
-        verify_count(one_plus_z, 2.0, 0)
+        verify_counts(one_plus_z, gef, 2.0, [0])
 
 
 class _BoundarySuspicion(Exception):
@@ -210,7 +218,7 @@ def test_roots_residuals_random_degree_30(gef):
 
 def test_roots_degenerate_rejected(gef):
     with pytest.raises(ValueError):
-        TruncatedSeries(_manual_draw([0.0, 0.0]), gef).coeffs()
+        roots_truncated(TruncatedSeries(_manual_draw([0.0, 0.0]), gef))
 
 
 def test_min_zero_modulus_examples(gef):
@@ -260,9 +268,9 @@ def test_batch_counts_match_root_oracle(gef, r, count):
         if r < 12.0:
             oracle = count_zeros_disk(TruncatedSeries(_manual_draw(phi[i]), gef), r, verify=True)
         else:
-            # TruncatedSeries forms a_n linearly, and a_n underflows for
-            # n >= 314, so the oracle counts q(w) = p(r w) / max_n a_n r^n on
-            # |w| < 1 instead
+            # a_n underflows for n >= 314; the oracle counts q(w) = p(r w) /
+            # max_n a_n r^n on |w| < 1, a row formed here from t_n directly
+            # rather than by the module's log-scale rows
             t = gef.log_coeffs(degree) + np.arange(degree + 1) * math.log(r)
             q = TruncatedSeries(_manual_draw(phi[i] * np.exp(t - t.max())), _UnitModel())
             oracle = count_zeros_disk(q, 1.0, verify=True)
@@ -369,6 +377,53 @@ def test_uncertified_row_raises_naming_its_sample(gef):
     assert list(winding_counts_batch(rows[1:], 1.0)) == [1, 0]
 
 
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
+def test_bad_rows_name_their_sample_on_both_routes(gef, bad):
+    # row 1 (sample 41) is all zero or holds a NaN or inf entry: the kernel and
+    # the oracle each refuse it by name, before any arithmetic that would warn
+    degree = 21
+    phi = _gaussian_rows(degree, 4, 3)
+    c = phi * np.exp(gef.log_coeffs(degree))
+    for rows in (phi, c):
+        if bad == 0.0:
+            rows[1] = 0.0
+        else:
+            rows[1, 5] = bad
+    calls = [
+        lambda: winding_counts_batch(phi, 1.0, log_coeffs=gef.log_coeffs(degree), first_index=40),
+        lambda: winding_counts_batch(c, 1.0, first_index=40),
+        lambda: roots_rows(c, first_index=40),
+        lambda: verify_counts(phi, gef, 1.0, [1, 1, 1], first_index=40),
+        lambda: min_zero_moduli(phi, gef, first_index=40),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^sample 41: no usable coefficients"):
+                call()
+
+
+@pytest.mark.parametrize("r, degree", [(0.5, 45), (0.7, 88)])
+def test_hyperbolic_gaf_hole_law(r, degree):
+    # Peres & Virag, Acta Math. 194 (2005): the zeros of sum phi_n z^n with
+    # i.i.d. complex Gaussian phi_n form a determinantal process, and their
+    # count in |z| < r has the law of a sum of independent Bernoulli(r^(2k)),
+    # k >= 1.  So P(no zero) = prod (1 - r^(2k)) and E N = r^2 / (1 - r^2).
+    # The rows stop at the first N with r^N / (1 - r) <= 1e-13, far below
+    # |f| on |z| = r except on an event too rare to show in 40 000 rows.
+    assert degree == math.ceil(math.log(1e-13 * (1 - r)) / math.log(r))
+    n = 40_000
+    phi = draw_rows(Distribution.COMPLEX_GAUSSIAN, 11, 0, n, degree + 1)
+    counts = winding_counts_batch(phi, r, log_coeffs=np.zeros(degree + 1))
+    hole = math.prod(1.0 - r ** (2 * k) for k in range(1, degree + 1))
+    p, z = np.mean(counts == 0), 1.96  # Wilson 95% interval of the hole fraction
+    centre = (p + z * z / (2 * n)) / (1 + z * z / n)
+    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / (1 + z * z / n)
+    assert centre - half <= hole <= centre + half
+    mean = r * r / (1 - r * r)
+    assert abs(counts.mean() - mean) <= 4 * counts.std(ddof=1) / math.sqrt(n)
+
+
 def test_two_zeros_in_one_grid_cell_are_both_counted():
     # (w - a1)(w - a2) padded to degree 32, both zeros 1e-3 inside |w| = 1 and
     # 2e-3 apart in angle around the midpoint of grid points 10 and 11 of 256:
@@ -457,7 +512,7 @@ def _polish_one(c, roots, iters=60):
 
 
 def _per_row_roots(c):
-    c = evaluate_zeros._strip_trailing(c)
+    c = evaluate_zeros._strip_trailing(c, 0)
     return _polish_one(c, np.roots(c[::-1])) if len(c) > 1 else np.empty(0)
 
 
@@ -576,7 +631,7 @@ def _full_row_sweeps(P):
 
 @pytest.mark.parametrize("stack", STACKS)
 def test_moving_first_sweep_equals_the_full_row_sweep(gef, monkeypatch, stack):
-    P = np.array([evaluate_zeros._strip_trailing(c) for c in stack(gef)])
+    P = np.array([evaluate_zeros._strip_trailing(c, 0) for c in stack(gef)])
     assert np.all(P[:, 0] != 0)
     want, widths = _full_row_sweeps(P)
     seen = []
@@ -721,7 +776,7 @@ def test_far_roots_of_a_high_degree_row_verify(gef):
     counts = winding_counts_batch(phi, 12.0, log_coeffs=gef.log_coeffs(degree), tail_eps=0.0,
                                   first_index=4)
     verify_counts(phi, gef, 12.0, counts, first_index=4)
-    C = evaluate_zeros._strip_trailing(evaluate_zeros._linear_rows(phi, gef, 4)[0])
+    C = evaluate_zeros._strip_trailing(evaluate_zeros._disk_rows(phi, gef, 1.0)[0], 4)
     roots = roots_rows(C[None, :])[0]
     far = int(np.argmax(np.abs(roots)))
     assert abs(roots[far]) > 150.0
