@@ -159,6 +159,19 @@ def emit(records, fmt: str = "json", path: str | None = None) -> None:
 # subcommand runners: argparse namespace -> results dict
 
 
+class _UsageError(Exception):
+    pass
+
+
+def _both_or_neither(args, first: str, second: str) -> bool:
+    """Whether flags `first` and `second` were both given; a usage error if only one was."""
+    given = [getattr(args, flag[2:].replace("-", "_")) is not None for flag in (first, second)]
+    if given[0] != given[1]:
+        have, missing = (first, second) if given[0] else (second, first)
+        raise _UsageError(f"{have} needs {missing}")
+    return given[0]
+
+
 def _model_from(args) -> CoefficientModel:
     if args.model == "gef":
         return CoefficientModel.gef()
@@ -258,7 +271,7 @@ def _run_volume(args) -> dict:
 
 
 def _run_covdet(args) -> dict:
-    if args.kappa is not None and args.n_points is not None:
+    if _both_or_neither(args, "--kappa", "--n-points"):
         spec = CovarianceSpec(args.r, args.kappa, args.n_points)
     else:
         spec = CovarianceSpec.default(args.r)
@@ -274,10 +287,10 @@ def _run_covdet(args) -> dict:
 def _run_hermite(args) -> dict:
     beta = complex(args.beta)
     out: dict = {"beta_re": beta.real, "beta_im": beta.imag}
-    if args.n:
+    if args.n is not None:
         out["saddle_deviation"] = saddle_deviation(beta, args.n)
         out["n"] = args.n
-    if args.c1 is not None and args.c2 is not None:
+    if _both_or_neither(args, "--c1", "--c2"):
         esc = annulus_escape(beta, args.c1, args.c2, args.nmax)
         out["escape_index"] = esc
     return out
@@ -300,10 +313,6 @@ _RUNNERS = {
     "hermite": _run_hermite,
     "forced-zero": _run_forced_zero,
 }
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -414,7 +423,7 @@ def _build_parser() -> _Parser:
     p = add("hermite")
     p.add_argument("--beta", type=_finite_complex_text, default="1.0",
                    help="complex literal, e.g. '1.3+0.4j'")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--c1", type=_finite_float, default=None)
     p.add_argument("--c2", type=_finite_float, default=None)
     p.add_argument("--nmax", type=int, default=100_000)

@@ -27,26 +27,30 @@ cross-verify each other:
     failing arcs, evaluating q and q' at the midpoints by Horner.  A row
     nothing certifies raises, naming its sample, and is never guessed;
   * a root oracle by the Aberth-Ehrlich iteration.  `roots_rows` is the
-    one implementation: rows of equal stripped length form one stack, and
-    all of a stack's moving approximations move at once, each by
+    one implementation: rows are stripped and grouped with array
+    operations, rows of equal stripped length form one stack, and all of
+    a stack's moving approximations move at once, each by
     1 / (p'/p - sum_j 1/(z - z_j)), with p'/p by Horner in z inside the
     unit circle and in 1/z outside it, so that no value overflows.  They
-    start on the circles of each row's Newton polygon.  Each sweep puts
+    start on the circles of each row's Newton polygon, whose vertices are
+    marked for all rows at once from a table of slopes.  Each sweep puts
     the approximations still moving first in their rows and steps only as
     many columns as the row with the most of them needs; the sum over j
-    runs over every approximation of the row, in real arithmetic.  An
-    approximation stops at a relative step of 1e-15, or once its steps
-    stop shrinking while |p| is at the rounding level of its evaluation,
-    and a row is done when all of its approximations have stopped.  The
-    oracle refuses a row still moving after a fixed number of sweeps and
-    a row in which two approximations coincide to a few ulps (one root
-    found twice, so another is missed).  Every root's residual is then
-    checked against the max of |p| on its own circle, from one 64-point
-    FFT per root, and a failing root is refused too.  The check proves
-    only that each returned z is a root of a polynomial close to p in
-    that sense; it cannot place an ill-conditioned root within its
-    neighbourhood, which is why a count stands only when the roots and
-    the kernel agree.  The oracle forms its rows one way, in log scale
+    runs over every approximation of the row, in real arithmetic on
+    contiguous real and imaginary planes.  An approximation stops at a
+    relative step of 1e-15, or once its steps stop shrinking while |p| is
+    at the rounding level of its evaluation (a bound summed only for
+    those whose steps stopped shrinking), and a row is done when all of
+    its approximations have stopped.  The oracle refuses a row still
+    moving after a fixed number of sweeps and a row in which two
+    approximations coincide to a few ulps (one root found twice, so
+    another is missed).  Every root's residual, by Horner on its own
+    route, is then checked against the max of |p| on its own circle, from
+    one 64-point FFT per root, and a failing root is refused too.  The
+    check proves only that each returned z is a root of a polynomial
+    close to p in that sense; it cannot place an ill-conditioned root
+    within its neighbourhood, which is why a count stands only when the
+    roots and the kernel agree.  The oracle forms its rows one way, in log scale
     (`_peak_scaled`): p(r w) e^(-M) for `verify_counts`, which counts the
     roots with |w| < 1, p(z) e^(-M) for `min_zero_moduli` and
     `roots_truncated`, and c_n |z*|^n e^(-s) for each root's circle
@@ -150,19 +154,21 @@ def verify_counts(phi_rows: np.ndarray, model: CoefficientModel, r: float,
                   counts, *, first_index: int = 0) -> None:
     """Raise ZeroCountError unless the root oracle finds counts[i] zeros of row i in |z| < r.
 
-    Rows hold phi_0..phi_N of samples first_index, first_index + 1, ...; one
-    `roots_rows` call solves them all, on the rows of p(r w) formed by
-    `_disk_rows`, and the zeros in |z| < r are the roots with |w| < 1.
-    The Aberth roots share no code with the winding count.  The error
-    names the first disagreeing sample.
+    Rows hold phi_0..phi_N of samples first_index, first_index + 1, ...;
+    the root oracle (`_root_stacks`) solves them all, on the rows of p(r w)
+    formed by `_disk_rows`, and the zeros in |z| < r are the roots with
+    |w| < 1, counted stack by stack.  The Aberth roots share no code with
+    the winding count.  The error names the first disagreeing sample.
     """
-    roots = roots_rows(_disk_rows(phi_rows, model, r), first_index=first_index)
-    for i, (w, count) in enumerate(zip(roots, counts)):
-        oracle = int(np.sum(np.abs(w) < 1.0))
-        if oracle != count:
-            raise ZeroCountError(
-                f"sample {first_index + i}: argument principle ({count}) disagrees "
-                f"with root oracle ({oracle}) at r={r!r}")
+    oracle = np.zeros(len(phi_rows), dtype=np.int64)
+    for idx, roots in _root_stacks(_disk_rows(phi_rows, model, r), first_index):
+        oracle[idx] = np.count_nonzero(np.abs(roots) < 1.0, axis=1)
+    wrong = np.flatnonzero(oracle != np.asarray(counts))
+    if len(wrong):
+        i = int(wrong[0])
+        raise ZeroCountError(
+            f"sample {first_index + i}: argument principle ({counts[i]}) disagrees "
+            f"with root oracle ({oracle[i]}) at r={r!r}")
 
 
 def _unit_circle_rows(rows: np.ndarray, r: float, log_coeffs: np.ndarray | None,
@@ -443,29 +449,42 @@ def winding_counts_batch(coeff_rows: np.ndarray, r: float, *,
     return counts
 
 
+def _stripped_lengths(rows: np.ndarray, first_index: int = 0) -> np.ndarray:
+    """Each row's length once its trailing coefficients below 1e-300 of its largest are dropped.
+
+    A row that is all zero or holds a NaN or inf raises ValueError naming
+    its sample, row i being sample first_index + i.
+    """
+    size = np.abs(rows)
+    scale = np.max(size, axis=1)
+    bad = ~((0.0 < scale) & (scale < math.inf))
+    if bad.any():
+        raise ValueError(f"sample {first_index + int(np.flatnonzero(bad)[0])}: "
+                         f"no usable coefficients (all zero, or a NaN or inf entry)")
+    keep = size >= _STRIP_REL * scale[:, None]
+    return rows.shape[1] - np.argmax(keep[:, ::-1], axis=1)
+
+
 def _strip_trailing(c: np.ndarray, sample: int) -> np.ndarray:
-    scale = float(np.max(np.abs(c)))
-    if not 0.0 < scale < math.inf:
-        raise ValueError(f"sample {sample}: no usable coefficients (all zero, or a NaN or inf entry)")
-    keep = np.abs(c) >= _STRIP_REL * scale
-    top = int(np.flatnonzero(keep)[-1])
-    return c[: top + 1]
+    """One row c without its trailing coefficients: the one-row case of `_stripped_lengths`."""
+    return c[: _stripped_lengths(c[None, :], sample)[0]]
 
 
 def _peak_scaled(c: np.ndarray, log_terms: np.ndarray, t: np.ndarray,
                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Rows c_n e^(t_n - s) and each row's s = max_n log|c_n| + t_n (0 if not finite).
 
-    log_terms holds log|c_n| + t_n and is overwritten with h, so the
-    scaling makes no temporary of that size; t is one row shared by all
-    rows or one per row.  Entry n is (c_n h_n) h_n with h_n =
+    n runs along the last axis.  log_terms holds log|c_n| + t_n and is
+    overwritten with h, so the scaling makes no temporary of that size; c
+    and t broadcast against it (one row of t shared by all rows, or one
+    per row).  Entry n is (c_n h_n) h_n with h_n =
     exp((t_n - s)/2), the exponent clipped at 745: no e^(t_n) is formed on
     its own, every entry has modulus at most 1, a term is lost only below
     1e-300 of the row's largest (which `roots_rows` strips anyway), a zero
     c_n stays zero and a NaN or inf stays non-finite.  Written into `out`
     when given.
     """
-    s = np.max(log_terms, axis=1, keepdims=True)
+    s = np.max(log_terms, axis=-1, keepdims=True)
     s[~np.isfinite(s)] = 0.0
     h = np.subtract(t, s, out=log_terms)
     np.minimum(h, _MAX_LOG_RATIO, out=h)
@@ -473,7 +492,7 @@ def _peak_scaled(c: np.ndarray, log_terms: np.ndarray, t: np.ndarray,
     np.exp(h, out=h)
     D = np.multiply(c, h, out=out)
     D *= h
-    return D, s[:, 0]
+    return D, s[..., 0]
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -501,25 +520,44 @@ def roots_rows(coeff_rows: np.ndarray, *, first_index: int = 0) -> list[np.ndarr
     bound for the true max, so the check only errs on the strict side).
     A row the iteration leaves unconverged, a row in which two
     approximations coincide, and a failing root raise RootResidualError
-    naming the sample, `first_index` plus its row.
+    naming the sample, `first_index` plus its row.  Row i of the result
+    is row i's roots, from the stacks `_root_stacks` solves.
     """
-    stripped = [_strip_trailing(c, first_index + i) for i, c in enumerate(np.asarray(coeff_rows))]
-    stacks: dict[tuple[int, int], list[int]] = {}
-    for i, c in enumerate(stripped):
-        stacks.setdefault((len(c), int(np.flatnonzero(c)[0])), []).append(i)
-    out: list[np.ndarray] = [np.empty(0, dtype=np.complex128)] * len(stripped)
-    for (n, lead), idx in stacks.items():
-        if n == 1:
-            continue
-        C = np.array([stripped[i] for i in idx])
-        samples = [first_index + i for i in idx]
-        roots = np.zeros((len(idx), n - 1), dtype=np.complex128)
-        if n - lead > 1:
-            roots[:, : n - lead - 1] = _aberth_roots(C[:, lead:], samples)
-        _check_residuals(C, roots, samples)
-        for k, i in enumerate(idx):
-            out[i] = roots[k]
+    out: list[np.ndarray] = [np.empty(0, dtype=np.complex128)] * len(coeff_rows)
+    for idx, roots in _root_stacks(coeff_rows, first_index):
+        for i, z in zip(idx, roots):
+            out[i] = z
     return out
+
+
+def _root_stacks(coeff_rows: np.ndarray, first_index: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(idx, roots) for each stack of `roots_rows`, in the order of its first row.
+
+    idx lists the stack's rows in order and roots holds one row of roots
+    per entry of idx.  Rows are stripped (`_stripped_lengths`) and grouped
+    by stripped length and leading zero count with array operations; a
+    stack's coefficients are one slice of its rows.  Every stack is solved
+    before any is returned, so a failure anywhere raises before a caller
+    reads a root.
+    """
+    rows = np.asarray(coeff_rows)
+    length = _stripped_lengths(rows, first_index)
+    lead = np.argmax(rows != 0, axis=1)  # zero constant terms; below the stripped length
+    _, first, group = np.unique(length * rows.shape[1] + lead, return_index=True,
+                                return_inverse=True)
+    stacks = []
+    for g in np.argsort(first):
+        idx = np.flatnonzero(group == g)
+        n, zeros = int(length[idx[0]]), int(lead[idx[0]])
+        C = rows[idx, :n]
+        samples = (first_index + idx).tolist()
+        roots = np.zeros((len(idx), n - 1), dtype=np.complex128)
+        if n - zeros > 1:
+            roots[:, : n - zeros - 1] = _aberth_roots(C[:, zeros:], samples)
+        if n > 1:
+            _check_residuals(C, roots, samples)
+        stacks.append((idx, roots))
+    return stacks
 
 
 def roots_truncated(ts: TruncatedSeries) -> np.ndarray:
@@ -538,10 +576,12 @@ def _aberth_roots(P: np.ndarray, samples) -> np.ndarray:
     |p(z)| is below 4 ulps of sum |c_k| |z|^k, the scale of Horner's own
     rounding: up to that rounding, z then solves a polynomial whose
     coefficients differ from p's by 4 ulps each, and further steps follow
-    rounding noise.  Well-conditioned roots pass the first test.  The
-    outer roots of the all-ones row of degree 200 never do: a change of
-    that size in its coefficients moves them by up to about 5%, and they
-    stop by the second test anywhere in that range.  A stopped
+    rounding noise.  Well-conditioned roots pass the first test.  Of the
+    200 roots of the all-ones row of degree 200, 196 never do: a change of
+    that size in its coefficients moves the outer ones by up to about 5%,
+    and they stop by the second test anywhere in that range.  The bound
+    sum |c_k| |z|^k is summed only for approximations whose step stopped
+    shrinking, the only ones the second test reads.  A stopped
     approximation keeps its place and keeps repelling the others.
 
     Each sweep steps only the approximations still moving.  A stable sort
@@ -566,12 +606,15 @@ def _aberth_roots(P: np.ndarray, samples) -> np.ndarray:
         width = int(flags.sum(axis=1).max())
         cols = np.argsort(~flags, axis=1, kind="stable")[:, :width]  # moving ones first
         z, still, before = Z[rows, cols], moving[rows, cols], last[rows, cols]
-        step, noisy = _aberth_steps(P[active], R[active], Z[active], cols)
+        step, values = _aberth_steps(P[active], R[active], Z[active], cols)
         step[~still] = 0
         Z[rows, cols] = z - step
         length = np.abs(step)
         last[rows, cols] = np.where(still, length, before)
-        stalled = noisy & (length > 0.5 * before)
+        stalled = length > 0.5 * before  # a stopped approximation took no step
+        if stalled.any():
+            stalled[stalled] = values.at_rounding_level(stalled)
+        del values  # its table and values go before the next sweep builds its own
         still &= ~(stalled | (length <= _STEP_REL * np.abs(z)))  # a non-finite step never stops
         moving[rows, cols] = still
         active = active[still.any(axis=1)]
@@ -604,30 +647,14 @@ def _newton_polygon_starts(P: np.ndarray) -> np.ndarray:
     modulus near u (Bini, Numer. Algorithms 13, 1996).  They start evenly
     spaced on the circle |z| = u, at the angles 2 pi (j - a + 1/2) / (b - a),
     j = a..b-1, turned by a times the golden angle so that the points of
-    neighbouring circles do not line up.  The hull is built by a monotone
-    chain, one column at a time for all rows at once; zero coefficients
-    (log 0 = -inf) never enter it.
+    neighbouring circles do not line up.  The vertices are marked by
+    `_hull_vertices`, for all rows at once; zero coefficients (log 0 =
+    -inf) are never vertices.
     """
-    rows, n = P.shape
+    n = P.shape[1]
     y = np.log(np.abs(P))
-    every = np.arange(rows)
-    hull = np.zeros((rows, n), dtype=np.intp)  # each row's vertices, hull[:, :top + 1]
-    top = np.zeros(rows, dtype=np.intp)
-    for k in range(1, n):
-        live = np.isfinite(y[:, k])
-        while True:  # drop the last vertex b while it lies on or below the chord from a to k
-            b = hull[every, top]
-            a = hull[every, np.maximum(top - 1, 0)]
-            ya = y[every, a]
-            pop = live & (top > 0) & ((y[every, b] - ya) * (k - a) <= (y[:, k] - ya) * (b - a))
-            if not pop.any():
-                break
-            top -= pop
-        top += live
-        hull[every[live], top[live]] = k
+    vertex = _hull_vertices(y)
     col = np.arange(n)
-    vertex = np.zeros((rows, n), dtype=bool)
-    vertex[every.repeat(top + 1), hull[col <= top[:, None]]] = True
     a = np.maximum.accumulate(np.where(vertex, col, 0), axis=1)[:, :-1]
     b = np.minimum.accumulate(np.where(vertex, col, n)[:, ::-1], axis=1)[:, -2::-1]
     radius = np.exp((np.take_along_axis(y, a, 1) - np.take_along_axis(y, b, 1)) / (b - a))
@@ -635,10 +662,79 @@ def _newton_polygon_starts(P: np.ndarray) -> np.ndarray:
     return radius * np.exp(1j * angle)
 
 
+@np.errstate(invalid="ignore")
+def _hull_vertices(y: np.ndarray) -> np.ndarray:
+    """Which points (k, y[i, k]) are vertices of the upper convex hull of row i.
+
+    Point k is a vertex exactly when the largest slope (y_j - y_k) / (j -
+    k) to a later point is below the smallest slope into k from an earlier
+    one, so a point on a chord between two others is not a vertex, as in
+    a monotone chain that pops on or below the chord.  A point with y =
+    -inf is never a vertex, and a slope to or from one is -inf or +inf,
+    which never decides.  The slopes from points k to every point j are
+    formed for blocks of about _BLOCK_VALUES pairs (whole rows while n^2
+    fits, else runs of one row's points).
+    """
+    rows, n = y.shape
+    col = np.arange(n)
+    vertex = np.isfinite(y)
+    points = max(1, min(n, _BLOCK_VALUES // n))  # points k of one row per block
+    step = max(1, _BLOCK_VALUES // (n * points))  # rows per block
+    for lo in range(0, rows, step):
+        block = y[lo: lo + step]
+        for k in range(0, n, points):
+            gap = col - col[k: k + points, None]
+            slope = block[:, None, :] - block[:, k: k + points, None]
+            slope /= gap  # slope[i, k, j] = (y_j - y_k) / (j - k)
+            out_max = np.max(slope, axis=2, where=gap > 0, initial=-np.inf)
+            in_min = np.min(slope, axis=2, where=gap < 0, initial=np.inf)
+            vertex[lo: lo + step, k: k + points] &= out_max < in_min
+    return vertex
+
+
+def _route_table(P: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Table whose row k holds coefficient k of every row's R and P, interleaved.
+
+    Column 2 i holds row i of R and column 2 i + 1 row i of P, so the
+    coefficients of a point on row i's route (P inside the unit circle, R
+    outside) are one gather at 2 i + (route is P).
+    """
+    table = np.empty((P.shape[1], len(P), 2), dtype=np.complex128)
+    table[:, :, 0], table[:, :, 1] = R.T, P.T
+    return table.reshape(P.shape[1], -1)
+
+
+class _Values(NamedTuple):
+    """The Horner values v at the points w of one sweep, and the table they came from.
+
+    Entry (i, k) ran Horner's rule on coefficients table[:, pick[i, k]].
+    """
+
+    table: np.ndarray
+    pick: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+
+    def at_rounding_level(self, which: np.ndarray) -> np.ndarray:
+        """Whether |v| <= 4 eps sum_k |c_k| |w|^k at the entries the mask `which` selects.
+
+        The bound is summed by Horner's rule on the moduli, in the order
+        the values were, only for the selected entries.
+        """
+        pick, size = self.pick[which], np.abs(self.w[which])
+        sizes = np.abs(self.table)
+        bound = sizes[-1].take(pick)
+        sk = np.empty_like(bound)  # reused: no temporaries per k
+        for row in sizes[-2::-1]:
+            bound *= size
+            bound += row.take(pick, out=sk, mode="clip")
+        return np.abs(self.v[which]) <= _NOISE_ULPS * np.finfo(float).eps * bound
+
+
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _aberth_steps(P: np.ndarray, R: np.ndarray, Z: np.ndarray,
-                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Aberth steps of the approximations Z[row, cols[row, k]], and whether p is at the rounding level.
+                  cols: np.ndarray) -> tuple[np.ndarray, _Values]:
+    """Aberth steps of the approximations Z[row, cols[row, k]], and the values of p they used.
 
     Row i of Z holds all approximations of a row, and row i of cols the
     columns of those to step.  P holds each row's p_0..p_m and R the same
@@ -647,39 +743,32 @@ def _aberth_steps(P: np.ndarray, R: np.ndarray, Z: np.ndarray,
     polynomial q(w) = w^m p(1/w), where p'(z)/p(z) = w (m - w q'(w)/q(w)).
     Either way |x| <= 1, so no far approximation overflows and, by the
     scaling, no value underflows.  Coefficient k of each approximation is
-    one gather from a table row that interleaves every row's r_k and p_k,
-    at column 2 row + (|z| <= 1).  The step is 1 / (p'/p - sum_j 1/(z -
-    z_j)), the sum over the whole row of Z (`_pair_sums`); an
-    approximation at which p or q vanishes exactly is a root and takes
-    none.  The computed value is at the rounding level when it is below
-    4 eps sum_k |c_k| |x|^k, with c_k the coefficients Horner's rule ran
-    on and x = z or w.
+    one gather from row k of `_route_table`, at column 2 row + (|z| <= 1).
+    The step is 1 / (p'/p - sum_j 1/(z - z_j)), the sum over the whole row
+    of Z (`_pair_sums`); an approximation at which p or q vanishes exactly
+    is a root and takes none.  Horner's rule runs for the value and the derivative only; the
+    returned `_Values` tells, for the approximations the caller asks
+    about, whether the computed value is below 4 eps sum_k |c_k| |x|^k,
+    with c_k the coefficients Horner's rule ran on and x = z or w.
     """
     m = Z.shape[1]
     z = np.take_along_axis(Z, cols, 1)
     inner = np.abs(z) <= 1.0
     w = np.where(inner, z, 1.0 / z)
-    size = np.abs(w)
-    coeffs = np.empty((m + 1, len(P), 2), dtype=np.complex128)
-    coeffs[:, :, 0], coeffs[:, :, 1] = R.T, P.T
-    coeffs = coeffs.reshape(m + 1, -1)
-    sizes = np.abs(coeffs)
+    table = _route_table(P, R)
     pick = 2 * np.arange(len(z))[:, None] + inner
-    v = coeffs[m].take(pick)
+    v = table[m].take(pick)
     dv = np.zeros_like(v)
-    bound = sizes[m].take(pick)
-    ck, sk = np.empty_like(v), np.empty_like(bound)  # reused: no temporaries per k
+    ck = np.empty_like(v)  # reused: no temporaries per k
     for k in range(m - 1, -1, -1):
         dv *= w
         dv += v
         v *= w
-        v += coeffs[k].take(pick, out=ck, mode="clip")  # "clip" writes to out unbuffered
-        bound *= size
-        bound += sizes[k].take(pick, out=sk, mode="clip")
+        v += table[k].take(pick, out=ck, mode="clip")  # "clip" writes to out unbuffered
     ratio = dv / v
     step = 1.0 / (np.where(inner, ratio, w * (m - w * ratio)) - _pair_sums(Z, cols))
     step[v == 0] = 0
-    return step, np.abs(v) <= _NOISE_ULPS * np.finfo(float).eps * bound
+    return step, _Values(table, pick, w, v)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore")
@@ -689,28 +778,33 @@ def _pair_sums(Z: np.ndarray, cols: np.ndarray) -> np.ndarray:
     The sum runs over every z_j of the row in its order, so a z_i takes the
     same sum whichever columns are asked for with it and however the rows
     are blocked (about _PAIR_ENTRIES pairs per block, in buffers reused
-    from block to block).  Each term is conj(d)/|d|^2, d = z_i - z_j, in
-    real arithmetic; where |d|^2 leaves the normal range (|d| below about
-    1e-154 or above about 1e154) it is the complex 1/d instead, so no term
-    underflows or overflows that would not in 1/d.  Exactly zero
-    differences, z_i with itself and any approximations that coincide,
-    are left out.
+    from block to block).  The blocks read the real and imaginary parts
+    of Z, and of the chosen z_i, from contiguous planes taken once per
+    call.  Each term is conj(d)/|d|^2, d = z_i - z_j, in real arithmetic;
+    where |d|^2 leaves the normal range (|d| below about 1e-154 or above
+    about 1e154) it is the complex 1/d instead, so no term underflows or
+    overflows that would not in 1/d.  Exactly zero differences, z_i with
+    itself and any approximations that coincide, are left out.  |d|^2 can
+    only overflow when some |Re z| or |Im z| reaches 2^510 (or is not
+    finite), so only then is it checked for that.
     """
     S = np.empty(cols.shape, dtype=np.complex128)
+    X, Y = np.ascontiguousarray(Z.real), np.ascontiguousarray(Z.imag)
+    x, y = np.take_along_axis(X, cols, 1)[:, :, None], np.take_along_axis(Y, cols, 1)[:, :, None]
+    wide = not (np.max(np.abs(X)) < 2.0**510 and np.max(np.abs(Y)) < 2.0**510)
+    X, Y = X[:, None, :], Y[:, None, :]
     step = max(1, _PAIR_ENTRIES // (cols.shape[1] * Z.shape[1]))
     block = np.empty((4, min(step, len(Z)), cols.shape[1], Z.shape[1]))
     tiny = np.finfo(float).tiny
     for lo in range(0, len(Z), step):
-        row, k = Z[lo: lo + step], cols[lo: lo + step]
-        z = np.take_along_axis(row, k, 1)[:, :, None]
-        row = row[:, None, :]
+        k = cols[lo: lo + step]
         dx, dy, q, dy2 = block[:, : len(k)]
-        np.subtract(z.real, row.real, out=dx)
-        np.subtract(z.imag, row.imag, out=dy)
+        np.subtract(x[lo: lo + step], X[lo: lo + step], out=dx)
+        np.subtract(y[lo: lo + step], Y[lo: lo + step], out=dy)
         np.multiply(dx, dx, out=q)
         q += np.multiply(dy, dy, out=dy2)
         np.put_along_axis(q, k[:, :, None], 1.0, 2)  # z_i with itself: 0 / 1
-        if not q.min() >= tiny or q.max() == np.inf:  # rare: take those terms as 1/d
+        if not q.min() >= tiny or wide and q.max() == np.inf:  # rare: take those terms as 1/d
             odd = ~(q >= tiny) | (q == np.inf)
             d = dx[odd].astype(np.complex128)
             d.imag = dy[odd]
@@ -754,22 +848,30 @@ def _check_residuals(C: np.ndarray, roots: np.ndarray, samples=None) -> None:
     elsewhere on the reversed polynomial q(w) = w^m p(1/w) in w = 1/z,
     scaled by the power of two that brings its constant term c_m into
     [1/2, 1): no power of a far root overflows and, since C is stripped
-    (c_m is not zero), no value underflows.  Residual and circle maximum
-    (`_circle_max`, one 64-point FFT per root) are compared in the e^(-s)
-    scale the circle maximum is formed in, where both stay finite.  A
-    residual or maximum that is still not finite (a non-finite root)
-    fails the check.  The error names the first failing row's entry of
+    (c_m is not zero), no value underflows.  Each root runs Horner on its
+    own route only, gathering its coefficients from `_route_table`.
+    Residual and circle maximum (`_circle_max`, one 64-point FFT per root)
+    are compared in the e^(-s) scale the circle maximum is formed in, where
+    both stay finite.  A residual or maximum that is still not finite (a
+    non-finite root) fails the check.  The error names the first failing row's entry of
     `samples` (default: its row) and gives both in the e^(-s) scale.
     """
     C, roots = np.atleast_2d(C), np.atleast_2d(roots)
     peak, s = _circle_max(C, roots)
     rho = np.abs(roots)
+    far = rho > 1.0
     e = np.frexp(np.abs(C[:, -1:]))[1]  # q = 2^e times the reversed row scaled as in `_unit_end`
+    table = _route_table(C, _unit_end(C[:, ::-1]))
+    pick = 2 * np.arange(len(C))[:, None] + ~far
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        far = ((C.shape[1] - 1) * np.log(rho) + e * math.log(2.0)
-               + np.log(np.abs(_horner(C[:, ::-1] * np.exp2(-e), 1.0 / roots))))
-        near = np.log(np.abs(_horner(C, roots)))
-        resid = np.exp(np.where(rho > 1.0, far, near) - s)
+        x = np.where(far, 1.0 / roots, roots)
+        v = table[-1].take(pick)
+        for c in table[-2::-1]:
+            v *= x
+            v += c.take(pick)
+        log_v = np.log(np.abs(v))
+        resid = np.exp(np.where(far, (C.shape[1] - 1) * np.log(rho) + e * math.log(2.0) + log_v,
+                                log_v) - s)
     bad = ~np.isfinite(resid) | ~np.isfinite(peak) | (resid > _RESIDUAL_REL * peak)
     if bad.any():
         row, i = (int(k[0]) for k in np.nonzero(bad))
@@ -787,29 +889,31 @@ def _circle_max(C: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarra
     With b_n = c_n |z*|^n e^(-s) folded mod 64, B_j = sum of b_n over
     n = j mod 64, the 64 values are p(|z*| e^(2 pi i k / 64)) e^(-s) =
     sum_j B_j e^(2 pi i j k / 64): one 64-point FFT per root, in blocks of
-    about _BLOCK_VALUES values b_n.  b_n and s are formed by `_peak_scaled`
-    with t_n = n log|z*| (t_0 = 0), one row of t per root, so every |b_n|
-    <= 1 and no power |z*|^n overflows on its own; a non-finite |z*|
-    still fails.
+    about _BLOCK_VALUES values b_n (whole rows of roots when they fit, else
+    runs of one row's roots).  b_n and s are formed by `_peak_scaled` with
+    t_n = n log|z*| (t_0 = 0), one row of t per root and each row of C
+    broadcast over its roots, so every |b_n| <= 1 and no power |z*|^n
+    overflows on its own; a non-finite |z*| still fails.
     """
-    rho = np.abs(roots).ravel()
-    row = np.repeat(np.arange(len(C)), roots.shape[1])
     width = -(-C.shape[1] // _RESIDUAL_POINTS) * _RESIDUAL_POINTS
     n = np.arange(C.shape[1])
-    log_c = np.log(np.abs(C))
-    peak, scale = np.empty(len(rho)), np.empty(len(rho))
-    step = max(1, _BLOCK_VALUES // width)
-    for lo in range(0, len(rho), step):
-        t = n * np.log(rho[lo: lo + step, None])
-        t[:, 0] = 0.0  # rho^0 = 1, also at a root at 0
-        block = row[lo: lo + step]
-        b = np.zeros((len(block), width), dtype=np.complex128)
-        _, scale[lo: lo + step] = _peak_scaled(C[block], log_c[block] + t, t,
-                                               out=b[:, : C.shape[1]])
-        B = b.reshape(len(b), -1, _RESIDUAL_POINTS).sum(axis=1)
-        values = np.fft.ifft(B, axis=1, norm="forward")
-        peak[lo: lo + step] = np.max(np.abs(values), axis=1)
-    return peak.reshape(roots.shape), scale.reshape(roots.shape)
+    log_c = np.log(np.abs(C))[:, None, :]
+    log_rho = np.log(np.abs(roots))[:, :, None]
+    peak, scale = np.empty(roots.shape), np.empty(roots.shape)
+    per_row = max(1, min(roots.shape[1], _BLOCK_VALUES // width))  # roots of one row per block
+    step = max(1, _BLOCK_VALUES // (width * per_row))  # rows per block
+    for lo in range(0, len(C), step):
+        for k in range(0, roots.shape[1], per_row):
+            at = np.s_[lo: lo + step, k: k + per_row]
+            t = n * log_rho[at]
+            t[..., 0] = 0.0  # rho^0 = 1, also at a root at 0
+            b = np.zeros(t.shape[:2] + (width,), dtype=np.complex128)
+            _, scale[at] = _peak_scaled(C[lo: lo + step, None, :], log_c[lo: lo + step] + t, t,
+                                        out=b[..., : C.shape[1]])
+            B = b.reshape(b.shape[:2] + (-1, _RESIDUAL_POINTS)).sum(axis=2)
+            values = np.fft.ifft(B, axis=-1, norm="forward")
+            peak[at] = np.max(np.abs(values), axis=-1)
+    return peak, scale
 
 
 def min_zero_moduli(phi_rows: np.ndarray, model: CoefficientModel, *,
@@ -817,11 +921,14 @@ def min_zero_moduli(phi_rows: np.ndarray, model: CoefficientModel, *,
     """Smallest |z*| over the roots of each row (+inf for a nonzero constant).
 
     Rows hold phi_0..phi_N of samples first_index, first_index + 1, ...;
-    one `roots_rows` call solves them all, on the rows of p(z) e^(-M)
-    formed by `_disk_rows` at r = 1.
+    the root oracle (`_root_stacks`) solves them all, on the rows of p(z)
+    e^(-M) formed by `_disk_rows` at r = 1.
     """
-    roots = roots_rows(_disk_rows(phi_rows, model, 1.0), first_index=first_index)
-    return np.array([float(np.min(np.abs(z))) if len(z) else math.inf for z in roots])
+    out = np.full(len(phi_rows), math.inf)
+    for idx, roots in _root_stacks(_disk_rows(phi_rows, model, 1.0), first_index):
+        if roots.shape[1]:
+            out[idx] = np.min(np.abs(roots), axis=1)
+    return out
 
 
 def min_zero_modulus(ts: TruncatedSeries) -> float:

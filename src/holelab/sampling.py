@@ -271,12 +271,35 @@ def truncation_tail_bound(model: CoefficientModel, r: float, eps: float, degree:
 
 
 def truncation_degree(model: CoefficientModel, r: float, eps: float, fail_prob: float) -> int:
-    """Smallest degree >= floor(e r^2) + 1 whose tail certificate meets fail_prob."""
+    """Smallest degree >= floor(e r^2) + 1 whose tail certificate meets fail_prob.
+
+    The bound cannot grow with the degree: one degree more drops the first
+    discarded term and doubles the allowance of every other, which shrinks
+    its term.  So the search doubles its step from the floor until a degree
+    meets fail_prob, then bisects between the last degree that failed and
+    the first that met it: about 2 log2 of the distance from the floor in
+    `truncation_tail_bound` calls, where a scan by ones takes the distance.
+    """
     if not (0 < eps < 1 and 0 < fail_prob < 1):
         raise ValueError("eps and fail_prob must lie in (0, 1)")
     if not r > 0:
         raise ValueError("r must be positive")
-    degree = int(math.floor(math.e * r * r)) + 1
-    while truncation_tail_bound(model, r, eps, degree) > fail_prob:
-        degree += 1
-    return degree
+
+    def meets(degree: int) -> bool:
+        return truncation_tail_bound(model, r, eps, degree) <= fail_prob
+
+    lowest = int(math.floor(math.e * r * r)) + 1
+    if meets(lowest):
+        return lowest
+    failed, step = lowest, 1
+    while not meets(failed + step):
+        failed += step
+        step *= 2
+    met = failed + step
+    while met - failed > 1:
+        mid = (failed + met) // 2
+        if meets(mid):
+            met = mid
+        else:
+            failed = mid
+    return met

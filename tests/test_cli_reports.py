@@ -378,3 +378,19 @@ def test_sweep_options_after_subcommand(capsys, tmp_path):
 def test_nonfinite_float_flags_are_usage_errors(capsys, argv, flag):
     assert run(argv) == 1
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["covdet", "--r", "2", "--kappa", "0.8"], "--kappa needs --n-points"),
+    (["covdet", "--r", "2", "--n-points", "8"], "--n-points needs --kappa"),
+    (["hermite", "--c1", "0.5"], "--c1 needs --c2"),
+    (["hermite", "--beta", "1.0", "--n", "100", "--c2", "2"], "--c2 needs --c1"),
+    (["hermite", "--n", "0"], "argument --n: must be a positive integer"),
+    (["sweep", "covdet", "--r", "2,3", "--kappa", "0.8"], "--kappa needs --n-points"),
+])
+def test_flags_that_would_be_dropped_are_usage_errors(capsys, argv, message):
+    # each of these used to exit 0, running the default grid or leaving a result out
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"usage error: {message}" in captured.err

@@ -815,3 +815,274 @@ def test_unit_circle_pass_is_independent_of_the_block_size(gef, monkeypatch, blo
     chunks = np.concatenate([kernel(phi[lo: lo + 37]) for lo in range(0, len(phi), 37)])
     assert np.array_equal(chunks, want)
     assert hole_mc(gef, 2.0, 4500, 8, workers=2) == hole
+
+
+# ---------------------------------------------------------------------------
+# the root oracle against the arithmetic it replaced, bit for bit: a
+# monotone-chain hull, a bound summed for every approximation in the Horner
+# loop, pair sums read from strided complex planes, per-row stripping and
+# grouping, and one circle maximum per gathered coefficient row
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _chain_starts(P):
+    """Newton-polygon starts and each row's vertex mask, the hull built by a
+    monotone chain one column at a time."""
+    rows, n = P.shape
+    y = np.log(np.abs(P))
+    every = np.arange(rows)
+    hull = np.zeros((rows, n), dtype=np.intp)
+    top = np.zeros(rows, dtype=np.intp)
+    for k in range(1, n):
+        live = np.isfinite(y[:, k])
+        while True:  # drop the last vertex b while it lies on or below the chord from a to k
+            b = hull[every, top]
+            a = hull[every, np.maximum(top - 1, 0)]
+            ya = y[every, a]
+            pop = live & (top > 0) & ((y[every, b] - ya) * (k - a) <= (y[:, k] - ya) * (b - a))
+            if not pop.any():
+                break
+            top -= pop
+        top += live
+        hull[every[live], top[live]] = k
+    col = np.arange(n)
+    vertex = np.zeros((rows, n), dtype=bool)
+    vertex[every.repeat(top + 1), hull[col <= top[:, None]]] = True
+    a = np.maximum.accumulate(np.where(vertex, col, 0), axis=1)[:, :-1]
+    b = np.minimum.accumulate(np.where(vertex, col, n)[:, ::-1], axis=1)[:, -2::-1]
+    radius = np.exp((np.take_along_axis(y, a, 1) - np.take_along_axis(y, b, 1)) / (b - a))
+    angle = 2.0 * math.pi * (col[:-1] - a + 0.5) / (b - a) + evaluate_zeros._GOLDEN_ANGLE * a
+    return radius * np.exp(1j * angle), vertex
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore")
+def _strided_pair_sums(Z, cols):
+    """sum_j 1/(z_i - z_j) from the real and imaginary views of complex Z, every
+    block checked for |d|^2 out of the normal range at both ends."""
+    S = np.empty(cols.shape, dtype=np.complex128)
+    step = max(1, evaluate_zeros._PAIR_ENTRIES // (cols.shape[1] * Z.shape[1]))
+    tiny = np.finfo(float).tiny
+    for lo in range(0, len(Z), step):
+        row, k = Z[lo: lo + step], cols[lo: lo + step]
+        z = np.take_along_axis(row, k, 1)[:, :, None]
+        row = row[:, None, :]
+        dx = z.real - row.real
+        dy = z.imag - row.imag
+        q = dx * dx + dy * dy
+        np.put_along_axis(q, k[:, :, None], 1.0, 2)
+        if not q.min() >= tiny or q.max() == np.inf:
+            odd = ~(q >= tiny) | (q == np.inf)
+            d = dx[odd].astype(np.complex128)
+            d.imag = dy[odd]
+            d[d == 0] = np.inf
+            d = 1.0 / d
+            dx[odd], dy[odd], q[odd] = d.real, -d.imag, 1.0
+        S.real[lo: lo + step] = (dx / q).sum(axis=2)
+        S.imag[lo: lo + step] = -(dy / q).sum(axis=2)
+    return S
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _eager_steps(P, R, Z, cols):
+    """Aberth steps with the rounding bound summed for every approximation in
+    the Horner loop, and whether each value is at the rounding level."""
+    m = Z.shape[1]
+    z = np.take_along_axis(Z, cols, 1)
+    inner = np.abs(z) <= 1.0
+    w = np.where(inner, z, 1.0 / z)
+    size = np.abs(w)
+    coeffs = np.empty((m + 1, len(P), 2), dtype=np.complex128)
+    coeffs[:, :, 0], coeffs[:, :, 1] = R.T, P.T
+    coeffs = coeffs.reshape(m + 1, -1)
+    sizes = np.abs(coeffs)
+    pick = 2 * np.arange(len(z))[:, None] + inner
+    v = coeffs[m].take(pick)
+    dv = np.zeros_like(v)
+    bound = sizes[m].take(pick)
+    for k in range(m - 1, -1, -1):  # in place: numpy may round a complex product
+        dv *= w                      # written to a new array differently
+        dv += v
+        v *= w
+        v += coeffs[k].take(pick)
+        bound *= size
+        bound += sizes[k].take(pick)
+    ratio = dv / v
+    step = 1.0 / (np.where(inner, ratio, w * (m - w * ratio)) - _strided_pair_sums(Z, cols))
+    step[v == 0] = 0
+    return step, np.abs(v) <= evaluate_zeros._NOISE_ULPS * np.finfo(float).eps * bound
+
+
+def _reference_aberth(P):
+    """The Aberth iteration on chain starts and eager steps; also which
+    approximations stopped by the noise test."""
+    Z = _chain_starts(P)[0]
+    P, R = evaluate_zeros._unit_end(P), evaluate_zeros._unit_end(P[:, ::-1])
+    last = np.full(Z.shape, np.inf)
+    moving = np.ones(Z.shape, dtype=bool)
+    noise = np.zeros(Z.shape, dtype=bool)
+    active = np.arange(len(P))
+    for _ in range(evaluate_zeros._ABERTH_SWEEPS):
+        rows, flags = active[:, None], moving[active]
+        cols = np.argsort(~flags, axis=1, kind="stable")[:, : int(flags.sum(axis=1).max())]
+        z, still, before = Z[rows, cols], moving[rows, cols], last[rows, cols]
+        step, noisy = _eager_steps(P[active], R[active], Z[active], cols)
+        step[~still] = 0
+        Z[rows, cols] = z - step
+        length = np.abs(step)
+        last[rows, cols] = np.where(still, length, before)
+        stalled = noisy & (length > 0.5 * before)
+        noise[rows, cols] |= stalled
+        still &= ~(stalled | (length <= evaluate_zeros._STEP_REL * np.abs(z)))
+        moving[rows, cols] = still
+        active = active[still.any(axis=1)]
+        if not len(active):
+            break
+    assert not len(active)
+    return Z, noise
+
+
+def _reference_stacks(C):
+    """(rows, stripped length, nonzero part P) of each stack, rows stripped and
+    grouped one by one."""
+    stripped = []
+    for c in C:
+        keep = np.abs(c) >= evaluate_zeros._STRIP_REL * np.max(np.abs(c))
+        stripped.append(c[: np.flatnonzero(keep)[-1] + 1])
+    groups = {}
+    for i, c in enumerate(stripped):
+        groups.setdefault((len(c), int(np.flatnonzero(c)[0])), []).append(i)
+    return [(idx, n, np.array([stripped[i][lead:] for i in idx]))
+            for (n, lead), idx in groups.items()]
+
+
+def _reference_roots_rows(C):
+    out = [np.empty(0, dtype=np.complex128)] * len(C)
+    for idx, n, P in _reference_stacks(C):
+        roots = np.zeros((len(idx), n - 1), dtype=np.complex128)
+        if P.shape[1] > 1:
+            roots[:, : P.shape[1] - 1] = _reference_aberth(P)[0]
+        for k, i in enumerate(idx):
+            out[i] = roots[k]
+    return out
+
+
+def _same_bits(got, want):
+    return len(got) == len(want) and all(
+        a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+        for a, b in zip(got, want))
+
+
+def _zero_coefficient_rows(gef):
+    rows = _gaussian_rows(29, 3, 12) * np.exp(gef.log_coeffs(29))
+    rows[2, 25:] = 0  # shorter rows, zero constant terms, both, and interior zeros
+    rows[5, 20:] = 0
+    rows[7, :2] = 0
+    rows[9, 0] = 0
+    rows[9, 26:] = 0
+    rows[3, [4, 11, 12]] = 0
+    rows[10, 1:28] = 0
+    return rows
+
+
+def _collinear_rows():
+    return (draw_rows(Distribution.RADEMACHER, 9, 0, 4, 61)
+            * np.array([1, 1j, -1, -1j])[np.arange(61) % 4])
+
+
+def _all_ones_stack(gef):
+    rows = _unimodular_stack(gef, Distribution.RADEMACHER, 0.3)
+    rows[3] = all_ones_draw(200) * np.exp(gef.log_coeffs(200))
+    return rows
+
+
+EQUIVALENCE_STACKS = [
+    pytest.param(lambda gef: _gef_stack(gef, 1.0), id="gef-r1"),
+    pytest.param(lambda gef: _gef_stack(gef, 3.0), id="gef-r3"),
+    pytest.param(lambda gef: _gef_stack(gef, 12.0), id="gef-r12"),
+    pytest.param(_all_ones_stack, id="rademacher-d200-all-ones"),
+    pytest.param(_zero_coefficient_rows, id="zero-coefficients"),
+    # |p_k| = 1 exactly for every k: all hull points collinear, one circle of 60 starts
+    pytest.param(lambda gef: _collinear_rows(), id="collinear"),
+]
+
+
+@pytest.mark.parametrize("split", [False, True])  # the default blocks, then 3 points of a row per block
+@pytest.mark.parametrize("stack", EQUIVALENCE_STACKS)
+def test_hull_vertices_and_starts_equal_the_monotone_chain(gef, monkeypatch, stack, split):
+    for _, _, P in _reference_stacks(stack(gef)):
+        if P.shape[1] < 2:
+            continue
+        if split:
+            monkeypatch.setattr(evaluate_zeros, "_BLOCK_VALUES", 3 * P.shape[1])
+        for part in (P, P[:1]):  # the stack, and its first row alone
+            want, vertex = _chain_starts(part)
+            with np.errstate(divide="ignore"):
+                assert np.array_equal(evaluate_zeros._hull_vertices(np.log(np.abs(part))), vertex)
+            assert _same_bits([evaluate_zeros._newton_polygon_starts(part)], [want])
+
+
+def test_collinear_points_are_not_vertices():
+    rows = _collinear_rows()
+    assert np.all(np.abs(rows) == 1)
+    assert _chain_starts(rows)[1].sum(axis=1).tolist() == [2] * 4  # only the two ends
+    with np.errstate(divide="ignore"):
+        assert evaluate_zeros._hull_vertices(np.log(np.abs(rows))).sum(axis=1).tolist() == [2] * 4
+
+
+@pytest.mark.parametrize("stack", EQUIVALENCE_STACKS)
+def test_roots_equal_the_replaced_iteration(gef, stack):
+    C = stack(gef)
+    assert _same_bits(roots_rows(C), _reference_roots_rows(C))
+    for i in range(2):  # 1-row stacks
+        assert _same_bits(roots_rows(C[i: i + 1]), _reference_roots_rows(C[i: i + 1]))
+
+
+def test_all_ones_outer_roots_still_stop_by_the_noise_test(gef, monkeypatch):
+    P = (all_ones_draw(200) * np.exp(gef.log_coeffs(200)))[None, :]
+    want, noise = _reference_aberth(P)
+    outer = np.abs(want[0]) > np.median(np.abs(want[0]))
+    assert noise[0, outer].mean() > 0.9  # 96 of the 100 outer roots, and 100 of the inner
+    stops = []
+    level = evaluate_zeros._Values.at_rounding_level
+
+    def spy(self, which):
+        stopped = level(self, which)
+        stops.append(int(stopped.sum()))
+        return stopped
+
+    monkeypatch.setattr(evaluate_zeros._Values, "at_rounding_level", spy)
+    assert _same_bits(evaluate_zeros._aberth_roots(P, [0]), want)
+    assert sum(stops) == noise.sum()  # each stops by the noise test where it did
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _per_root_circle_max(C, roots):
+    """The circle maximum with each root's coefficient row gathered on its own."""
+    rho = np.abs(roots).ravel()
+    row = np.repeat(np.arange(len(C)), roots.shape[1])
+    width = -(-C.shape[1] // 64) * 64
+    n = np.arange(C.shape[1])
+    log_c = np.log(np.abs(C))
+    peak, scale = np.empty(len(rho)), np.empty(len(rho))
+    step = max(1, 2**16 // width)
+    for lo in range(0, len(rho), step):
+        t = n * np.log(rho[lo: lo + step, None])
+        t[:, 0] = 0.0
+        block = row[lo: lo + step]
+        b = np.zeros((len(block), width), dtype=np.complex128)
+        _, scale[lo: lo + step] = evaluate_zeros._peak_scaled(C[block], log_c[block] + t, t,
+                                                              out=b[:, : C.shape[1]])
+        values = np.fft.ifft(b.reshape(len(b), -1, 64).sum(axis=1), axis=1, norm="forward")
+        peak[lo: lo + step] = np.max(np.abs(values), axis=1)
+    return peak.reshape(roots.shape), scale.reshape(roots.shape)
+
+
+@pytest.mark.parametrize("block", [None, 256])  # default blocks, then 4 roots of a row per block
+@pytest.mark.parametrize("stack", STACKS)
+def test_circle_max_equals_the_per_root_gather(gef, monkeypatch, stack, block):
+    C = stack(gef)
+    roots = np.array(roots_rows(C))
+    want = _per_root_circle_max(C, roots)
+    if block is not None:
+        monkeypatch.setattr(evaluate_zeros, "_BLOCK_VALUES", block)
+    assert _same_bits(evaluate_zeros._circle_max(C, roots), want)

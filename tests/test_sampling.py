@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holelab import (
+    CoefficientModel,
     Distribution,
     draw_coeffs,
     draw_rows,
@@ -260,6 +261,25 @@ def test_truncation_degree_minimal(gef):
     floor = math.floor(math.e * 1.5**2) + 1
     if degree > floor:
         assert truncation_tail_bound(gef, 1.5, 1e-9, degree - 1) > 1e-9
+
+
+def _linear_truncation_degree(model, r, eps, fail_prob):
+    """The scan by ones the doubling search replaced: the reference it must match."""
+    degree = math.floor(math.e * r * r) + 1
+    while truncation_tail_bound(model, r, eps, degree) > fail_prob:
+        degree += 1
+    return degree
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5, 1.5])  # None: the GEF
+def test_truncation_degree_search_equals_the_linear_scan(gef, alpha):
+    # 3 models x 5 radii x 4 (eps, fail_prob): the scan takes up to 467 calls
+    # (alpha 0.5, r = 12), the search about 2 log2 of that
+    model = gef if alpha is None else CoefficientModel.mittag_leffler(alpha)
+    for r in (0.5, 1.0, 3.0, 6.0, 12.0):
+        for eps, fail_prob in ((1e-9, 1e-9), (1e-6, 1e-6), (1e-9, 1e-6 / 2000), (1e-3, 1e-2)):
+            want = _linear_truncation_degree(model, r, eps, fail_prob)
+            assert truncation_degree(model, r, eps, fail_prob) == want, (alpha, r, eps, fail_prob)
 
 
 def test_truncation_degree_validation(gef):
