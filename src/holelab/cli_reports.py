@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -63,16 +63,6 @@ class ReportRecord:
     version: str = __version__
     wall_time_ms: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "results": self.results,
-            "seed": self.seed,
-            "version": self.version,
-            "wall_time_ms": self.wall_time_ms,
-        }
-
 
 def _format_value(x) -> str:
     if x is None:
@@ -100,7 +90,7 @@ def _format_value(x) -> str:
 
 
 def record_to_json(record: ReportRecord) -> str:
-    return _format_value(record.to_dict())
+    return _format_value(asdict(record))
 
 
 def _flatten(prefix: str, value, out: dict) -> None:
@@ -118,7 +108,7 @@ def records_to_csv(records: list[ReportRecord]) -> str:
     flat_rows = []
     for rec in records:
         flat: dict = {}
-        _flatten("", rec.to_dict(), flat)
+        _flatten("", asdict(rec), flat)
         flat_rows.append(flat)
     header: list[str] = []
     for row in flat_rows:
@@ -285,14 +275,16 @@ def _run_covdet(args) -> dict:
 
 
 def _run_hermite(args) -> dict:
+    escape = _both_or_neither(args, "--c1", "--c2")
+    if args.n is None and not escape:
+        raise _UsageError("hermite needs --n or --c1 and --c2")
     beta = complex(args.beta)
     out: dict = {"beta_re": beta.real, "beta_im": beta.imag}
     if args.n is not None:
         out["saddle_deviation"] = saddle_deviation(beta, args.n)
         out["n"] = args.n
-    if _both_or_neither(args, "--c1", "--c2"):
-        esc = annulus_escape(beta, args.c1, args.c2, args.nmax)
-        out["escape_index"] = esc
+    if escape:
+        out["escape_index"] = annulus_escape(beta, args.c1, args.c2, args.nmax)
     return out
 
 
@@ -417,7 +409,7 @@ def _build_parser() -> _Parser:
     p = add("covdet")
     p.add_argument("--r", type=_finite_float, required=True)
     p.add_argument("--kappa", type=_finite_float, default=None)
-    p.add_argument("--n-points", type=int, default=None)
+    p.add_argument("--n-points", type=_positive_int, default=None)
     common(p)
 
     p = add("hermite")
@@ -443,12 +435,11 @@ def _build_parser() -> _Parser:
 
 
 def _params_dict(args) -> dict:
-    skip = {"command", "format", "output", "threads", "rest", "subcommand"}
+    skip = {"command", "format", "output", "threads"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _execute_single(parser: _Parser, argv: list[str]) -> ReportRecord:
-    args = parser.parse_args(argv)
+def _execute_single(args) -> ReportRecord:
     try:
         args.threads = resolve_workers(args.threads)
     except ValueError as exc:  # a bad THREADS value
@@ -457,60 +448,46 @@ def _execute_single(parser: _Parser, argv: list[str]) -> ReportRecord:
     results = _RUNNERS[args.command](args)
     elapsed = int(1000 * (time.monotonic() - start))
     return ReportRecord(command=args.command, params=_params_dict(args),
-                        results=results, seed=getattr(args, "seed", 0),
-                        wall_time_ms=elapsed)
+                        results=results, seed=args.seed, wall_time_ms=elapsed)
 
 
 _SWEEP_OPTIONS = ("--format", "--output", "--threads")
 
 
-def _split_sweep_options(rest: list[str]) -> tuple[list[str], list[str]]:
-    """(the sweep's own --format/--output/--threads tokens, the swept tokens).
+def _sweep_argvs(subcommand: str, rest: list[str]) -> tuple[list[str], list[list[str]]]:
+    """(the sweep's own --format/--output/--threads tokens, one argv per grid point).
 
-    The sweep remainder takes every token after the subcommand, so the
-    shared options given there are picked out rather than swept.
+    The sweep remainder takes every token after the subcommand.  Each
+    `--opt a,b` or `--opt=a,b` there sweeps over a and b.  The sweep's own
+    options are picked out as given, wherever they stand.
     """
     own: list[str] = []
-    swept: list[str] = []
+    flags: list[str] = []
+    axes: list[list[str]] = []
     i = 0
     while i < len(rest):
         tok = rest[i]
-        if tok.split("=", 1)[0] in _SWEEP_OPTIONS:
-            width = 1 if "=" in tok else 2
-            own += rest[i: i + width]
+        flag, eq, value = tok.partition("=")
+        if flag in _SWEEP_OPTIONS:
+            width = 1 if eq else 2
+            if i + width > len(rest):
+                raise _UsageError(f"flag {flag!r} is missing a value")
+            own += rest[i:i + width]
             i += width
-        else:
-            swept.append(tok)
-            i += 1
-    return own, swept
-
-
-def _expand_sweep(subcommand: str, rest: list[str]) -> list[list[str]]:
-    """--opt a,b,c pairs -> one argv per cartesian combination."""
-    pairs: list[tuple[str, list[str]]] = []
-    i = 0
-    while i < len(rest):
-        tok = rest[i]
-        if not tok.startswith("--"):
+            continue
+        i += 1
+        if len(axes) < len(flags):  # the value of the last swept flag
+            axes.append(tok.split(","))
+        elif not flag.startswith("--"):
             raise _UsageError(f"unexpected sweep token {tok!r}")
-        if "=" in tok:
-            flag, value = tok.split("=", 1)
-            i += 1
         else:
-            flag = tok
-            if i + 1 >= len(rest):
-                raise _UsageError(f"flag {tok!r} is missing a value")
-            value = rest[i + 1]
-            i += 2
-        pairs.append((flag, value.split(",")))
-    combos = itertools.product(*(vals for _, vals in pairs)) if pairs else [()]
-    argvs = []
-    for combo in combos:
-        argv = [subcommand]
-        for (flag, _), val in zip(pairs, combo):
-            argv.extend([flag, val])
-        argvs.append(argv)
-    return argvs
+            flags.append(flag)
+            if eq:
+                axes.append(value.split(","))
+    if len(axes) < len(flags):
+        raise _UsageError(f"flag {flags[-1]!r} is missing a value")
+    points = itertools.product(*axes)
+    return own, [[subcommand, *itertools.chain(*zip(flags, point))] for point in points]
 
 
 def run(argv: list[str]) -> int:
@@ -519,15 +496,12 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "sweep":
-            own, args.rest = _split_sweep_options(args.rest)
+            own, argvs = _sweep_argvs(args.subcommand, args.rest)
             _shared_parser().parse_args(own, namespace=args)
             forward = [] if args.threads is None else ["--threads", str(args.threads)]
-            records = [
-                _execute_single(parser, sub_argv + forward)
-                for sub_argv in _expand_sweep(args.subcommand, args.rest)
-            ]
+            records = [_execute_single(parser.parse_args(point + forward)) for point in argvs]
         else:
-            records = [_execute_single(parser, argv)]
+            records = [_execute_single(args)]
         emit(records, fmt=args.format, path=args.output)
         return 0
     except _UsageError as exc:

@@ -59,12 +59,25 @@ def test_hole_command_fields(capsys):
 
 
 def test_volume_command(capsys):
+    from holelab.volume_geometry import log_integral_annotation
+
     code, out = _capture(capsys, ["volume", "--k", "2", "--t", "2", "--s", "1",
-                                  "--mc-samples", "20000", "--seed", "3"])
+                                  "--mc-samples", "20000", "--seed", "3", "--annotate-r", "2"])
     assert code == 0
     res = json.loads(out)["results"]
     assert res["exact"] == pytest.approx(2.386294361119891, rel=1e-12)
     assert res["mc_ci_low"] <= res["exact"] <= res["mc_ci_high"]
+    assert res["annotation"] == log_integral_annotation(2.0, 1.0)
+
+
+def test_hermite_escape_command(capsys):
+    from holelab.hermite_asymptotics import annulus_escape
+
+    code, out = _capture(capsys, ["hermite", "--c1", "0.5", "--c2", "2"])
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert "escape_index" in res and "saddle_deviation" not in res
+    assert res["escape_index"] == annulus_escape(1.0, 0.5, 2.0, 100_000)
 
 
 def test_deterministic_output_modulo_wall_time(capsys):
@@ -260,6 +273,10 @@ def test_sweep_cartesian_grid(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert len(lines) == 2
     assert [rec["params"]["r"] for rec in lines] == [1.0, 2.0]
+    code, out = _capture(capsys, ["sweep", "s-of-r", "--r=1,2", "--model=gef"])
+    assert code == 0
+    assert [_strip_timing(json.loads(line)) for line in out.strip().splitlines()] == \
+        [_strip_timing(rec) for rec in lines]
 
 
 def test_sweep_two_axes(capsys):
@@ -387,9 +404,17 @@ def test_nonfinite_float_flags_are_usage_errors(capsys, argv, flag):
     (["hermite", "--beta", "1.0", "--n", "100", "--c2", "2"], "--c2 needs --c1"),
     (["hermite", "--n", "0"], "argument --n: must be a positive integer"),
     (["sweep", "covdet", "--r", "2,3", "--kappa", "0.8"], "--kappa needs --n-points"),
+    (["hermite", "--beta", "1.0"], "hermite needs --n or --c1 and --c2"),
+    (["covdet", "--r", "2", "--kappa", "0.8", "--n-points", "0"],
+     "argument --n-points: must be a positive integer"),
+    (["sweep", "s-of-r", "--r", "1", "2"], "unexpected sweep token '2'"),
+    (["sweep", "s-of-r", "--r"], "flag '--r' is missing a value"),
+    (["sweep", "s-of-r", "--r", "1,2", "--format"], "flag '--format' is missing a value"),
 ])
 def test_flags_that_would_be_dropped_are_usage_errors(capsys, argv, message):
-    # each of these used to exit 0, running the default grid or leaving a result out
+    # each of these used to exit 0, running the default grid or leaving a result
+    # out, or (--n-points 0) exit 2 as a numeric failure; the malformed sweep
+    # lines were usage errors already
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
