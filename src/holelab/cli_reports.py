@@ -16,7 +16,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -36,7 +36,12 @@ from .covariance_det import (
     vandermonde_lower_bound,
 )
 from .evaluate_zeros import verify_counts, winding_counts_batch
-from .hermite_asymptotics import annulus_escape, forced_zero_experiment, saddle_deviation
+from .hermite_asymptotics import (
+    SADDLE_MIN_N,
+    annulus_escape,
+    forced_zero_experiment,
+    saddle_deviation,
+)
 from .hole_estimators import (
     TAIL_EPS,
     hole_bracket_report,
@@ -221,8 +226,6 @@ def _zeros_job(model: CoefficientModel, r: float, degree: int, tail_eps: float, 
 
 
 def _run_zeros(args) -> dict:
-    if args.samples < 1:
-        raise ValueError("samples must be >= 1")
     if args.degree is not None and args.degree < 0:
         raise ValueError(f"--degree must be >= 0, got {args.degree}")
     model = _model_from(args)
@@ -332,6 +335,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _saddle_n(text: str) -> int:
+    """`hermite --n`: an integer the saddle-point approximation accepts."""
+    value = _positive_int(text)
+    if value < SADDLE_MIN_N:
+        raise argparse.ArgumentTypeError(f"must be >= {SADDLE_MIN_N} for the saddle-point "
+                                         f"approximation, got {text!r}")
+    return value
+
+
 def _finite_complex_text(text: str) -> str:
     """A complex literal with finite parts, kept as text for the record."""
     try:
@@ -343,8 +355,9 @@ def _finite_complex_text(text: str) -> str:
     return text
 
 
+@cache
 def _shared_parser() -> _Parser:
-    """The options every subcommand and `sweep` itself take."""
+    """The options every subcommand and `sweep` itself take; built once per process."""
     shared = _Parser(add_help=False)
     shared.add_argument("--format", choices=("json", "csv"), default="json")
     shared.add_argument("--output", default=None, help="path or '-' for stdout")
@@ -354,7 +367,9 @@ def _shared_parser() -> _Parser:
     return shared
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The whole command-line parser, built on first use and then reused."""
     parser = _Parser(prog="holelab", description=__doc__)
     shared = _shared_parser()
     sub = parser.add_subparsers(dest="command", required=True,
@@ -376,7 +391,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", choices=("gef", "ml"), default="gef")
     p.add_argument("--alpha", type=_finite_float, default=1.0)
     p.add_argument("--r", type=_finite_float, required=True)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_positive_int, default=10_000)
     common(p)
 
     p = add("omega")
@@ -385,14 +400,14 @@ def _build_parser() -> _Parser:
 
     p = add("conditioned")
     p.add_argument("--r", type=_finite_float, required=True)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     common(p)
 
     p = add("zeros")
     p.add_argument("--model", choices=("gef", "ml"), default="gef")
     p.add_argument("--alpha", type=_finite_float, default=1.0)
     p.add_argument("--r", type=_finite_float, required=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--verify", action="store_true")
     common(p)
@@ -415,7 +430,7 @@ def _build_parser() -> _Parser:
     p = add("hermite")
     p.add_argument("--beta", type=_finite_complex_text, default="1.0",
                    help="complex literal, e.g. '1.3+0.4j'")
-    p.add_argument("--n", type=_positive_int, default=None)
+    p.add_argument("--n", type=_saddle_n, default=None)
     p.add_argument("--c1", type=_finite_float, default=None)
     p.add_argument("--c2", type=_finite_float, default=None)
     p.add_argument("--nmax", type=int, default=100_000)
@@ -423,7 +438,7 @@ def _build_parser() -> _Parser:
 
     p = add("forced-zero")
     p.add_argument("--dist", choices=("rademacher", "steinhaus"), required=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--degree", type=int, default=200)
     common(p)
 
@@ -491,7 +506,11 @@ def _sweep_argvs(subcommand: str, rest: list[str]) -> tuple[list[str], list[list
 
 
 def run(argv: list[str]) -> int:
-    """Execute a command line; returns the process exit code."""
+    """Execute a command line; returns the process exit code.
+
+    The parser is built on the first call and reused by every later call in
+    the process (and by every point of a sweep); parsing leaves it unchanged.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -8,7 +8,11 @@ once r is moderately large:
   * Mittag-Leffler coefficients         a_n = 1 / Gamma(alpha*n + 1)
 
 Both come from `log_gamma`, the standard library's `math.lgamma` applied
-elementwise, the one special function the lab needs.
+elementwise, the one special function the lab needs.  Each process keeps one
+append-only table of log(a_n) per coefficient family, shared by every
+`CoefficientModel` equal to it: a command pays for the entries it reads only
+the first time any command in the process reads them.  Pool workers forked
+from the process inherit the tables; a pickled model carries none.
 
 The central quantity is
 
@@ -22,7 +26,7 @@ qualifying set is the contiguous block {0, ..., n_last}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -43,23 +47,26 @@ class ModelKind(Enum):
     MITTAG_LEFFLER = "mittag-leffler"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoefficientModel:
-    """A coefficient sequence a_n, cached as log(a_n).
+    """A coefficient sequence a_n, read as log(a_n) from its family's table.
 
-    The cache is append-only: once an entry is computed it never changes.
-    Extension is not locked; warm it in a single thread (one `log_coeffs`
-    call with the largest index) before sharing the model across workers.
+    The model is a hashable value, (kind, alpha), and keys one table per
+    process in `_TABLES`, which `log_coeffs` extends on demand and never
+    rewrites: an entry once computed stays bit-identical, and a view handed
+    out earlier stays valid when the table grows.  A table is replaced, not
+    written in place, when it grows, so readers in other threads never see
+    a half-built one; two threads extending it at once at worst compute the
+    same entries twice.  Forked pool workers inherit the tables built before
+    the fork; a pickled model ships only (kind, alpha).
     """
 
     kind: ModelKind
     alpha: float = 1.0
-    _cache: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind is ModelKind.MITTAG_LEFFLER and not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        self._cache = np.zeros(1)  # log a_0 = 0 for both kinds
 
     @classmethod
     def gef(cls) -> "CoefficientModel":
@@ -75,20 +82,26 @@ class CoefficientModel:
         return -log_gamma(self.alpha * n + 1.0)
 
     def log_coeffs(self, n_max: int) -> np.ndarray:
-        """log(a_n) for n = 0..n_max as a read-only view of the cache."""
+        """log(a_n) for n = 0..n_max as a read-only view of the family's table."""
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
-        if n_max >= len(self._cache):
-            hi = max(n_max + 1, 2 * len(self._cache))
-            fresh = np.arange(len(self._cache), hi, dtype=np.float64)
-            self._cache = np.concatenate([self._cache, self._log_coeff_block(fresh)])
-        view = self._cache[: n_max + 1]
-        view.flags.writeable = False
-        return view
+        table = _TABLES.get(self, _LOG_A0)
+        if n_max >= len(table):
+            hi = max(n_max + 1, 2 * len(table))
+            fresh = np.arange(len(table), hi, dtype=np.float64)
+            table = np.concatenate([table, self._log_coeff_block(fresh)])
+            table.flags.writeable = False
+            _TABLES[self] = table
+        return table[: n_max + 1]
 
     def log_coeff(self, n: int) -> float:
-        """log(a_n); deterministic and consistent with the cache."""
+        """log(a_n); deterministic and consistent with the table."""
         return float(self.log_coeffs(n)[n])
+
+
+_LOG_A0 = np.zeros(1)  # log a_0 = 0 for both kinds
+_LOG_A0.flags.writeable = False
+_TABLES: dict[CoefficientModel, np.ndarray] = {}
 
 
 def _scan_terms(model: CoefficientModel, r: float) -> np.ndarray:

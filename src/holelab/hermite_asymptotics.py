@@ -36,6 +36,7 @@ from ._parallel import run_chunked, sample_ranges
 
 _ESCAPE_BLOCK = 1024  # recurrence steps between escape checks
 _FORCED_ZERO_JOB = 64  # rows per forced-zero job, fixed by sample index
+SADDLE_MIN_N = 16  # smallest n the saddle-point approximation accepts
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,8 @@ def log_g(series: HermiteSeries, n: int) -> complex:
 
 def saddle_point_log_approx(beta: complex, n: int) -> complex:
     """Complex log of the two-term approximation of g_{n-1}."""
-    if n < 16:
-        raise ValueError("approximation needs n >= 16")
+    if n < SADDLE_MIN_N:
+        raise ValueError(f"approximation needs n >= {SADDLE_MIN_N}")
     beta = complex(beta)
     if beta == 0:
         raise ValueError("beta must be nonzero")

@@ -6,7 +6,7 @@ from holelab import CoefficientModel
 @pytest.fixture(scope="session")
 def gef():
     model = CoefficientModel.gef()
-    model.log_coeffs(120_000)  # single-threaded warm-up
+    model.log_coeffs(120_000)  # builds the process's GEF table once for the session
     return model
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import pickle
 import re
 import struct
 import subprocess
@@ -13,7 +14,16 @@ import numpy as np
 import pytest
 
 import holelab
-from holelab.cli_reports import ReportRecord, emit, record_to_json, records_to_csv, run
+from holelab import cli_reports
+from holelab.cli_reports import (
+    ReportRecord,
+    _build_parser,
+    _shared_parser,
+    emit,
+    record_to_json,
+    records_to_csv,
+    run,
+)
 
 
 def _capture(capsys, argv):
@@ -113,12 +123,35 @@ def test_numeric_failure_exit_code(capsys):
 
 
 def test_zeros_rejects_too_few_samples(capsys):
-    # an empty sample once gave mean_count null and a numpy RuntimeWarning
+    # an empty sample once gave mean_count null and a numpy RuntimeWarning;
+    # it is a usage error that names the flag
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for samples in ("0", "-3"):
-            assert run(["zeros", "--r", "1", "--samples", samples]) == 2
-    assert "samples must be >= 1" in capsys.readouterr().err
+            assert run(["zeros", "--r", "1", "--samples", samples]) == 1
+    assert "usage error: argument --samples: must be a positive integer" in capsys.readouterr().err
+
+
+def test_hole_samples_below_the_monte_carlo_floor_depend_on_r(capsys):
+    # Monte Carlo needs >= 100 samples, but runs only where S(r) is small
+    assert run(["hole", "--r", "10", "--samples", "50"]) == 0
+    assert run(["hole", "--r", "0.8", "--samples", "50"]) == 2
+    assert "numeric failure: samples must be >= 100" in capsys.readouterr().err
+
+
+def test_zeros_job_pickles_without_the_log_coeff_table(monkeypatch):
+    # the process holds a 10^5-entry GEF table; a job ships only (kind, alpha)
+    holelab.CoefficientModel.gef().log_coeffs(100_000)
+    jobs = []
+    run_chunked = cli_reports.run_chunked
+
+    def spy(fn, payloads, workers=None):
+        jobs.append(fn)
+        return run_chunked(fn, payloads, workers)
+
+    monkeypatch.setattr(cli_reports, "run_chunked", spy)
+    assert run(["zeros", "--r", "1", "--samples", "20", "--threads", "1"]) == 0
+    assert len(pickle.dumps(jobs[0])) < 8192
 
 
 def test_zeros_verified_record_frozen(capsys):
@@ -410,12 +443,56 @@ def test_nonfinite_float_flags_are_usage_errors(capsys, argv, flag):
     (["sweep", "s-of-r", "--r", "1", "2"], "unexpected sweep token '2'"),
     (["sweep", "s-of-r", "--r"], "flag '--r' is missing a value"),
     (["sweep", "s-of-r", "--r", "1,2", "--format"], "flag '--format' is missing a value"),
+    (["zeros", "--r", "1", "--samples", "0"], "argument --samples: must be a positive integer"),
+    (["conditioned", "--r", "2", "--samples", "0"],
+     "argument --samples: must be a positive integer"),
+    (["forced-zero", "--dist", "rademacher", "--samples", "0"],
+     "argument --samples: must be a positive integer"),
+    (["hole", "--r", "10", "--samples", "-5"], "argument --samples: must be a positive integer"),
+    (["hermite", "--n", "10"], "argument --n: must be >= 16 for the saddle-point approximation"),
+    (["sweep", "hermite", "--n", "10,100"],
+     "argument --n: must be >= 16 for the saddle-point approximation"),
 ])
 def test_flags_that_would_be_dropped_are_usage_errors(capsys, argv, message):
     # each of these used to exit 0, running the default grid or leaving a result
-    # out, or (--n-points 0) exit 2 as a numeric failure; the malformed sweep
-    # lines were usage errors already
+    # out, or (--n-points 0, --samples 0, hermite --n 10) exit 2 as a numeric
+    # failure that did not name the flag; the malformed sweep lines were usage
+    # errors already
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"usage error: {message}" in captured.err
+
+
+_ONE_PROCESS_LINES = [
+    ["zeros", "--r", "1", "--samples", "0"],
+    ["sweep", "s-of-r", "--r", "1,2,4", "--format", "csv"],
+    ["zeros", "--r", "2", "--samples", "150", "--seed", "3", "--threads", "2"],
+    ["omega", "--r", "3", "--format", "json"],
+]
+
+
+def _run_without_timing(capsys, argv) -> tuple[int, list, str]:
+    code = run(argv)
+    captured = capsys.readouterr()
+    if captured.out.startswith("command,"):
+        records = list(csv.DictReader(io.StringIO(captured.out)))
+    else:
+        records = [json.loads(line) for line in captured.out.splitlines()]
+    return code, [_strip_timing(rec) for rec in records], captured.err
+
+
+def test_one_process_runs_many_command_lines(capsys):
+    # each line on a freshly built parser, then all lines on one parser
+    alone = []
+    for argv in _ONE_PROCESS_LINES:
+        _build_parser.cache_clear()
+        _shared_parser.cache_clear()
+        alone.append(_run_without_timing(capsys, argv))
+    _build_parser.cache_clear()
+    _shared_parser.cache_clear()
+    together = [_run_without_timing(capsys, argv) for argv in _ONE_PROCESS_LINES]
+    assert [code for code, _, _ in together] == [1, 0, 0, 0]
+    assert together == alone
+    assert _build_parser.cache_info().misses == 1
+    assert _shared_parser.cache_info().misses == 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from holelab import CoefficientModel, peak_index_range, s_asymptotic, s_of_r, s_of_r_detail, tail_log_bound
+from holelab import coeff_models
 from holelab.coeff_models import QUARTIC_LAW_CONST, ModelKind, expected_zero_count, log_gamma
 
 mp.mp.dps = 30
@@ -63,6 +64,44 @@ def test_cache_append_only(ml1):
     first = model.log_coeffs(10).copy()
     model.log_coeffs(5000)
     assert np.array_equal(model.log_coeffs(10), first)
+
+
+def _fresh_table(log_a: np.ndarray) -> bytes:
+    """log a_n computed directly, with log a_0 stored as +0.0 as the table does."""
+    log_a = log_a.copy()
+    log_a[0] = 0.0  # -0.5 * lgamma(1.0) is -0.0
+    return log_a.tobytes()
+
+
+def test_second_gef_reads_the_shared_table(monkeypatch):
+    n = 5000
+    CoefficientModel.gef().log_coeffs(n)
+    calls = []
+
+    def spy(x):
+        calls.append(x)
+        return log_gamma(x)
+
+    monkeypatch.setattr(coeff_models, "log_gamma", spy)
+    again = CoefficientModel.gef().log_coeffs(n)
+    assert calls == []
+    assert again.tobytes() == _fresh_table(-0.5 * log_gamma(np.arange(n + 1) + 1.0))
+
+
+def test_mittag_leffler_tables_stay_apart():
+    n = np.arange(301.0)
+    half = CoefficientModel.mittag_leffler(0.5).log_coeffs(300)
+    seven = CoefficientModel.mittag_leffler(0.7).log_coeffs(300)
+    assert half.tobytes() == _fresh_table(-log_gamma(0.5 * n + 1.0))
+    assert seven.tobytes() == _fresh_table(-log_gamma(0.7 * n + 1.0))
+
+
+def test_view_survives_another_instance_extending_the_table():
+    view = CoefficientModel.mittag_leffler(0.3).log_coeffs(10)
+    before = view.tobytes()
+    longer = CoefficientModel.mittag_leffler(0.3).log_coeffs(20_000)
+    assert view.tobytes() == before
+    assert longer[:11].tobytes() == before
 
 
 def test_cache_view_is_read_only(gef):
