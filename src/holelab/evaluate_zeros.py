@@ -118,17 +118,6 @@ class ZeroCountResult:
     verified_by_oracle: bool
 
 
-def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_n c[..., n] z^n; each row of a 2-D c pairs with the same row of z."""
-    col = c.shape[:-1] + (1,) * (np.ndim(z) - c.ndim + 1)
-    acc = np.empty(np.shape(z), dtype=np.complex128)
-    acc[...] = c[..., -1].reshape(col)
-    for k in range(c.shape[-1] - 2, -1, -1):
-        acc *= z
-        acc += c[..., k].reshape(col)
-    return acc
-
-
 def count_for_coeffs(c: np.ndarray, r: float) -> int:
     """Zeros of sum_n c_n z^n in |z| < r: the one-row case of `winding_counts_batch`."""
     return int(winding_counts_batch(np.asarray(c)[None, :], r)[0])
@@ -244,11 +233,16 @@ def _certified(absF, absG, s, L, M2, rho, rho_g, tau) -> np.ndarray:
 def _circle_values(D: np.ndarray, points: int) -> np.ndarray:
     """sum_n D_n w^n at w = exp(2 pi i k / points), k = 0..points-1.
 
-    Coefficients past `points` are folded onto n mod points first.
+    Coefficients past `points` are folded onto n mod points first: each
+    run of `points` columns is added in turn into one copy of the first,
+    taken as 0 + D_n so that a -0 comes out +0, as summing from zero gives.
     """
-    if D.shape[1] > points:
-        D = np.pad(D, ((0, 0), (0, -D.shape[1] % points)))
-        D = D.reshape(len(D), -1, points).sum(axis=1)
+    n = D.shape[1]
+    if n > points:
+        folded = D[:, :points] + 0.0
+        for lo in range(points, n, points):
+            folded[:, : min(points, n - lo)] += D[:, lo: lo + points]
+        D = folded
     return np.fft.ifft(D, n=points, axis=1, norm="forward")
 
 
@@ -463,11 +457,6 @@ def _stripped_lengths(rows: np.ndarray, first_index: int = 0) -> np.ndarray:
                          f"no usable coefficients (all zero, or a NaN or inf entry)")
     keep = size >= _STRIP_REL * scale[:, None]
     return rows.shape[1] - np.argmax(keep[:, ::-1], axis=1)
-
-
-def _strip_trailing(c: np.ndarray, sample: int) -> np.ndarray:
-    """One row c without its trailing coefficients: the one-row case of `_stripped_lengths`."""
-    return c[: _stripped_lengths(c[None, :], sample)[0]]
 
 
 def _peak_scaled(c: np.ndarray, log_terms: np.ndarray, t: np.ndarray,

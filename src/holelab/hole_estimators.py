@@ -27,11 +27,13 @@ is positive, Omega_r forces |f| > 0 on the closed disk of radius r, so
 exp(log P(Omega_r)) is then a rigorous lower bound for the hole probability.
 
 Both Monte Carlo estimators split their samples into jobs by sample index
-(`_parallel.sample_ranges`) and run one job, `_zero_free_job`, which draws
-and counts its rows in one call; a row the kernel cannot certify raises,
-naming its sample.  A job holds at most 2048 rows and at most about 2^18
+(`_parallel.sample_ranges`) and run one job, `_zero_free_job`, on each; a
+row the kernel cannot certify raises, naming its sample.  A job is the
+unit handed to a worker: at most 2048 rows and at most about 2^18
 coefficient values (2048 rows at r = 1, 543 at the conditioned degree for
-r = 12), so a worker's memory stays bounded as the degree grows like r^2.
+r = 12).  Within it the rows are drawn and counted one block of about 2^16
+values at a time (135 rows at r = 12; a 2048-row job at r = 1 is one
+block), so a worker's memory stays bounded as the degree grows like r^2.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ Z95 = 1.959963984540054
 TAIL_MARGIN_CONST = 1.0 / (1.0 - math.exp(-0.25))
 MC_CHUNK = 2048  # most rows in one Monte Carlo job
 _MC_CUTOFF = 25.0  # largest S(r) at which the hole report runs Monte Carlo
-_STREAM_VALUES = 2**18  # most coefficient values drawn and counted in one job (4 MB)
+_STREAM_VALUES = 2**18  # most coefficient values in one job (4 MB of rows)
+_BLOCK_VALUES = 2**16  # most coefficient values a job draws and counts at once (1 MB)
 TAIL_EPS = 1e-9  # bound on the truncation tail on |z| <= r; every count is certified against it
 _LN2 = math.log(2.0)
 
@@ -180,10 +183,21 @@ def _job_rows(degree: int) -> int:
 
 
 def _zero_free_job(draw, log_coeffs: np.ndarray, r: float, samples: range) -> int:
-    """Zero-free rows among `samples`, drawn by draw(start, stop); an uncertified row raises."""
-    counts = winding_counts_batch(draw(samples.start, samples.stop), r, log_coeffs=log_coeffs,
-                                  tail_eps=TAIL_EPS, first_index=samples.start)
-    return int(np.count_nonzero(counts == 0))
+    """Zero-free rows among `samples`, drawn by draw(start, stop); an uncertified row raises.
+
+    The rows are drawn and counted in blocks of about _BLOCK_VALUES values,
+    in sample order, each block's count naming its own first sample, so no
+    array the size of the job is built.  The kernel counts each row on its
+    own, so the blocks change no count.
+    """
+    step = max(1, _BLOCK_VALUES // len(log_coeffs))
+    zero_free = 0
+    for lo in range(samples.start, samples.stop, step):
+        hi = min(lo + step, samples.stop)
+        counts = winding_counts_batch(draw(lo, hi), r, log_coeffs=log_coeffs,
+                                      tail_eps=TAIL_EPS, first_index=lo)
+        zero_free += int(np.count_nonzero(counts == 0))
+    return zero_free
 
 
 def hole_mc(model: CoefficientModel, r: float, samples: int, seed: int,
@@ -225,12 +239,23 @@ def conditioned_degree(r: float) -> int:
 
 
 def _conditioned_values(r: float, caps_sq: np.ndarray, u_mag: np.ndarray,
-                        u_phase: np.ndarray) -> np.ndarray:
-    """Conditioned coefficients from uniform pairs (one row or a row block)."""
+                        u_phase: np.ndarray, out: np.ndarray) -> None:
+    """Write conditioned coefficients from uniform pairs (one row or a row block) into `out`.
+
+    The value is sqrt(e_sq) e^(2 pi i u_phase), written as its real and
+    imaginary planes sqrt(e_sq) cos(2 pi u_phase) and sqrt(e_sq) sin(2 pi
+    u_phase), each through a contiguous real temporary, so no complex
+    temporary is formed.  They hold the bits of np.sqrt(e_sq) * np.exp(2j *
+    np.pi * u_phase), except that a zero modulus (a magnitude uniform of
+    exactly 0) may give a zero of the other sign.
+    """
     e_sq = np.empty(u_mag.shape)
     e_sq[..., 0] = truncated_exp_from_uniform(u_mag[..., 0], lower=4.0 * r * r)
     e_sq[..., 1:] = truncated_exp_from_uniform(u_mag[..., 1:], upper=caps_sq)
-    return np.sqrt(e_sq) * np.exp(2j * np.pi * u_phase)
+    modulus = np.sqrt(e_sq, out=e_sq)
+    angle = np.multiply(u_phase, 2.0 * np.pi)
+    np.multiply(modulus, np.cos(angle), out=out.real)
+    np.multiply(modulus, np.sin(angle, out=angle), out=out.imag)
 
 
 def conditioned_draw(r: float, master_seed: int, degree: int | None = None) -> np.ndarray:
@@ -243,7 +268,9 @@ def conditioned_draw(r: float, master_seed: int, degree: int | None = None) -> n
     if degree is None:
         degree = conditioned_degree(r)
     caps_sq = np.exp(_conditioned_caps_sq_log(r, degree))
-    return _conditioned_values(r, caps_sq, *uniform_pairs(master_seed, degree + 1))
+    phi = np.empty(degree + 1, dtype=np.complex128)
+    _conditioned_values(r, caps_sq, *uniform_pairs(master_seed, degree + 1), phi)
+    return phi
 
 
 def conditioned_rows(r: float, seed: int, start: int, stop: int,

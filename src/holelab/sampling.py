@@ -172,13 +172,14 @@ def uniform_rows(master_seed: int, start: int, stop: int,
 
 def transform_rows(master_seed: int, start: int, stop: int, count: int,
                    transform) -> np.ndarray:
-    """Complex rows transform(u_mag, u_phase) of samples start..stop-1.
+    """Complex rows of samples start..stop-1, written by transform(u_mag, u_phase, out).
 
     The uniform rows are generated and transformed in blocks of about 2^16
-    values, written into one preallocated (stop - start, count) array, so
-    temporaries stay bounded whatever the row range.  `transform` takes
-    (u_mag, u_phase) blocks of shape (rows, count) and must treat each row
-    on its own, so the blocking changes no value.
+    values, so temporaries stay bounded whatever the row range.  Each call
+    of `transform` gets (u_mag, u_phase) blocks of shape (rows, count) and
+    `out`, the slice of the preallocated (stop - start, count) result those
+    rows fill, and writes the block's values into it.  It must treat each
+    row on its own, so the blocking changes no value.
     """
     _check_range(start, stop)
     if count < 1:
@@ -187,7 +188,7 @@ def transform_rows(master_seed: int, start: int, stop: int, count: int,
     step = max(1, _BLOCK_VALUES // count)
     for lo in range(0, stop - start, step):
         hi = min(lo + step, stop - start)
-        rows[lo:hi] = transform(*uniform_rows(master_seed, start + lo, start + hi, count))
+        transform(*uniform_rows(master_seed, start + lo, start + hi, count), rows[lo:hi])
     return rows
 
 
@@ -220,8 +221,11 @@ def draw_rows(dist: Distribution, master_seed: int, start: int, stop: int,
     """
     if not isinstance(dist, Distribution):
         raise ValueError(f"unknown distribution {dist!r}")
-    return transform_rows(master_seed, start, stop, count,
-                          lambda u_mag, u_phase: _values_from_uniforms(dist, u_mag, u_phase))
+
+    def write(u_mag: np.ndarray, u_phase: np.ndarray, out: np.ndarray) -> None:
+        out[...] = _values_from_uniforms(dist, u_mag, u_phase)
+
+    return transform_rows(master_seed, start, stop, count, write)
 
 
 def truncated_exp_from_uniform(u, lower=0.0, upper=None):

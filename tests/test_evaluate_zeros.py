@@ -47,9 +47,25 @@ def _linear(phi, model) -> np.ndarray:
     return phi * np.exp(model.log_coeffs(len(phi) - 1))
 
 
+def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_n c[..., n] z^n; each row of a 2-D c pairs with the same row of z."""
+    col = c.shape[:-1] + (1,) * (np.ndim(z) - c.ndim + 1)
+    acc = np.empty(np.shape(z), dtype=np.complex128)
+    acc[...] = c[..., -1].reshape(col)
+    for k in range(c.shape[-1] - 2, -1, -1):
+        acc *= z
+        acc += c[..., k].reshape(col)
+    return acc
+
+
+def _strip_trailing(c: np.ndarray, sample: int) -> np.ndarray:
+    """One row c without its trailing coefficients: the one-row case of `_stripped_lengths`."""
+    return c[: evaluate_zeros._stripped_lengths(c[None, :], sample)[0]]
+
+
 def eval_series_horner(phi, model, z) -> complex:
-    """Horner evaluation (the module's `_horner`) of sum phi_n a_n z^n at one z."""
-    return complex(evaluate_zeros._horner(_linear(phi, model), np.complex128(z)))
+    """Horner evaluation (`_horner`) of sum phi_n a_n z^n at one z."""
+    return complex(_horner(_linear(phi, model), np.complex128(z)))
 
 
 def eval_series_pairwise(phi, model, z: complex) -> complex:
@@ -147,7 +163,7 @@ def _winding_by_midpoints(c, r, base_points):
     heuristic, independent of the certified kernel's FFT, bounds and arcs.
     """
     theta = np.linspace(0.0, 2.0 * np.pi, base_points, endpoint=False)
-    f = evaluate_zeros._horner(c, r * np.exp(1j * theta))
+    f = _horner(c, r * np.exp(1j * theta))
     while True:
         scale = float(np.max(np.abs(f)))
         if scale == 0.0 or float(np.min(np.abs(f))) < 1e-290 * scale:
@@ -164,7 +180,7 @@ def _winding_by_midpoints(c, r, base_points):
             raise _BoundarySuspicion
         order = np.argsort(np.concatenate([theta, mids]), kind="stable")
         theta = np.concatenate([theta, mids])[order]
-        f = np.concatenate([f, evaluate_zeros._horner(c, r * np.exp(1j * mids))])[order]
+        f = np.concatenate([f, _horner(c, r * np.exp(1j * mids))])[order]
     w_float = float(np.sum(inc)) / (2.0 * np.pi)
     w = int(round(w_float))
     assert abs(w_float - w) <= 1e-3
@@ -477,6 +493,31 @@ def test_kernel_never_returns_a_wrong_count(roots, degree):
     assert got == _true_count(c)
 
 
+def _padded_circle_values(D, points):
+    """`_circle_values` with the fold it replaced: zero-pad, reshape, sum(axis=1)."""
+    if D.shape[1] > points:
+        D = np.pad(D, ((0, 0), (0, -D.shape[1] % points)))
+        D = D.reshape(len(D), -1, points).sum(axis=1)
+    return np.fft.ifft(D, n=points, axis=1, norm="forward")
+
+
+@pytest.mark.parametrize("n, points", [(40, 64), (64, 64), (100, 64), (128, 64), (200, 64),
+                                       (482, 256)])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_column_fold_equals_the_padded_fold(n, points, zeros):
+    rng = np.random.default_rng(n + points)
+    D = rng.standard_normal((9, n)) + 1j * rng.standard_normal((9, n))
+    if zeros:
+        # exact zeros of both signs, scattered and in whole columns, and a zero row
+        D[rng.random(D.shape) < 0.3] = 0.0
+        D[rng.random(D.shape) < 0.3] = complex(-0.0, -0.0)
+        D[:, ::points // 4] = complex(-0.0, 0.0)
+        D[:, 1::points // 4] = complex(0.0, -0.0)
+        D[4] = complex(-0.0, -0.0)
+    got = evaluate_zeros._circle_values(D, points)
+    assert got.tobytes() == _padded_circle_values(D, points).tobytes()
+
+
 def test_residual_check_rejects_overflowed_horner():
     # z^2 + 1 at z = 1e200 overflows to inf on the root and on its circle;
     # inf > 1e-8 * inf is False, so only an explicit finiteness test fails it
@@ -488,9 +529,9 @@ def test_residual_check_rejects_overflowed_horner():
 def _polish_one(c, roots, iters=60):
     """Damped Newton on one row, the per-row polish the stacked oracle replaced."""
     dc = c[1:] * np.arange(1, len(c))
-    p = evaluate_zeros._horner(c, roots)
+    p = _horner(c, roots)
     for _ in range(iters):
-        dp = evaluate_zeros._horner(dc, roots)
+        dp = _horner(dc, roots)
         step = np.where(np.abs(dp) > 0, p / dp, 0.0)
         step = np.where(np.isfinite(step), step, 0.0)
         if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(roots))):
@@ -501,7 +542,7 @@ def _polish_one(c, roots, iters=60):
             if not todo.any():
                 break
             cand = roots - damp * step
-            p_cand = evaluate_zeros._horner(c, cand)
+            p_cand = _horner(c, cand)
             improve = todo & (np.abs(p_cand) < np.abs(p))
             roots = np.where(improve, cand, roots)
             p = np.where(improve, p_cand, p)
@@ -512,7 +553,7 @@ def _polish_one(c, roots, iters=60):
 
 
 def _per_row_roots(c):
-    c = evaluate_zeros._strip_trailing(c, 0)
+    c = _strip_trailing(c, 0)
     return _polish_one(c, np.roots(c[::-1])) if len(c) > 1 else np.empty(0)
 
 
@@ -631,7 +672,7 @@ def _full_row_sweeps(P):
 
 @pytest.mark.parametrize("stack", STACKS)
 def test_moving_first_sweep_equals_the_full_row_sweep(gef, monkeypatch, stack):
-    P = np.array([evaluate_zeros._strip_trailing(c, 0) for c in stack(gef)])
+    P = np.array([_strip_trailing(c, 0) for c in stack(gef)])
     assert np.all(P[:, 0] != 0)
     want, widths = _full_row_sweeps(P)
     seen = []
@@ -681,7 +722,7 @@ def test_fft_circle_max_matches_horner(gef, stack):
     C = stack(gef)
     roots = np.array(roots_rows(C))
     circle = np.abs(roots)[..., None] * np.exp(2j * np.pi * np.arange(64) / 64)
-    horner = np.max(np.abs(evaluate_zeros._horner(C, circle)), axis=-1)
+    horner = np.max(np.abs(_horner(C, circle)), axis=-1)
     peak, s = evaluate_zeros._circle_max(C, roots)
     np.testing.assert_allclose(peak * np.exp(s), horner, rtol=1e-12, atol=0)
 
@@ -776,7 +817,7 @@ def test_far_roots_of_a_high_degree_row_verify(gef):
     counts = winding_counts_batch(phi, 12.0, log_coeffs=gef.log_coeffs(degree), tail_eps=0.0,
                                   first_index=4)
     verify_counts(phi, gef, 12.0, counts, first_index=4)
-    C = evaluate_zeros._strip_trailing(evaluate_zeros._disk_rows(phi, gef, 1.0)[0], 4)
+    C = _strip_trailing(evaluate_zeros._disk_rows(phi, gef, 1.0)[0], 4)
     roots = roots_rows(C[None, :])[0]
     far = int(np.argmax(np.abs(roots)))
     assert abs(roots[far]) > 150.0

@@ -272,6 +272,54 @@ def test_uncertified_conditioned_row_names_its_sample(gef, monkeypatch):
         omega_conditioned_sample(gef, 4.5, 2100, 2, workers=1)
 
 
+# (r, samples) of each estimator run; conditioned r = 12 makes two 543-row jobs
+_BLOCK_CASES = {
+    "hole-r3": (hole_mc, 3.0, 300),
+    "conditioned-r4.5": (omega_conditioned_sample, 4.5, 300),
+    "conditioned-r12": (omega_conditioned_sample, 12.0, 600),
+}
+
+
+@pytest.mark.parametrize("case", _BLOCK_CASES)
+def test_job_blocks_change_no_count(gef, monkeypatch, case):
+    # each job draws and counts blocks of 1 row, 7 rows or the whole job:
+    # the blocks start where they should and every sample keeps its count
+    estimator, r, samples = _BLOCK_CASES[case]
+    if estimator is hole_mc:
+        degree = truncation_degree(gef, r, TAIL_EPS, 1e-6 / samples)
+    else:
+        degree = conditioned_degree(r)
+    jobs = sample_ranges(samples, hole_estimators._job_rows(degree))
+    blocks = []
+
+    def spy(rows, r, **kwargs):
+        counts = winding_counts_batch(rows, r, **kwargs)
+        blocks.append((kwargs["first_index"], counts))
+        return counts
+
+    monkeypatch.setattr(hole_estimators, "winding_counts_batch", spy)
+    seen = []
+    for rows in (1, 7, len(jobs[0])):
+        monkeypatch.setattr(hole_estimators, "_BLOCK_VALUES", rows * (degree + 1))
+        blocks.clear()
+        result = estimator(gef, r, samples, 5, workers=1)
+        assert [lo for lo, _ in blocks] == [lo for job in jobs for lo in job[::rows]]
+        seen.append((result, np.concatenate([counts for _, counts in blocks]).tolist()))
+    assert seen[0] == seen[1] == seen[2]
+    assert len(seen[0][1]) == samples
+
+
+def test_refused_row_in_a_second_block_names_its_sample(gef, monkeypatch):
+    # conditioned r = 12: 543-row jobs of 135-row blocks; sample 683 lies in
+    # the second block of the second job
+    degree = conditioned_degree(12.0)
+    step = hole_estimators._BLOCK_VALUES // (degree + 1)
+    assert (hole_estimators._job_rows(degree), step) == (543, 135)
+    _refuse_row(monkeypatch, conditioned_rows(12.0, 3, 683, 684)[0], 12.0, gef.log_coeffs(degree))
+    with pytest.raises(hole_estimators.ZeroCountError, match=r"^sample 683 at r=12\.0: "):
+        omega_conditioned_sample(gef, 12.0, 700, 3, workers=1)
+
+
 def test_jobs_hold_2048_rows_at_r1_and_bounded_values_at_conditioned_r12(gef, monkeypatch):
     calls = []
 
