@@ -31,9 +31,11 @@ Both Monte Carlo estimators split their samples into jobs by sample index
 row the kernel cannot certify raises, naming its sample.  A job is the
 unit handed to a worker: at most 2048 rows and at most about 2^18
 coefficient values (2048 rows at r = 1, 543 at the conditioned degree for
-r = 12).  Within it the rows are drawn and counted one block of about 2^16
-values at a time (135 rows at r = 12; a 2048-row job at r = 1 is one
-block), so a worker's memory stays bounded as the degree grows like r^2.
+r = 12).  Within it the rows are drawn and counted one block of at most
+2^16 values at a time, the job split into blocks of nearly equal size
+(five 109-row blocks for a 543-row job at r = 12, where 135 rows fit;
+a 2048-row job at r = 1 is one block), so a worker's memory stays bounded
+as the degree grows like r^2.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .sampling import (
     truncation_degree,
     uniform_pairs,
 )
-from ._parallel import run_chunked, sample_ranges
+from ._parallel import _BLOCK_VALUES, run_chunked, sample_ranges
 
 Z95 = 1.959963984540054
 # Sum of the clause-(iii) worst-case tail e^(-(k-1)/4), k >= 1; covers any
@@ -63,7 +65,6 @@ TAIL_MARGIN_CONST = 1.0 / (1.0 - math.exp(-0.25))
 MC_CHUNK = 2048  # most rows in one Monte Carlo job
 _MC_CUTOFF = 25.0  # largest S(r) at which the hole report runs Monte Carlo
 _STREAM_VALUES = 2**18  # most coefficient values in one job (4 MB of rows)
-_BLOCK_VALUES = 2**16  # most coefficient values a job draws and counts at once (1 MB)
 TAIL_EPS = 1e-9  # bound on the truncation tail on |z| <= r; every count is certified against it
 _LN2 = math.log(2.0)
 
@@ -185,12 +186,16 @@ def _job_rows(degree: int) -> int:
 def _zero_free_job(draw, log_coeffs: np.ndarray, r: float, samples: range) -> int:
     """Zero-free rows among `samples`, drawn by draw(start, stop); an uncertified row raises.
 
-    The rows are drawn and counted in blocks of about _BLOCK_VALUES values,
-    in sample order, each block's count naming its own first sample, so no
-    array the size of the job is built.  The kernel counts each row on its
-    own, so the blocks change no count.
+    The rows are drawn and counted in blocks of at most _BLOCK_VALUES
+    values, in sample order, each block's count naming its own first
+    sample, so no array the size of the job is built.  The job is split
+    into as few blocks as that allows, of nearly equal size, so no short
+    tail block pays a block's fixed cost for a few rows.  The kernel
+    counts each row on its own, so the blocks change no count.
     """
-    step = max(1, _BLOCK_VALUES // len(log_coeffs))
+    most = max(1, _BLOCK_VALUES // len(log_coeffs))
+    blocks = -(-len(samples) // most)  # fewest blocks of at most `most` rows; a job is never empty
+    step = -(-len(samples) // blocks)
     zero_free = 0
     for lo in range(samples.start, samples.stop, step):
         hi = min(lo + step, samples.stop)

@@ -28,12 +28,12 @@ from enum import Enum
 
 import numpy as np
 
+from ._parallel import _BLOCK_VALUES
 from .coeff_models import CoefficientModel
 
 _WORD_TO_UNIT = 2.0**-53  # top 53 bits of a 64-bit word -> uniform in [0, 1)
 _SEED_MASK = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
-_BLOCK_VALUES = 2**16  # values per generated row block (bounds the temporaries)
 # numpy's SeedSequence: pool size and hash constants (uint32 arithmetic)
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875

@@ -31,6 +31,7 @@ from holelab.evaluate_zeros import (
     winding_counts_batch,
 )
 from holelab.hermite_asymptotics import all_ones_draw
+from holelab.hole_estimators import conditioned_degree, conditioned_rows
 
 # frozen: smallest modulus of the roots of sum_{n<=200} z^n/sqrt(n!), all
 # phi_n = 1, from companion-matrix eigenvalues; the root oracle is checked
@@ -294,12 +295,13 @@ def test_batch_counts_match_root_oracle(gef, r, count):
 
 
 def _spy_on_paths(monkeypatch):
-    """Record the grid sizes each grid pass used and the rows that bisected arcs."""
-    seen = {"grids": [], "bisected": set()}
+    """Record each grid pass's size and rows, and the rows that bisected arcs."""
+    seen = {"grids": [], "gridded": set(), "bisected": set()}
     grid_pass, bisect = evaluate_zeros._grid_pass, evaluate_zeros._bisect
 
     def grid_spy(D, K, idx, points, turn):
         seen["grids"].append(points)
+        seen["gridded"].update(idx.tolist())
         return grid_pass(D, K, idx, points, turn)
 
     def bisect_spy(D, K, bits, arcs, turn):
@@ -391,6 +393,71 @@ def test_uncertified_row_raises_naming_its_sample(gef):
     with pytest.raises(ZeroCountError, match=r"^sample 12 at r=1\.0: no certified winding"):
         winding_counts_batch(rows[[1, 2, 0]], 1.0, first_index=10)
     assert list(winding_counts_batch(rows[1:], 1.0)) == [1, 0]
+
+
+def _dominant_rows(rows, r, log_coeffs=None, tail_eps=0.0):
+    D, log_scale = evaluate_zeros._unit_circle_rows(rows, r, log_coeffs)
+    K = evaluate_zeros._row_bounds(D, log_scale, tail_eps)
+    return evaluate_zeros._dominant_terms(K, math.log2(evaluate_zeros._first_grid(D.shape[1])))
+
+
+def test_dominant_term_edge_rows(monkeypatch):
+    # 2 + z and 1 + 2z are counted by their dominant term (k = 0, k = 1);
+    # 1 + z has its zero on |z| = 1, no term dominates, and the grid refuses it
+    rows = np.array([[2.0, 1.0], [1.0, 2.0], [1.0, 1.0]], dtype=np.complex128)
+    assert list(_dominant_rows(rows, 1.0)) == [0, 1, -1]
+    seen = _spy_on_paths(monkeypatch)["gridded"]
+    assert list(winding_counts_batch(rows[:2], 1.0)) == [0, 1]
+    assert seen == set()
+    with pytest.raises(ZeroCountError, match=r"^sample 2 at r=1\.0: no certified winding"):
+        winding_counts_batch(rows, 1.0)
+    assert seen == {2}
+
+
+_PASS_CASES = {"conditioned-r12": (12.0, 1.0), "gef-r0.5": (0.5, 0.6), "gef-r1": (1.0, 0.04)}
+
+
+def _pass_case(gef, case):
+    """Rows, r, log a_n and the least fraction of rows the pass counts."""
+    r, least = _PASS_CASES[case]
+    if case == "conditioned-r12":
+        degree = conditioned_degree(r)
+        return conditioned_rows(r, 4, 0, 300, degree), r, gef.log_coeffs(degree), least
+    degree = truncation_degree(gef, r, 1e-9, 1e-6 / 2000)
+    return _gaussian_rows(degree, 31, 2000), r, gef.log_coeffs(degree), least
+
+
+@pytest.mark.parametrize("case", _PASS_CASES)
+def test_dominant_term_pass_changes_no_count(gef, monkeypatch, case):
+    # the grid route counts the same rows to the same counts with the pass
+    # dominating nothing; no conditioned r = 12 row reaches a grid
+    rows, r, log_coeffs, least = _pass_case(gef, case)
+    dominated = _dominant_rows(rows, r, log_coeffs, 1e-9) >= 0
+    assert dominated.mean() >= least
+    seen = _spy_on_paths(monkeypatch)["gridded"]
+    with_pass = winding_counts_batch(rows, r, log_coeffs=log_coeffs, tail_eps=1e-9)
+    assert seen == set(np.flatnonzero(~dominated).tolist())
+    monkeypatch.setattr(evaluate_zeros, "_dominant_terms", lambda K, bits: np.full(len(K), -1))
+    seen.clear()
+    without = winding_counts_batch(rows, r, log_coeffs=log_coeffs, tail_eps=1e-9)
+    assert seen == set(range(len(rows)))
+    assert with_pass.tolist() == without.tolist()
+
+
+@pytest.mark.parametrize("case", _PASS_CASES)
+def test_rho_covers_the_rounding_of_the_dominance_test(gef, case):
+    # l1 by np.sum against math.fsum of the same |d_n|, plus 2 eps l1 for
+    # the |d_n| themselves (2 ulps each): the rounding rho must cover
+    rows, r, log_coeffs, _ = _pass_case(gef, case)
+    D, log_scale = evaluate_zeros._unit_circle_rows(rows, r, log_coeffs)
+    K = evaluate_zeros._row_bounds(D, log_scale, 0.0)
+    rho = evaluate_zeros._margins(K, math.log2(evaluate_zeros._first_grid(D.shape[1])))[2]
+    size = np.abs(D)
+    exact = np.array([math.fsum(row) for row in size])
+    error = np.abs(K[:, 4] - exact) + 2.0 * np.finfo(float).eps * exact
+    assert np.all(K[:, 5] == size.max(axis=1))
+    print(f"largest rounding / rho: {np.max(error / rho):.3g}")
+    assert np.all(2.0 * error < rho)
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])

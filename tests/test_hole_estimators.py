@@ -174,6 +174,31 @@ def test_conditioned_draw_satisfies_clause_bounds():
         assert np.all(np.abs(phi[1:]) ** 2 <= caps)
 
 
+@pytest.mark.parametrize("r", [4.5, 12.0])
+def test_every_conditioned_row_meets_the_certificate_margin(gef, r):
+    # the paper's lower bound row by row, in linear scale and without the
+    # kernel: |phi_0| - sum_{n>=1} |phi_n| a_n r^n >= the certificate's
+    # worst-case margin.  The rows use about two thirds of their caps, so a
+    # sum can still meet the margin with caps that are too large: each
+    # clause's worst case is checked term by term as well
+    cert = omega_certificate(r)
+    degree = conditioned_degree(r)
+    m = math.floor(math.e * r * r)
+    n = np.arange(1, degree + 1)
+    rows = conditioned_rows(r, 1, 0, 2000, degree)
+    terms = np.abs(rows[:, 1:]) * np.exp(gef.log_coeffs(degree)[1:] + n * math.log(r))
+    lead = np.abs(rows[:, 0])
+    margin = lead - terms.sum(axis=1)
+    print(f"r={r}: smallest margin {margin.min():.4g}, certificate {cert.margin:.4g}")
+    assert margin.min() >= cert.margin > 0
+    slack = 1.0 + 1e-9  # rounding of a term drawn at its cap
+    assert np.all(lead * slack >= 2.0 * r)  # (i)
+    assert np.all(terms[:, :m] <= slack / (3.0 * r))  # (ii)
+    tail = terms[:, m:]  # (iii): at most e^(-(n - e r^2)/4), summing to TAIL_MARGIN_CONST
+    assert np.all(tail <= slack * np.exp(-0.25 * (n[m:] - math.e * r * r)))
+    assert np.all(tail.sum(axis=1) <= TAIL_MARGIN_CONST)
+
+
 @pytest.mark.parametrize("r", [1.0, 4.5, 12.0])
 def test_conditioned_rows_match_per_sample_objects(r):
     # oracle: per-sample SeedSequence and Philox objects, one row at a time
@@ -310,8 +335,8 @@ def test_job_blocks_change_no_count(gef, monkeypatch, case):
 
 
 def test_refused_row_in_a_second_block_names_its_sample(gef, monkeypatch):
-    # conditioned r = 12: 543-row jobs of 135-row blocks; sample 683 lies in
-    # the second block of the second job
+    # conditioned r = 12: 543-row jobs of five 109-row blocks (135 rows fit
+    # in one); sample 683 lies in the second block of the second job
     degree = conditioned_degree(12.0)
     step = hole_estimators._BLOCK_VALUES // (degree + 1)
     assert (hole_estimators._job_rows(degree), step) == (543, 135)
