@@ -6,7 +6,9 @@ cross-verify each other:
 
   * the argument principle, certified arc by arc.  Every count, one series
     (`count_zeros_disk`, `count_for_coeffs`) or a batch of rows, goes
-    through `winding_counts_batch`.  Each row is rescaled to
+    through `winding_counts_polar`: the Monte Carlo jobs call it on rows
+    in polar form, and `winding_counts_batch` on complex rows.  Each row
+    is rescaled to
     q(w) = sum d_n w^n = p(r w) e^(-M) and evaluated by FFT on the unit
     circle.  A grid point w certifies the two half arcs of length s next
     to it when
@@ -30,30 +32,44 @@ cross-verify each other:
     then on |w| = 1, |q(w) - d_k w^k| <= sum_{n != k} |d_n| < |d_k| - tau,
     so q plus any tail below tau has no zero on the circle and, by
     Rouche's theorem, exactly the k zeros of d_k w^k inside it (Pellet's
-    test in its simplest form).  Only the largest term can pass, so the
-    pass reads each row's largest |d_n|, its index k and l1 = sum |d_n|
-    from `_row_bounds` and tests |d_k| > (l1 - |d_k|) + rho + tau, rho and
-    tau those of the first grid.  rho covers the rounding of that test,
-    in units of u = 2^-53: each computed |d_n| errs by at most 2 ulps, 4u
-    of itself, which moves the test by at most 12u l1; np.sum adds a row
-    by numpy's pairwise summation (8 accumulators of at most 16 terms,
-    at most 7 terms more, one addition per halving past 128 terms), so
-    each term meets at most 26 + log2(N+1) roundings; where the test can
-    pass, |d_k| >= l1 / 2, so l1 - |d_k| is exact (Sterbenz); the two
-    additions add 2u.  In all the test errs by less than (40 + log2(N+1))
+    test in its simplest form).  The test is about moduli alone, true for
+    every choice of phases, so the pass reads nothing else.  A row comes
+    as its moduli m_n = |phi_n| and, on request, its complex entries
+    (`winding_counts_polar`).  M and the factors h_n come from the moduli
+    once (`_unit_circle_scale`); the pass reads a_n = (m_n h_n) h_n, the
+    largest a_k, its index k and l1 = sum a_n from `_row_bounds`, and
+    tests a_k > (l1 - a_k) + rho + tau, rho and tau those of the first
+    grid.  Only the rows it leaves are formed, as d_n = (phi_n h_n) h_n
+    with the same h_n, and go on to the grid.  rho covers the rounding of
+    that test, in units of u = 2^-53.  The m_n need not be the moduli of
+    the entries formed: a sampler forms phi_n = (m_n cos x_n, m_n sin x_n),
+    and with cos and sin within one ulp (2u) |phi_n| = m_n (1 +- 3u);
+    `winding_counts_batch` takes m_n = |phi_n| rounded, within 2u.  a_n
+    (two rounded products) lies within 2u of m_n h_n^2, and |d_n| (two
+    products, each part rounded) within 2u of |phi_n| h_n^2, so a_n errs
+    from |d_n| by at most 7u of itself.  a_k enters both sides of the
+    test, so these errors move a_k - (l1 - a_k) by at most 7u l1.  np.sum
+    adds a row by numpy's pairwise summation (8 accumulators of at most
+    16 terms, at most 7 terms more, one addition per halving past 128
+    terms), so each term meets at most 26 + log2(N+1) roundings; where the
+    test can pass, a_k >= l1 / 2, so l1 - a_k is exact (Sterbenz); the two
+    additions add 2u.  In all the test errs by less than (35 + log2(N+1))
     u l1, and rho = 1e-15 log2(P) S, with P >= 64 and P >= (N+1)/2 the
     first grid's points and S >= l1, is at least 9 max(6, log2(N+1) - 1)
-    u l1, more than that for every N.  For k = 0 this is the triangle
-    inequality behind the paper's lower bound: on Omega_r, |phi_0|
-    outweighs all the other terms on the whole disk, so every conditioned
-    row at a certified radius passes (all of 2000 rows at r = 4.5 and at
-    r = 12); of 20 000 GEF rows, 74% pass at r = 0.5 (k = 0, 1 or 2),
-    8.9% at r = 1 and none at r = 2.  A passing row takes no grid,
-    doubling or bisection; a certified count is the same by either route,
-    so no record changes.  The other rows go on to the first grid, with
-    the smallest power of two >= 64 and >= (N+1)/2 points.  Rows with
-    many failing arcs are evaluated again on a doubled grid; the others
-    bisect only their failing arcs, evaluating q and q' at the midpoints
+    u l1, more than that for every N.  On the rows the tests sample, the
+    gap | |phi_n| - m_n | stays below 1.5u m_n and the whole error below
+    0.07 rho.  For k = 0 this is the triangle inequality behind the
+    paper's lower bound: on Omega_r, |phi_0| outweighs all the other
+    terms on the whole disk, so every conditioned row at a certified
+    radius passes (all of 2000 rows at r = 4.5 and at r = 12), and its
+    phases are never computed; of 20 000 GEF rows, 74% pass at r = 0.5
+    (k = 0, 1 or 2), 8.9% at r = 1 and none at r = 2.  A passing row
+    takes no grid, doubling or bisection; a certified count is the same
+    by either route, so no record changes.  The other rows go on to the
+    first grid, with the smallest power of two >= 64 and >= (N+1)/2
+    points.  Rows with many failing arcs are evaluated again on a doubled
+    grid; the others bisect only their failing arcs, evaluating q and q'
+    at the midpoints
     by Horner.  A row nothing certifies raises, naming its sample, and is
     never guessed;
   * a root oracle by the Aberth-Ehrlich iteration.  `roots_rows` is the
@@ -87,7 +103,7 @@ cross-verify each other:
     maximum.
 
 Each route checks its rows once: a row that is all zero or holds a NaN or
-inf raises ValueError naming its sample, in `_unit_circle_rows` before it
+inf raises ValueError naming its sample, in `_unit_circle_scale` before it
 is scaled and in `roots_rows` before it is solved (log scaling keeps such
 a row bad).  `count_zeros_disk`, `count_for_coeffs`, `roots_truncated` and
 `min_zero_modulus` are the one-row case of the batch functions; they, with
@@ -190,39 +206,41 @@ def verify_counts(phi_rows: np.ndarray, model: CoefficientModel, r: float,
             f"with root oracle ({oracle[i]}) at r={r!r}")
 
 
-def _unit_circle_rows(rows: np.ndarray, r: float, log_coeffs: np.ndarray | None,
-                      first_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Rows rescaled so that |z| = r becomes the unit circle, in log scale, and their M.
+def _unit_circle_scale(moduli: np.ndarray, r: float, log_coeffs: np.ndarray | None,
+                       first_index: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factors h_n that rescale rows so that |z| = r becomes the unit circle, M, and |d_n|.
 
-    Entry n becomes phi_n h_n h_n with h_n = exp((t_n - M)/2), t_n = log a_n +
-    n log r and M the row's largest log|phi_n| + t_n: the row then evaluates
-    p(r w) e^(-M), which winds exactly as p does along |z| = r.  No a_n or r^n
-    is ever formed in linear scale, so no term underflows or overflows on its
-    own.  The factor is split in two halves because exp(t_n - M) alone
-    overflows when the largest term is subnormal (t_n - M up to 744.4);
-    phi_n h_n stays finite, and so does its product with h_n, which is at
-    most 1 in modulus.  Past 745 the entry is zero, and the clip keeps h_n
-    finite so that it stays zero.  M is not finite exactly when the row is
-    all zero or holds a NaN or inf; such a row raises ValueError naming
-    its sample, row i being sample first_index + i.
+    `moduli` holds |phi_n| of each row.  Entry n of a row becomes d_n =
+    (phi_n h_n) h_n with h_n = exp((t_n - M)/2), t_n = log a_n + n log r
+    and M the row's largest log|phi_n| + t_n: the row then evaluates
+    p(r w) e^(-M), which winds exactly as p does along |z| = r.  No a_n or
+    r^n is ever formed in linear scale, so no term underflows or overflows
+    on its own.  The factor is split in two halves because exp(t_n - M)
+    alone overflows when the largest term is subnormal (t_n - M up to
+    744.4); |phi_n| h_n stays finite, and so does its product with h_n,
+    which is at most 1.  Past 745 the entry is zero, and the clip keeps h_n
+    finite so that it stays zero.  Returns the h_n (one row per row), M and
+    the scaled moduli (|phi_n| h_n) h_n.  M is not finite exactly when the
+    row is all zero or holds a NaN or inf; such a row raises ValueError
+    naming its sample, row i being sample first_index + i.
     """
-    t = np.arange(rows.shape[1]) * math.log(r)
+    t = np.arange(moduli.shape[1]) * math.log(r)
     if log_coeffs is not None:
         t = t + log_coeffs
     with np.errstate(divide="ignore"):
-        top = np.max(np.log(np.abs(rows)) + t, axis=1, keepdims=True)
+        top = np.max(np.log(moduli) + t, axis=1, keepdims=True)
     bad = ~np.isfinite(top[:, 0])
     if bad.any():
         raise ValueError(f"sample {first_index + int(np.flatnonzero(bad)[0])}: "
                          f"no usable coefficients (all zero, or a NaN or inf entry)")
     half = np.exp(0.5 * np.minimum(t - top, _MAX_LOG_RATIO))
-    D = rows * half
-    D *= half
-    return D, top[:, 0]
+    size = moduli * half
+    size *= half
+    return half, top[:, 0], size
 
 
-def _row_bounds(D: np.ndarray, log_scale: np.ndarray, tail_eps: float) -> np.ndarray:
-    """Columns L, M2, S, tau, l1, top, k of scaled rows D, computed in blocks.
+def _row_bounds(size: np.ndarray, log_scale: np.ndarray, tail_eps: float) -> np.ndarray:
+    """Columns L, M2, S, tau, l1, top, k of rows with scaled moduli `size`.
 
     L = sum n|d_n| and M2 = sum n(n-1)|d_n| bound |q'| and |q''| on the
     closed unit disk; S = sum (1+n)|d_n| scales the rounding bound; tau is
@@ -230,21 +248,15 @@ def _row_bounds(D: np.ndarray, log_scale: np.ndarray, tail_eps: float) -> np.nda
     the dominant-term pass, l1 = sum |d_n| is summed on its own by np.sum
     along the row (numpy's pairwise summation), not formed as S - L, a
     difference of two sums; top is the largest |d_n| and k its first
-    index, exact as a float.  Each block takes |D| once for every column,
-    so no array of |D| the size of D is formed.
+    index, exact as a float.
     """
-    n = np.arange(D.shape[1], dtype=np.float64)
-    weights = np.stack([n, n * (n - 1), 1 + n], axis=1)
-    K = np.empty((len(D), 7))
-    step = max(1, _BLOCK_VALUES // D.shape[1])
-    for lo in range(0, len(D), step):
-        size = np.abs(D[lo: lo + step])
-        block = K[lo: lo + step]
-        block[:, :3] = size @ weights
-        np.sum(size, axis=1, out=block[:, 4])
-        k = np.argmax(size, axis=1)
-        block[:, 5] = size[np.arange(len(size)), k]
-        block[:, 6] = k
+    n = np.arange(size.shape[1], dtype=np.float64)
+    K = np.empty((len(size), 7))
+    K[:, :3] = size @ np.stack([n, n * (n - 1), 1 + n], axis=1)
+    np.sum(size, axis=1, out=K[:, 4])
+    k = np.argmax(size, axis=1)
+    K[:, 5] = size[np.arange(len(size)), k]
+    K[:, 6] = k
     with np.errstate(over="ignore"):  # a row far below the tail cannot be certified
         K[:, 3] = np.exp(math.log(tail_eps) - log_scale) if tail_eps > 0 else 0.0
     return K
@@ -450,44 +462,53 @@ def _bisect(D: np.ndarray, K: np.ndarray, bits: np.ndarray, arcs: _Arcs,
 def winding_counts_batch(coeff_rows: np.ndarray, r: float, *,
                          log_coeffs: np.ndarray | None = None, tail_eps: float = 0.0,
                          first_index: int = 0) -> np.ndarray:
-    """Certified winding numbers for many coefficient rows along the same circle.
+    """Certified winding numbers for many complex coefficient rows along the same circle.
 
     Row i holds c_n = phi_n a_n, or phi_n alone when `log_coeffs` gives
     log(a_n) (then no a_n is formed in linear scale, where it underflows).
-    Every row is rescaled to the unit circle (`_unit_circle_rows`); a row
-    with a dominant term is counted by it (`_dominant_terms`), and the
-    others are certified arc by arc, as the module docstring states, with
-    tau = tail_eps e^(-M): a bound on the truncation tail |f - p| on
-    |z| = r makes the count one of f.  The first grid is shared by the rows
-    the dominant-term pass leaves; rows with many failing arcs go together
-    to doubled grids, up to 2^16 points, and the others bisect their
-    failing arcs together.
-    Row i is sample first_index + i.  A row that is all zero or holds a
-    NaN or inf raises ValueError before any is counted.  A row nothing
-    certifies, or one that winds a negative number of times (impossible
-    for an analytic function), raises ZeroCountError naming the first such
-    sample: no caller gets a count the kernel could not certify.
+    The rows' moduli |c_n| go to `winding_counts_polar`, and the rows it
+    forms for its grid are copies of the caller's rows, which it never
+    writes.  The other arguments and the errors are those of
+    `winding_counts_polar`.
     """
     rows = np.asarray(coeff_rows, dtype=np.complex128)
-    D, log_scale = _unit_circle_rows(rows, r, log_coeffs, first_index)
-    K = _row_bounds(D, log_scale, tail_eps)
-    turn = np.zeros(len(D))
-    bits = np.zeros(len(D))
-    points = _first_grid(D.shape[1])
+    return winding_counts_polar(np.abs(rows), rows.__getitem__, r, log_coeffs=log_coeffs,
+                                tail_eps=tail_eps, first_index=first_index)
+
+
+def winding_counts_polar(moduli: np.ndarray, form_rows, r: float, *,
+                         log_coeffs: np.ndarray | None = None, tail_eps: float = 0.0,
+                         first_index: int = 0) -> np.ndarray:
+    """Certified winding numbers along |z| = r of rows given in polar form.
+
+    moduli[i] holds |c_n| of row i (|phi_n| when `log_coeffs` gives log a_n),
+    and form_rows(idx) returns a new complex array of the rows idx, which
+    the kernel scales in place.  Every row's scale M and factors h_n come
+    from its moduli (`_unit_circle_scale`), and the dominant-term pass
+    (`_dominant_terms`) reads only the scaled moduli, so a row it counts
+    is never formed.  The rows it leaves are formed, scaled by the same
+    h_n, and certified arc by arc, as the module docstring states, with
+    tau = tail_eps e^(-M): a bound on the truncation tail |f - p| on
+    |z| = r makes the count one of f.  Row i is sample first_index + i.  A
+    row that is all zero or holds a NaN or inf raises ValueError before
+    any is counted.  A row nothing certifies, or one that winds a negative
+    number of times (impossible for an analytic function), raises
+    ZeroCountError naming the first such sample: no caller gets a count
+    the kernel could not certify.
+    """
+    half, log_scale, size = _unit_circle_scale(moduli, r, log_coeffs, first_index)
+    K = _row_bounds(size, log_scale, tail_eps)
+    points = _first_grid(size.shape[1])
     k = _dominant_terms(K, math.log2(points))
-    dominated = k >= 0
-    turn[dominated] = 2.0 * np.pi * k[dominated]
-    todo = np.flatnonzero(~dominated)
-    arcs = []
-    while len(todo):
-        bits[todo] = math.log2(points)
-        todo, failing = _grid_pass(D, K, todo, points, turn)
-        arcs.append(failing)
-        if points >= _MAX_GRID_POINTS:
-            break
-        points *= 2
-    uncertified = _bisect(D, K, bits, _concat_arcs(arcs), turn)
-    uncertified[todo] = True
+    turn = 2.0 * np.pi * k
+    uncertified = np.zeros(len(k), dtype=bool)
+    left = np.flatnonzero(k < 0)
+    if len(left):
+        h = half[left]
+        D = form_rows(left)
+        D *= h
+        D *= h
+        turn[left], uncertified[left] = _grid_turns(D, K[left], points)
     w_float = turn / (2.0 * np.pi)
     counts = np.rint(w_float).astype(np.int64)
     uncertified |= np.abs(w_float - counts) > 1e-3
@@ -501,6 +522,29 @@ def winding_counts_batch(coeff_rows: np.ndarray, r: float, *,
                 if uncertified[i] else
                 f"negative winding {counts[i]} for an analytic function"))
     return counts
+
+
+def _grid_turns(D: np.ndarray, K: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Summed argument increments of scaled rows D with bounds K, and which rows are refused.
+
+    The rows share the first grid of `points` points; rows with many
+    failing arcs go together to doubled grids, up to 2^16 points, and the
+    others bisect their failing arcs together.
+    """
+    turn = np.zeros(len(D))
+    bits = np.zeros(len(D))
+    todo = np.arange(len(D))
+    arcs = []
+    while len(todo):
+        bits[todo] = math.log2(points)
+        todo, failing = _grid_pass(D, K, todo, points, turn)
+        arcs.append(failing)
+        if points >= _MAX_GRID_POINTS:
+            break
+        points *= 2
+    refused = _bisect(D, K, bits, _concat_arcs(arcs), turn)
+    refused[todo] = True
+    return turn, refused
 
 
 def _stripped_lengths(rows: np.ndarray, first_index: int = 0) -> np.ndarray:

@@ -19,12 +19,24 @@ magnitude-phase: |phi|^2 is standard exponential via inverse CDF and the
 phase is uniform.  The same inverse-CDF route yields exponential magnitudes
 truncated to an interval without any rejection loop, which the conditioned
 hole sampler relies on.
+
+Each law with a uniform phase is drawn in polar form, by one generator:
+`polar_rows` gives a block's moduli, from its magnitude words by the law's
+moduli function (`gaussian_moduli`, ones for Steinhaus, the conditioned
+caps in `hole_estimators`), and keeps its phase words.  `PolarRows.rows`
+forms phi_n = |phi_n| e^(2 pi i u_n) for the rows asked for only, in
+`_polar_values`, the one place phases are computed.  A Monte Carlo job
+hands the moduli to the kernel, which forms only the rows its
+dominant-term pass leaves; `law_rows`, `draw_rows` and `draw_coeffs` form
+every row the same way, so a row has the same bits by any route.
+Rademacher signs come from the magnitude words alone.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,16 +182,70 @@ def uniform_rows(master_seed: int, start: int, stop: int,
     return _split_uniforms(_philox_words(sample_seeds(master_seed, start, stop), count))
 
 
-def transform_rows(master_seed: int, start: int, stop: int, count: int,
-                   transform) -> np.ndarray:
-    """Complex rows of samples start..stop-1, written by transform(u_mag, u_phase, out).
+class PolarRows(NamedTuple):
+    """Rows of one law in polar form: the moduli at once, complex rows on request.
 
-    The uniform rows are generated and transformed in blocks of about 2^16
-    values, so temporaries stay bounded whatever the row range.  Each call
-    of `transform` gets (u_mag, u_phase) blocks of shape (rows, count) and
-    `out`, the slice of the preallocated (stop - start, count) result those
-    rows fill, and writes the block's values into it.  It must treat each
-    row on its own, so the blocking changes no value.
+    moduli[k, n] is |phi_n| of row k, from its magnitude word, and
+    phase_words[k, n] that row's phase word 2n+1.  `rows` forms phi_n =
+    |phi_n| e^(2 pi i u_n), u_n the phase word's uniform, for the rows
+    asked for only, so a row read through its moduli alone never pays
+    for its phases.
+    """
+
+    moduli: np.ndarray
+    phase_words: np.ndarray
+
+    def rows(self, which=None, out: np.ndarray | None = None) -> np.ndarray:
+        """Complex rows `which` (row indices; all rows when None), written into `out` if given."""
+        moduli, words = self if which is None else (self.moduli[which], self.phase_words[which])
+        if out is None:
+            out = np.empty(moduli.shape, dtype=np.complex128)
+        _polar_values(moduli, unit_floats(words), out)
+        return out
+
+
+def _polar_values(moduli: np.ndarray, u_phase: np.ndarray, out: np.ndarray) -> None:
+    """Write moduli times e^(2 pi i u_phase) into `out`; u_phase is overwritten.
+
+    The value is written as its real and imaginary planes, moduli cos(2
+    pi u_phase) and moduli sin(2 pi u_phase), each through one real
+    temporary, so no complex temporary is formed.  They hold the bits of
+    moduli * np.exp(2j * np.pi * u_phase), except that a zero modulus (a
+    magnitude uniform of exactly 0) may give a zero of the other sign.
+    """
+    angle = np.multiply(u_phase, 2.0 * np.pi, out=u_phase)
+    np.multiply(moduli, np.cos(angle), out=out.real)
+    np.multiply(moduli, np.sin(angle, out=angle), out=out.imag)
+
+
+def _polar(moduli, keys: np.ndarray, count: int) -> PolarRows:
+    words = _philox_words(keys, count)
+    return PolarRows(moduli(unit_floats(words[:, 0::2])), words[:, 1::2])
+
+
+def polar_rows(moduli, master_seed: int, start: int, stop: int, count: int) -> PolarRows:
+    """Samples start..stop-1 of the law whose moduli(u_mag) maps magnitude uniforms to |phi_n|.
+
+    One block: the caller bounds stop - start.  Row k keys its stream with
+    sample_seed(master_seed, start + k); sample indices must lie below 2^32.
+    """
+    return _polar(moduli, sample_seeds(master_seed, start, stop), count)
+
+
+def polar_draw(moduli, master_seed: int, count: int) -> PolarRows:
+    """One row phi_0..phi_{count-1} of the law of `moduli`, its stream keyed by master_seed."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    return _polar(moduli, np.array([int(master_seed) & _SEED_MASK], dtype=np.uint64), count)
+
+
+def law_rows(moduli, master_seed: int, start: int, stop: int, count: int) -> np.ndarray:
+    """Complex rows of samples start..stop-1 of the law of `moduli`, shape (stop - start, count).
+
+    Row k equals polar_draw(moduli, sample_seed(master_seed, start + k),
+    count).rows() bit for bit.  The rows are drawn in blocks of about 2^16
+    values, each written in place, so temporaries stay bounded whatever
+    the row range; `moduli` must treat each row on its own.
     """
     _check_range(start, stop)
     if count < 1:
@@ -188,28 +254,36 @@ def transform_rows(master_seed: int, start: int, stop: int, count: int,
     step = max(1, _BLOCK_VALUES // count)
     for lo in range(0, stop - start, step):
         hi = min(lo + step, stop - start)
-        transform(*uniform_rows(master_seed, start + lo, start + hi, count), rows[lo:hi])
+        polar_rows(moduli, master_seed, start + lo, start + hi, count).rows(out=rows[lo:hi])
     return rows
 
 
-def _values_from_uniforms(dist: Distribution, u_mag: np.ndarray,
-                          u_phase: np.ndarray) -> np.ndarray:
-    if dist is Distribution.COMPLEX_GAUSSIAN:
-        values = np.exp(2j * np.pi * u_phase)
-        values *= np.sqrt(-np.log1p(-u_mag))
-        return values
-    if dist is Distribution.RADEMACHER:
-        return np.where(u_mag < 0.5, 1.0, -1.0).astype(np.complex128)
-    if dist is Distribution.STEINHAUS:
-        return np.exp(2j * np.pi * u_phase)
-    raise ValueError(f"unknown distribution {dist!r}")
+def gaussian_moduli(u_mag: np.ndarray) -> np.ndarray:
+    """|phi| of the unit complex Gaussian: |phi|^2 is standard exponential, by inverse CDF."""
+    return np.sqrt(-np.log1p(-u_mag))
+
+
+def _rademacher(u_mag: np.ndarray) -> np.ndarray:
+    return np.where(u_mag < 0.5, 1.0, -1.0).astype(np.complex128)
+
+
+# the laws drawn in polar form; Rademacher signs come from the magnitude words alone
+_MODULI = {Distribution.COMPLEX_GAUSSIAN: gaussian_moduli, Distribution.STEINHAUS: np.ones_like}
+
+
+def _moduli(dist: Distribution):
+    if dist not in _MODULI:
+        raise ValueError(f"unknown distribution {dist!r}")
+    return _MODULI[dist]
 
 
 def draw_coeffs(dist: Distribution, count: int, master_seed: int) -> np.ndarray:
     """Independent draws phi_0..phi_{count-1} from the given distribution."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return _values_from_uniforms(dist, *uniform_pairs(master_seed, count))
+    if dist is Distribution.RADEMACHER:
+        return _rademacher(uniform_pairs(master_seed, count)[0])
+    return polar_draw(_moduli(dist), master_seed, count).rows()[0]
 
 
 def draw_rows(dist: Distribution, master_seed: int, start: int, stop: int,
@@ -219,13 +293,11 @@ def draw_rows(dist: Distribution, master_seed: int, start: int, stop: int,
     Row k equals draw_coeffs(dist, count, sample_seed(master_seed, start + k))
     bit for bit.
     """
-    if not isinstance(dist, Distribution):
-        raise ValueError(f"unknown distribution {dist!r}")
-
-    def write(u_mag: np.ndarray, u_phase: np.ndarray, out: np.ndarray) -> None:
-        out[...] = _values_from_uniforms(dist, u_mag, u_phase)
-
-    return transform_rows(master_seed, start, stop, count, write)
+    if dist is Distribution.RADEMACHER:
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        return _rademacher(uniform_rows(master_seed, start, stop, count)[0])
+    return law_rows(_moduli(dist), master_seed, start, stop, count)
 
 
 def truncated_exp_from_uniform(u, lower=0.0, upper=None):

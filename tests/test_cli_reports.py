@@ -207,22 +207,14 @@ def test_zeros_oracle_failure_names_the_sample_for_any_worker_count(capsys, monk
     assert "sample 150: argument principle" in errors[0]
 
 
-def test_uncertified_zeros_row_names_its_sample(capsys, monkeypatch):
+def test_uncertified_zeros_row_names_its_sample(capsys, refuse_row):
     # the kernel refuses the row of sample 105, five rows into the second 100-row job
-    from holelab import CoefficientModel, Distribution, draw_rows, evaluate_zeros, truncation_degree
+    from holelab import CoefficientModel, Distribution, draw_rows, truncation_degree
 
     gef = CoefficientModel.gef()
     degree = truncation_degree(gef, 1.0, 1e-9, 1e-9)
-    row = draw_rows(Distribution.COMPLEX_GAUSSIAN, 1, 105, 106, degree + 1)
-    target = evaluate_zeros._unit_circle_rows(row, 1.0, gef.log_coeffs(degree))[0][0]
-    bisect = evaluate_zeros._bisect
-
-    def refuse(D, *args):
-        refused = bisect(D, *args)
-        refused[np.all(D == target, axis=1)] = True
-        return refused
-
-    monkeypatch.setattr(evaluate_zeros, "_bisect", refuse)
+    refuse_row(draw_rows(Distribution.COMPLEX_GAUSSIAN, 1, 105, 106, degree + 1)[0], 1.0,
+               gef.log_coeffs(degree))
     for threads in ("1", "2"):
         assert run(["zeros", "--r", "1", "--samples", "200", "--threads", threads]) == 2
         err = capsys.readouterr().err

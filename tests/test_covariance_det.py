@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,10 +98,22 @@ def test_dense_positive_pivots_default_specs():
 
 
 def test_dense_failure_names_the_first_nonpositive_pivot():
-    # at r = 4 the default grid's leading 21 x 21 block is the first that is
-    # not positive definite in double precision (LAPACK's reported pivot)
-    with pytest.raises(ArithmeticError, match=r"leading minor 21 "):
-        logdet_dense(CovarianceSpec.default(4.0))
+    # at r = 4 the default grid's matrix is not positive definite in double
+    # precision.  The error names the first leading minor k that numpy's
+    # Cholesky rejects, which moves with the bits of sigma (numpy's complex
+    # exp loop: 21 on AVX-512 loops, 24 on the baseline ones), so it is
+    # checked on the matrix built here: the leading (k-1) block factors and
+    # the k block does not
+    spec = CovarianceSpec.default(4.0)
+    with pytest.raises(ArithmeticError, match=r"leading minor \d+ ") as failure:
+        logdet_dense(spec)
+    k = int(re.search(r"leading minor (\d+) ", str(failure.value)).group(1))
+    z = grid_points(spec)
+    sigma = np.exp(np.outer(z, np.conj(z)))
+    assert 1 < k <= len(sigma)
+    np.linalg.cholesky(sigma[: k - 1, : k - 1])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(sigma[:k, :k])
 
 
 def test_eigenvalues_positive_and_finite():

@@ -20,7 +20,7 @@ from holelab import (
     sample_seed,
     truncation_degree,
 )
-from holelab import evaluate_zeros
+from holelab import evaluate_zeros, hole_estimators
 from holelab.evaluate_zeros import (
     RootResidualError,
     count_for_coeffs,
@@ -31,7 +31,8 @@ from holelab.evaluate_zeros import (
     winding_counts_batch,
 )
 from holelab.hermite_asymptotics import all_ones_draw
-from holelab.hole_estimators import conditioned_degree, conditioned_rows
+from holelab.hole_estimators import conditioned_degree
+from holelab.sampling import gaussian_moduli, polar_rows
 
 # frozen: smallest modulus of the roots of sum_{n<=200} z^n/sqrt(n!), all
 # phi_n = 1, from companion-matrix eigenvalues; the root oracle is checked
@@ -295,19 +296,35 @@ def test_batch_counts_match_root_oracle(gef, r, count):
 
 
 def _spy_on_paths(monkeypatch):
-    """Record each grid pass's size and rows, and the rows that bisected arcs."""
+    """Record each grid pass's size and rows, and the rows that bisected arcs.
+
+    Rows are named by their index among the caller's rows: the grid route
+    counts only the rows formed for it, and a grid pass or the bisection
+    names a row by its place among those.
+    """
     seen = {"grids": [], "gridded": set(), "bisected": set()}
-    grid_pass, bisect = evaluate_zeros._grid_pass, evaluate_zeros._bisect
+    polar, grid_pass, bisect = (evaluate_zeros.winding_counts_polar, evaluate_zeros._grid_pass,
+                                evaluate_zeros._bisect)
+    formed = []  # the caller's indices of the rows formed, one array per call
+
+    def polar_spy(moduli, form_rows, r, **kwargs):
+        def form(idx):
+            formed.append(idx)
+            return form_rows(idx)
+
+        return polar(moduli, form, r, **kwargs)
 
     def grid_spy(D, K, idx, points, turn):
         seen["grids"].append(points)
-        seen["gridded"].update(idx.tolist())
+        seen["gridded"].update(formed[-1][idx].tolist())
         return grid_pass(D, K, idx, points, turn)
 
     def bisect_spy(D, K, bits, arcs, turn):
-        seen["bisected"].update(arcs.row.tolist())
+        seen["bisected"].update(formed[-1][arcs.row].tolist())
         return bisect(D, K, bits, arcs, turn)
 
+    for module in (evaluate_zeros, hole_estimators):  # the complex and the job entry
+        monkeypatch.setattr(module, "winding_counts_polar", polar_spy)
     monkeypatch.setattr(evaluate_zeros, "_grid_pass", grid_spy)
     monkeypatch.setattr(evaluate_zeros, "_bisect", bisect_spy)
     return seen
@@ -396,9 +413,9 @@ def test_uncertified_row_raises_naming_its_sample(gef):
 
 
 def _dominant_rows(rows, r, log_coeffs=None, tail_eps=0.0):
-    D, log_scale = evaluate_zeros._unit_circle_rows(rows, r, log_coeffs)
-    K = evaluate_zeros._row_bounds(D, log_scale, tail_eps)
-    return evaluate_zeros._dominant_terms(K, math.log2(evaluate_zeros._first_grid(D.shape[1])))
+    _, log_scale, size = evaluate_zeros._unit_circle_scale(np.abs(rows), r, log_coeffs)
+    K = evaluate_zeros._row_bounds(size, log_scale, tail_eps)
+    return evaluate_zeros._dominant_terms(K, math.log2(evaluate_zeros._first_grid(size.shape[1])))
 
 
 def test_dominant_term_edge_rows(monkeypatch):
@@ -418,20 +435,23 @@ _PASS_CASES = {"conditioned-r12": (12.0, 1.0), "gef-r0.5": (0.5, 0.6), "gef-r1":
 
 
 def _pass_case(gef, case):
-    """Rows, r, log a_n and the least fraction of rows the pass counts."""
+    """Rows in polar form, r, log a_n and the least fraction of rows the pass counts."""
     r, least = _PASS_CASES[case]
     if case == "conditioned-r12":
         degree = conditioned_degree(r)
-        return conditioned_rows(r, 4, 0, 300, degree), r, gef.log_coeffs(degree), least
-    degree = truncation_degree(gef, r, 1e-9, 1e-6 / 2000)
-    return _gaussian_rows(degree, 31, 2000), r, gef.log_coeffs(degree), least
+        law, seed, count = hole_estimators._conditioned_law(r, degree), 4, 300
+    else:
+        degree = truncation_degree(gef, r, 1e-9, 1e-6 / 2000)
+        law, seed, count = gaussian_moduli, 31, 2000
+    return polar_rows(law, seed, 0, count, degree + 1), r, gef.log_coeffs(degree), least
 
 
 @pytest.mark.parametrize("case", _PASS_CASES)
 def test_dominant_term_pass_changes_no_count(gef, monkeypatch, case):
     # the grid route counts the same rows to the same counts with the pass
     # dominating nothing; no conditioned r = 12 row reaches a grid
-    rows, r, log_coeffs, least = _pass_case(gef, case)
+    block, r, log_coeffs, least = _pass_case(gef, case)
+    rows = block.rows()
     dominated = _dominant_rows(rows, r, log_coeffs, 1e-9) >= 0
     assert dominated.mean() >= least
     seen = _spy_on_paths(monkeypatch)["gridded"]
@@ -446,17 +466,35 @@ def test_dominant_term_pass_changes_no_count(gef, monkeypatch, case):
 
 @pytest.mark.parametrize("case", _PASS_CASES)
 def test_rho_covers_the_rounding_of_the_dominance_test(gef, case):
-    # l1 by np.sum against math.fsum of the same |d_n|, plus 2 eps l1 for
-    # the |d_n| themselves (2 ulps each): the rounding rho must cover
-    rows, r, log_coeffs, _ = _pass_case(gef, case)
-    D, log_scale = evaluate_zeros._unit_circle_rows(rows, r, log_coeffs)
-    K = evaluate_zeros._row_bounds(D, log_scale, 0.0)
-    rho = evaluate_zeros._margins(K, math.log2(evaluate_zeros._first_grid(D.shape[1])))[2]
-    size = np.abs(D)
-    exact = np.array([math.fsum(row) for row in size])
-    error = np.abs(K[:, 4] - exact) + 2.0 * np.finfo(float).eps * exact
+    # the pass reads m_n h_n h_n, from the sampler's moduli m_n; the grid
+    # would form d_n = (phi_n h_n) h_n from the complex row.  The test
+    # |d_k| - sum_{n != k} |d_n| > rho + tau, computed from the moduli
+    # with l1 by np.sum, against the same difference of the |d_n| taken in
+    # extended precision and summed exactly: rho must cover the error.
+    # The gap | |phi_n| - m_n | / m_n is the one the module docstring
+    # bounds by 3u
+    block, r, log_coeffs, _ = _pass_case(gef, case)
+    half, log_scale, size = evaluate_zeros._unit_circle_scale(block.moduli, r, log_coeffs)
+    K = evaluate_zeros._row_bounds(size, log_scale, 0.0)
+    rho = evaluate_zeros._margins(K, math.log2(evaluate_zeros._first_grid(size.shape[1])))[2]
+    rows = block.rows()
+    D = rows * half
+    D *= half
+    u = np.finfo(float).eps / 2
+    phi = np.abs(rows.astype(np.clongdouble))
+    gap = np.abs(phi - block.moduli) / block.moduli / u
+    d = np.abs(D.astype(np.clongdouble))
+    # 2 |d_k| - sum |d_n|, each |d_n| a float64 pair so that math.fsum sums
+    # the extended values exactly
+    hi = d.astype(np.float64)
+    lo = (d - hi).astype(np.float64)
+    k = K[:, 6].astype(np.intp)
+    exact = np.array([math.fsum(np.concatenate([2.0 * h[[j]], 2.0 * l[[j]], -h, -l]))
+                      for h, l, j in zip(hi, lo, k)])
+    error = np.abs((K[:, 5] - (K[:, 4] - K[:, 5])) - exact)
     assert np.all(K[:, 5] == size.max(axis=1))
-    print(f"largest rounding / rho: {np.max(error / rho):.3g}")
+    print(f"largest gap {gap.max():.3g} u; largest rounding / rho: {np.max(error / rho):.3g}")
+    assert gap.max() <= 3.0
     assert np.all(2.0 * error < rho)
 
 

@@ -17,9 +17,10 @@ from holelab import (
     omega_log_prob,
     s_of_r,
 )
-from holelab import Distribution, draw_rows, evaluate_zeros, hole_estimators, truncation_degree
+from holelab import Distribution, draw_rows, evaluate_zeros, hole_estimators, sampling
+from holelab import truncation_degree
 from holelab._parallel import run_chunked, sample_ranges
-from holelab.evaluate_zeros import _unit_circle_rows, winding_counts_batch
+from holelab.evaluate_zeros import _unit_circle_scale, winding_counts_polar
 from holelab.hole_estimators import (
     TAIL_EPS,
     TAIL_MARGIN_CONST,
@@ -233,14 +234,14 @@ def test_conditioned_fraction_is_one_at_certified_radius(gef):
 
 def test_conditioned_r12_rows_keep_every_term(gef, monkeypatch):
     # a_n underflows to 0 for n >= 314 at r = 12 while phi_n a_n r^n stays
-    # up to 1/(3r): the rows the kernel evaluates must keep every such term
+    # up to 1/(3r): the scaled moduli the kernel reads must keep every such term
     scaled = []
 
-    def spy(rows, r, *args, **kwargs):
-        scaled.append(_unit_circle_rows(np.asarray(rows), r, kwargs.get("log_coeffs"))[0])
-        return winding_counts_batch(rows, r, *args, **kwargs)
+    def spy(moduli, form_rows, r, **kwargs):
+        scaled.append(_unit_circle_scale(moduli, r, kwargs["log_coeffs"])[2])
+        return winding_counts_polar(moduli, form_rows, r, **kwargs)
 
-    monkeypatch.setattr(hole_estimators, "winding_counts_batch", spy)
+    monkeypatch.setattr(hole_estimators, "winding_counts_polar", spy)
     assert omega_conditioned_sample(gef, 12.0, 4, 1, workers=1) == 1.0
     rows = np.concatenate(scaled)
     assert rows.shape == (4, conditioned_degree(12.0) + 1)
@@ -274,27 +275,21 @@ def test_streamed_chunks_are_independent_of_the_block_size(gef, monkeypatch, blo
     assert omega_conditioned_sample(gef, 4.5, 300, 2, workers=1) == frac
 
 
-def _refuse_row(monkeypatch, row, r, log_coeffs):
-    """Make the kernel's arc bisection refuse every row equal to `row` (phi_0..phi_N)."""
-    target = _unit_circle_rows(row[None, :], r, log_coeffs)[0][0]
-    bisect = evaluate_zeros._bisect
-
-    def refuse(D, *args):
-        refused = bisect(D, *args)
-        refused[np.all(D == target, axis=1)] = True
-        return refused
-
-    monkeypatch.setattr(evaluate_zeros, "_bisect", refuse)
-
-
-def test_uncertified_conditioned_row_names_its_sample(gef, monkeypatch):
+def test_uncertified_conditioned_row_names_its_sample(gef, monkeypatch, refuse_row):
     # the kernel refuses the row of sample 2053, six rows into the second chunk
     degree = conditioned_degree(4.5)
-    _refuse_row(monkeypatch, conditioned_rows(4.5, 2, 2053, 2054)[0], 4.5, gef.log_coeffs(degree))
+    refuse_row(conditioned_rows(4.5, 2, 2053, 2054)[0], 4.5, gef.log_coeffs(degree))
     monkeypatch.setattr(hole_estimators, "_STREAM_VALUES", 2**12)
     assert omega_conditioned_sample(gef, 4.5, 2053, 2, workers=1) == 1.0
     with pytest.raises(hole_estimators.ZeroCountError, match=r"^sample 2053 at r=4.5: "):
         omega_conditioned_sample(gef, 4.5, 2100, 2, workers=1)
+
+
+def _degree(gef, estimator, r, samples):
+    """Truncation degree of an estimator run."""
+    if estimator is hole_mc:
+        return truncation_degree(gef, r, TAIL_EPS, 1e-6 / samples)
+    return conditioned_degree(r)
 
 
 # (r, samples) of each estimator run; conditioned r = 12 makes two 543-row jobs
@@ -310,19 +305,16 @@ def test_job_blocks_change_no_count(gef, monkeypatch, case):
     # each job draws and counts blocks of 1 row, 7 rows or the whole job:
     # the blocks start where they should and every sample keeps its count
     estimator, r, samples = _BLOCK_CASES[case]
-    if estimator is hole_mc:
-        degree = truncation_degree(gef, r, TAIL_EPS, 1e-6 / samples)
-    else:
-        degree = conditioned_degree(r)
+    degree = _degree(gef, estimator, r, samples)
     jobs = sample_ranges(samples, hole_estimators._job_rows(degree))
     blocks = []
 
-    def spy(rows, r, **kwargs):
-        counts = winding_counts_batch(rows, r, **kwargs)
+    def spy(moduli, form_rows, r, **kwargs):
+        counts = winding_counts_polar(moduli, form_rows, r, **kwargs)
         blocks.append((kwargs["first_index"], counts))
         return counts
 
-    monkeypatch.setattr(hole_estimators, "winding_counts_batch", spy)
+    monkeypatch.setattr(hole_estimators, "winding_counts_polar", spy)
     seen = []
     for rows in (1, 7, len(jobs[0])):
         monkeypatch.setattr(hole_estimators, "_BLOCK_VALUES", rows * (degree + 1))
@@ -334,15 +326,99 @@ def test_job_blocks_change_no_count(gef, monkeypatch, case):
     assert len(seen[0][1]) == samples
 
 
-def test_refused_row_in_a_second_block_names_its_sample(gef, monkeypatch):
+def test_refused_row_in_a_second_block_names_its_sample(gef, refuse_row):
     # conditioned r = 12: 543-row jobs of five 109-row blocks (135 rows fit
     # in one); sample 683 lies in the second block of the second job
     degree = conditioned_degree(12.0)
     step = hole_estimators._BLOCK_VALUES // (degree + 1)
     assert (hole_estimators._job_rows(degree), step) == (543, 135)
-    _refuse_row(monkeypatch, conditioned_rows(12.0, 3, 683, 684)[0], 12.0, gef.log_coeffs(degree))
+    refuse_row(conditioned_rows(12.0, 3, 683, 684)[0], 12.0, gef.log_coeffs(degree))
     with pytest.raises(hole_estimators.ZeroCountError, match=r"^sample 683 at r=12\.0: "):
         omega_conditioned_sample(gef, 12.0, 700, 3, workers=1)
+
+
+# (estimator, r, samples): GEF blocks at r = 0.5 and r = 1 mix rows the
+# pass counts with rows it leaves; every conditioned r = 12 row passes
+_ROUTE_CASES = {
+    "hole-r0.5": (hole_mc, 0.5, 2500),
+    "hole-r1": (hole_mc, 1.0, 2500),
+    "conditioned-r12": (omega_conditioned_sample, 12.0, 300),
+}
+
+
+def _count_blocks(monkeypatch, estimator, gef, r, samples):
+    """Run the estimator at seed 5; its result, each block's counts, and the rows formed.
+
+    The formed rows are copied as the kernel gets them, before it scales
+    them, with the sample of each.
+    """
+    blocks, formed = [], []
+
+    def spy(moduli, form_rows, r, **kwargs):
+        def form(idx):
+            rows = form_rows(idx)
+            formed.append((kwargs["first_index"] + idx, rows.copy()))
+            return rows
+
+        counts = winding_counts_polar(moduli, form, r, **kwargs)
+        blocks.append(counts)
+        return counts
+
+    monkeypatch.setattr(hole_estimators, "winding_counts_polar", spy)
+    result = estimator(gef, r, samples, 5, workers=1)
+    return result, np.concatenate(blocks).tolist(), formed
+
+
+def _pass_off(monkeypatch):
+    monkeypatch.setattr(evaluate_zeros, "_dominant_terms", lambda K, bits: np.full(len(K), -1))
+
+
+@pytest.mark.parametrize("case", _ROUTE_CASES)
+def test_rows_formed_for_the_grid_are_the_draws_bit_for_bit(gef, monkeypatch, case):
+    # conditioned rows reach the grid only with the pass off
+    estimator, r, samples = _ROUTE_CASES[case]
+    degree = _degree(gef, estimator, r, samples)
+    if estimator is hole_mc:
+        draws = draw_rows(Distribution.COMPLEX_GAUSSIAN, 5, 0, samples, degree + 1)
+    else:
+        draws = conditioned_rows(r, 5, 0, samples, degree)
+        _pass_off(monkeypatch)
+    _, _, formed = _count_blocks(monkeypatch, estimator, gef, r, samples)
+    sampled = np.concatenate([idx for idx, _ in formed])
+    print(f"{case}: {len(sampled)} of {samples} rows formed")
+    if estimator is hole_mc:
+        assert 0.05 * samples < len(sampled) < 0.95 * samples
+    else:
+        assert sampled.tolist() == list(range(samples))
+    for idx, rows in formed:
+        assert rows.tobytes() == draws[idx].tobytes()
+
+
+def test_conditioned_r12_job_forms_no_phase(gef, monkeypatch):
+    # every conditioned row is counted from its moduli, so no phase is read
+    handed = []
+    write = sampling._polar_values
+
+    def spy(moduli, u_phase, out):
+        handed.append(len(moduli))
+        write(moduli, u_phase, out)
+
+    monkeypatch.setattr(sampling, "_polar_values", spy)
+    assert omega_conditioned_sample(gef, 12.0, 600, 3, workers=1) == 1.0
+    assert sum(handed) == 0
+    hole_mc(gef, 1.0, 200, 3, workers=1)  # the rows a hole job leaves do reach the writer
+    assert sum(handed) > 0
+
+
+@pytest.mark.parametrize("case", _ROUTE_CASES)
+def test_job_counts_are_the_same_with_the_pass_off(gef, monkeypatch, case):
+    estimator, r, samples = _ROUTE_CASES[case]
+    with_pass = _count_blocks(monkeypatch, estimator, gef, r, samples)
+    _pass_off(monkeypatch)
+    without = _count_blocks(monkeypatch, estimator, gef, r, samples)
+    formed = [sum(len(idx) for idx, _ in run[2]) for run in (with_pass, without)]
+    assert formed[0] < formed[1] == samples  # the pass counted rows of its own
+    assert with_pass[:2] == without[:2]
 
 
 def test_jobs_hold_2048_rows_at_r1_and_bounded_values_at_conditioned_r12(gef, monkeypatch):
@@ -363,12 +439,12 @@ def test_jobs_hold_2048_rows_at_r1_and_bounded_values_at_conditioned_r12(gef, mo
     assert all(len(job) * (degree + 1) <= 2**18 for job in conditioned_jobs)
 
 
-def test_uncertified_hole_row_raises_naming_its_sample(gef, monkeypatch):
+def test_uncertified_hole_row_raises_naming_its_sample(gef, refuse_row):
     # the kernel refuses sample 2100, in the second 2048-row job: the estimate
     # must not quietly drop it from its denominator; forked workers inherit the patch
     degree = truncation_degree(gef, 1.0, TAIL_EPS, 1e-6 / 3000)
     row = draw_rows(Distribution.COMPLEX_GAUSSIAN, 5, 2100, 2101, degree + 1)[0]
-    _refuse_row(monkeypatch, row, 1.0, gef.log_coeffs(degree))
+    refuse_row(row, 1.0, gef.log_coeffs(degree))
     for workers in (1, 2):
         with pytest.raises(hole_estimators.ZeroCountError, match=r"^sample 2100 at r=1\.0: "):
             hole_mc(gef, 1.0, 3000, 5, workers=workers)
