@@ -35,7 +35,7 @@ from .covariance_det import (
     minor_gap_report,
     vandermonde_lower_bound,
 )
-from .evaluate_zeros import verify_counts, winding_counts_batch
+from .evaluate_zeros import verify_counts, winding_counts_polar
 from .hermite_asymptotics import (
     SADDLE_MIN_N,
     annulus_escape,
@@ -48,7 +48,7 @@ from .hole_estimators import (
     omega_certificate,
     omega_conditioned_sample,
 )
-from .sampling import Distribution, draw_rows, truncation_degree
+from .sampling import Distribution, gaussian_moduli, polar_rows, truncation_degree
 from .volume_geometry import (
     VolumeQuery,
     log_integral_annotation,
@@ -217,11 +217,11 @@ _ZEROS_JOB = 100  # rows per `zeros` job, fixed by sample index
 def _zeros_job(model: CoefficientModel, r: float, degree: int, tail_eps: float, seed: int,
                verify: bool, samples: range) -> np.ndarray:
     """Counts of `samples`, each checked by the root oracle under --verify."""
-    rows = draw_rows(Distribution.COMPLEX_GAUSSIAN, seed, samples.start, samples.stop, degree + 1)
-    counts = winding_counts_batch(rows, r, log_coeffs=model.log_coeffs(degree),
+    block = polar_rows(gaussian_moduli, seed, samples.start, samples.stop, degree + 1)
+    counts = winding_counts_polar(block.moduli, block.rows, r, log_coeffs=model.log_coeffs(degree),
                                   tail_eps=tail_eps, first_index=samples.start)
     if verify:
-        verify_counts(rows, model, r, counts, first_index=samples.start)
+        verify_counts(block.rows(), model, r, counts, first_index=samples.start)
     return counts
 
 

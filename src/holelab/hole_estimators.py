@@ -35,12 +35,14 @@ r = 12).  Within it the rows are drawn and counted one block of at most
 2^16 values at a time, the job split into blocks of nearly equal size
 (five 109-row blocks for a 543-row job at r = 12, where 135 rows fit;
 a 2048-row job at r = 1 is one block), so a worker's memory stays bounded
-as the degree grows like r^2.  Each block comes from the sampler in polar
-form (`sampling.polar_rows`, under `gaussian_moduli` or the conditioned
-caps): the kernel (`winding_counts_polar`) reads its moduli and forms the
-complex rows only of those its dominant-term pass leaves.  At a certified
-radius every conditioned row passes, so a conditioned job computes no
-phase; at r = 1 about 9% of hole rows pass, and at r = 0.5 about 74%.
+as the degree grows like r^2.  Each block comes from the one row
+generator, `sampling.polar_rows`, under `gaussian_moduli` or the
+conditioned caps, and goes to the one count route, `winding_counts_polar`,
+as every Monte Carlo block does (the `zeros` command's too): the kernel
+reads its moduli and forms the complex rows only of those its
+dominant-term pass leaves.  At a certified radius every conditioned row
+passes, so a conditioned job computes no phase; at r = 1 about 9% of
+hole rows pass, and at r = 0.5 about 74%.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .coeff_models import CoefficientModel, ModelKind, s_asymptotic, s_of_r
 from .evaluate_zeros import ZeroCountError, winding_counts_polar
 from .sampling import (
     gaussian_moduli,
-    law_rows,
     polar_draw,
     polar_rows,
     truncated_exp_from_uniform,
@@ -279,18 +280,6 @@ def conditioned_draw(r: float, master_seed: int, degree: int | None = None) -> n
     if degree is None:
         degree = conditioned_degree(r)
     return polar_draw(_conditioned_law(r, degree), master_seed, degree + 1).rows()[0]
-
-
-def conditioned_rows(r: float, seed: int, start: int, stop: int,
-                     degree: int | None = None) -> np.ndarray:
-    """Conditioned draws of samples start..stop-1, shape (stop - start, degree + 1).
-
-    Row k equals conditioned_draw(r, sample_seed(seed, start + k), degree)
-    bit for bit.
-    """
-    if degree is None:
-        degree = conditioned_degree(r)
-    return law_rows(_conditioned_law(r, degree), seed, start, stop, degree + 1)
 
 
 def omega_conditioned_sample(model: CoefficientModel, r: float, samples: int,

@@ -10,9 +10,9 @@ Monte Carlo sample i of a run keys its stream with sample_seed(seed, i),
 numpy's SeedSequence((seed, i)) hash.  The samplers draw whole row ranges
 i..j at once: `sample_seeds` computes the hash for every i in uint32 array
 arithmetic, and one Philox, its key rewritten and its counter reset per row,
-generates the rows in blocks of about 2^16 values.  Row k of `draw_rows`
-equals the one-row `draw_coeffs` keyed by sample_seed(seed, i + k) bit for
-bit, so batching changes no value.
+generates the rows of the range in one call; the caller bounds the range.
+Row k of `draw_rows` equals the one-row `draw_coeffs` keyed by
+sample_seed(seed, i + k) bit for bit, so batching changes no value.
 
 The unit complex Gaussian (density exp(-|z|^2)/pi) is sampled as
 magnitude-phase: |phi|^2 is standard exponential via inverse CDF and the
@@ -20,16 +20,16 @@ phase is uniform.  The same inverse-CDF route yields exponential magnitudes
 truncated to an interval without any rejection loop, which the conditioned
 hole sampler relies on.
 
-Each law with a uniform phase is drawn in polar form, by one generator:
-`polar_rows` gives a block's moduli, from its magnitude words by the law's
-moduli function (`gaussian_moduli`, ones for Steinhaus, the conditioned
-caps in `hole_estimators`), and keeps its phase words.  `PolarRows.rows`
-forms phi_n = |phi_n| e^(2 pi i u_n) for the rows asked for only, in
+Every law is drawn in polar form, by one generator: `polar_rows` gives the
+moduli of samples i..j, from their magnitude words by the law's moduli
+function (`gaussian_moduli`, ones for Steinhaus, the conditioned caps in
+`hole_estimators`), and keeps their phase words.  `PolarRows.rows` forms
+phi_n = |phi_n| e^(2 pi i u_n) for the rows asked for only, in
 `_polar_values`, the one place phases are computed.  A Monte Carlo job
 hands the moduli to the kernel, which forms only the rows its
-dominant-term pass leaves; `law_rows`, `draw_rows` and `draw_coeffs` form
-every row the same way, so a row has the same bits by any route.
-Rademacher signs come from the magnitude words alone.
+dominant-term pass leaves; `draw_rows` and `draw_coeffs` form every row
+the same way, so a row has the same bits by any route.  Rademacher signs
+come from the magnitude uniforms alone, drawn under the identity law.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._parallel import _BLOCK_VALUES
 from .coeff_models import CoefficientModel
 
 _WORD_TO_UNIT = 2.0**-53  # top 53 bits of a 64-bit word -> uniform in [0, 1)
@@ -160,26 +159,10 @@ def unit_floats(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).view(np.int64) * _WORD_TO_UNIT
 
 
-def _split_uniforms(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u = unit_floats(words)
-    return u[..., 0::2], u[..., 1::2]
-
-
 def uniform_pairs(master_seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-index uniform pairs (u_mag, u_phase), each in [0, 1), of one keyed stream."""
-    keys = np.array([int(master_seed) & _SEED_MASK], dtype=np.uint64)
-    u_mag, u_phase = _split_uniforms(_philox_words(keys, count))
-    return u_mag[0], u_phase[0]
-
-
-def uniform_rows(master_seed: int, start: int, stop: int,
-                 count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(u_mag, u_phase) of shape (stop - start, count) for samples start..stop-1.
-
-    Row k equals uniform_pairs(sample_seed(master_seed, start + k), count)
-    bit for bit; sample indices must lie below 2^32.
-    """
-    return _split_uniforms(_philox_words(sample_seeds(master_seed, start, stop), count))
+    block = polar_draw(np.asarray, master_seed, count)
+    return block.moduli[0], unit_floats(block.phase_words[0])
 
 
 class PolarRows(NamedTuple):
@@ -195,11 +178,10 @@ class PolarRows(NamedTuple):
     moduli: np.ndarray
     phase_words: np.ndarray
 
-    def rows(self, which=None, out: np.ndarray | None = None) -> np.ndarray:
-        """Complex rows `which` (row indices; all rows when None), written into `out` if given."""
+    def rows(self, which=None) -> np.ndarray:
+        """Complex rows `which` (row indices; all rows when None), in a new array."""
         moduli, words = self if which is None else (self.moduli[which], self.phase_words[which])
-        if out is None:
-            out = np.empty(moduli.shape, dtype=np.complex128)
+        out = np.empty(moduli.shape, dtype=np.complex128)
         _polar_values(moduli, unit_floats(words), out)
         return out
 
@@ -239,36 +221,21 @@ def polar_draw(moduli, master_seed: int, count: int) -> PolarRows:
     return _polar(moduli, np.array([int(master_seed) & _SEED_MASK], dtype=np.uint64), count)
 
 
-def law_rows(moduli, master_seed: int, start: int, stop: int, count: int) -> np.ndarray:
-    """Complex rows of samples start..stop-1 of the law of `moduli`, shape (stop - start, count).
-
-    Row k equals polar_draw(moduli, sample_seed(master_seed, start + k),
-    count).rows() bit for bit.  The rows are drawn in blocks of about 2^16
-    values, each written in place, so temporaries stay bounded whatever
-    the row range; `moduli` must treat each row on its own.
-    """
-    _check_range(start, stop)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rows = np.empty((stop - start, count), dtype=np.complex128)
-    step = max(1, _BLOCK_VALUES // count)
-    for lo in range(0, stop - start, step):
-        hi = min(lo + step, stop - start)
-        polar_rows(moduli, master_seed, start + lo, start + hi, count).rows(out=rows[lo:hi])
-    return rows
-
-
 def gaussian_moduli(u_mag: np.ndarray) -> np.ndarray:
     """|phi| of the unit complex Gaussian: |phi|^2 is standard exponential, by inverse CDF."""
     return np.sqrt(-np.log1p(-u_mag))
 
 
-def _rademacher(u_mag: np.ndarray) -> np.ndarray:
-    return np.where(u_mag < 0.5, 1.0, -1.0).astype(np.complex128)
+# the moduli function of each law; Rademacher draws its magnitude uniforms as they are
+_MODULI = {Distribution.COMPLEX_GAUSSIAN: gaussian_moduli, Distribution.STEINHAUS: np.ones_like,
+           Distribution.RADEMACHER: np.asarray}
 
 
-# the laws drawn in polar form; Rademacher signs come from the magnitude words alone
-_MODULI = {Distribution.COMPLEX_GAUSSIAN: gaussian_moduli, Distribution.STEINHAUS: np.ones_like}
+def _law_values(dist: Distribution, block: PolarRows) -> np.ndarray:
+    """Complex rows of a block drawn under _MODULI[dist]; Rademacher signs from its uniforms."""
+    if dist is Distribution.RADEMACHER:
+        return np.where(block.moduli < 0.5, 1.0, -1.0).astype(np.complex128)
+    return block.rows()
 
 
 def _moduli(dist: Distribution):
@@ -279,11 +246,7 @@ def _moduli(dist: Distribution):
 
 def draw_coeffs(dist: Distribution, count: int, master_seed: int) -> np.ndarray:
     """Independent draws phi_0..phi_{count-1} from the given distribution."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if dist is Distribution.RADEMACHER:
-        return _rademacher(uniform_pairs(master_seed, count)[0])
-    return polar_draw(_moduli(dist), master_seed, count).rows()[0]
+    return _law_values(dist, polar_draw(_moduli(dist), master_seed, count))[0]
 
 
 def draw_rows(dist: Distribution, master_seed: int, start: int, stop: int,
@@ -291,13 +254,11 @@ def draw_rows(dist: Distribution, master_seed: int, start: int, stop: int,
     """Coefficient rows of samples start..stop-1, shape (stop - start, count).
 
     Row k equals draw_coeffs(dist, count, sample_seed(master_seed, start + k))
-    bit for bit.
+    bit for bit.  One block: the caller bounds stop - start.
     """
-    if dist is Distribution.RADEMACHER:
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        return _rademacher(uniform_rows(master_seed, start, stop, count)[0])
-    return law_rows(_moduli(dist), master_seed, start, stop, count)
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    return _law_values(dist, polar_rows(_moduli(dist), master_seed, start, stop, count))
 
 
 def truncated_exp_from_uniform(u, lower=0.0, upper=None):

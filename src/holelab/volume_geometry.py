@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff_models import log_gamma
-from .sampling import unit_floats
+from .sampling import _SEED_MASK, unit_floats
 from ._parallel import sample_ranges
 
-_SEED_MASK = (1 << 64) - 1
 _MC_CHUNK = 1 << 18  # samples per keyed stream
 _MC_BLOCK = 1 << 14  # samples per draw from a stream (at most 8 words each: 1 MB)
 

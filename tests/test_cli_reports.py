@@ -186,18 +186,17 @@ def test_zeros_record_is_independent_of_the_worker_count(capsys):
 
 def test_zeros_oracle_failure_names_the_sample_for_any_worker_count(capsys, monkeypatch):
     # one wrong count, in the second 100-row job; forked workers inherit the patch
-    from holelab import Distribution, draw_rows
     from holelab import cli_reports
 
-    target = draw_rows(Distribution.COMPLEX_GAUSSIAN, 1, 150, 151, 22)[0]
-    kernel = cli_reports.winding_counts_batch
+    kernel = cli_reports.winding_counts_polar
 
-    def one_wrong(rows, r, **kw):
-        counts = kernel(rows, r, **kw)
-        counts[np.all(rows == target, axis=1)] += 1
+    def one_wrong(moduli, form_rows, r, **kw):
+        counts = kernel(moduli, form_rows, r, **kw)
+        if kw["first_index"] <= 150 < kw["first_index"] + len(counts):
+            counts[150 - kw["first_index"]] += 1
         return counts
 
-    monkeypatch.setattr(cli_reports, "winding_counts_batch", one_wrong)
+    monkeypatch.setattr(cli_reports, "winding_counts_polar", one_wrong)
     errors = []
     for threads in ("1", "2"):
         assert run(["zeros", "--r", "1", "--samples", "200", "--verify", "--seed", "1",
@@ -239,13 +238,13 @@ def test_zeros_user_degree_counts_the_polynomial(capsys, monkeypatch):
     from holelab import cli_reports
 
     seen = []
-    kernel = cli_reports.winding_counts_batch
+    kernel = cli_reports.winding_counts_polar
 
-    def spy(rows, r, **kw):
+    def spy(moduli, form_rows, r, **kw):
         seen.append(kw["tail_eps"])
-        return kernel(rows, r, **kw)
+        return kernel(moduli, form_rows, r, **kw)
 
-    monkeypatch.setattr(cli_reports, "winding_counts_batch", spy)
+    monkeypatch.setattr(cli_reports, "winding_counts_polar", spy)
     code, out = _capture(capsys, ["zeros", "--r", "3", "--samples", "20", "--degree", "5",
                                   "--threads", "1"])
     assert code == 0 and seen == [0.0]

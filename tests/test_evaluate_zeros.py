@@ -498,6 +498,41 @@ def test_rho_covers_the_rounding_of_the_dominance_test(gef, case):
     assert np.all(2.0 * error < rho)
 
 
+# (r, law): GEF rows at the truncation degree of `zeros`, conditioned rows at theirs
+_T_N_CASES = {"gef-r1": (1.0, "gef"), "gef-r12": (12.0, "gef"), "gef-r60": (60.0, "gef"),
+              "conditioned-r12": (12.0, "conditioned")}
+
+
+@pytest.mark.parametrize("case", _T_N_CASES)
+def test_rho_covers_the_rounding_of_t_n(gef, case):
+    # the kernel scales entry n by exp(t_n - M), with t_n = log a_n + n log r
+    # formed in double; against t_n from mpmath loggamma at 40 digits each
+    # |d_n| errs by the factor e^|dt_n|, so the computed row lies within
+    # sum |d_n| (e^|dt_n| - 1) of the exact one on the circle: rho must
+    # cover that with room to spare for the rounding it was set for
+    r, law = _T_N_CASES[case]
+    if law == "gef":
+        degree = truncation_degree(gef, r, 1e-9, 1e-9)
+        moduli = gaussian_moduli
+    else:
+        degree = conditioned_degree(r)
+        moduli = hole_estimators._conditioned_law(r, degree)
+    log_coeffs = gef.log_coeffs(degree)
+    t = np.arange(degree + 1) * math.log(r) + log_coeffs  # as `_unit_circle_scale` forms it
+    with mpmath.workdps(40):
+        log_r = mpmath.log(r)
+        dt = np.array([float(mpmath.mpf(float(t[n])) - (n * log_r - mpmath.loggamma(n + 1) / 2))
+                       for n in range(degree + 1)])
+    block = polar_rows(moduli, 7, 0, 20, degree + 1)
+    _, log_scale, size = evaluate_zeros._unit_circle_scale(block.moduli, r, log_coeffs)
+    K = evaluate_zeros._row_bounds(size, log_scale, 0.0)
+    rho = evaluate_zeros._margins(K, math.log2(evaluate_zeros._first_grid(degree + 1)))[2]
+    error = size @ np.expm1(np.abs(dt))
+    print(f"degree {degree}: largest dt {np.abs(dt).max() / 2**-53:.0f} u; "
+          f"largest error / rho: {np.max(error / rho):.3g}")
+    assert np.all(error <= rho / 2)
+
+
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
 def test_bad_rows_name_their_sample_on_both_routes(gef, bad):
     # row 1 (sample 41) is all zero or holds a NaN or inf entry: the kernel and

@@ -25,14 +25,21 @@ from holelab.hole_estimators import (
     TAIL_EPS,
     TAIL_MARGIN_CONST,
     _conditioned_caps_sq_log,
+    _conditioned_law,
     _log1mexp,
     _log1mexp_from_log,
     conditioned_degree,
     conditioned_draw,
-    conditioned_rows,
     smallest_certified_radius,
     wilson_interval,
 )
+
+
+def _conditioned_rows(r, seed, start, stop, degree=None):
+    """Conditioned draws of samples start..stop-1, shape (stop - start, degree + 1)."""
+    degree = conditioned_degree(r) if degree is None else degree
+    return sampling.polar_rows(_conditioned_law(r, degree), seed, start, stop, degree + 1).rows()
+
 
 # frozen mpmath oracle values of the exact confinement log-probability
 OMEGA_ORACLE = {
@@ -186,7 +193,7 @@ def test_every_conditioned_row_meets_the_certificate_margin(gef, r):
     degree = conditioned_degree(r)
     m = math.floor(math.e * r * r)
     n = np.arange(1, degree + 1)
-    rows = conditioned_rows(r, 1, 0, 2000, degree)
+    rows = _conditioned_rows(r, 1, 0, 2000, degree)
     terms = np.abs(rows[:, 1:]) * np.exp(gef.log_coeffs(degree)[1:] + n * math.log(r))
     lead = np.abs(rows[:, 0])
     margin = lead - terms.sum(axis=1)
@@ -205,8 +212,8 @@ def test_conditioned_rows_match_per_sample_objects(r):
     # oracle: per-sample SeedSequence and Philox objects, one row at a time
     degree = conditioned_degree(r)
     caps = np.exp(_conditioned_caps_sq_log(r, degree))
-    start, stop = 3, 3 + 2 * (2**16 // (degree + 1)) + 2  # straddles a generation block
-    rows = conditioned_rows(r, 2**40 + 9, start, stop)
+    start, stop = 3, 3 + 2 * (2**16 // (degree + 1)) + 2  # straddles a 2^16-value block
+    rows = _conditioned_rows(r, 2**40 + 9, start, stop)
     assert rows.shape == (stop - start, degree + 1)
     for k in (0, 1, stop - start - 2, stop - start - 1):
         key = int(np.random.SeedSequence((2**40 + 9, start + k)).generate_state(1, np.uint64)[0])
@@ -278,7 +285,7 @@ def test_streamed_chunks_are_independent_of_the_block_size(gef, monkeypatch, blo
 def test_uncertified_conditioned_row_names_its_sample(gef, monkeypatch, refuse_row):
     # the kernel refuses the row of sample 2053, six rows into the second chunk
     degree = conditioned_degree(4.5)
-    refuse_row(conditioned_rows(4.5, 2, 2053, 2054)[0], 4.5, gef.log_coeffs(degree))
+    refuse_row(_conditioned_rows(4.5, 2, 2053, 2054)[0], 4.5, gef.log_coeffs(degree))
     monkeypatch.setattr(hole_estimators, "_STREAM_VALUES", 2**12)
     assert omega_conditioned_sample(gef, 4.5, 2053, 2, workers=1) == 1.0
     with pytest.raises(hole_estimators.ZeroCountError, match=r"^sample 2053 at r=4.5: "):
@@ -332,7 +339,7 @@ def test_refused_row_in_a_second_block_names_its_sample(gef, refuse_row):
     degree = conditioned_degree(12.0)
     step = hole_estimators._BLOCK_VALUES // (degree + 1)
     assert (hole_estimators._job_rows(degree), step) == (543, 135)
-    refuse_row(conditioned_rows(12.0, 3, 683, 684)[0], 12.0, gef.log_coeffs(degree))
+    refuse_row(_conditioned_rows(12.0, 3, 683, 684)[0], 12.0, gef.log_coeffs(degree))
     with pytest.raises(hole_estimators.ZeroCountError, match=r"^sample 683 at r=12\.0: "):
         omega_conditioned_sample(gef, 12.0, 700, 3, workers=1)
 
@@ -381,7 +388,7 @@ def test_rows_formed_for_the_grid_are_the_draws_bit_for_bit(gef, monkeypatch, ca
     if estimator is hole_mc:
         draws = draw_rows(Distribution.COMPLEX_GAUSSIAN, 5, 0, samples, degree + 1)
     else:
-        draws = conditioned_rows(r, 5, 0, samples, degree)
+        draws = _conditioned_rows(r, 5, 0, samples, degree)
         _pass_off(monkeypatch)
     _, _, formed = _count_blocks(monkeypatch, estimator, gef, r, samples)
     sampled = np.concatenate([idx for idx, _ in formed])

@@ -17,7 +17,7 @@ from holelab import (
     truncation_tail_bound,
 )
 from holelab import sampling
-from holelab.sampling import truncated_exp_from_uniform, uniform_pairs, uniform_rows
+from holelab.sampling import truncated_exp_from_uniform, uniform_pairs
 
 
 def test_rademacher_support():
@@ -134,6 +134,12 @@ def _oracle_values(dist, key, count):
     return np.exp(2j * np.pi * u_phase)
 
 
+def _uniform_rows(master_seed, start, stop, count):
+    """(u_mag, u_phase) of samples start..stop-1: the identity law's moduli and phase uniforms."""
+    block = sampling.polar_rows(np.asarray, master_seed, start, stop, count)
+    return block.moduli, sampling.unit_floats(block.phase_words)
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -155,7 +161,7 @@ def test_seed_hash_property(master_seed, i):
     expected = _oracle_seed(master_seed, i)
     assert sample_seed(master_seed, i) == expected
     assert int(sample_seeds(master_seed, i, i + 1)[0]) == expected
-    u_mag, u_phase = uniform_rows(master_seed, i, i + 1, 3)
+    u_mag, u_phase = _uniform_rows(master_seed, i, i + 1, 3)
     o_mag, o_phase = _oracle_pairs(expected, 3)
     assert _same_bits(u_mag[0], o_mag) and _same_bits(u_phase[0], o_phase)
 
@@ -164,7 +170,7 @@ def test_seed_hash_property(master_seed, i):
 @pytest.mark.parametrize("start, count", [(0, 1), (0, 22), (517, 1), (517, 300)])
 def test_uniform_and_draw_rows_match_per_sample_objects(master_seed, start, count):
     stop = start + 6
-    u_mag, u_phase = uniform_rows(master_seed, start, stop, count)
+    u_mag, u_phase = _uniform_rows(master_seed, start, stop, count)
     assert u_mag.shape == u_phase.shape == (6, count)
     rows = {dist: draw_rows(dist, master_seed, start, stop, count) for dist in Distribution}
     for k in range(6):
@@ -180,7 +186,7 @@ def test_uniform_and_draw_rows_match_per_sample_objects(master_seed, start, coun
 
 def test_rows_straddling_a_generation_block_concatenate():
     count = 1000
-    per_block = sampling._BLOCK_VALUES // count
+    per_block = 2**16 // count  # rows in 2^16 values, the block size of a Monte Carlo job
     split = per_block + 3
     for dist in Distribution:
         whole = draw_rows(dist, 77, 5, 5 + 2 * per_block + 1, count)
