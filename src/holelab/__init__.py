@@ -18,7 +18,6 @@ from .coeff_models import (
     s_asymptotic,
     s_of_r,
     s_of_r_detail,
-    tail_log_bound,
 )
 from .sampling import (
     Distribution,
@@ -51,7 +50,6 @@ from .volume_geometry import (
     VolumeQuery,
     volume_exact,
     volume_mc,
-    volume_upper_bound,
 )
 from .covariance_det import (
     CovarianceSpec,
@@ -65,6 +63,5 @@ from .hermite_asymptotics import (
     annulus_escape,
     forced_zero_experiment,
     hermite_coeffs,
-    saddle_point_approx,
     saddle_point_log_approx,
 )

@@ -218,10 +218,13 @@ def _zeros_job(model: CoefficientModel, r: float, degree: int, tail_eps: float, 
                verify: bool, samples: range) -> np.ndarray:
     """Counts of `samples`, each checked by the root oracle under --verify."""
     block = polar_rows(gaussian_moduli, seed, samples.start, samples.stop, degree + 1)
-    counts = winding_counts_polar(block.moduli, block.rows, r, log_coeffs=model.log_coeffs(degree),
-                                  tail_eps=tail_eps, first_index=samples.start)
+    # --verify forms every row once; rows[idx] hands the kernel a copy to scale in place
+    rows = block.rows() if verify else None
+    counts = winding_counts_polar(block.moduli, block.rows if rows is None else rows.__getitem__,
+                                  r, log_coeffs=model.log_coeffs(degree), tail_eps=tail_eps,
+                                  first_index=samples.start)
     if verify:
-        verify_counts(block.rows(), model, r, counts, first_index=samples.start)
+        verify_counts(rows, model, r, counts, first_index=samples.start)
     return counts
 
 
@@ -526,7 +529,7 @@ def run(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ArithmeticError, ValueError, RuntimeError) as exc:
+    except (ArithmeticError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 

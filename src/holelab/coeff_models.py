@@ -94,10 +94,6 @@ class CoefficientModel:
             _TABLES[self] = table
         return table[: n_max + 1]
 
-    def log_coeff(self, n: int) -> float:
-        """log(a_n); deterministic and consistent with the table."""
-        return float(self.log_coeffs(n)[n])
-
 
 _LOG_A0 = np.zeros(1)  # log a_0 = 0 for both kinds
 _LOG_A0.flags.writeable = False
@@ -196,12 +192,3 @@ def peak_index_range(model: CoefficientModel, r: float) -> tuple[int, int]:
     ties = np.flatnonzero(t == best)
     return (int(ties[0]), int(ties[-1]))
 
-
-def tail_log_bound(r: float, n: int) -> float:
-    """Tail bound -(n - e r^2)/2 >= log(a_n r^n), valid for n >= e r^2.
-
-    Specific to the square-root-factorial coefficients.
-    """
-    if n < math.e * r * r:
-        raise ValueError(f"need n >= e*r^2 = {math.e * r * r:.6g}, got n = {n}")
-    return -0.5 * (n - math.e * r * r)

@@ -32,7 +32,6 @@ class CovarianceSpec:
     r: float
     kappa: float
     n_points: int
-    delta: float | None = None
 
     def __post_init__(self):
         if not self.r > 0:
@@ -48,8 +47,7 @@ class CovarianceSpec:
         if not r > 1:
             raise ValueError("default spec needs r > 1 so that kappa > 0")
         delta = r ** (-0.8)
-        return cls(r=r, kappa=1.0 - math.sqrt(delta),
-                   n_points=int(math.floor(math.e * r * r)), delta=delta)
+        return cls(r=r, kappa=1.0 - math.sqrt(delta), n_points=int(math.floor(math.e * r * r)))
 
 
 def grid_points(spec: CovarianceSpec) -> np.ndarray:

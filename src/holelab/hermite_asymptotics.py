@@ -98,11 +98,6 @@ def saddle_point_log_approx(beta: complex, n: int) -> complex:
             - 0.5 * n * math.log(n) + cross)
 
 
-def saddle_point_approx(beta: complex, n: int) -> complex:
-    """The approximation itself; underflows to 0 once n^(-n/2) leaves double range."""
-    return cmath.exp(saddle_point_log_approx(beta, n))
-
-
 def saddle_deviation(beta: complex, n: int, series: HermiteSeries | None = None) -> float:
     """|g_{n-1} / approximation - 1|, with both sides handled in log scale."""
     if series is None:

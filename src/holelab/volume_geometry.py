@@ -71,10 +71,6 @@ def _upper_bound_log_from_logs(k: int, log_t: float, log_s: float) -> float:
     return log_s - math.lgamma(k) + k * math.log(L)
 
 
-def volume_upper_bound(q: VolumeQuery) -> float:
-    return math.exp(volume_upper_bound_log(q))
-
-
 @dataclass(frozen=True)
 class VolumeMCResult:
     estimate: float

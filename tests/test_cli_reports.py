@@ -122,6 +122,17 @@ def test_numeric_failure_exit_code(capsys):
     assert run(["omega", "--r", "0.5"]) == 2
 
 
+def test_allocation_failure_is_a_numeric_failure(capsys, monkeypatch):
+    # `covdet --r 1e6` once ended in numpy's "Unable to allocate 19.8 TiB"
+    # traceback and exit 1; the patch stands in for that allocation
+    def too_large(spec):
+        raise MemoryError("Unable to allocate 19.8 TiB")
+
+    monkeypatch.setattr(cli_reports, "minor_gap_report", too_large)
+    assert run(["covdet", "--r", "1e6"]) == 2
+    assert capsys.readouterr().err == "numeric failure: Unable to allocate 19.8 TiB\n"
+
+
 def test_zeros_rejects_too_few_samples(capsys):
     # an empty sample once gave mean_count null and a numpy RuntimeWarning;
     # it is a usage error that names the flag
@@ -175,6 +186,23 @@ def test_zeros_verifies_at_r12(capsys):
                                   "--seed", "1"])
     assert code == 0
     assert json.loads(out)["results"]["verified"] is True
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 3.0])
+def test_zeros_verify_forms_each_row_once(capsys, monkeypatch, r):
+    # the kernel's grid rows and the root oracle's rows come from one formed block
+    from holelab import sampling
+
+    formed = []
+    polar_values = sampling._polar_values
+
+    def spy(moduli, u_phase, out):
+        formed.append(len(moduli))
+        polar_values(moduli, u_phase, out)
+
+    monkeypatch.setattr(sampling, "_polar_values", spy)
+    assert run(["zeros", "--r", str(r), "--samples", "200", "--verify", "--threads", "1"]) == 0
+    assert sum(formed) == 200
 
 
 def test_zeros_record_is_independent_of_the_worker_count(capsys):

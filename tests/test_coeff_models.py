@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from holelab import CoefficientModel, peak_index_range, s_asymptotic, s_of_r, s_of_r_detail, tail_log_bound
+from holelab import CoefficientModel, peak_index_range, s_asymptotic, s_of_r, s_of_r_detail
 from holelab import coeff_models
 from holelab.coeff_models import QUARTIC_LAW_CONST, ModelKind, expected_zero_count, log_gamma
 
@@ -30,15 +30,15 @@ def _brute_force_s(r, log_a):
 
 
 def test_log_coeff_examples(gef, ml1):
-    assert gef.log_coeff(0) == 0.0
-    assert gef.log_coeff(2) == pytest.approx(-0.5 * math.log(2), abs=1e-15)
-    assert ml1.log_coeff(3) == pytest.approx(-math.log(6), rel=1e-14)
+    assert gef.log_coeffs(0)[0] == 0.0
+    assert gef.log_coeffs(2)[2] == pytest.approx(-0.5 * math.log(2), abs=1e-15)
+    assert ml1.log_coeffs(3)[3] == pytest.approx(-math.log(6), rel=1e-14)
 
 
 def test_log_coeff_matches_loggamma_high_precision(gef):
     for n in (1, 7, 10, 100, 5000):
         exact = float(-mp.mpf(0.5) * mp.loggamma(n + 1))
-        assert gef.log_coeff(n) == pytest.approx(exact, rel=1e-13)
+        assert gef.log_coeffs(n)[n] == pytest.approx(exact, rel=1e-13)
 
 
 def _max_scaled_error(values, exact) -> float:
@@ -200,21 +200,18 @@ def test_peak_index_range_mittag_leffler_scan(ml1):
 
 
 def test_tail_log_bound_examples(gef):
-    assert tail_log_bound(1.0, 3) == pytest.approx(-(3 - math.e) / 2, abs=1e-15)
-    assert gef.log_coeff(3) <= tail_log_bound(1.0, 3)
-    assert tail_log_bound(2.0, 22) == pytest.approx(-(22 - 4 * math.e) / 2, abs=1e-14)
-    t22 = gef.log_coeff(22) + 22 * math.log(2.0)
-    assert t22 <= tail_log_bound(2.0, 22)
-    with pytest.raises(ValueError):
-        tail_log_bound(2.0, 10)  # 10 < e * 4
+    # -(n - e r^2)/2 bounds log(a_n r^n) for n >= e r^2
+    assert gef.log_coeffs(3)[3] <= -(3 - math.e) / 2
+    t22 = gef.log_coeffs(22)[22] + 22 * math.log(2.0)
+    assert t22 <= -(22 - 4 * math.e) / 2
 
 
 def test_tail_log_bound_dominates(gef):
     for r in (1.0, 2.0, 3.0):
         start = int(math.ceil(math.e * r * r))
         for n in range(start, start + 200):
-            t = gef.log_coeff(n) + n * math.log(r)
-            assert t <= tail_log_bound(r, n) + 1e-12
+            t = gef.log_coeffs(n)[n] + n * math.log(r)
+            assert t <= -(n - math.e * r * r) / 2 + 1e-12
 
 
 @pytest.mark.parametrize("alpha, r", [(0.5, 2.0), (2.0, 2.0), (1.0, 3.0), (0.25, 1.5), (3.0, 0.1)])

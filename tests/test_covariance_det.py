@@ -179,6 +179,5 @@ def test_spec_validation():
 
 def test_default_spec_parameters():
     spec = CovarianceSpec.default(2.0)
-    assert spec.delta == pytest.approx(2.0 ** -0.8, rel=1e-15)
     assert spec.kappa == pytest.approx(1.0 - math.sqrt(2.0 ** -0.8), rel=1e-15)
     assert spec.n_points == int(math.e * 4.0)

@@ -4,6 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -564,7 +565,8 @@ def test_hyperbolic_gaf_hole_law(r, degree):
     # Peres & Virag, Acta Math. 194 (2005): the zeros of sum phi_n z^n with
     # i.i.d. complex Gaussian phi_n form a determinantal process, and their
     # count in |z| < r has the law of a sum of independent Bernoulli(r^(2k)),
-    # k >= 1.  So P(no zero) = prod (1 - r^(2k)) and E N = r^2 / (1 - r^2).
+    # k >= 1.  So P(no zero) = prod (1 - r^(2k)) and E N = r^2 / (1 - r^2),
+    # and a chi-square test compares the whole count law with it.
     # The rows stop at the first N with r^N / (1 - r) <= 1e-13, far below
     # |f| on |z| = r except on an event too rare to show in 40 000 rows.
     assert degree == math.ceil(math.log(1e-13 * (1 - r)) / math.log(r))
@@ -578,6 +580,15 @@ def test_hyperbolic_gaf_hole_law(r, degree):
     assert centre - half <= hole <= centre + half
     mean = r * r / (1 - r * r)
     assert abs(counts.mean() - mean) <= 4 * counts.std(ddof=1) / math.sqrt(n)
+    law = np.array([1.0])  # the Bernoulli sum's law, k = 1..degree
+    for k in range(1, degree + 1):
+        law = np.convolve(law, [1.0 - r ** (2 * k), r ** (2 * k)])
+    # bins 0..K-1 and a pooled bin for counts >= K, K the largest count expected >= 5 times
+    K = int(np.flatnonzero(n * law >= 5.0)[-1])
+    expected = n * np.append(law[:K], law[K:].sum())
+    observed = np.bincount(np.minimum(counts, K), minlength=K + 1)
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    assert chi2 < scipy.stats.chi2.isf(1e-6, K), f"chi-square {chi2:.4g} on {K} df"
 
 
 def test_two_zeros_in_one_grid_cell_are_both_counted():
