@@ -31,6 +31,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 _BLOCK_VALUES = 2**16  # values per block of the kernel, the draws and the jobs (1 MB complex128)
+_STREAM_VALUES = 2**18  # most values in a Monte Carlo job, conditioned row or covdet grid
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _KEEP_BELOW_BYTES = 32 << 20  # blocks up to this size come from the reusable heap

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import _STREAM_VALUES
 from .coeff_models import CoefficientModel, log_gamma, s_of_r
 
 _EIG_TERM_CUTOFF = math.log(1e-18)
@@ -57,23 +58,17 @@ def grid_points(spec: CovarianceSpec) -> np.ndarray:
 
 
 def circulant_log_eigenvalues(spec: CovarianceSpec) -> np.ndarray:
-    """log(lambda_m) for m = 0..N-1, each modular series summed in log scale."""
-    n_pts = spec.n_points
+    """log(lambda_m) for m = 0..N-1, the N modular series summed in log scale, a term each a pass."""
     x = (spec.kappa * spec.r) ** 2
-    log_x = math.log(x)
-    log_n_pts = math.log(n_pts)
-    out = np.empty(n_pts)
-    for m in range(n_pts):
-        n = m
-        acc = -math.inf
-        while True:
-            term = n * log_x - math.lgamma(n + 1.0)
-            acc = np.logaddexp(acc, term)
-            if n > x and term < acc + _EIG_TERM_CUTOFF:
-                break
-            n += n_pts
-        out[m] = log_n_pts + acc
-    return out
+    acc = np.full(spec.n_points, -math.inf)
+    m = np.arange(spec.n_points)
+    n = m.astype(np.float64)
+    while len(m):
+        term = n * math.log(x) - log_gamma(n + 1.0)
+        acc[m] = np.logaddexp(acc[m], term)
+        more = ~((n > x) & (term < acc[m] + _EIG_TERM_CUTOFF))
+        m, n = m[more], n[more] + spec.n_points
+    return math.log(spec.n_points) + acc
 
 
 def logdet_circulant(spec: CovarianceSpec) -> float:
@@ -138,8 +133,11 @@ def minor_gap_report(spec: CovarianceSpec) -> dict:
 
     At desk-scale radii the minor bound (and even the log-det) sits far
     below S(kappa*r): the default N = floor(e r^2) drags in eigenvalues that
-    are tiny at radius kappa*r.  The gap is reported, not asserted.
+    are tiny at radius kappa*r.  The gap is reported, not asserted.  A grid
+    of more than 2^18 points (the default one past r = 310.54) is refused.
     """
+    if spec.n_points > _STREAM_VALUES:
+        raise ValueError(f"N = {spec.n_points} grid points: at most {_STREAM_VALUES}")
     lead = vandermonde_lower_bound(spec)
     ld = logdet_circulant(spec)
     s_kr = s_of_r(CoefficientModel.gef(), spec.kappa * spec.r)

@@ -62,7 +62,7 @@ from .sampling import (
     truncated_exp_from_uniform,
     truncation_degree,
 )
-from ._parallel import _BLOCK_VALUES, run_chunked, sample_ranges
+from ._parallel import _BLOCK_VALUES, _STREAM_VALUES, run_chunked, sample_ranges
 
 Z95 = 1.959963984540054
 # Sum of the clause-(iii) worst-case tail e^(-(k-1)/4), k >= 1; covers any
@@ -70,7 +70,6 @@ Z95 = 1.959963984540054
 TAIL_MARGIN_CONST = 1.0 / (1.0 - math.exp(-0.25))
 MC_CHUNK = 2048  # most rows in one Monte Carlo job
 _MC_CUTOFF = 25.0  # largest S(r) at which the hole report runs Monte Carlo
-_STREAM_VALUES = 2**18  # most coefficient values in one job (4 MB of rows)
 TAIL_EPS = 1e-9  # bound on the truncation tail on |z| <= r; every count is certified against it
 _LN2 = math.log(2.0)
 
@@ -296,6 +295,8 @@ def omega_conditioned_sample(model: CoefficientModel, r: float, samples: int,
     if not r >= 1:
         raise ValueError("conditioned sampling defined for r >= 1")
     degree = conditioned_degree(r)
+    if degree >= _STREAM_VALUES:  # up to r = 310.49 a row fits in one job
+        raise ValueError(f"conditioned degree {degree} at r={r!r}: at most {_STREAM_VALUES - 1}")
     draw = partial(polar_rows, _conditioned_law(r, degree), seed, count=degree + 1)
     return sum(run_chunked(partial(_zero_free_job, draw, model.log_coeffs(degree), r),
                            sample_ranges(samples, _job_rows(degree)), workers)) / samples

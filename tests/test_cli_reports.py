@@ -188,6 +188,29 @@ def test_zeros_verifies_at_r12(capsys):
     assert json.loads(out)["results"]["verified"] is True
 
 
+def test_zeros_counts_past_r34(capsys):
+    # degree 3768: sample 0 leaves more than 4 * 2^16 / 3769 failing arcs on
+    # the 2^16-point grid, which the kernel must bisect, not refuse
+    code, out = _capture(capsys, ["zeros", "--r", "36", "--samples", "20", "--seed", "1"])
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["degree"] == 3768
+    assert abs(res["mean_count"] - res["expected_intensity"]) <= 5 * res["stderr"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["covdet", "--r", "1e6"], "N = 2718281828459 grid points: at most 262144"),
+    (["conditioned", "--r", "1e6", "--samples", "1"],
+     "conditioned degree 2718281828548 at r=1000000.0: at most 262143"),
+    (["conditioned", "--r", "310.5", "--samples", "1"],
+     "conditioned degree 262160 at r=310.5: at most 262143"),
+])
+def test_oversized_grids_and_degrees_are_refused(capsys, argv, message):
+    # refused by size, before the allocation of 19.8 TiB at r = 1e6 is tried
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
+
+
 @pytest.mark.parametrize("r", [0.5, 1.0, 3.0])
 def test_zeros_verify_forms_each_row_once(capsys, monkeypatch, r):
     # the kernel's grid rows and the root oracle's rows come from one formed block

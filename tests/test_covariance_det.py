@@ -116,6 +116,41 @@ def test_dense_failure_names_the_first_nonpositive_pivot():
         np.linalg.cholesky(sigma[:k, :k])
 
 
+def _looped_log_eigenvalues(spec: CovarianceSpec) -> np.ndarray:
+    """The replaced route: each series summed on its own, one term at a time."""
+    x = (spec.kappa * spec.r) ** 2
+    out = np.empty(spec.n_points)
+    for m in range(spec.n_points):
+        n, acc = m, -math.inf
+        while True:
+            term = n * math.log(x) - math.lgamma(n + 1.0)
+            acc = np.logaddexp(acc, term)
+            if n > x and term < acc + math.log(1e-18):
+                break
+            n += spec.n_points
+        out[m] = math.log(spec.n_points) + acc
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    CovarianceSpec(1.0, 0.5, 1), CovarianceSpec(1.5, 0.8, 2), CovarianceSpec(1.5, 0.8, 8),
+    CovarianceSpec(2.0, 0.7, 9), CovarianceSpec(1.2, 0.9, 12), CovarianceSpec(30.0, 0.9, 100),
+    CovarianceSpec(10.0, 0.99, 3), CovarianceSpec.default(2.0), CovarianceSpec.default(20.0),
+    CovarianceSpec.default(40.0),
+], ids=lambda spec: f"r{spec.r:g}-N{spec.n_points}")
+def test_eigenvalues_equal_the_per_series_loop(spec):
+    # the array passes add the same terms in the same order as the loop
+    assert np.array_equal(circulant_log_eigenvalues(spec), _looped_log_eigenvalues(spec))
+
+
+def test_grid_above_2_to_the_18_is_refused():
+    # a default grid past r = 310.54 would need e r^2 points; N = 2^18 is still run
+    assert CovarianceSpec.default(310.6).n_points > 2**18
+    with pytest.raises(ValueError, match=r"^N = 262145 grid points: at most 262144$"):
+        minor_gap_report(CovarianceSpec(2.0, 0.5, 2**18 + 1))
+    assert math.isfinite(minor_gap_report(CovarianceSpec(2.0, 0.5, 2**18))["logdet_circulant"])
+
+
 def test_eigenvalues_positive_and_finite():
     for spec in (CovarianceSpec.default(2.0), CovarianceSpec(1.2, 0.9, 12)):
         log_eigs = circulant_log_eigenvalues(spec)

@@ -32,7 +32,7 @@ from holelab.evaluate_zeros import (
     winding_counts_batch,
 )
 from holelab.hermite_asymptotics import all_ones_draw
-from holelab.hole_estimators import conditioned_degree
+from holelab.hole_estimators import TAIL_EPS, conditioned_degree
 from holelab.sampling import gaussian_moduli, polar_rows
 
 # frozen: smallest modulus of the roots of sum_{n<=200} z^n/sqrt(n!), all
@@ -411,6 +411,40 @@ def test_uncertified_row_raises_naming_its_sample(gef):
     with pytest.raises(ZeroCountError, match=r"^sample 12 at r=1\.0: no certified winding"):
         winding_counts_batch(rows[[1, 2, 0]], 1.0, first_index=10)
     assert list(winding_counts_batch(rows[1:], 1.0)) == [1, 0]
+
+
+@pytest.mark.parametrize("cap", [64, 128])
+def test_rows_the_last_grid_leaves_are_bisected(gef, monkeypatch, cap):
+    # with the grid capped at 64 or 128 points, rows that would double are
+    # bisected from the last grid instead, every arc with q and w q'(w) at
+    # both ends, and count as on the full grids
+    degree = truncation_degree(gef, 3.0, TAIL_EPS, 1e-9)
+    assert degree == 54
+    block = polar_rows(gaussian_moduli, 1, 0, 200, degree + 1)
+
+    def counts():
+        return evaluate_zeros.winding_counts_polar(block.moduli, block.rows, 3.0,
+                                                   log_coeffs=gef.log_coeffs(degree),
+                                                   tail_eps=TAIL_EPS)
+
+    want = counts()
+    bisect, handed = evaluate_zeros._bisect, []
+
+    def spy(D, K, bits, arcs, turn):
+        handed.append(len(arcs.row))
+        L = K[arcs.row, 0]
+        for theta, f, g in ((arcs.theta, arcs.fa, arcs.ga),
+                            (arcs.theta + 2 * arcs.half, arcs.fb, arcs.gb)):
+            F, G = evaluate_zeros._values_at(D, arcs.row, np.exp(1j * theta))
+            assert np.all(np.abs(f - F) <= 1e-9 * L) and np.all(np.abs(g - G) <= 1e-9 * L)
+        return bisect(D, K, bits, arcs, turn)
+
+    monkeypatch.setattr(evaluate_zeros, "_MAX_GRID_POINTS", cap)
+    monkeypatch.setattr(evaluate_zeros, "_bisect", spy)
+    got = counts()
+    assert handed[0] > 0
+    assert got.tolist() == want.tolist()
+    verify_counts(block.rows(), gef, 3.0, got)
 
 
 def _dominant_rows(rows, r, log_coeffs=None, tail_eps=0.0):

@@ -90,3 +90,36 @@ def test_every_src_definition_is_reached():
     unreached = _unreached()
     assert not unreached, ("reached by no command, acceptance test or benchmark pin; "
                            "move them into the tests that use them: " + ", ".join(unreached))
+
+
+def _reached_in_module(path: Path, start: str) -> set[str]:
+    """Top-level functions and classes of one module that a walk from `start` reaches.
+
+    The walk follows identifiers through the module's own definitions and
+    module-level assignments (so `_NO_ARCS` leads to `_Arcs`), never into
+    other modules; the assignments themselves are constants, not counted.
+    """
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    defs = {node.name: node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assigned = {target.id: node for node in body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    seen: set[str] = set()
+    todo = {start}
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        node = defs.get(name, assigned.get(name))
+        if node is not None:
+            todo |= _identifiers(node) - seen
+    return seen & defs.keys()
+
+
+def test_the_two_counting_routes_share_no_function():
+    # the winding kernel and the root oracle cross-check every verified
+    # count, so neither may run code of the other
+    path = SRC / "evaluate_zeros.py"
+    kernel = _reached_in_module(path, "winding_counts_polar")
+    oracle = _reached_in_module(path, "_root_stacks")
+    assert {"_grid_turns", "_bisect", "_certified", "_Arcs"} <= kernel
+    assert {"_aberth_roots", "_check_residuals", "_circle_max", "_Values"} <= oracle
+    assert not kernel & oracle, f"reached by both routes: {sorted(kernel & oracle)}"
