@@ -8,20 +8,20 @@ range order and are reduced in that order, so any worker count produces
 bit-identical output.
 
 Pool workers keep the memory they free.  Each job allocates its row
-blocks and the kernel's temporaries afresh, about 1 MB each for the
-Monte Carlo jobs, which stream their rows in blocks of about 2^16 values;
-by default glibc hands freed heap back to the kernel once more of it is
-free than its dynamic trim threshold (twice the largest block it has
-freed from `mmap`), so every job page-faults them in again.  Each
-worker therefore starts with `_keep_freed_memory`, which raises glibc's
-mmap threshold to 32 MiB and its trim threshold to 1 GiB.  In 2-worker
-runs on a 2-vCPU x86-64 host, a 543-row `conditioned --r 12` job after a
-worker's first then took 1 minor fault instead of about 5 400 (32-40 ms
-instead of 45-47 ms), and a 2048-row `hole --r 1` job 5 instead of about
-1 700 (22 ms against 20-24 ms).  The workers exit when `run_chunked`
-returns, and the memory with them; the serial path leaves the caller's
-allocator alone.  Where the C library has no `mallopt`, workers run as
-before.
+blocks and the kernel's temporaries afresh, about 1 MB each for the one
+Monte Carlo job of `hole`, `conditioned` and `zeros`, which streams its
+rows in blocks of at most 2^16 values; by default glibc hands freed heap
+back to the kernel once more of it is free than its dynamic trim
+threshold (twice the largest block it has freed from `mmap`), so every
+job page-faults them in again.  Each worker therefore starts with
+`_keep_freed_memory`, which raises glibc's mmap threshold to 32 MiB and
+its trim threshold to 1 GiB.  In 2-worker runs on a 2-vCPU x86-64 host,
+a 543-row `conditioned --r 12` job after a worker's first then took 1
+minor fault instead of about 5 400 (32-40 ms instead of 45-47 ms), and a
+2048-row `hole --r 1` job 5 instead of about 1 700 (22 ms against 20-24
+ms).  The workers exit when `run_chunked` returns, and the memory with
+them; the serial path leaves the caller's allocator alone.  Where the C
+library has no `mallopt`, workers run as before.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 _BLOCK_VALUES = 2**16  # values per block of the kernel, the draws and the jobs (1 MB complex128)
-_STREAM_VALUES = 2**18  # most values in a Monte Carlo job, conditioned row or covdet grid
+_STREAM_VALUES = 2**18  # most values in a Monte Carlo job, its row degree bound, or a covdet grid
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _KEEP_BELOW_BYTES = 32 << 20  # blocks up to this size come from the reusable heap

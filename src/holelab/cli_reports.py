@@ -16,7 +16,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .covariance_det import (
     minor_gap_report,
     vandermonde_lower_bound,
 )
-from .evaluate_zeros import verify_counts, winding_counts_polar
 from .hermite_asymptotics import (
     SADDLE_MIN_N,
     annulus_escape,
@@ -47,8 +46,9 @@ from .hole_estimators import (
     hole_bracket_report,
     omega_certificate,
     omega_conditioned_sample,
+    sample_counts,
 )
-from .sampling import Distribution, gaussian_moduli, polar_rows, truncation_degree
+from .sampling import Distribution, truncation_degree
 from .volume_geometry import (
     VolumeQuery,
     log_integral_annotation,
@@ -56,7 +56,7 @@ from .volume_geometry import (
     volume_mc,
     volume_upper_bound_log,
 )
-from ._parallel import resolve_workers, run_chunked, sample_ranges
+from ._parallel import resolve_workers
 
 
 @dataclass
@@ -211,23 +211,6 @@ def _run_conditioned(args) -> dict:
             "cert_margin": cert.margin}
 
 
-_ZEROS_JOB = 100  # rows per `zeros` job, fixed by sample index
-
-
-def _zeros_job(model: CoefficientModel, r: float, degree: int, tail_eps: float, seed: int,
-               verify: bool, samples: range) -> np.ndarray:
-    """Counts of `samples`, each checked by the root oracle under --verify."""
-    block = polar_rows(gaussian_moduli, seed, samples.start, samples.stop, degree + 1)
-    # --verify forms every row once; rows[idx] hands the kernel a copy to scale in place
-    rows = block.rows() if verify else None
-    counts = winding_counts_polar(block.moduli, block.rows if rows is None else rows.__getitem__,
-                                  r, log_coeffs=model.log_coeffs(degree), tail_eps=tail_eps,
-                                  first_index=samples.start)
-    if verify:
-        verify_counts(rows, model, r, counts, first_index=samples.start)
-    return counts
-
-
 def _run_zeros(args) -> dict:
     if args.degree is not None and args.degree < 0:
         raise ValueError(f"--degree must be >= 0, got {args.degree}")
@@ -235,9 +218,9 @@ def _run_zeros(args) -> dict:
     degree = (truncation_degree(model, args.r, TAIL_EPS, 1e-9)
               if args.degree is None else args.degree)
     tail_eps = TAIL_EPS if args.degree is None else 0.0  # a user degree certifies no tail
-    job = partial(_zeros_job, model, args.r, degree, tail_eps, args.seed, args.verify)
-    counts = np.concatenate(run_chunked(job, sample_ranges(args.samples, _ZEROS_JOB),
-                                        args.threads)).astype(np.float64)
+    counts = np.concatenate(sample_counts(model, args.r, degree, args.samples, args.seed,
+                                          tail_eps=tail_eps, verify=args.verify,
+                                          workers=args.threads)).astype(np.float64)
     return {
         "mean_count": float(np.mean(counts)),
         "stderr": float(np.std(counts, ddof=1) / math.sqrt(len(counts))) if len(counts) > 1 else 0.0,

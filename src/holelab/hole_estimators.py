@@ -26,23 +26,20 @@ When the worst-case triangle-inequality margin
 is positive, Omega_r forces |f| > 0 on the closed disk of radius r, so
 exp(log P(Omega_r)) is then a rigorous lower bound for the hole probability.
 
-Both Monte Carlo estimators split their samples into jobs by sample index
-(`_parallel.sample_ranges`) and run one job, `_zero_free_job`, on each; a
-row the kernel cannot certify raises, naming its sample.  A job is the
-unit handed to a worker: at most 2048 rows and at most about 2^18
-coefficient values (2048 rows at r = 1, 543 at the conditioned degree for
-r = 12).  Within it the rows are drawn and counted one block of at most
-2^16 values at a time, the job split into blocks of nearly equal size
-(five 109-row blocks for a 543-row job at r = 12, where 135 rows fit;
-a 2048-row job at r = 1 is one block), so a worker's memory stays bounded
-as the degree grows like r^2.  Each block comes from the one row
-generator, `sampling.polar_rows`, under `gaussian_moduli` or the
-conditioned caps, and goes to the one count route, `winding_counts_polar`,
-as every Monte Carlo block does (the `zeros` command's too): the kernel
-reads its moduli and forms the complex rows only of those its
-dominant-term pass leaves.  At a certified radius every conditioned row
-passes, so a conditioned job computes no phase; at r = 1 about 9% of
-hole rows pass, and at r = 0.5 about 74%.
+Every Monte Carlo count, the `zeros` command's too, comes from one job,
+`_count_job`, run by `sample_counts` on consecutive sample ranges; a row
+the kernel cannot certify raises, naming its sample.  A job holds at most
+2048 rows and about 2^18 values (2048 rows at r = 1, 543 at the
+conditioned degree for r = 12, 69 at the `zeros` degree for r = 36), or
+100 rows that the root oracle checks.  It draws and counts one block of
+at most 2^16 values at a time, in blocks of nearly equal size (five
+109-row blocks for 543 rows at r = 12), so a worker's memory stays
+bounded as the degree grows like r^2; a degree of 2^18 or more is refused
+before any array of its size is built.  Each block comes from the one row
+generator, `sampling.polar_rows`, and goes to the one count route,
+`winding_counts_polar`, which forms the complex rows only of those its
+dominant-term pass leaves: no conditioned row at a certified radius,
+about 91% of hole rows at r = 1 and 26% at r = 0.5.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from functools import partial
 import numpy as np
 
 from .coeff_models import CoefficientModel, ModelKind, s_asymptotic, s_of_r
-from .evaluate_zeros import ZeroCountError, winding_counts_polar
+from .evaluate_zeros import ZeroCountError, verify_counts, winding_counts_polar
 from .sampling import (
     gaussian_moduli,
     polar_draw,
@@ -69,6 +66,7 @@ Z95 = 1.959963984540054
 # fractional offset of e r^2 from its floor.
 TAIL_MARGIN_CONST = 1.0 / (1.0 - math.exp(-0.25))
 MC_CHUNK = 2048  # most rows in one Monte Carlo job
+_VERIFY_JOB = 100  # rows in a job the root oracle checks, at about N^2 a row to the kernel's N
 _MC_CUTOFF = 25.0  # largest S(r) at which the hole report runs Monte Carlo
 TAIL_EPS = 1e-9  # bound on the truncation tail on |z| <= r; every count is certified against it
 _LN2 = math.log(2.0)
@@ -183,34 +181,48 @@ def smallest_certified_radius() -> float:
 # direct Monte Carlo
 
 
-def _job_rows(degree: int) -> int:
-    """Rows per Monte Carlo job: at most MC_CHUNK and about _STREAM_VALUES values."""
-    return min(MC_CHUNK, max(1, _STREAM_VALUES // (degree + 1)))
+def _job_rows(degree: int, verify: bool = False) -> int:
+    """Rows per job: _VERIFY_JOB, or at most MC_CHUNK and about _STREAM_VALUES values."""
+    return _VERIFY_JOB if verify else min(MC_CHUNK, max(1, _STREAM_VALUES // (degree + 1)))
 
 
-def _zero_free_job(draw, log_coeffs: np.ndarray, r: float, samples: range) -> int:
-    """Zero-free rows among `samples`, drawn by draw(start, stop); an uncertified row raises.
+def _count_job(draw, log_coeffs: np.ndarray, r: float, tail_eps: float,
+               verify: CoefficientModel | None, samples: range) -> np.ndarray:
+    """Certified zero counts of `samples`, drawn by draw(start, stop); an uncertified row raises.
 
-    draw gives a block's rows in polar form (`sampling.PolarRows`).  The
-    kernel reads their moduli, and forms the complex rows only of those
-    its dominant-term pass leaves.  The rows are drawn and counted in
-    blocks of at most _BLOCK_VALUES values, in sample order, each block's
-    count naming its own first sample, so no array the size of the job is
-    built.  The job is split into as few blocks as that allows, of nearly
-    equal size, so no short tail block pays a block's fixed cost for a few
-    rows.  The kernel counts each row on its own, so the blocks change no
-    count.
+    draw gives a block's rows in polar form (`sampling.PolarRows`); with
+    `verify`, the model, they are formed once and the root oracle checks
+    their counts.  The blocks, in sample order, are as few as fit in
+    _BLOCK_VALUES values, of nearly equal size, each naming its first
+    sample; the kernel counts each row on its own, so they change no count.
     """
     most = max(1, _BLOCK_VALUES // len(log_coeffs))
     blocks = -(-len(samples) // most)  # fewest blocks of at most `most` rows; a job is never empty
     step = -(-len(samples) // blocks)
-    zero_free = 0
+    counts = np.empty(len(samples), dtype=np.int64)
     for lo in range(samples.start, samples.stop, step):
         block = draw(lo, min(lo + step, samples.stop))
-        counts = winding_counts_polar(block.moduli, block.rows, r, log_coeffs=log_coeffs,
-                                      tail_eps=TAIL_EPS, first_index=lo)
-        zero_free += int(np.count_nonzero(counts == 0))
-    return zero_free
+        rows = None if verify is None else block.rows()  # rows[idx] is a copy the kernel scales
+        got = winding_counts_polar(block.moduli, block.rows if rows is None else rows.__getitem__,
+                                   r, log_coeffs=log_coeffs, tail_eps=tail_eps, first_index=lo)
+        if rows is not None:
+            verify_counts(rows, verify, r, got, first_index=lo)
+        counts[lo - samples.start:lo - samples.start + len(got)] = got
+    return counts
+
+
+def sample_counts(model: CoefficientModel, r: float, degree: int, samples: int, seed: int, *,
+                  conditioned: bool = False, tail_eps: float = TAIL_EPS, verify: bool = False,
+                  workers: int | None = 1) -> list[np.ndarray]:
+    """Certified zero counts in |z| < r of samples 0..samples-1, one array per job, in order.
+
+    Rows are Gaussian, or conditioned on the event at r (`_row_law`); with
+    `verify` the root oracle checks every count.
+    """
+    draw = partial(polar_rows, _row_law(r, degree, conditioned), seed, count=degree + 1)
+    job = partial(_count_job, draw, model.log_coeffs(degree), r, tail_eps,
+                  model if verify else None)
+    return run_chunked(job, sample_ranges(samples, _job_rows(degree, verify)), workers)
 
 
 def hole_mc(model: CoefficientModel, r: float, samples: int, seed: int,
@@ -227,9 +239,8 @@ def hole_mc(model: CoefficientModel, r: float, samples: int, seed: int,
     if samples < 100:
         raise ValueError("samples must be >= 100")
     degree = truncation_degree(model, r, TAIL_EPS, 1e-6 / samples)
-    draw = partial(polar_rows, gaussian_moduli, seed, count=degree + 1)
-    zero_free = sum(run_chunked(partial(_zero_free_job, draw, model.log_coeffs(degree), r),
-                                sample_ranges(samples, _job_rows(degree)), workers))
+    zero_free = sum(int(np.count_nonzero(counts == 0))
+                    for counts in sample_counts(model, r, degree, samples, seed, workers=workers))
     lo, hi = wilson_interval(zero_free, samples)
     return HoleEstimate(radius=r, point_value=zero_free / samples, ci_low=lo, ci_high=hi,
                         samples=samples, seed=seed)
@@ -264,8 +275,13 @@ def _conditioned_moduli(r: float, caps_sq: np.ndarray, u_mag: np.ndarray) -> np.
     return np.sqrt(e_sq, out=e_sq)
 
 
-def _conditioned_law(r: float, degree: int):
-    """The moduli function of conditioned draws of phi_0..phi_degree at radius r."""
+def _row_law(r: float, degree: int, conditioned: bool):
+    """The moduli function of Monte Carlo rows phi_0..phi_degree: Gaussian, or conditioned at r."""
+    if degree >= _STREAM_VALUES:  # the one size bound, before any array of the degree's size
+        name = "conditioned degree" if conditioned else "degree"
+        raise ValueError(f"{name} {degree} at r={r!r}: at most {_STREAM_VALUES - 1}")
+    if not conditioned:
+        return gaussian_moduli
     return partial(_conditioned_moduli, r, np.exp(_conditioned_caps_sq_log(r, degree)))
 
 
@@ -278,7 +294,7 @@ def conditioned_draw(r: float, master_seed: int, degree: int | None = None) -> n
     """
     if degree is None:
         degree = conditioned_degree(r)
-    return polar_draw(_conditioned_law(r, degree), master_seed, degree + 1).rows()[0]
+    return polar_draw(_row_law(r, degree, True), master_seed, degree + 1).rows()[0]
 
 
 def omega_conditioned_sample(model: CoefficientModel, r: float, samples: int,
@@ -294,12 +310,9 @@ def omega_conditioned_sample(model: CoefficientModel, r: float, samples: int,
         raise ValueError("samples must be >= 1")
     if not r >= 1:
         raise ValueError("conditioned sampling defined for r >= 1")
-    degree = conditioned_degree(r)
-    if degree >= _STREAM_VALUES:  # up to r = 310.49 a row fits in one job
-        raise ValueError(f"conditioned degree {degree} at r={r!r}: at most {_STREAM_VALUES - 1}")
-    draw = partial(polar_rows, _conditioned_law(r, degree), seed, count=degree + 1)
-    return sum(run_chunked(partial(_zero_free_job, draw, model.log_coeffs(degree), r),
-                           sample_ranges(samples, _job_rows(degree)), workers)) / samples
+    counts = sample_counts(model, r, conditioned_degree(r), samples, seed, conditioned=True,
+                           workers=workers)
+    return sum(int(np.count_nonzero(job == 0)) for job in counts) / samples
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import holelab
-from holelab import cli_reports
+from holelab import cli_reports, hole_estimators, sampling
 from holelab.cli_reports import (
     ReportRecord,
     _build_parser,
@@ -154,13 +154,13 @@ def test_zeros_job_pickles_without_the_log_coeff_table(monkeypatch):
     # the process holds a 10^5-entry GEF table; a job ships only (kind, alpha)
     holelab.CoefficientModel.gef().log_coeffs(100_000)
     jobs = []
-    run_chunked = cli_reports.run_chunked
+    run_chunked = hole_estimators.run_chunked
 
     def spy(fn, payloads, workers=None):
         jobs.append(fn)
         return run_chunked(fn, payloads, workers)
 
-    monkeypatch.setattr(cli_reports, "run_chunked", spy)
+    monkeypatch.setattr(hole_estimators, "run_chunked", spy)
     assert run(["zeros", "--r", "1", "--samples", "20", "--threads", "1"]) == 0
     assert len(pickle.dumps(jobs[0])) < 8192
 
@@ -188,14 +188,24 @@ def test_zeros_verifies_at_r12(capsys):
     assert json.loads(out)["results"]["verified"] is True
 
 
-def test_zeros_counts_past_r34(capsys):
+def test_zeros_counts_past_r34(capsys, monkeypatch):
     # degree 3768: sample 0 leaves more than 4 * 2^16 / 3769 failing arcs on
-    # the 2^16-point grid, which the kernel must bisect, not refuse
+    # the 2^16-point grid, which the kernel must bisect, not refuse; the 20
+    # rows are drawn in blocks of at most 2^16 values, not as one of 75 380
+    drawn = []
+    polar = sampling._polar
+
+    def spy(moduli, keys, count):
+        drawn.append(len(keys) * count)
+        return polar(moduli, keys, count)
+
+    monkeypatch.setattr(sampling, "_polar", spy)
     code, out = _capture(capsys, ["zeros", "--r", "36", "--samples", "20", "--seed", "1"])
     assert code == 0
     res = json.loads(out)["results"]
     assert res["degree"] == 3768
     assert abs(res["mean_count"] - res["expected_intensity"]) <= 5 * res["stderr"]
+    assert sum(drawn) == 20 * 3769 and max(drawn) <= hole_estimators._BLOCK_VALUES
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -204,9 +214,13 @@ def test_zeros_counts_past_r34(capsys):
      "conditioned degree 2718281828548 at r=1000000.0: at most 262143"),
     (["conditioned", "--r", "310.5", "--samples", "1"],
      "conditioned degree 262160 at r=310.5: at most 262143"),
+    (["zeros", "--r", "1", "--samples", "2", "--degree", "100000000"],
+     "degree 100000000 at r=1.0: at most 262143"),
+    (["zeros", "--r", "400", "--samples", "2"], "degree 461690 at r=400.0: at most 262143"),
 ])
 def test_oversized_grids_and_degrees_are_refused(capsys, argv, message):
-    # refused by size, before the allocation of 19.8 TiB at r = 1e6 is tried
+    # refused by size, before the allocation of 19.8 TiB at r = 1e6 is tried,
+    # of 2.98 GiB at degree 10^8, or of rows of degree 461 690 at r = 400
     assert run(argv) == 2
     assert capsys.readouterr().err == f"numeric failure: {message}\n"
 
@@ -237,9 +251,7 @@ def test_zeros_record_is_independent_of_the_worker_count(capsys):
 
 def test_zeros_oracle_failure_names_the_sample_for_any_worker_count(capsys, monkeypatch):
     # one wrong count, in the second 100-row job; forked workers inherit the patch
-    from holelab import cli_reports
-
-    kernel = cli_reports.winding_counts_polar
+    kernel = hole_estimators.winding_counts_polar
 
     def one_wrong(moduli, form_rows, r, **kw):
         counts = kernel(moduli, form_rows, r, **kw)
@@ -247,7 +259,7 @@ def test_zeros_oracle_failure_names_the_sample_for_any_worker_count(capsys, monk
             counts[150 - kw["first_index"]] += 1
         return counts
 
-    monkeypatch.setattr(cli_reports, "winding_counts_polar", one_wrong)
+    monkeypatch.setattr(hole_estimators, "winding_counts_polar", one_wrong)
     errors = []
     for threads in ("1", "2"):
         assert run(["zeros", "--r", "1", "--samples", "200", "--verify", "--seed", "1",
@@ -286,16 +298,14 @@ def test_zeros_degree_flag(capsys):
 def test_zeros_user_degree_counts_the_polynomial(capsys, monkeypatch):
     # a user-set degree certifies no truncation tail, so its counts must not
     # be certified against one (at r = 3, degree 5 leaves a tail far above 1e-9)
-    from holelab import cli_reports
-
     seen = []
-    kernel = cli_reports.winding_counts_polar
+    kernel = hole_estimators.winding_counts_polar
 
     def spy(moduli, form_rows, r, **kw):
         seen.append(kw["tail_eps"])
         return kernel(moduli, form_rows, r, **kw)
 
-    monkeypatch.setattr(cli_reports, "winding_counts_polar", spy)
+    monkeypatch.setattr(hole_estimators, "winding_counts_polar", spy)
     code, out = _capture(capsys, ["zeros", "--r", "3", "--samples", "20", "--degree", "5",
                                   "--threads", "1"])
     assert code == 0 and seen == [0.0]

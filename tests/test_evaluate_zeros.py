@@ -474,7 +474,7 @@ def _pass_case(gef, case):
     r, least = _PASS_CASES[case]
     if case == "conditioned-r12":
         degree = conditioned_degree(r)
-        law, seed, count = hole_estimators._conditioned_law(r, degree), 4, 300
+        law, seed, count = hole_estimators._row_law(r, degree, True), 4, 300
     else:
         degree = truncation_degree(gef, r, 1e-9, 1e-6 / 2000)
         law, seed, count = gaussian_moduli, 31, 2000
@@ -551,7 +551,7 @@ def test_rho_covers_the_rounding_of_t_n(gef, case):
         moduli = gaussian_moduli
     else:
         degree = conditioned_degree(r)
-        moduli = hole_estimators._conditioned_law(r, degree)
+        moduli = hole_estimators._row_law(r, degree, True)
     log_coeffs = gef.log_coeffs(degree)
     t = np.arange(degree + 1) * math.log(r) + log_coeffs  # as `_unit_circle_scale` forms it
     with mpmath.workdps(40):
@@ -594,7 +594,7 @@ def test_bad_rows_name_their_sample_on_both_routes(gef, bad):
                 call()
 
 
-@pytest.mark.parametrize("r, degree", [(0.5, 45), (0.7, 88)])
+@pytest.mark.parametrize("r, degree", [(0.5, 45), (0.7, 88), (0.8, 142)])
 def test_hyperbolic_gaf_hole_law(r, degree):
     # Peres & Virag, Acta Math. 194 (2005): the zeros of sum phi_n z^n with
     # i.i.d. complex Gaussian phi_n form a determinantal process, and their

@@ -25,11 +25,12 @@ from holelab.hole_estimators import (
     TAIL_EPS,
     TAIL_MARGIN_CONST,
     _conditioned_caps_sq_log,
-    _conditioned_law,
     _log1mexp,
     _log1mexp_from_log,
+    _row_law,
     conditioned_degree,
     conditioned_draw,
+    sample_counts,
     smallest_certified_radius,
     wilson_interval,
 )
@@ -38,7 +39,7 @@ from holelab.hole_estimators import (
 def _conditioned_rows(r, seed, start, stop, degree=None):
     """Conditioned draws of samples start..stop-1, shape (stop - start, degree + 1)."""
     degree = conditioned_degree(r) if degree is None else degree
-    return sampling.polar_rows(_conditioned_law(r, degree), seed, start, stop, degree + 1).rows()
+    return sampling.polar_rows(_row_law(r, degree, True), seed, start, stop, degree + 1).rows()
 
 
 # frozen mpmath oracle values of the exact confinement log-probability
@@ -226,6 +227,18 @@ def test_conditioned_rows_match_per_sample_objects(r):
         assert conditioned_draw(r, key, degree).tobytes() == expected.tobytes()
 
 
+def test_conditioned_draw_refuses_a_degree_past_the_bound():
+    # r = 1e6 once asked for 19.8 TiB: the bound comes before any array of the degree's size
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^conditioned degree 2718281828548 at "
+                                             r"r=1000000\.0: at most 262143$"):
+            conditioned_draw(1e6, 1)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
 def test_conditioned_degree_tail_budget():
     r = 4.5
     degree = conditioned_degree(r)
@@ -292,18 +305,28 @@ def test_uncertified_conditioned_row_names_its_sample(gef, monkeypatch, refuse_r
         omega_conditioned_sample(gef, 4.5, 2100, 2, workers=1)
 
 
+def _zeros_counts(gef, r, samples, seed, *, workers):
+    """The counts of the `zeros` command's Gaussian rows, through the shared entry."""
+    degree = truncation_degree(gef, r, TAIL_EPS, 1e-9)
+    return np.concatenate(sample_counts(gef, r, degree, samples, seed, workers=workers)).tolist()
+
+
 def _degree(gef, estimator, r, samples):
     """Truncation degree of an estimator run."""
     if estimator is hole_mc:
         return truncation_degree(gef, r, TAIL_EPS, 1e-6 / samples)
+    if estimator is _zeros_counts:
+        return truncation_degree(gef, r, TAIL_EPS, 1e-9)
     return conditioned_degree(r)
 
 
-# (r, samples) of each estimator run; conditioned r = 12 makes two 543-row jobs
+# (r, samples) of each estimator run; conditioned r = 12 makes two 543-row
+# jobs, zeros r = 36 (degree 3768) a 69-row job and a 1-row one
 _BLOCK_CASES = {
     "hole-r3": (hole_mc, 3.0, 300),
     "conditioned-r4.5": (omega_conditioned_sample, 4.5, 300),
     "conditioned-r12": (omega_conditioned_sample, 12.0, 600),
+    "zeros-r36": (_zeros_counts, 36.0, 70),
 }
 
 
