@@ -56,7 +56,7 @@ from .volume_geometry import (
     volume_mc,
     volume_upper_bound_log,
 )
-from ._parallel import resolve_workers
+from ._parallel import _STREAM_VALUES, resolve_workers
 
 
 @dataclass
@@ -215,6 +215,10 @@ def _run_zeros(args) -> dict:
     if args.degree is not None and args.degree < 0:
         raise ValueError(f"--degree must be >= 0, got {args.degree}")
     model = _model_from(args)
+    least = math.e * args.r * args.r  # the degree search starts at floor(e r^2) + 1
+    if args.degree is None and args.r > 0 and least >= _STREAM_VALUES - 1:  # refused before it
+        raise ValueError(f"degree {math.floor(least) + 1} or more at r={args.r!r}: "
+                         f"at most {_STREAM_VALUES - 1}")
     degree = (truncation_degree(model, args.r, TAIL_EPS, 1e-9)
               if args.degree is None else args.degree)
     tail_eps = TAIL_EPS if args.degree is None else 0.0  # a user degree certifies no tail

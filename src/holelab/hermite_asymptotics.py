@@ -32,7 +32,7 @@ import numpy as np
 from .coeff_models import CoefficientModel
 from .evaluate_zeros import min_zero_moduli, rotate_draw
 from .sampling import Distribution, draw_rows
-from ._parallel import run_chunked, sample_ranges
+from ._parallel import _STREAM_VALUES, run_chunked, sample_ranges
 
 _ESCAPE_BLOCK = 1024  # recurrence steps between escape checks
 _FORCED_ZERO_JOB = 64  # rows per forced-zero job, fixed by sample index
@@ -148,8 +148,8 @@ def forced_zero_experiment(dist: Distribution, samples: int, degree: int,
     """
     if dist not in (Distribution.RADEMACHER, Distribution.STEINHAUS):
         raise ValueError("experiment defined for Rademacher or Steinhaus draws")
-    if degree < 50:
-        raise ValueError("degree must be >= 50")
+    if not 50 <= degree < _STREAM_VALUES:  # the Monte Carlo row bound too, before any draw
+        raise ValueError(f"degree {degree}: at least 50 and at most {_STREAM_VALUES - 1}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     mods = np.concatenate(run_chunked(partial(_forced_zero_job, dist, degree, seed, rotate),

@@ -277,7 +277,7 @@ def _conditioned_moduli(r: float, caps_sq: np.ndarray, u_mag: np.ndarray) -> np.
 
 def _row_law(r: float, degree: int, conditioned: bool):
     """The moduli function of Monte Carlo rows phi_0..phi_degree: Gaussian, or conditioned at r."""
-    if degree >= _STREAM_VALUES:  # the one size bound, before any array of the degree's size
+    if degree >= _STREAM_VALUES:  # the row bound, before any array of the degree's size
         name = "conditioned degree" if conditioned else "degree"
         raise ValueError(f"{name} {degree} at r={r!r}: at most {_STREAM_VALUES - 1}")
     if not conditioned:

@@ -208,6 +208,16 @@ def test_zeros_counts_past_r34(capsys, monkeypatch):
     assert sum(drawn) == 20 * 3769 and max(drawn) <= hole_estimators._BLOCK_VALUES
 
 
+def test_zeros_record_at_r60_is_frozen(capsys):
+    # degree 10 416: the bisection evaluates every failing arc of a level in
+    # one Horner pass; frozen from Horner run in blocks of a few arcs each
+    code, out = _capture(capsys, ["zeros", "--r", "60", "--samples", "2", "--seed", "1",
+                                  "--threads", "1"])
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert (res["mean_count"], res["stderr"], res["degree"]) == (3599.5, 5.4999999999999991, 10416)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["covdet", "--r", "1e6"], "N = 2718281828459 grid points: at most 262144"),
     (["conditioned", "--r", "1e6", "--samples", "1"],
@@ -216,11 +226,15 @@ def test_zeros_counts_past_r34(capsys, monkeypatch):
      "conditioned degree 262160 at r=310.5: at most 262143"),
     (["zeros", "--r", "1", "--samples", "2", "--degree", "100000000"],
      "degree 100000000 at r=1.0: at most 262143"),
-    (["zeros", "--r", "400", "--samples", "2"], "degree 461690 at r=400.0: at most 262143"),
+    (["zeros", "--r", "400", "--samples", "2"], "degree 434926 or more at r=400.0: at most 262143"),
+    (["zeros", "--r", "1e6"], "degree 2718281828460 or more at r=1000000.0: at most 262143"),
+    (["forced-zero", "--dist", "rademacher", "--degree", "262144"],
+     "degree 262144: at least 50 and at most 262143"),
 ])
 def test_oversized_grids_and_degrees_are_refused(capsys, argv, message):
     # refused by size, before the allocation of 19.8 TiB at r = 1e6 is tried,
-    # of 2.98 GiB at degree 10^8, or of rows of degree 461 690 at r = 400
+    # of 2.98 GiB at degree 10^8, or of rows of degree 262 144; zeros without
+    # --degree is refused from floor(e r^2) + 1, before the degree search
     assert run(argv) == 2
     assert capsys.readouterr().err == f"numeric failure: {message}\n"
 

@@ -568,6 +568,41 @@ def test_rho_covers_the_rounding_of_t_n(gef, case):
     assert np.all(error <= rho / 2)
 
 
+@pytest.mark.parametrize("r", [1.0, 12.0, 40.0, 60.0])
+def test_rho_covers_the_rounding_of_the_kernel_values(gef, r):
+    # q(w) and w q'(w) of scaled GEF rows at the truncation degree of `zeros`,
+    # by Horner at bisection points (`_values_at`) and by FFT on the first
+    # grid (`_circle_values`), against Horner in mpmath at 40 digits on the
+    # same entries: the errors must lie well inside rho and rho_g, the bounds
+    # `_certified` adds for them on that grid, the smallest it uses
+    degree = truncation_degree(gef, r, 1e-9, 1e-9)
+    block = polar_rows(gaussian_moduli, 1, 0, 2, degree + 1)
+    half, log_scale, _ = evaluate_zeros._unit_circle_scale(block.moduli, r,
+                                                           gef.log_coeffs(degree))
+    D = block.rows() * half * half  # as the kernel scales a formed row
+    points = evaluate_zeros._first_grid(degree + 1)
+    K = evaluate_zeros._row_bounds(np.abs(D), log_scale, 0.0)
+    _, _, rho, rho_g, _ = evaluate_zeros._margins(K, math.log2(points))
+    rng = np.random.default_rng(5)
+    row = np.repeat(np.arange(len(D)), 2)
+    w = np.exp(2j * np.pi * rng.random(len(row)))
+    k = rng.integers(points, size=len(row))
+    grid = (evaluate_zeros._circle_values(D, points)[row, k],
+            evaluate_zeros._circle_values(D * np.arange(degree + 1), points)[row, k])
+    worst = []
+    with mpmath.workdps(40):
+        for (F, G), exact_points in [
+                (evaluate_zeros._values_at(D, row, w), [mpmath.mpc(x) for x in w]),
+                (grid, [mpmath.expjpi(mpmath.mpf(2 * int(j)) / points) for j in k])]:
+            for j, (i, x) in enumerate(zip(row, exact_points)):
+                q, dq = mpmath.polyval([mpmath.mpc(c) for c in D[i, ::-1]], x, derivative=True)
+                worst.append((float(abs(F[j] - q)) / rho[i], float(abs(G[j] - x * dq)) / rho_g[i]))
+    worst = np.max(worst, axis=0)
+    print(f"degree {degree}: largest |F - q| / rho {worst[0]:.3g}, "
+          f"|G - w q'| / rho_g {worst[1]:.3g}")
+    assert np.all(worst <= 0.5)
+
+
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
 def test_bad_rows_name_their_sample_on_both_routes(gef, bad):
     # row 1 (sample 41) is all zero or holds a NaN or inf entry: the kernel and
