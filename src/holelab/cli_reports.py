@@ -58,6 +58,8 @@ from .volume_geometry import (
 )
 from ._parallel import _STREAM_VALUES, resolve_workers
 
+_R_MAX = math.sqrt(sys.float_info.max / math.e)  # the largest |r| whose e r^2 is finite
+
 
 @dataclass
 class ReportRecord:
@@ -449,6 +451,9 @@ def _execute_single(args) -> ReportRecord:
         args.threads = resolve_workers(args.threads)
     except ValueError as exc:  # a bad THREADS value
         raise _UsageError(str(exc)) from None
+    r = getattr(args, "r", None)
+    if r is not None and not math.isfinite(math.e * r * r):  # before any table or draw
+        raise ValueError(f"e r^2 overflows at r={r!r}: |r| at most {_R_MAX:.3g}")
     start = time.monotonic()
     results = _RUNNERS[args.command](args)
     elapsed = int(1000 * (time.monotonic() - start))

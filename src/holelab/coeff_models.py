@@ -11,8 +11,8 @@ Both come from `log_gamma`, the standard library's `math.lgamma` applied
 elementwise, the one special function the lab needs.  Each process keeps one
 append-only table of log(a_n) per coefficient family, shared by every
 `CoefficientModel` equal to it: a command pays for the entries it reads only
-the first time any command in the process reads them.  Pool workers forked
-from the process inherit the tables; a pickled model carries none.
+the first time any command in the process reads them.  The children that
+run parallel jobs are forked from the process and inherit the tables.
 
 The central quantity is
 
@@ -57,8 +57,8 @@ class CoefficientModel:
     out earlier stays valid when the table grows.  A table is replaced, not
     written in place, when it grows, so readers in other threads never see
     a half-built one; two threads extending it at once at worst compute the
-    same entries twice.  Forked pool workers inherit the tables built before
-    the fork; a pickled model ships only (kind, alpha).
+    same entries twice.  Forked children inherit the tables built before
+    the fork, and a job a child runs extends only the child's copy.
     """
 
     kind: ModelKind

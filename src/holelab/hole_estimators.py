@@ -199,7 +199,7 @@ def _count_job(draw, log_coeffs: np.ndarray, r: float, tail_eps: float,
     most = max(1, _BLOCK_VALUES // len(log_coeffs))
     blocks = -(-len(samples) // most)  # fewest blocks of at most `most` rows; a job is never empty
     step = -(-len(samples) // blocks)
-    counts = np.empty(len(samples), dtype=np.int64)
+    counts = np.empty(len(samples), dtype=np.int32)  # a count is at most the degree, below 2^18
     for lo in range(samples.start, samples.stop, step):
         block = draw(lo, min(lo + step, samples.stop))
         rows = None if verify is None else block.rows()  # rows[idx] is a copy the kernel scales
@@ -214,7 +214,7 @@ def _count_job(draw, log_coeffs: np.ndarray, r: float, tail_eps: float,
 def sample_counts(model: CoefficientModel, r: float, degree: int, samples: int, seed: int, *,
                   conditioned: bool = False, tail_eps: float = TAIL_EPS, verify: bool = False,
                   workers: int | None = 1) -> list[np.ndarray]:
-    """Certified zero counts in |z| < r of samples 0..samples-1, one array per job, in order.
+    """Certified zero counts in |z| < r of samples 0..samples-1, one int32 array per job, in order.
 
     Rows are Gaussian, or conditioned on the event at r (`_row_law`); with
     `verify` the root oracle checks every count.

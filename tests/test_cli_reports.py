@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import pickle
 import re
@@ -237,6 +238,34 @@ def test_oversized_grids_and_degrees_are_refused(capsys, argv, message):
     # --degree is refused from floor(e r^2) + 1, before the degree search
     assert run(argv) == 2
     assert capsys.readouterr().err == f"numeric failure: {message}\n"
+
+
+@pytest.mark.parametrize("argv, r", [
+    (["s-of-r", "--r", "1e200"], 1e200),
+    (["hole", "--r", "1e200"], 1e200),
+    (["conditioned", "--r", "1e200"], 1e200),
+    (["zeros", "--r", "1e200"], 1e200),
+    (["zeros", "--r=-1e200", "--degree", "5", "--samples", "2"], -1e200),
+    (["omega", "--r", "1e200"], 1e200),
+    (["covdet", "--r", "1e200"], 1e200),
+], ids=["s-of-r", "hole", "conditioned", "zeros", "zeros-degree", "omega", "covdet"])
+def test_a_radius_whose_e_r2_overflows_is_refused_by_name(capsys, monkeypatch, argv, r):
+    # these ended in "cannot convert float infinity to integer", and zeros at
+    # --degree 5 in "(34, 'Numerical result out of range')" after counting its rows
+    def no_table(self, n_max):
+        raise AssertionError("a log a_n table was read")
+
+    monkeypatch.setattr(holelab.CoefficientModel, "log_coeffs", no_table)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"numeric failure: e r^2 overflows at r={r!r}: |r| at most 8.13e+153\n"
+    assert captured.out == ""
+
+
+def test_the_largest_radius_passes_the_overflow_check():
+    r = cli_reports._R_MAX
+    assert math.isfinite(math.e * r * r)
+    assert not math.isfinite(math.e * math.nextafter(r, math.inf) ** 2)
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 3.0])

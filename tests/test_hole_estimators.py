@@ -311,6 +311,14 @@ def _zeros_counts(gef, r, samples, seed, *, workers):
     return np.concatenate(sample_counts(gef, r, degree, samples, seed, workers=workers)).tolist()
 
 
+def test_counts_cross_from_the_jobs_as_int32(gef):
+    # a count is at most the degree, below 2^18; two 2048-row jobs at r = 1
+    degree = truncation_degree(gef, 1.0, TAIL_EPS, 1e-9)
+    jobs = sample_counts(gef, 1.0, degree, 2100, 3, workers=2)
+    assert [(job.dtype, len(job)) for job in jobs] == [(np.int32, 2048), (np.int32, 52)]
+    assert np.concatenate(jobs).tolist() == _zeros_counts(gef, 1.0, 2100, 3, workers=1)
+
+
 def _degree(gef, estimator, r, samples):
     """Truncation degree of an estimator run."""
     if estimator is hole_mc:
