@@ -1,8 +1,9 @@
 """Deterministic chunked execution, serial or across forked children.
 
-Every parallel job covers one range of sample indices from
-`sample_ranges`, so chunk boundaries are fixed by sample index, never by
-worker count.  Callers bind a job's shared arguments with
+Every parallel job covers one range of consecutive sample indices
+(`sample_ranges`, or the equal ranges of `hole_estimators.sample_counts`),
+so chunk boundaries are fixed by sample index, never by worker count.
+Callers bind a job's shared arguments with
 `functools.partial` and pass the ranges as payloads; results come back in
 range order and are reduced in that order, so any worker count produces
 bit-identical output.
@@ -29,14 +30,15 @@ back to the kernel once more of it is free than its dynamic trim
 threshold (twice the largest block it has freed from `mmap`), so every
 job page-faults them in again.  Each child therefore starts with
 `_keep_freed_memory`, which raises glibc's mmap threshold to 32 MiB and
-its trim threshold to 1 GiB.  In 2-worker runs on a 2-vCPU x86-64 host,
-a 543-row `conditioned --r 12` job after a worker's first then took 1
-minor fault instead of about 5 400 (32-40 ms instead of 45-47 ms), and a
-2048-row `hole --r 1` job 5 instead of about 1 700 (22 ms against 20-24
-ms).  The children exit before `run_chunked` returns, and the memory with
-them; the serial path leaves the caller's allocator alone.  Where the C
-library has no `mallopt`, children run as before, and where there is no
-`os.fork`, every payload runs serially.
+its trim threshold to 1 GiB.  In 2-worker runs on a 2-vCPU x86-64 host
+(median over about 46 jobs after each worker's first), a 512-row
+`conditioned --r 12` job then took 0 minor faults instead of about 1 140
+(4.9 ms instead of 6.2 ms), and a 2041-row `hole --r 1` job 1 instead of
+about 1 480 (8.7 ms against 10.0 ms).  The children exit before
+`run_chunked` returns, and the memory with them; the serial path leaves
+the caller's allocator alone.  Where the C library has no `mallopt`,
+children run as before, and where there is no `os.fork`, every payload
+runs serially.
 """
 
 from __future__ import annotations

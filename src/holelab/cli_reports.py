@@ -24,6 +24,7 @@ from . import __version__
 from .coeff_models import (
     CoefficientModel,
     expected_zero_count,
+    peak_bound,
     peak_index_range,
     s_asymptotic,
     s_of_r_detail,
@@ -446,14 +447,30 @@ def _params_dict(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _refuse_overflowing_radius(args) -> None:
+    """Refuse, before any table or draw, an r whose e r^2 or model peak index overflows.
+
+    A Mittag-Leffler model peaks near (e/alpha) r^(1/alpha) (`peak_bound`),
+    which overflows below |r| = 8.13e153 once alpha < 1/2.
+    """
+    r = getattr(args, "r", None)
+    if r is None:
+        return
+    if not math.isfinite(math.e * r * r):
+        raise ValueError(f"e r^2 overflows at r={r!r}: |r| at most {_R_MAX:.3g}")
+    if getattr(args, "model", "gef") == "ml" and math.isinf(peak_bound(_model_from(args), r)):
+        alpha = args.alpha  # the largest |r| is (max float / (e/alpha))^alpha
+        largest = math.exp(alpha * (math.log(sys.float_info.max) - math.log(math.e / alpha)))
+        raise ValueError(f"(e/alpha) r^(1/alpha) overflows at r={r!r}: |r| at most "
+                         f"{largest:.3g} for alpha={alpha!r}")
+
+
 def _execute_single(args) -> ReportRecord:
     try:
         args.threads = resolve_workers(args.threads)
     except ValueError as exc:  # a bad THREADS value
         raise _UsageError(str(exc)) from None
-    r = getattr(args, "r", None)
-    if r is not None and not math.isfinite(math.e * r * r):  # before any table or draw
-        raise ValueError(f"e r^2 overflows at r={r!r}: |r| at most {_R_MAX:.3g}")
+    _refuse_overflowing_radius(args)
     start = time.monotonic()
     results = _RUNNERS[args.command](args)
     elapsed = int(1000 * (time.monotonic() - start))

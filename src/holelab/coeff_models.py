@@ -107,10 +107,7 @@ def _scan_terms(model: CoefficientModel, r: float) -> np.ndarray:
     safely below zero, which the log-concavity of t_n makes final.
     """
     log_r = math.log(r)
-    if model.kind is ModelKind.GEF:
-        guess = int(math.e * r * r) + 64
-    else:
-        guess = int((math.e / model.alpha) * r ** (1.0 / model.alpha)) + 64
+    guess = int(peak_bound(model, r)) + 64
     while True:
         n = np.arange(guess + 1, dtype=np.float64)
         t = model.log_coeffs(guess) + n * log_r
@@ -118,6 +115,25 @@ def _scan_terms(model: CoefficientModel, r: float) -> np.ndarray:
         if peak < guess and t[-1] < -1.0:
             return t
         guess *= 2
+
+
+def peak_bound(model: CoefficientModel, r: float) -> float:
+    """e r^2, or (e/alpha) |r|^(1/alpha) for Mittag-Leffler: an index past the peak of a_n |r|^n.
+
+    inf where the power overflows, so that a caller can refuse the radius
+    before any table of that length is asked for.
+    """
+    if model.kind is ModelKind.GEF:
+        return math.e * r * r
+    try:
+        return (math.e / model.alpha) * abs(r) ** (1.0 / model.alpha)
+    except OverflowError:
+        return math.inf
+
+
+def log_peak_term(model: CoefficientModel, r: float) -> float:
+    """log of the largest term a_n r^n, r > 0."""
+    return float(np.max(_scan_terms(model, r)))
 
 
 def s_of_r(model: CoefficientModel, r: float) -> float:

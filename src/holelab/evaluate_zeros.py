@@ -133,7 +133,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._parallel import _BLOCK_VALUES
-from .coeff_models import CoefficientModel
+from .coeff_models import CoefficientModel, log_peak_term
 
 _FIRST_GRID = 64  # fewest points of the first grid
 _MAX_GRID_POINTS = 2**16  # whole-grid doubling stops here
@@ -149,6 +149,8 @@ _STEP_REL = 1e-15  # an approximation stops once its step is at most this times 
 _COINCIDE_ULPS = 4  # approximations closer than this many ulps of their modulus coincide
 _NOISE_ULPS = 4  # |p(z)| below this many ulps of sum |c_k| |z|^k is rounding noise
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))  # turn between neighbouring start circles
+_TINY = np.finfo(float).tiny  # 2^-1022, the least normal double
+_LOG_TINY_INV = 1022 * math.log(2.0)
 
 
 class ZeroCountError(ArithmeticError):
@@ -203,10 +205,22 @@ def verify_counts(phi_rows: np.ndarray, model: CoefficientModel, r: float,
     the root oracle (`_root_stacks`) solves them all, on the rows of p(r w)
     formed by `_disk_rows`, and the zeros in |z| < r are the roots with
     |w| < 1, counted stack by stack.  The Aberth roots share no code with
-    the winding count.  The error names the first disagreeing sample.
+    the winding count.  The error names the first disagreeing sample.  A
+    row whose constant term of p(r w) e^(-M) underflows (subnormal, or zero
+    from a nonzero phi_0) is refused by name before any row is solved: the
+    power of two `_unit_end` would scale it by overflows, and a zero would
+    pass for a root at 0.  For GEF that starts near r = 37.7.
     """
+    rows = _disk_rows(phi_rows, model, r)
+    lost = (np.abs(rows[:, 0]) < _TINY) & (phi_rows[:, 0] != 0)
+    if lost.any():
+        raise ZeroCountError(
+            f"sample {first_index + int(np.flatnonzero(lost)[0])}: the constant term of p(r w) "
+            f"e^(-M) underflows at r={r!r}, so the root oracle cannot scale the row; --verify "
+            f"reaches at most about r = {_verify_reach(model):.3g}, where the largest a_n r^n "
+            f"is 2^1022")
     oracle = np.zeros(len(phi_rows), dtype=np.int64)
-    for idx, roots in _root_stacks(_disk_rows(phi_rows, model, r), first_index):
+    for idx, roots in _root_stacks(rows, first_index):
         oracle[idx] = np.count_nonzero(np.abs(roots) < 1.0, axis=1)
     wrong = np.flatnonzero(oracle != np.asarray(counts))
     if len(wrong):
@@ -214,6 +228,21 @@ def verify_counts(phi_rows: np.ndarray, model: CoefficientModel, r: float,
         raise ZeroCountError(
             f"sample {first_index + i}: argument principle ({counts[i]}) disagrees "
             f"with root oracle ({oracle[i]}) at r={r!r}")
+
+
+def _verify_reach(model: CoefficientModel) -> float:
+    """The r >= 1 at which the largest term a_n r^n reaches 2^1022, to 1e-6 of itself.
+
+    Past it e^(-M) is subnormal for a row whose entries are of order one,
+    and so is the constant term of p(r w) e^(-M) unless |phi_0| is large.
+    """
+    lo, hi = 1.0, 2.0
+    while log_peak_term(model, hi) < _LOG_TINY_INV:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-6 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if log_peak_term(model, mid) < _LOG_TINY_INV else (lo, mid)
+    return hi
 
 
 def _unit_circle_scale(moduli: np.ndarray, r: float, log_coeffs: np.ndarray | None,
@@ -238,12 +267,17 @@ def _unit_circle_scale(moduli: np.ndarray, r: float, log_coeffs: np.ndarray | No
     if log_coeffs is not None:
         t = t + log_coeffs
     with np.errstate(divide="ignore"):
-        top = np.max(np.log(moduli) + t, axis=1, keepdims=True)
+        half = np.log(moduli)  # log|phi_n| + t_n, then h_n, in this one buffer
+    half += t
+    top = np.max(half, axis=1, keepdims=True)
     bad = ~np.isfinite(top[:, 0])
     if bad.any():
         raise ValueError(f"sample {first_index + int(np.flatnonzero(bad)[0])}: "
                          f"no usable coefficients (all zero, or a NaN or inf entry)")
-    half = np.exp(0.5 * np.minimum(t - top, _MAX_LOG_RATIO))
+    np.subtract(t, top, out=half)
+    np.minimum(half, _MAX_LOG_RATIO, out=half)
+    half *= 0.5
+    np.exp(half, out=half)
     size = moduli * half
     size *= half
     return half, top[:, 0], size

@@ -28,18 +28,23 @@ exp(log P(Omega_r)) is then a rigorous lower bound for the hole probability.
 
 Every Monte Carlo count, the `zeros` command's too, comes from one job,
 `_count_job`, run by `sample_counts` on consecutive sample ranges; a row
-the kernel cannot certify raises, naming its sample.  A job holds at most
-2048 rows and about 2^18 values (2048 rows at r = 1, 543 at the
-conditioned degree for r = 12, 69 at the `zeros` degree for r = 36), or
-100 rows that the root oracle checks.  It draws and counts one block of
-at most 2^16 values at a time, in blocks of nearly equal size (five
-109-row blocks for 543 rows at r = 12), so a worker's memory stays
-bounded as the degree grows like r^2; a degree of 2^18 or more is refused
-before any array of its size is built.  Each block comes from the one row
-generator, `sampling.polar_rows`, and goes to the one count route,
-`winding_counts_polar`, which forms the complex rows only of those its
-dominant-term pass leaves: no conditioned row at a certified radius,
-about 91% of hole rows at r = 1 and 26% at r = 0.5.
+the kernel cannot certify raises, naming its sample.  The samples are
+split into the fewest jobs of at most 2048 rows and about 2^18 values
+(at most 543 rows at the conditioned degree for r = 12, 69 at the
+`zeros` degree for r = 36), or of 100 rows that the root oracle checks,
+all of nearly equal size and fixed by sample index: 4096 conditioned
+samples at r = 12 make eight 512-row jobs, and 100 000 hole samples at
+r = 1 forty-nine jobs of 2041 rows (the last of 2032).  A job draws and
+counts one block of at most 2^16 values at a time, its blocks split the
+same way (four 128-row blocks for a 512-row job at r = 12; a hole job at
+r = 1 is one block), so a worker's memory stays bounded as the degree
+grows like r^2; a degree of 2^18 or more is refused before any array of
+its size is built.  The blocks come from the one row generator,
+`sampling.polar_keyed`, from the job's sample seeds hashed once, and
+go to the one count route, `winding_counts_polar`, which forms the
+complex rows only of those its dominant-term pass leaves: no conditioned
+row at a certified radius, about 91% of hole rows at r = 1 and 26% at
+r = 0.5.
 """
 
 from __future__ import annotations
@@ -55,11 +60,12 @@ from .evaluate_zeros import ZeroCountError, verify_counts, winding_counts_polar
 from .sampling import (
     gaussian_moduli,
     polar_draw,
-    polar_rows,
+    polar_keyed,
+    sample_seeds,
     truncated_exp_from_uniform,
     truncation_degree,
 )
-from ._parallel import _BLOCK_VALUES, _STREAM_VALUES, run_chunked, sample_ranges
+from ._parallel import _BLOCK_VALUES, _STREAM_VALUES, run_chunked
 
 Z95 = 1.959963984540054
 # Sum of the clause-(iii) worst-case tail e^(-(k-1)/4), k >= 1; covers any
@@ -182,32 +188,46 @@ def smallest_certified_radius() -> float:
 
 
 def _job_rows(degree: int, verify: bool = False) -> int:
-    """Rows per job: _VERIFY_JOB, or at most MC_CHUNK and about _STREAM_VALUES values."""
+    """Most rows in a job: _VERIFY_JOB, or at most MC_CHUNK and about _STREAM_VALUES values."""
     return _VERIFY_JOB if verify else min(MC_CHUNK, max(1, _STREAM_VALUES // (degree + 1)))
 
 
-def _count_job(draw, log_coeffs: np.ndarray, r: float, tail_eps: float,
-               verify: CoefficientModel | None, samples: range) -> np.ndarray:
-    """Certified zero counts of `samples`, drawn by draw(start, stop); an uncertified row raises.
+def _even_ranges(samples: range, most: int) -> list[range]:
+    """The fewest consecutive ranges of at most `most` indices covering `samples`, nearly equal.
 
-    draw gives a block's rows in polar form (`sampling.PolarRows`); with
-    `verify`, the model, they are formed once and the root oracle checks
-    their counts.  The blocks, in sample order, are as few as fit in
-    _BLOCK_VALUES values, of nearly equal size, each naming its first
-    sample; the kernel counts each row on its own, so they change no count.
+    Every range holds ceil(len(samples) / k) indices, k the number of
+    ranges, but the last, which may hold fewer; none is empty.
     """
-    most = max(1, _BLOCK_VALUES // len(log_coeffs))
-    blocks = -(-len(samples) // most)  # fewest blocks of at most `most` rows; a job is never empty
-    step = -(-len(samples) // blocks)
+    parts = max(1, -(-len(samples) // most))
+    step = max(1, -(-len(samples) // parts))
+    return [range(lo, min(lo + step, samples.stop))
+            for lo in range(samples.start, samples.stop, step)]
+
+
+def _count_job(draw, log_coeffs: np.ndarray, r: float, tail_eps: float,
+               verify: CoefficientModel | None, seed: int, samples: range) -> np.ndarray:
+    """Certified zero counts of `samples`, drawn by draw(keys); an uncertified row raises.
+
+    The seeds of all the job's samples are hashed once, and draw gives each
+    block's rows in polar form from its slice of them
+    (`sampling.polar_keyed`); with `verify`, the model, they are formed
+    once and the root oracle checks their counts.  The blocks, in sample
+    order, are as few as fit in _BLOCK_VALUES values, of nearly equal size
+    (`_even_ranges`), each naming its first sample; the kernel counts each
+    row on its own, so they change no count.
+    """
+    keys = sample_seeds(seed, samples.start, samples.stop)
     counts = np.empty(len(samples), dtype=np.int32)  # a count is at most the degree, below 2^18
-    for lo in range(samples.start, samples.stop, step):
-        block = draw(lo, min(lo + step, samples.stop))
+    for span in _even_ranges(samples, max(1, _BLOCK_VALUES // len(log_coeffs))):
+        at = slice(span.start - samples.start, span.stop - samples.start)
+        block = draw(keys[at])
         rows = None if verify is None else block.rows()  # rows[idx] is a copy the kernel scales
         got = winding_counts_polar(block.moduli, block.rows if rows is None else rows.__getitem__,
-                                   r, log_coeffs=log_coeffs, tail_eps=tail_eps, first_index=lo)
+                                   r, log_coeffs=log_coeffs, tail_eps=tail_eps,
+                                   first_index=span.start)
         if rows is not None:
-            verify_counts(rows, verify, r, got, first_index=lo)
-        counts[lo - samples.start:lo - samples.start + len(got)] = got
+            verify_counts(rows, verify, r, got, first_index=span.start)
+        counts[at] = got
     return counts
 
 
@@ -217,12 +237,13 @@ def sample_counts(model: CoefficientModel, r: float, degree: int, samples: int, 
     """Certified zero counts in |z| < r of samples 0..samples-1, one int32 array per job, in order.
 
     Rows are Gaussian, or conditioned on the event at r (`_row_law`); with
-    `verify` the root oracle checks every count.
+    `verify` the root oracle checks every count.  The jobs are the fewest
+    that `_job_rows` allows, of nearly equal size, fixed by sample index.
     """
-    draw = partial(polar_rows, _row_law(r, degree, conditioned), seed, count=degree + 1)
+    draw = partial(polar_keyed, _row_law(r, degree, conditioned), count=degree + 1)
     job = partial(_count_job, draw, model.log_coeffs(degree), r, tail_eps,
-                  model if verify else None)
-    return run_chunked(job, sample_ranges(samples, _job_rows(degree, verify)), workers)
+                  model if verify else None, seed)
+    return run_chunked(job, _even_ranges(range(samples), _job_rows(degree, verify)), workers)
 
 
 def hole_mc(model: CoefficientModel, r: float, samples: int, seed: int,
@@ -267,11 +288,11 @@ def _conditioned_moduli(r: float, caps_sq: np.ndarray, u_mag: np.ndarray) -> np.
 
     |phi_0|^2 is a standard exponential conditioned to at least 4 r^2 and
     |phi_n|^2, n >= 1, one conditioned to at most caps_sq[n - 1], both by
-    inverse CDF.
+    inverse CDF, written straight into the one array returned.
     """
     e_sq = np.empty(u_mag.shape)
-    e_sq[..., 0] = truncated_exp_from_uniform(u_mag[..., 0], lower=4.0 * r * r)
-    e_sq[..., 1:] = truncated_exp_from_uniform(u_mag[..., 1:], upper=caps_sq)
+    truncated_exp_from_uniform(u_mag[..., 0], lower=4.0 * r * r, out=e_sq[..., 0])
+    truncated_exp_from_uniform(u_mag[..., 1:], upper=caps_sq, out=e_sq[..., 1:])
     return np.sqrt(e_sq, out=e_sq)
 
 

@@ -11,6 +11,8 @@ numpy's SeedSequence((seed, i)) hash.  The samplers draw whole row ranges
 i..j at once: `sample_seeds` computes the hash for every i in uint32 array
 arithmetic, and one Philox, its key rewritten and its counter reset per row,
 generates the rows of the range in one call; the caller bounds the range.
+A Monte Carlo job hashes the seeds of all its samples once and draws each
+block from its slice of them (`polar_keyed`).
 Row k of `draw_rows` equals the one-row `draw_coeffs` keyed by
 sample_seed(seed, i + k) bit for bit, so batching changes no value.
 
@@ -20,9 +22,10 @@ phase is uniform.  The same inverse-CDF route yields exponential magnitudes
 truncated to an interval without any rejection loop, which the conditioned
 hole sampler relies on.
 
-Every law is drawn in polar form, by one generator: `polar_rows` gives the
-moduli of samples i..j, from their magnitude words by the law's moduli
-function (`gaussian_moduli`, ones for Steinhaus, the conditioned caps in
+Every law is drawn in polar form, by one generator: `polar_rows` (or
+`polar_keyed`, from the samples' keys) gives the moduli of samples i..j,
+from their magnitude words by the law's moduli function
+(`gaussian_moduli`, ones for Steinhaus, the conditioned caps in
 `hole_estimators`), and keeps their phase words.  `PolarRows.rows` forms
 phi_n = |phi_n| e^(2 pi i u_n) for the rows asked for only, in
 `_polar_values`, the one place phases are computed.  A Monte Carlo job
@@ -202,7 +205,9 @@ def _polar_values(moduli: np.ndarray, u_phase: np.ndarray, out: np.ndarray) -> N
 
 def _polar(moduli, keys: np.ndarray, count: int) -> PolarRows:
     words = _philox_words(keys, count)
-    return PolarRows(moduli(unit_floats(words[:, 0::2])), words[:, 1::2])
+    mag = words[:, 0::2]  # read once, so shifted in place: the uniforms of `unit_floats`
+    np.right_shift(mag, np.uint64(11), out=mag)
+    return PolarRows(moduli(mag.view(np.int64) * _WORD_TO_UNIT), words[:, 1::2])
 
 
 def polar_rows(moduli, master_seed: int, start: int, stop: int, count: int) -> PolarRows:
@@ -214,6 +219,17 @@ def polar_rows(moduli, master_seed: int, start: int, stop: int, count: int) -> P
     return _polar(moduli, sample_seeds(master_seed, start, stop), count)
 
 
+def polar_keyed(moduli, keys: np.ndarray, count: int) -> PolarRows:
+    """Rows of the law of `moduli` whose streams are keyed by `keys` (uint64), one per row.
+
+    One block: the caller bounds len(keys).  With a slice of
+    sample_seeds(master_seed, i, j) it gives the rows polar_rows gives for
+    those samples, so a caller drawing samples i..j in blocks hashes their
+    seeds once.
+    """
+    return _polar(moduli, keys, count)
+
+
 def polar_draw(moduli, master_seed: int, count: int) -> PolarRows:
     """One row phi_0..phi_{count-1} of the law of `moduli`, its stream keyed by master_seed."""
     if count < 1:
@@ -223,7 +239,8 @@ def polar_draw(moduli, master_seed: int, count: int) -> PolarRows:
 
 def gaussian_moduli(u_mag: np.ndarray) -> np.ndarray:
     """|phi| of the unit complex Gaussian: |phi|^2 is standard exponential, by inverse CDF."""
-    return np.sqrt(-np.log1p(-u_mag))
+    e_sq = truncated_exp_from_uniform(u_mag)
+    return np.sqrt(e_sq, out=e_sq)
 
 
 # the moduli function of each law; Rademacher draws its magnitude uniforms as they are
@@ -261,18 +278,22 @@ def draw_rows(dist: Distribution, master_seed: int, start: int, stop: int,
     return _law_values(dist, polar_rows(_moduli(dist), master_seed, start, stop, count))
 
 
-def truncated_exp_from_uniform(u, lower=0.0, upper=None):
+def truncated_exp_from_uniform(u, lower=0.0, upper=None, out=None):
     """Standard-exponential inverse CDF, conditioned to [lower, upper].
 
     With q = 1 - exp(-(upper - lower)) the conditional quantile is
-    lower - log(1 - u*q); `upper=None` means no upper truncation.
+    lower - log(1 - u*q); `upper=None` means no upper truncation (q = 1).
     Stable for caps as small as the double-precision underflow threshold.
+    Written into `out` when given, with no temporary of its size: u (-q)
+    is u*q negated exactly, and log1p and the subtraction run in place.
     """
     u = np.asarray(u, dtype=np.float64)
-    if upper is None:
-        return lower - np.log1p(-u)
-    q = -np.expm1(-(np.asarray(upper, dtype=np.float64) - lower))
-    return lower - np.log1p(-u * q)
+    neg_q = -1.0 if upper is None else np.expm1(-(np.asarray(upper, dtype=np.float64) - lower))
+    if out is None:
+        out = np.empty(np.broadcast(u, neg_q).shape)
+    x = np.multiply(u, neg_q, out=out)
+    np.log1p(x, out=x)
+    return np.subtract(lower, x, out=x)
 
 
 def truncation_tail_bound(model: CoefficientModel, r: float, eps: float, degree: int) -> float:

@@ -209,6 +209,32 @@ def test_zeros_counts_past_r34(capsys, monkeypatch):
     assert sum(drawn) == 20 * 3769 and max(drawn) <= hole_estimators._BLOCK_VALUES
 
 
+def test_zeros_verify_refuses_a_row_whose_constant_term_underflows(capsys):
+    # at r = 38 e^(-M) is subnormal: the root oracle ran 200 sweeps (1 min 41 s),
+    # warned of an overflow in exp2 and reported no convergence; now the row
+    # is refused by name, before the iteration
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["zeros", "--r", "38", "--samples", "2", "--verify", "--seed", "1",
+                    "--threads", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "numeric failure: sample 0: the constant term of p(r w) e^(-M) underflows at r=38.0, "
+        "so the root oracle cannot scale the row; --verify reaches at most about r = 37.7, "
+        "where the largest a_n r^n is 2^1022\n")
+
+
+def test_zeros_verify_record_at_r20_is_frozen(capsys):
+    # degree 1184, below the radius where constant terms underflow
+    code, out = _capture(capsys, ["zeros", "--r", "20", "--samples", "2", "--verify",
+                                  "--seed", "1", "--threads", "1"])
+    assert code == 0
+    assert json.loads(out)["results"] == {"mean_count": 401.0, "stderr": 2.0,
+                                          "expected_intensity": 400.0, "degree": 1184,
+                                          "verified": True}
+
+
 def test_zeros_record_at_r60_is_frozen(capsys):
     # degree 10 416: the bisection evaluates every failing arc of a level in
     # one Horner pass; frozen from Horner run in blocks of a few arcs each
@@ -266,6 +292,35 @@ def test_the_largest_radius_passes_the_overflow_check():
     r = cli_reports._R_MAX
     assert math.isfinite(math.e * r * r)
     assert not math.isfinite(math.e * math.nextafter(r, math.inf) ** 2)
+
+
+@pytest.mark.parametrize("command", ["s-of-r", "hole", "zeros"])
+def test_a_radius_whose_ml_peak_index_overflows_is_refused_by_name(capsys, monkeypatch, command):
+    # (e/alpha) r^(1/alpha) = 1.1e401 at alpha = 0.25: s-of-r and hole ended
+    # in "(34, 'Numerical result out of range')", and zeros refused a
+    # 180-digit degree taken from e r^2
+    def no_table(self, n_max):
+        raise AssertionError("a log a_n table was read")
+
+    monkeypatch.setattr(holelab.CoefficientModel, "log_coeffs", no_table)
+    assert run([command, "--model", "ml", "--alpha", "0.25", "--r", "1e100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("numeric failure: (e/alpha) r^(1/alpha) overflows at r=1e+100: "
+                            "|r| at most 6.38e+76 for alpha=0.25\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.45])
+def test_the_ml_radius_bound_is_where_the_peak_index_overflows(alpha):
+    # the bound the message gives: 1% below it the peak index is finite, 1% above it overflows
+    args = cli_reports._build_parser().parse_args(
+        ["s-of-r", "--model", "ml", "--alpha", str(alpha), "--r", "8e153"])
+    with pytest.raises(ValueError, match=r"^\(e/alpha\) r\^\(1/alpha\) overflows") as refused:
+        cli_reports._refuse_overflowing_radius(args)
+    largest = float(re.search(r"at most (\S+) for", str(refused.value)).group(1))
+    model = cli_reports._model_from(args)
+    assert math.isfinite(holelab.coeff_models.peak_bound(model, largest * 0.99))
+    assert math.isinf(holelab.coeff_models.peak_bound(model, largest * 1.01))
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 3.0])

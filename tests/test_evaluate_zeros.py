@@ -21,7 +21,7 @@ from holelab import (
     sample_seed,
     truncation_degree,
 )
-from holelab import evaluate_zeros, hole_estimators
+from holelab import evaluate_zeros, hole_estimators, sampling
 from holelab.evaluate_zeros import (
     RootResidualError,
     count_for_coeffs,
@@ -33,7 +33,7 @@ from holelab.evaluate_zeros import (
 )
 from holelab.hermite_asymptotics import all_ones_draw
 from holelab.hole_estimators import TAIL_EPS, conditioned_degree
-from holelab.sampling import gaussian_moduli, polar_rows
+from holelab.sampling import gaussian_moduli, polar_rows, truncated_exp_from_uniform
 
 # frozen: smallest modulus of the roots of sum_{n<=200} z^n/sqrt(n!), all
 # phi_n = 1, from companion-matrix eigenvalues; the root oracle is checked
@@ -568,15 +568,30 @@ def test_rho_covers_the_rounding_of_t_n(gef, case):
     assert np.all(error <= rho / 2)
 
 
-@pytest.mark.parametrize("r", [1.0, 12.0, 40.0, 60.0])
-def test_rho_covers_the_rounding_of_the_kernel_values(gef, r):
-    # q(w) and w q'(w) of scaled GEF rows at the truncation degree of `zeros`,
-    # by Horner at bisection points (`_values_at`) and by FFT on the first
-    # grid (`_circle_values`), against Horner in mpmath at 40 digits on the
-    # same entries: the errors must lie well inside rho and rho_g, the bounds
-    # `_certified` adds for them on that grid, the smallest it uses
-    degree = truncation_degree(gef, r, 1e-9, 1e-9)
-    block = polar_rows(gaussian_moduli, 1, 0, 2, degree + 1)
+# (r, law): GEF rows at the truncation degree of `zeros`; conditioned rows at
+# theirs, which reach the grid only with the dominant-term pass off; Steinhaus
+# rows (|phi_n| = 1) at the GEF degree
+_KERNEL_VALUE_CASES = [pytest.param(r, "gef", id=str(r)) for r in (1.0, 12.0, 40.0, 60.0)] + [
+    pytest.param(4.5, "conditioned", id="conditioned-4.5"),
+    pytest.param(12.0, "conditioned", id="conditioned-12.0"),
+    pytest.param(1.0, "steinhaus", id="steinhaus-1.0"),
+]
+
+
+@pytest.mark.parametrize("r, law", _KERNEL_VALUE_CASES)
+def test_rho_covers_the_rounding_of_the_kernel_values(gef, r, law):
+    # q(w) and w q'(w) of scaled rows, by Horner at bisection points
+    # (`_values_at`) and by FFT on the first grid (`_circle_values`), against
+    # Horner in mpmath at 40 digits on the same entries: the errors must lie
+    # well inside rho and rho_g, the bounds `_certified` adds for them on
+    # that grid, the smallest it uses
+    if law == "conditioned":
+        degree = conditioned_degree(r)
+        moduli = hole_estimators._row_law(r, degree, True)
+    else:
+        degree = truncation_degree(gef, r, 1e-9, 1e-9)
+        moduli = gaussian_moduli if law == "gef" else np.ones_like
+    block = polar_rows(moduli, 1, 0, 2, degree + 1)
     half, log_scale, _ = evaluate_zeros._unit_circle_scale(block.moduli, r,
                                                            gef.log_coeffs(degree))
     D = block.rows() * half * half  # as the kernel scales a formed row
@@ -598,7 +613,7 @@ def test_rho_covers_the_rounding_of_the_kernel_values(gef, r):
                 q, dq = mpmath.polyval([mpmath.mpc(c) for c in D[i, ::-1]], x, derivative=True)
                 worst.append((float(abs(F[j] - q)) / rho[i], float(abs(G[j] - x * dq)) / rho_g[i]))
     worst = np.max(worst, axis=0)
-    print(f"degree {degree}: largest |F - q| / rho {worst[0]:.3g}, "
+    print(f"{law} degree {degree}: largest |F - q| / rho {worst[0]:.3g}, "
           f"|G - w q'| / rho_g {worst[1]:.3g}")
     assert np.all(worst <= 0.5)
 
@@ -719,6 +734,74 @@ def _padded_circle_values(D, points):
         D = np.pad(D, ((0, 0), (0, -D.shape[1] % points)))
         D = D.reshape(len(D), -1, points).sum(axis=1)
     return np.fft.ifft(D, n=points, axis=1, norm="forward")
+
+
+def _replaced_truncated_exp(u, lower=0.0, upper=None):
+    """`truncated_exp_from_uniform` as it was, with a temporary for each step."""
+    u = np.asarray(u, dtype=np.float64)
+    if upper is None:
+        return lower - np.log1p(-u)
+    q = -np.expm1(-(np.asarray(upper, dtype=np.float64) - lower))
+    return lower - np.log1p(-u * q)
+
+
+def _replaced_conditioned_moduli(r, caps_sq, u_mag):
+    """`hole_estimators._conditioned_moduli` as it was: each clause formed, then copied in."""
+    e_sq = np.empty(u_mag.shape)
+    e_sq[..., 0] = _replaced_truncated_exp(u_mag[..., 0], lower=4.0 * r * r)
+    e_sq[..., 1:] = _replaced_truncated_exp(u_mag[..., 1:], upper=caps_sq)
+    return np.sqrt(e_sq, out=e_sq)
+
+
+def _replaced_unit_circle_scale(moduli, r, log_coeffs):
+    """`_unit_circle_scale` as it was: h_n, M and the scaled moduli through temporaries."""
+    t = np.arange(moduli.shape[1]) * math.log(r) + log_coeffs
+    with np.errstate(divide="ignore"):
+        top = np.max(np.log(moduli) + t, axis=1, keepdims=True)
+    half = np.exp(0.5 * np.minimum(t - top, 745.0))
+    size = moduli * half
+    size *= half
+    return half, top[:, 0], size
+
+
+@pytest.mark.parametrize("r, rows", [(1.0, 2000), (4.5, 300), (12.0, 300), (30.0, 20)],
+                         ids=["gef-r1", "conditioned-r4.5", "conditioned-r12", "conditioned-r30"])
+def test_in_place_moduli_and_scaling_keep_their_bits(gef, r, rows):
+    # the moduli written in place into one buffer, M, h_n and the scaled
+    # moduli equal those of the formulas they replaced bit for bit; at r = 30
+    # the caps of the indices near the peak underflow to 0
+    if r == 1.0:
+        degree = truncation_degree(gef, r, TAIL_EPS, 1e-6 / rows)
+        law, replaced = gaussian_moduli, lambda u: np.sqrt(-np.log1p(-u))
+    else:
+        degree = conditioned_degree(r)
+        law = hole_estimators._row_law(r, degree, True)
+        caps_sq = np.exp(hole_estimators._conditioned_caps_sq_log(r, degree))
+        replaced = lambda u: _replaced_conditioned_moduli(r, caps_sq, u)  # noqa: E731
+        assert (caps_sq == 0.0).any() == (r == 30.0)
+    words = sampling._philox_words(sampling.sample_seeds(3, 0, rows), degree + 1)
+    want = replaced(sampling.unit_floats(words[:, 0::2]))
+    got = sampling.polar_keyed(law, sampling.sample_seeds(3, 0, rows), degree + 1).moduli
+    assert got.tobytes() == want.tobytes()
+    log_coeffs = gef.log_coeffs(degree)
+    for new, old in zip(evaluate_zeros._unit_circle_scale(got, r, log_coeffs),
+                        _replaced_unit_circle_scale(want, r, log_coeffs)):
+        assert new.tobytes() == old.tobytes()
+
+
+def test_the_inverse_cdf_keeps_the_bits_of_the_replaced_formula():
+    # edge uniforms, a signed zero among them, and caps from an underflowed 0
+    # up, with and without `out`: every value equals the replaced formula's,
+    # sign of zero included (-0.0 * -1 is +0.0, whose log1p 0.0 - +0.0 keeps)
+    u = np.array([-0.0, 0.0, 2.0**-53, 0.25, 0.5, 1.0 - 2.0**-53])[:, None]
+    caps = np.array([0.0, 5e-324, 1e-300, 1e-8, 1.0, 36.0, 700.0])
+    for lower, upper in [(0.0, None), (0.0, caps), (16.0, None), (4.5, 4.5 + caps)]:
+        want = _replaced_truncated_exp(u, lower=lower, upper=upper)
+        got = truncated_exp_from_uniform(u, lower=lower, upper=upper)
+        out = np.empty(np.broadcast(u, caps if upper is not None else 0.0).shape)
+        into = truncated_exp_from_uniform(u, lower=lower, upper=upper, out=out)
+        assert into is out
+        assert got.tobytes() == want.tobytes() == out.tobytes()
 
 
 @pytest.mark.parametrize("n, points", [(40, 64), (64, 64), (100, 64), (128, 64), (200, 64),

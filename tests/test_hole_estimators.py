@@ -19,7 +19,7 @@ from holelab import (
 )
 from holelab import Distribution, draw_rows, evaluate_zeros, hole_estimators, sampling
 from holelab import truncation_degree
-from holelab._parallel import run_chunked, sample_ranges
+from holelab._parallel import run_chunked
 from holelab.evaluate_zeros import _unit_circle_scale, winding_counts_polar
 from holelab.hole_estimators import (
     TAIL_EPS,
@@ -312,10 +312,11 @@ def _zeros_counts(gef, r, samples, seed, *, workers):
 
 
 def test_counts_cross_from_the_jobs_as_int32(gef):
-    # a count is at most the degree, below 2^18; two 2048-row jobs at r = 1
+    # a count is at most the degree, below 2^18; 2100 rows at r = 1 make the
+    # fewest jobs of at most 2048 rows, two of 1050
     degree = truncation_degree(gef, 1.0, TAIL_EPS, 1e-9)
     jobs = sample_counts(gef, 1.0, degree, 2100, 3, workers=2)
-    assert [(job.dtype, len(job)) for job in jobs] == [(np.int32, 2048), (np.int32, 52)]
+    assert [(job.dtype, len(job)) for job in jobs] == [(np.int32, 1050), (np.int32, 1050)]
     assert np.concatenate(jobs).tolist() == _zeros_counts(gef, 1.0, 2100, 3, workers=1)
 
 
@@ -328,13 +329,15 @@ def _degree(gef, estimator, r, samples):
     return conditioned_degree(r)
 
 
-# (r, samples) of each estimator run; conditioned r = 12 makes two 543-row
-# jobs, zeros r = 36 (degree 3768) a 69-row job and a 1-row one
+# (r, samples, jobs) of each estimator run: the fewest jobs of at most
+# 2048 rows and about 2^18 values, of nearly equal size; conditioned r = 12
+# (at most 543 rows) makes two 300-row jobs, zeros r = 36 (degree 3768, at
+# most 69 rows) two 35-row ones
 _BLOCK_CASES = {
-    "hole-r3": (hole_mc, 3.0, 300),
-    "conditioned-r4.5": (omega_conditioned_sample, 4.5, 300),
-    "conditioned-r12": (omega_conditioned_sample, 12.0, 600),
-    "zeros-r36": (_zeros_counts, 36.0, 70),
+    "hole-r3": (hole_mc, 3.0, 300, [range(0, 300)]),
+    "conditioned-r4.5": (omega_conditioned_sample, 4.5, 300, [range(0, 300)]),
+    "conditioned-r12": (omega_conditioned_sample, 12.0, 600, [range(0, 300), range(300, 600)]),
+    "zeros-r36": (_zeros_counts, 36.0, 70, [range(0, 35), range(35, 70)]),
 }
 
 
@@ -342,9 +345,8 @@ _BLOCK_CASES = {
 def test_job_blocks_change_no_count(gef, monkeypatch, case):
     # each job draws and counts blocks of 1 row, 7 rows or the whole job:
     # the blocks start where they should and every sample keeps its count
-    estimator, r, samples = _BLOCK_CASES[case]
+    estimator, r, samples, jobs = _BLOCK_CASES[case]
     degree = _degree(gef, estimator, r, samples)
-    jobs = sample_ranges(samples, hole_estimators._job_rows(degree))
     blocks = []
 
     def spy(moduli, form_rows, r, **kwargs):
@@ -365,8 +367,9 @@ def test_job_blocks_change_no_count(gef, monkeypatch, case):
 
 
 def test_refused_row_in_a_second_block_names_its_sample(gef, refuse_row):
-    # conditioned r = 12: 543-row jobs of five 109-row blocks (135 rows fit
-    # in one); sample 683 lies in the second block of the second job
+    # conditioned r = 12: at most 543 rows in a job and 135 in a block; 700
+    # samples make two 350-row jobs of three blocks (117, 117 and 116 rows),
+    # and sample 683 lies in the last block of the second job
     degree = conditioned_degree(12.0)
     step = hole_estimators._BLOCK_VALUES // (degree + 1)
     assert (hole_estimators._job_rows(degree), step) == (543, 135)
@@ -467,13 +470,16 @@ def test_jobs_hold_2048_rows_at_r1_and_bounded_values_at_conditioned_r12(gef, mo
         return run_chunked(fn, payloads, workers)
 
     monkeypatch.setattr(hole_estimators, "run_chunked", spy)
+    # the fewest jobs of at most 2048 rows (at r = 1) and 543 rows (about
+    # 2^18 values at the conditioned degree for r = 12), of nearly equal size
     hole_mc(gef, 1.0, 5000, 7, workers=1)
     omega_conditioned_sample(gef, 12.0, 1200, 1, workers=1)
     (_, hole_jobs), (conditioned_job, conditioned_jobs) = calls
-    assert hole_jobs == [range(0, 2048), range(2048, 4096), range(4096, 5000)]
+    assert hole_jobs == [range(0, 1667), range(1667, 3334), range(3334, 5000)]
     degree = len(conditioned_job.args[1]) - 1
     assert degree == conditioned_degree(12.0)
-    assert conditioned_jobs == sample_ranges(1200, 543)
+    assert hole_estimators._job_rows(degree) == 543
+    assert conditioned_jobs == [range(0, 400), range(400, 800), range(800, 1200)]
     assert all(len(job) * (degree + 1) <= 2**18 for job in conditioned_jobs)
 
 
