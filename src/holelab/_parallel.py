@@ -1,8 +1,9 @@
 """Deterministic chunked execution, serial or across forked children.
 
-Every parallel job covers one range of consecutive sample indices
-(`sample_ranges`, or the equal ranges of `hole_estimators.sample_counts`),
-so chunk boundaries are fixed by sample index, never by worker count.
+Every parallel job covers one range of consecutive sample indices, cut,
+like the jobs' blocks, by the one splitter `sample_ranges` (forced-zero
+jobs hold at most 64 rows), so chunk boundaries are fixed by sample
+index, never by worker count.
 Callers bind a job's shared arguments with
 `functools.partial` and pass the ranges as payloads; results come back in
 range order and are reduced in that order, so any worker count produces
@@ -90,9 +91,15 @@ def resolve_workers(workers: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def sample_ranges(samples: int, rows: int) -> list[range]:
-    """Consecutive ranges of at most `rows` indices covering 0..samples-1."""
-    return [range(start, min(start + rows, samples)) for start in range(0, samples, rows)]
+def sample_ranges(samples: range, most: int) -> list[range]:
+    """The fewest consecutive ranges of at most `most` indices covering `samples`.
+
+    All hold ceil(len(samples) / k) indices, k the number of ranges, but
+    the last, which may hold fewer; none is empty.
+    """
+    step = max(1, -(-len(samples) // max(1, -(-len(samples) // most))))
+    return [range(lo, min(lo + step, samples.stop))
+            for lo in range(samples.start, samples.stop, step)]
 
 
 def _run_share(fn, share, pipe: int) -> None:

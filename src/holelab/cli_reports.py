@@ -448,21 +448,27 @@ def _params_dict(args) -> dict:
 
 
 def _refuse_overflowing_radius(args) -> None:
-    """Refuse, before any table or draw, an r whose e r^2 or model peak index overflows.
+    """Refuse, before any table or draw, an r whose e r^2 or model peak index is too large.
 
     A Mittag-Leffler model peaks near (e/alpha) r^(1/alpha) (`peak_bound`),
-    which overflows below |r| = 8.13e153 once alpha < 1/2.
+    which overflows below |r| = 8.13e153 once alpha < 1/2.  `s-of-r`,
+    `hole` and `omega` size their log a_n tables from that peak index, so
+    they also refuse one past 2^18 - 1, the bound every other command puts
+    on its rows, degrees and grids; for GEF that is r past 310.5.
     """
     r = getattr(args, "r", None)
     if r is None:
         return
     if not math.isfinite(math.e * r * r):
         raise ValueError(f"e r^2 overflows at r={r!r}: |r| at most {_R_MAX:.3g}")
-    if getattr(args, "model", "gef") == "ml" and math.isinf(peak_bound(_model_from(args), r)):
+    peak = peak_bound(_model_from(args) if hasattr(args, "model") else CoefficientModel.gef(), r)
+    if math.isinf(peak):
         alpha = args.alpha  # the largest |r| is (max float / (e/alpha))^alpha
         largest = math.exp(alpha * (math.log(sys.float_info.max) - math.log(math.e / alpha)))
         raise ValueError(f"(e/alpha) r^(1/alpha) overflows at r={r!r}: |r| at most "
                          f"{largest:.3g} for alpha={alpha!r}")
+    if args.command in ("s-of-r", "hole", "omega") and peak > _STREAM_VALUES - 1:
+        raise ValueError(f"peak index {peak:.6g} at r={r!r}: at most {_STREAM_VALUES - 1}")
 
 
 def _execute_single(args) -> ReportRecord:

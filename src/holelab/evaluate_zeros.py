@@ -206,19 +206,24 @@ def verify_counts(phi_rows: np.ndarray, model: CoefficientModel, r: float,
     formed by `_disk_rows`, and the zeros in |z| < r are the roots with
     |w| < 1, counted stack by stack.  The Aberth roots share no code with
     the winding count.  The error names the first disagreeing sample.  A
-    row whose constant term of p(r w) e^(-M) underflows (subnormal, or zero
-    from a nonzero phi_0) is refused by name before any row is solved: the
-    power of two `_unit_end` would scale it by overflows, and a zero would
-    pass for a root at 0.  For GEF that starts near r = 37.7.
+    row of N + 1 coefficients whose constant term of p(r w) e^(-M) is
+    below (N+1)^2 2^-1022 (phi_0 nonzero) is refused by name before any
+    row is solved: above it `_unit_end`'s lift leaves every entry below
+    2^1022 / (N+1)^2, so Horner's value and derivative stay finite on the
+    closed unit disk; below it they could overflow (the iteration ran 200
+    sweeps without converging), and a zero would pass for a root at 0.
+    For GEF at the `zeros` degree that starts near r = 37.3.
     """
     rows = _disk_rows(phi_rows, model, r)
-    lost = (np.abs(rows[:, 0]) < _TINY) & (phi_rows[:, 0] != 0)
+    size = phi_rows.shape[1]  # N + 1
+    lost = (np.abs(rows[:, 0]) < _TINY * size**2) & (phi_rows[:, 0] != 0)
     if lost.any():
+        reach = _verify_reach(model, _LOG_TINY_INV - 2.0 * math.log(size))
         raise ZeroCountError(
             f"sample {first_index + int(np.flatnonzero(lost)[0])}: the constant term of p(r w) "
-            f"e^(-M) underflows at r={r!r}, so the root oracle cannot scale the row; --verify "
-            f"reaches at most about r = {_verify_reach(model):.3g}, where the largest a_n r^n "
-            f"is 2^1022")
+            f"e^(-M) is below (N+1)^2 2^-1022 = {_TINY * size**2:.3g} at r={r!r} (N = "
+            f"{size - 1}), so the root oracle cannot scale the row; --verify reaches at most "
+            f"about r = {reach:.3g}, where the largest a_n r^n is 2^1022 / (N+1)^2")
     oracle = np.zeros(len(phi_rows), dtype=np.int64)
     for idx, roots in _root_stacks(rows, first_index):
         oracle[idx] = np.count_nonzero(np.abs(roots) < 1.0, axis=1)
@@ -230,22 +235,23 @@ def verify_counts(phi_rows: np.ndarray, model: CoefficientModel, r: float,
             f"with root oracle ({oracle[i]}) at r={r!r}")
 
 
-def _verify_reach(model: CoefficientModel) -> float:
-    """The r >= 1 at which the largest term a_n r^n reaches 2^1022, to 1e-6 of itself.
+def _verify_reach(model: CoefficientModel, log_peak: float) -> float:
+    """The r >= 1 at which the largest term a_n r^n reaches e^log_peak, to 1e-6 of itself.
 
-    Past it e^(-M) is subnormal for a row whose entries are of order one,
-    and so is the constant term of p(r w) e^(-M) unless |phi_0| is large.
+    Past it e^(-M) is below e^-log_peak for a row whose entries are of
+    order one, and so is the constant term of p(r w) e^(-M) unless
+    |phi_0| is large.
     """
     lo, hi = 1.0, 2.0
-    while log_peak_term(model, hi) < _LOG_TINY_INV:
+    while log_peak_term(model, hi) < log_peak:
         lo, hi = hi, 2.0 * hi
     while hi - lo > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if log_peak_term(model, mid) < _LOG_TINY_INV else (lo, mid)
+        lo, hi = (mid, hi) if log_peak_term(model, mid) < log_peak else (lo, mid)
     return hi
 
 
-def _unit_circle_scale(moduli: np.ndarray, r: float, log_coeffs: np.ndarray | None,
+def _unit_circle_scale(moduli: np.ndarray, r: float, log_coeffs: np.ndarray,
                        first_index: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factors h_n that rescale rows so that |z| = r becomes the unit circle, M, and |d_n|.
 
@@ -263,9 +269,7 @@ def _unit_circle_scale(moduli: np.ndarray, r: float, log_coeffs: np.ndarray | No
     row is all zero or holds a NaN or inf; such a row raises ValueError
     naming its sample, row i being sample first_index + i.
     """
-    t = np.arange(moduli.shape[1]) * math.log(r)
-    if log_coeffs is not None:
-        t = t + log_coeffs
+    t = np.arange(moduli.shape[1]) * math.log(r) + log_coeffs
     with np.errstate(divide="ignore"):
         half = np.log(moduli)  # log|phi_n| + t_n, then h_n, in this one buffer
     half += t
@@ -506,33 +510,35 @@ def winding_counts_batch(coeff_rows: np.ndarray, r: float, *,
     """Certified winding numbers for many complex coefficient rows along the same circle.
 
     Row i holds c_n = phi_n a_n, or phi_n alone when `log_coeffs` gives
-    log(a_n) (then no a_n is formed in linear scale, where it underflows).
-    The rows' moduli |c_n| go to `winding_counts_polar`, and the rows it
-    forms for its grid are copies of the caller's rows, which it never
-    writes.  The other arguments and the errors are those of
-    `winding_counts_polar`.
+    log(a_n) (then no a_n is formed in linear scale, where it underflows);
+    without it, zeros are passed, which change no bit of t_n that the
+    scaling reads.  The rows' moduli |c_n| go to `winding_counts_polar`,
+    and the rows it forms for its grid are copies of the caller's rows,
+    which it never writes.  The other arguments and the errors are those
+    of `winding_counts_polar`.
     """
     rows = np.asarray(coeff_rows, dtype=np.complex128)
+    if log_coeffs is None:
+        log_coeffs = np.zeros(rows.shape[1])
     return winding_counts_polar(np.abs(rows), rows.__getitem__, r, log_coeffs=log_coeffs,
                                 tail_eps=tail_eps, first_index=first_index)
 
 
-def winding_counts_polar(moduli: np.ndarray, form_rows, r: float, *,
-                         log_coeffs: np.ndarray | None = None, tail_eps: float = 0.0,
-                         first_index: int = 0) -> np.ndarray:
+def winding_counts_polar(moduli: np.ndarray, form_rows, r: float, *, log_coeffs: np.ndarray,
+                         tail_eps: float = 0.0, first_index: int = 0) -> np.ndarray:
     """Certified winding numbers along |z| = r of rows given in polar form.
 
-    moduli[i] holds |c_n| of row i (|phi_n| when `log_coeffs` gives log a_n),
-    and form_rows(idx) returns a new complex array of the rows idx, which
-    the kernel scales in place.  Every row's scale M and factors h_n come
-    from its moduli (`_unit_circle_scale`), and the dominant-term pass
-    (`_dominant_terms`) reads only the scaled moduli, so a row it counts
-    is never formed.  The rows it leaves are formed, scaled by the same
-    h_n, and certified arc by arc, as the module docstring states, with
-    tau = tail_eps e^(-M): a bound on the truncation tail |f - p| on
-    |z| = r makes the count one of f.  Row i is sample first_index + i.  A
-    row that is all zero or holds a NaN or inf raises ValueError before
-    any is counted.  A row nothing certifies, or one that winds a negative
+    moduli[i] holds |phi_n| of row i and log_coeffs holds log a_n (zeros
+    for rows of c_n themselves); form_rows(idx) returns a new complex
+    array of the rows idx, which the kernel scales in place.  Every row's
+    scale M and factors h_n come from its moduli (`_unit_circle_scale`),
+    and the dominant-term pass (`_dominant_terms`) reads only the scaled
+    moduli, so a row it counts is never formed.  The rows it leaves are
+    formed, scaled by the same h_n, and certified arc by arc, as the
+    module docstring states, with tau = tail_eps e^(-M): a bound on the
+    truncation tail |f - p| on |z| = r makes the count one of f.  Row i
+    is sample first_index + i.  A row that is all zero or holds a NaN or
+    inf raises ValueError before any is counted.  A row nothing certifies, or one that winds a negative
     number of times (impossible for an analytic function), raises
     ZeroCountError naming the first such sample: no caller gets a count
     the kernel could not certify.

@@ -18,6 +18,9 @@ The saddle-point two-term approximation for g_{n-1},
 
 carries its explicit constant, so ratio tests against the recurrence are
 absolute rather than up-to-constant.
+
+Forced-zero jobs hold at most 64 rows, cut by the one splitter
+`_parallel.sample_ranges`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .sampling import Distribution, draw_rows
 from ._parallel import _STREAM_VALUES, run_chunked, sample_ranges
 
 _ESCAPE_BLOCK = 1024  # recurrence steps between escape checks
-_FORCED_ZERO_JOB = 64  # rows per forced-zero job, fixed by sample index
+_FORCED_ZERO_JOB = 64  # most rows in a forced-zero job, fixed by sample index
 SADDLE_MIN_N = 16  # smallest n the saddle-point approximation accepts
 
 
@@ -153,7 +156,7 @@ def forced_zero_experiment(dist: Distribution, samples: int, degree: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     mods = np.concatenate(run_chunked(partial(_forced_zero_job, dist, degree, seed, rotate),
-                                      sample_ranges(samples, _FORCED_ZERO_JOB), workers))
+                                      sample_ranges(range(samples), _FORCED_ZERO_JOB), workers))
     if not np.all(np.isfinite(mods)):
         raise ArithmeticError("non-finite minimum zero modulus encountered")
     q25, q50, q75, q90 = (float(q) for q in np.quantile(mods, [0.25, 0.5, 0.75, 0.9]))

@@ -32,19 +32,20 @@ the kernel cannot certify raises, naming its sample.  The samples are
 split into the fewest jobs of at most 2048 rows and about 2^18 values
 (at most 543 rows at the conditioned degree for r = 12, 69 at the
 `zeros` degree for r = 36), or of 100 rows that the root oracle checks,
-all of nearly equal size and fixed by sample index: 4096 conditioned
-samples at r = 12 make eight 512-row jobs, and 100 000 hole samples at
-r = 1 forty-nine jobs of 2041 rows (the last of 2032).  A job draws and
-counts one block of at most 2^16 values at a time, its blocks split the
-same way (four 128-row blocks for a 512-row job at r = 12; a hole job at
-r = 1 is one block), so a worker's memory stays bounded as the degree
-grows like r^2; a degree of 2^18 or more is refused before any array of
-its size is built.  The blocks come from the one row generator,
-`sampling.polar_keyed`, from the job's sample seeds hashed once, and
-go to the one count route, `winding_counts_polar`, which forms the
-complex rows only of those its dominant-term pass leaves: no conditioned
-row at a certified radius, about 91% of hole rows at r = 1 and 26% at
-r = 0.5.
+all of nearly equal size and fixed by sample index, by the one splitter
+`_parallel.sample_ranges`, which cuts `forced-zero`'s jobs too: 4096
+conditioned samples at r = 12 make eight 512-row jobs, and 100 000 hole
+samples at r = 1 forty-nine jobs of 2041 rows (the last of 2032).  A job
+draws and counts one block of at most 2^16 values at a time, its blocks
+split the same way (four 128-row blocks for a 512-row job at r = 12; a
+hole job at r = 1 is one block), so a worker's memory stays bounded as
+the degree grows like r^2; a degree of 2^18 or more is refused before
+any array of its size is built.  The blocks come from the one entry
+point of the one row generator, `sampling.polar_keyed`, from the job's
+sample seeds hashed once, and go to the one count route,
+`winding_counts_polar`, which forms the complex rows only of those its
+dominant-term pass leaves: no conditioned row at a certified radius,
+about 91% of hole rows at r = 1 and 26% at r = 0.5.
 """
 
 from __future__ import annotations
@@ -58,14 +59,14 @@ import numpy as np
 from .coeff_models import CoefficientModel, ModelKind, s_asymptotic, s_of_r
 from .evaluate_zeros import ZeroCountError, verify_counts, winding_counts_polar
 from .sampling import (
+    _SEED_MASK,
     gaussian_moduli,
-    polar_draw,
     polar_keyed,
     sample_seeds,
     truncated_exp_from_uniform,
     truncation_degree,
 )
-from ._parallel import _BLOCK_VALUES, _STREAM_VALUES, run_chunked
+from ._parallel import _BLOCK_VALUES, _STREAM_VALUES, run_chunked, sample_ranges
 
 Z95 = 1.959963984540054
 # Sum of the clause-(iii) worst-case tail e^(-(k-1)/4), k >= 1; covers any
@@ -192,18 +193,6 @@ def _job_rows(degree: int, verify: bool = False) -> int:
     return _VERIFY_JOB if verify else min(MC_CHUNK, max(1, _STREAM_VALUES // (degree + 1)))
 
 
-def _even_ranges(samples: range, most: int) -> list[range]:
-    """The fewest consecutive ranges of at most `most` indices covering `samples`, nearly equal.
-
-    Every range holds ceil(len(samples) / k) indices, k the number of
-    ranges, but the last, which may hold fewer; none is empty.
-    """
-    parts = max(1, -(-len(samples) // most))
-    step = max(1, -(-len(samples) // parts))
-    return [range(lo, min(lo + step, samples.stop))
-            for lo in range(samples.start, samples.stop, step)]
-
-
 def _count_job(draw, log_coeffs: np.ndarray, r: float, tail_eps: float,
                verify: CoefficientModel | None, seed: int, samples: range) -> np.ndarray:
     """Certified zero counts of `samples`, drawn by draw(keys); an uncertified row raises.
@@ -213,12 +202,12 @@ def _count_job(draw, log_coeffs: np.ndarray, r: float, tail_eps: float,
     (`sampling.polar_keyed`); with `verify`, the model, they are formed
     once and the root oracle checks their counts.  The blocks, in sample
     order, are as few as fit in _BLOCK_VALUES values, of nearly equal size
-    (`_even_ranges`), each naming its first sample; the kernel counts each
-    row on its own, so they change no count.
+    (`sample_ranges`), each naming its first sample; the kernel counts
+    each row on its own, so they change no count.
     """
     keys = sample_seeds(seed, samples.start, samples.stop)
     counts = np.empty(len(samples), dtype=np.int32)  # a count is at most the degree, below 2^18
-    for span in _even_ranges(samples, max(1, _BLOCK_VALUES // len(log_coeffs))):
+    for span in sample_ranges(samples, max(1, _BLOCK_VALUES // len(log_coeffs))):
         at = slice(span.start - samples.start, span.stop - samples.start)
         block = draw(keys[at])
         rows = None if verify is None else block.rows()  # rows[idx] is a copy the kernel scales
@@ -238,12 +227,13 @@ def sample_counts(model: CoefficientModel, r: float, degree: int, samples: int, 
 
     Rows are Gaussian, or conditioned on the event at r (`_row_law`); with
     `verify` the root oracle checks every count.  The jobs are the fewest
-    that `_job_rows` allows, of nearly equal size, fixed by sample index.
+    that `_job_rows` allows, of nearly equal size (`sample_ranges`), fixed
+    by sample index.
     """
     draw = partial(polar_keyed, _row_law(r, degree, conditioned), count=degree + 1)
     job = partial(_count_job, draw, model.log_coeffs(degree), r, tail_eps,
                   model if verify else None, seed)
-    return run_chunked(job, _even_ranges(range(samples), _job_rows(degree, verify)), workers)
+    return run_chunked(job, sample_ranges(range(samples), _job_rows(degree, verify)), workers)
 
 
 def hole_mc(model: CoefficientModel, r: float, samples: int, seed: int,
@@ -315,7 +305,8 @@ def conditioned_draw(r: float, master_seed: int, degree: int | None = None) -> n
     """
     if degree is None:
         degree = conditioned_degree(r)
-    return polar_draw(_row_law(r, degree, True), master_seed, degree + 1).rows()[0]
+    key = np.array([int(master_seed) & _SEED_MASK], dtype=np.uint64)
+    return polar_keyed(_row_law(r, degree, True), key, degree + 1).rows()[0]
 
 
 def omega_conditioned_sample(model: CoefficientModel, r: float, samples: int,

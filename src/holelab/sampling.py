@@ -7,14 +7,15 @@ count leaves the earlier values bit-identical, and disjoint index ranges
 can be produced independently.
 
 Monte Carlo sample i of a run keys its stream with sample_seed(seed, i),
-numpy's SeedSequence((seed, i)) hash.  The samplers draw whole row ranges
-i..j at once: `sample_seeds` computes the hash for every i in uint32 array
-arithmetic, and one Philox, its key rewritten and its counter reset per row,
-generates the rows of the range in one call; the caller bounds the range.
-A Monte Carlo job hashes the seeds of all its samples once and draws each
-block from its slice of them (`polar_keyed`).
-Row k of `draw_rows` equals the one-row `draw_coeffs` keyed by
-sample_seed(seed, i + k) bit for bit, so batching changes no value.
+numpy's SeedSequence((seed, i)) hash; a one-row draw (`draw_coeffs`,
+`uniform_pairs`) keys it with the seed itself.  `sample_seeds` computes
+the hash for every i of a range in uint32 array arithmetic, and one
+Philox, its key rewritten and its counter reset per row, generates the
+rows of those keys in one call; the caller bounds their number.  A Monte
+Carlo job hashes the seeds of all its samples once and draws each block
+from its slice of them.  Row k of `draw_rows` equals the one-row
+`draw_coeffs` keyed by sample_seed(seed, i + k) bit for bit, so batching
+changes no value.
 
 The unit complex Gaussian (density exp(-|z|^2)/pi) is sampled as
 magnitude-phase: |phi|^2 is standard exponential via inverse CDF and the
@@ -22,9 +23,9 @@ phase is uniform.  The same inverse-CDF route yields exponential magnitudes
 truncated to an interval without any rejection loop, which the conditioned
 hole sampler relies on.
 
-Every law is drawn in polar form, by one generator: `polar_rows` (or
-`polar_keyed`, from the samples' keys) gives the moduli of samples i..j,
-from their magnitude words by the law's moduli function
+Every law is drawn in polar form, by one generator with one entry
+point: `polar_keyed` turns a uint64 key per row into the moduli of those
+rows, from their magnitude words by the law's moduli function
 (`gaussian_moduli`, ones for Steinhaus, the conditioned caps in
 `hole_estimators`), and keeps their phase words.  `PolarRows.rows` forms
 phi_n = |phi_n| e^(2 pi i u_n) for the rows asked for only, in
@@ -164,7 +165,8 @@ def unit_floats(words: np.ndarray) -> np.ndarray:
 
 def uniform_pairs(master_seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-index uniform pairs (u_mag, u_phase), each in [0, 1), of one keyed stream."""
-    block = polar_draw(np.asarray, master_seed, count)
+    key = np.array([int(master_seed) & _SEED_MASK], dtype=np.uint64)
+    block = polar_keyed(np.asarray, key, count)
     return block.moduli[0], unit_floats(block.phase_words[0])
 
 
@@ -203,38 +205,20 @@ def _polar_values(moduli: np.ndarray, u_phase: np.ndarray, out: np.ndarray) -> N
     np.multiply(moduli, np.sin(angle, out=angle), out=out.imag)
 
 
-def _polar(moduli, keys: np.ndarray, count: int) -> PolarRows:
+def polar_keyed(moduli, keys: np.ndarray, count: int) -> PolarRows:
+    """Rows phi_0..phi_{count-1} of the law of `moduli`, one per key (uint64) of `keys`.
+
+    Row k reads the stream np.random.Philox(key=keys[k]).  One block: the
+    caller bounds len(keys).  Monte Carlo sample i is keyed by
+    sample_seed(master_seed, i), so a slice of sample_seeds(master_seed,
+    i, j) gives samples i..j; a one-row draw is keyed by its seed itself.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     words = _philox_words(keys, count)
     mag = words[:, 0::2]  # read once, so shifted in place: the uniforms of `unit_floats`
     np.right_shift(mag, np.uint64(11), out=mag)
     return PolarRows(moduli(mag.view(np.int64) * _WORD_TO_UNIT), words[:, 1::2])
-
-
-def polar_rows(moduli, master_seed: int, start: int, stop: int, count: int) -> PolarRows:
-    """Samples start..stop-1 of the law whose moduli(u_mag) maps magnitude uniforms to |phi_n|.
-
-    One block: the caller bounds stop - start.  Row k keys its stream with
-    sample_seed(master_seed, start + k); sample indices must lie below 2^32.
-    """
-    return _polar(moduli, sample_seeds(master_seed, start, stop), count)
-
-
-def polar_keyed(moduli, keys: np.ndarray, count: int) -> PolarRows:
-    """Rows of the law of `moduli` whose streams are keyed by `keys` (uint64), one per row.
-
-    One block: the caller bounds len(keys).  With a slice of
-    sample_seeds(master_seed, i, j) it gives the rows polar_rows gives for
-    those samples, so a caller drawing samples i..j in blocks hashes their
-    seeds once.
-    """
-    return _polar(moduli, keys, count)
-
-
-def polar_draw(moduli, master_seed: int, count: int) -> PolarRows:
-    """One row phi_0..phi_{count-1} of the law of `moduli`, its stream keyed by master_seed."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return _polar(moduli, np.array([int(master_seed) & _SEED_MASK], dtype=np.uint64), count)
 
 
 def gaussian_moduli(u_mag: np.ndarray) -> np.ndarray:
@@ -263,7 +247,8 @@ def _moduli(dist: Distribution):
 
 def draw_coeffs(dist: Distribution, count: int, master_seed: int) -> np.ndarray:
     """Independent draws phi_0..phi_{count-1} from the given distribution."""
-    return _law_values(dist, polar_draw(_moduli(dist), master_seed, count))[0]
+    key = np.array([int(master_seed) & _SEED_MASK], dtype=np.uint64)
+    return _law_values(dist, polar_keyed(_moduli(dist), key, count))[0]
 
 
 def draw_rows(dist: Distribution, master_seed: int, start: int, stop: int,
@@ -273,9 +258,8 @@ def draw_rows(dist: Distribution, master_seed: int, start: int, stop: int,
     Row k equals draw_coeffs(dist, count, sample_seed(master_seed, start + k))
     bit for bit.  One block: the caller bounds stop - start.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return _law_values(dist, polar_rows(_moduli(dist), master_seed, start, stop, count))
+    keys = sample_seeds(master_seed, start, stop)
+    return _law_values(dist, polar_keyed(_moduli(dist), keys, count))
 
 
 def truncated_exp_from_uniform(u, lower=0.0, upper=None, out=None):

@@ -84,10 +84,11 @@ class VolumeMCResult:
 def volume_mc(q: VolumeQuery, samples: int, seed: int) -> VolumeMCResult:
     """Hit-or-miss estimate: uniform points in [0,t]^k, count prod <= s.
 
-    Chunked Philox streams keyed by (seed, chunk) make the tally independent
-    of chunk scheduling.  Each chunk's stream is drawn in consecutive blocks
-    of _MC_BLOCK samples, the same words as one draw, so memory stays at
-    one block.  Binomial normal-approximation interval at 95%.
+    Philox streams keyed by (seed, k), stream k from sample k _MC_CHUNK on,
+    make the tally independent of chunk scheduling.  Each stream is drawn
+    in consecutive blocks of at most _MC_BLOCK samples (`sample_ranges`),
+    the same words as one draw, so memory stays at one block.  Binomial
+    normal-approximation interval at 95%.
     """
     if q.k > 8:
         raise ValueError("hit-or-miss degrades beyond k = 8")
@@ -96,9 +97,9 @@ def volume_mc(q: VolumeQuery, samples: int, seed: int) -> VolumeMCResult:
     hits = 0
     # prod(x_j) <= s with x_j = t*u_j  <=>  prod(u_j) <= s / t^k
     ratio = q.s * q.t ** (-q.k)
-    for chunk_index, chunk in enumerate(sample_ranges(samples, _MC_CHUNK)):
+    for chunk_index, lo in enumerate(range(0, samples, _MC_CHUNK)):  # fixed size: keyed streams
         bits = np.random.Philox(key=np.array([seed & _SEED_MASK, chunk_index], dtype=np.uint64))
-        for block in sample_ranges(len(chunk), _MC_BLOCK):
+        for block in sample_ranges(range(lo, min(lo + _MC_CHUNK, samples)), _MC_BLOCK):
             u = unit_floats(bits.random_raw(len(block) * q.k)).reshape(len(block), q.k)
             prod = u[:, 0].copy()  # left to right, as np.prod multiplies, without its reduce
             for j in range(1, q.k):

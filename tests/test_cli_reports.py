@@ -194,13 +194,13 @@ def test_zeros_counts_past_r34(capsys, monkeypatch):
     # the 2^16-point grid, which the kernel must bisect, not refuse; the 20
     # rows are drawn in blocks of at most 2^16 values, not as one of 75 380
     drawn = []
-    polar = sampling._polar
+    polar = sampling.polar_keyed
 
     def spy(moduli, keys, count):
         drawn.append(len(keys) * count)
         return polar(moduli, keys, count)
 
-    monkeypatch.setattr(sampling, "_polar", spy)
+    monkeypatch.setattr(hole_estimators, "polar_keyed", spy)
     code, out = _capture(capsys, ["zeros", "--r", "36", "--samples", "20", "--seed", "1"])
     assert code == 0
     res = json.loads(out)["results"]
@@ -220,9 +220,28 @@ def test_zeros_verify_refuses_a_row_whose_constant_term_underflows(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == (
-        "numeric failure: sample 0: the constant term of p(r w) e^(-M) underflows at r=38.0, "
-        "so the root oracle cannot scale the row; --verify reaches at most about r = 37.7, "
-        "where the largest a_n r^n is 2^1022\n")
+        "numeric failure: sample 0: the constant term of p(r w) e^(-M) is below (N+1)^2 "
+        "2^-1022 = 3.92e-301 at r=38.0 (N = 4195), so the root oracle cannot scale the row; "
+        "--verify reaches at most about r = 37.3, where the largest a_n r^n is "
+        "2^1022 / (N+1)^2\n")
+
+
+def test_zeros_verify_refuses_a_tiny_normal_constant_term(capsys):
+    # at r = 37.5 the constant terms are 1.1e-305 to 4.1e-305, normal, so
+    # an underflow check passed them; `_unit_end` lifted the rows by about
+    # 2^1013, and the iteration ran 1 min 43 s before it failed with "did
+    # not converge in 200 sweeps".  Below (N+1)^2 2^-1022 the row is refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["zeros", "--r", "37.5", "--samples", "4", "--verify", "--seed", "1",
+                    "--threads", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "numeric failure: sample 0: the constant term of p(r w) e^(-M) is below (N+1)^2 "
+        "2^-1022 = 3.72e-301 at r=37.5 (N = 4087), so the root oracle cannot scale the row; "
+        "--verify reaches at most about r = 37.3, where the largest a_n r^n is "
+        "2^1022 / (N+1)^2\n")
 
 
 def test_zeros_verify_record_at_r20_is_frozen(capsys):
@@ -321,6 +340,44 @@ def test_the_ml_radius_bound_is_where_the_peak_index_overflows(alpha):
     model = cli_reports._model_from(args)
     assert math.isfinite(holelab.coeff_models.peak_bound(model, largest * 0.99))
     assert math.isinf(holelab.coeff_models.peak_bound(model, largest * 1.01))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["s-of-r", "--r", "1e6"], "peak index 2.71828e+12 at r=1000000.0: at most 262143"),
+    (["hole", "--r", "1e6"], "peak index 2.71828e+12 at r=1000000.0: at most 262143"),
+    (["omega", "--r", "1e6"], "peak index 2.71828e+12 at r=1000000.0: at most 262143"),
+    (["s-of-r", "--model", "ml", "--alpha", "0.25", "--r", "1e76"],
+     "peak index 1.08731e+305 at r=1e+76: at most 262143"),
+    (["hole", "--model", "ml", "--alpha", "0.25", "--r", "1e76"],
+     "peak index 1.08731e+305 at r=1e+76: at most 262143"),
+], ids=["s-of-r", "hole", "omega", "s-of-r-ml", "hole-ml"])
+def test_a_peak_index_past_the_table_bound_is_refused_by_name(capsys, monkeypatch, argv,
+                                                              message):
+    # s-of-r at r = 1e6 ended in numpy's "Unable to allocate 19.8 TiB", and
+    # s-of-r and hole with alpha = 0.25 at r = 1e76 in "Maximum allowed size
+    # exceeded", from log a_n tables sized from the peak index
+    def no_table(self, n_max):
+        raise AssertionError("a log a_n table was read")
+
+    monkeypatch.setattr(holelab.CoefficientModel, "log_coeffs", no_table)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"numeric failure: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["s-of-r", "hole", "omega"])
+def test_the_peak_index_bound_is_at_r_310_5_for_gef(command):
+    # e r^2 = 262 070 at r = 310.5 and 262 239 at r = 310.6; s-of-r --r 200
+    # and omega --r 100, the largest radii the README, tests and benchmark
+    # give these commands, lie far below it
+    def check(r):
+        cli_reports._refuse_overflowing_radius(
+            _build_parser().parse_args([command, "--r", str(r)]))
+
+    check(310.5)
+    with pytest.raises(ValueError, match=r"^peak index 262239 at r=310\.6: at most 262143$"):
+        check(310.6)
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 3.0])

@@ -33,7 +33,12 @@ from holelab.evaluate_zeros import (
 )
 from holelab.hermite_asymptotics import all_ones_draw
 from holelab.hole_estimators import TAIL_EPS, conditioned_degree
-from holelab.sampling import gaussian_moduli, polar_rows, truncated_exp_from_uniform
+from holelab.sampling import (
+    gaussian_moduli,
+    polar_keyed,
+    sample_seeds,
+    truncated_exp_from_uniform,
+)
 
 # frozen: smallest modulus of the roots of sum_{n<=200} z^n/sqrt(n!), all
 # phi_n = 1, from companion-matrix eigenvalues; the root oracle is checked
@@ -420,7 +425,7 @@ def test_rows_the_last_grid_leaves_are_bisected(gef, monkeypatch, cap):
     # both ends, and count as on the full grids
     degree = truncation_degree(gef, 3.0, TAIL_EPS, 1e-9)
     assert degree == 54
-    block = polar_rows(gaussian_moduli, 1, 0, 200, degree + 1)
+    block = polar_keyed(gaussian_moduli, sample_seeds(1, 0, 200), degree + 1)
 
     def counts():
         return evaluate_zeros.winding_counts_polar(block.moduli, block.rows, 3.0,
@@ -448,6 +453,7 @@ def test_rows_the_last_grid_leaves_are_bisected(gef, monkeypatch, cap):
 
 
 def _dominant_rows(rows, r, log_coeffs=None, tail_eps=0.0):
+    log_coeffs = np.zeros(rows.shape[1]) if log_coeffs is None else log_coeffs
     _, log_scale, size = evaluate_zeros._unit_circle_scale(np.abs(rows), r, log_coeffs)
     K = evaluate_zeros._row_bounds(size, log_scale, tail_eps)
     return evaluate_zeros._dominant_terms(K, math.log2(evaluate_zeros._first_grid(size.shape[1])))
@@ -478,7 +484,8 @@ def _pass_case(gef, case):
     else:
         degree = truncation_degree(gef, r, 1e-9, 1e-6 / 2000)
         law, seed, count = gaussian_moduli, 31, 2000
-    return polar_rows(law, seed, 0, count, degree + 1), r, gef.log_coeffs(degree), least
+    block = polar_keyed(law, sample_seeds(seed, 0, count), degree + 1)
+    return block, r, gef.log_coeffs(degree), least
 
 
 @pytest.mark.parametrize("case", _PASS_CASES)
@@ -558,7 +565,7 @@ def test_rho_covers_the_rounding_of_t_n(gef, case):
         log_r = mpmath.log(r)
         dt = np.array([float(mpmath.mpf(float(t[n])) - (n * log_r - mpmath.loggamma(n + 1) / 2))
                        for n in range(degree + 1)])
-    block = polar_rows(moduli, 7, 0, 20, degree + 1)
+    block = polar_keyed(moduli, sample_seeds(7, 0, 20), degree + 1)
     _, log_scale, size = evaluate_zeros._unit_circle_scale(block.moduli, r, log_coeffs)
     K = evaluate_zeros._row_bounds(size, log_scale, 0.0)
     rho = evaluate_zeros._margins(K, math.log2(evaluate_zeros._first_grid(degree + 1)))[2]
@@ -591,7 +598,7 @@ def test_rho_covers_the_rounding_of_the_kernel_values(gef, r, law):
     else:
         degree = truncation_degree(gef, r, 1e-9, 1e-9)
         moduli = gaussian_moduli if law == "gef" else np.ones_like
-    block = polar_rows(moduli, 1, 0, 2, degree + 1)
+    block = polar_keyed(moduli, sample_seeds(1, 0, 2), degree + 1)
     half, log_scale, _ = evaluate_zeros._unit_circle_scale(block.moduli, r,
                                                            gef.log_coeffs(degree))
     D = block.rows() * half * half  # as the kernel scales a formed row
@@ -1103,6 +1110,41 @@ def test_verify_counts_names_the_failing_sample(gef):
     counts[17] += 1
     with pytest.raises(ZeroCountError, match=r"^sample 517: .*root oracle"):
         verify_counts(phi, gef, 1.0, counts, first_index=500)
+
+
+def test_verify_counts_refuses_a_constant_term_below_the_scaling_bound(gef):
+    # p(w) = c + w^2 at r = 1 (phi_2 = sqrt 2 against a_2 = 2^-1/2): the
+    # constant term of p(r w) e^(-M) is c, and at N = 2 the bound (N+1)^2
+    # 2^-1022 is 9 2^-1022.  Just above it `_unit_end` lifts the row by
+    # about 2^1018 and the roots +-i sqrt(c) are found; just below it the
+    # row is refused by name before the iteration
+    tiny = np.finfo(float).tiny
+
+    def rows(c):
+        return np.array([[1.0, 0.0, 1.0], [c, 0.0, math.sqrt(2.0)]], dtype=np.complex128)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        verify_counts(rows(9.01 * tiny), gef, 1.0, [0, 2])
+    with pytest.raises(ZeroCountError, match=r"^sample 8: the constant term of p\(r w\) "
+                       r"e\^\(-M\) is below \(N\+1\)\^2 2\^-1022 = 2e-307 at r=1\.0 \(N = 2\)"):
+        verify_counts(rows(8.99 * tiny), gef, 1.0, [0, 2], first_index=7)
+
+
+def test_verify_counts_hands_the_rows_at_r36_to_the_oracle(gef, monkeypatch):
+    # at the `zeros` degree 3768 for r = 36 the constant terms are near
+    # 1e-281, far above (N+1)^2 2^-1022 = 3.2e-301, so `zeros --r 36
+    # --verify` still verifies; the stub stands in for the 6 s of roots
+    phi = draw_rows(Distribution.COMPLEX_GAUSSIAN, 1, 0, 2, 3769)
+    solved = []
+
+    def stacks(rows, first_index=0):
+        solved.append(np.abs(rows[:, 0]))
+        return [(np.arange(len(rows)), np.zeros((len(rows), 1)))]
+
+    monkeypatch.setattr(evaluate_zeros, "_root_stacks", stacks)
+    verify_counts(phi, gef, 36.0, [1, 1])
+    assert np.all((1e-282 < solved[0]) & (solved[0] < 1e-280))
 
 
 def test_residual_failure_names_the_sample():

@@ -207,10 +207,11 @@ def test_forced_zero_rotation_invariance_ks():
 
 
 def test_forced_zero_rotated_record_frozen():
-    # two chunks (64 + 6 rows) cover the all-ones row 0 and whole rotated
-    # blocks; frozen values of rows built and rotated one at a time, from
-    # companion-matrix eigenvalues, with a tolerance only for the last bits
-    # in which the Aberth roots differ from those
+    # two jobs of 35 rows (at most 64 each, nearly equal) cover the all-ones
+    # row 0 and whole rotated blocks; frozen values of rows built and
+    # rotated one at a time, from companion-matrix eigenvalues, with a
+    # tolerance only for the last bits in which the Aberth roots differ
+    # from those
     rec = forced_zero_experiment(Distribution.STEINHAUS, 70, 80, 22, rotate=0.7)
     assert rec == pytest.approx({
         "dist": "steinhaus", "samples": 70, "degree": 80, "seed": 22,

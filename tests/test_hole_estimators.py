@@ -39,7 +39,8 @@ from holelab.hole_estimators import (
 def _conditioned_rows(r, seed, start, stop, degree=None):
     """Conditioned draws of samples start..stop-1, shape (stop - start, degree + 1)."""
     degree = conditioned_degree(r) if degree is None else degree
-    return sampling.polar_rows(_row_law(r, degree, True), seed, start, stop, degree + 1).rows()
+    keys = sampling.sample_seeds(seed, start, stop)
+    return sampling.polar_keyed(_row_law(r, degree, True), keys, degree + 1).rows()
 
 
 # frozen mpmath oracle values of the exact confinement log-probability

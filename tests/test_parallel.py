@@ -13,11 +13,20 @@ from holelab._parallel import _keep_freed_memory, run_chunked, sample_ranges
     (7, 3, [range(0, 3), range(3, 6), range(6, 7)]),
     (5, 8, [range(0, 5)]),
     (1, 4, [range(0, 1)]),
+    # where fixed-size ranges of `rows` would differ (64 + 36; 64 + 64 + 2)
+    (100, 64, [range(0, 50), range(50, 100)]),
+    (130, 64, [range(0, 44), range(44, 88), range(88, 130)]),
 ])
 def test_sample_ranges_cover_every_index_once(samples, rows, expected):
-    ranges = sample_ranges(samples, rows)
+    ranges = sample_ranges(range(samples), rows)
     assert ranges == expected
     assert [i for part in ranges for i in part] == list(range(samples))
+
+
+def test_sample_ranges_of_a_range_keep_its_indices():
+    # a job's blocks: the same rule on the job's own sample indices
+    assert sample_ranges(range(1000, 1300), 135) == [range(1000, 1100), range(1100, 1200),
+                                                     range(1200, 1300)]
 
 
 def _has_mallopt() -> bool:

@@ -136,7 +136,7 @@ def _oracle_values(dist, key, count):
 
 def _uniform_rows(master_seed, start, stop, count):
     """(u_mag, u_phase) of samples start..stop-1: the identity law's moduli and phase uniforms."""
-    block = sampling.polar_rows(np.asarray, master_seed, start, stop, count)
+    block = sampling.polar_keyed(np.asarray, sample_seeds(master_seed, start, stop), count)
     return block.moduli, sampling.unit_floats(block.phase_words)
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from holelab import VolumeQuery, volume_exact, volume_mc
 from holelab import volume_geometry
-from holelab._parallel import sample_ranges
 from holelab.volume_geometry import log_integral_annotation, volume_exact_log, volume_upper_bound_log
 
 # frozen oracle values (hit-or-miss MC at 1e7 points and mpmath closed form)
@@ -100,15 +99,29 @@ def test_mc_reproducible_and_chunk_invariant():
 
 
 def _hits_one_draw_per_chunk(q, samples, seed):
-    """volume_mc's tally with each chunk's words drawn at once."""
+    """volume_mc's tally with each chunk's words drawn at once.
+
+    Chunk k holds samples k 2^18 .. (k+1) 2^18 - 1 (fewer in the last) and
+    keys its stream with (seed, k), written out here rather than taken from
+    the module, so a change to the keying shows.
+    """
     ratio = q.s * q.t ** (-q.k)
     hits = 0
-    for index, chunk in enumerate(sample_ranges(samples, volume_geometry._MC_CHUNK)):
+    for index, lo in enumerate(range(0, samples, 1 << 18)):
+        size = min(1 << 18, samples - lo)
         bits = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
-        words = bits.random_raw(len(chunk) * q.k)
-        u = ((words >> np.uint64(11)) * 2.0**-53).reshape(len(chunk), q.k)
+        words = bits.random_raw(size * q.k)
+        u = ((words >> np.uint64(11)) * 2.0**-53).reshape(size, q.k)
         hits += int(np.count_nonzero(np.prod(u, axis=1) <= ratio))
     return hits
+
+
+def test_mc_hits_of_four_keyed_chunks_are_frozen():
+    # 10^6 samples: three full 2^18-sample chunks and one of 213 568, whose
+    # streams are keyed by (seed, chunk index); the record of `volume --k 2
+    # --t 2 --s 1 --mc-samples 1000000 --seed 3`
+    q = VolumeQuery(2, 2.0, 1.0)
+    assert volume_mc(q, 10**6, 3).hits == _hits_one_draw_per_chunk(q, 10**6, 3) == 596356
 
 
 @pytest.mark.parametrize("block", [1000, 12345, 1 << 20])
