@@ -101,16 +101,16 @@ cross-verify each other:
     moving after a fixed number of sweeps and a row in which two
     approximations coincide to a few ulps (one root found twice, so
     another is missed).  Every root's residual, by Horner on its own
-    route, is then checked against the max of |p| on its own circle, from
-    one 64-point FFT per root, and a failing root is refused too.  The
-    check proves only that each returned z is a root of a polynomial
-    close to p in that sense; it cannot place an ill-conditioned root
-    within its neighbourhood, which is why a count stands only when the
-    roots and the kernel agree.  The oracle forms its rows one way, in log scale
-    (`_peak_scaled`): p(r w) e^(-M) for `verify_counts`, which counts the
-    roots with |w| < 1, p(z) e^(-M) for `min_zero_moduli` and
-    `roots_truncated`, and c_n |z*|^n e^(-s) for each root's circle
-    maximum.
+    route, is then checked against p's largest term |c_n| |z*|^n, at most
+    max |p| on its circle (Cauchy), so stricter than that max; residuals
+    stay below 1.1e-12 of it on the rows the tests sample.  A failing root
+    is refused too.  The check proves only that each returned z is a root
+    of a polynomial close to p in that sense; it cannot place an
+    ill-conditioned root within its neighbourhood, which is why a count
+    stands only when the roots and the kernel agree.  The oracle forms its
+    rows one way, in log scale (`_disk_rows`): p(r w) e^(-M) for
+    `verify_counts`, which counts the roots with |w| < 1, and p(z) e^(-M)
+    for `min_zero_moduli` and `roots_truncated`.
 
 Each route checks its rows once: a row that is all zero or holds a NaN or
 inf raises ValueError naming its sample, in `_unit_circle_scale` before it
@@ -142,7 +142,6 @@ _ROUNDING_REL = 1e-15  # rounding bound per log2(points), times sum (1+n)|d_n|
 _STRIP_REL = 1e-300  # trailing coefficients below this times max|c| are dropped
 _MAX_LOG_RATIO = 745.0  # t_n - M of a nonzero entry is at most -log(2^-1074) = 744.4
 _RESIDUAL_REL = 1e-8
-_RESIDUAL_POINTS = 64  # points of the circle |z| = |z*| the residual check takes its max over
 _PAIR_ENTRIES = 2**15  # pairs per block of the Aberth sums (256 KB per float64 array, cache-sized)
 _ABERTH_SWEEPS = 200  # sweeps of the Aberth iteration before a row is refused
 _STEP_REL = 1e-15  # an approximation stops once its step is at most this times its modulus
@@ -606,40 +605,25 @@ def _stripped_lengths(rows: np.ndarray, first_index: int = 0) -> np.ndarray:
     return rows.shape[1] - np.argmax(keep[:, ::-1], axis=1)
 
 
-def _peak_scaled(c: np.ndarray, log_terms: np.ndarray, t: np.ndarray,
-                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Rows c_n e^(t_n - s) and each row's s = max_n log|c_n| + t_n (0 if not finite).
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _disk_rows(phi_rows: np.ndarray, model: CoefficientModel, r: float) -> np.ndarray:
+    """Coefficients of p(r w) e^(-M), M the row's largest log(|phi_n| a_n r^n) (0 if not finite).
 
-    n runs along the last axis.  log_terms holds log|c_n| + t_n and is
-    overwritten with h, so the scaling makes no temporary of that size; c
-    and t broadcast against it (one row of t shared by all rows, or one
-    per row).  Entry n is (c_n h_n) h_n with h_n =
-    exp((t_n - s)/2), the exponent clipped at 745: no e^(t_n) is formed on
+    With t_n = log a_n + n log r, entry n is (phi_n h_n) h_n with h_n =
+    exp((t_n - M)/2), the exponent clipped at 745: no e^(t_n) is formed on
     its own, every entry has modulus at most 1, a term is lost only below
     1e-300 of the row's largest (which `roots_rows` strips anyway), a zero
-    c_n stays zero and a NaN or inf stays non-finite.  Written into `out`
-    when given.
+    phi_n stays zero and a NaN or inf stays non-finite.
     """
-    s = np.max(log_terms, axis=-1, keepdims=True)
-    s[~np.isfinite(s)] = 0.0
-    h = np.subtract(t, s, out=log_terms)
+    t = model.log_coeffs(phi_rows.shape[1] - 1) + np.arange(phi_rows.shape[1]) * math.log(r)
+    h = np.log(np.abs(phi_rows)) + t
+    M = np.max(h, axis=1, keepdims=True)
+    M[~np.isfinite(M)] = 0.0
+    np.subtract(t, M, out=h)
     np.minimum(h, _MAX_LOG_RATIO, out=h)
     h *= 0.5
     np.exp(h, out=h)
-    D = np.multiply(c, h, out=out)
-    D *= h
-    return D, s[..., 0]
-
-
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _disk_rows(phi_rows: np.ndarray, model: CoefficientModel, r: float) -> np.ndarray:
-    """Coefficients of p(r w) e^(-M), M the row's largest log(|phi_n| a_n r^n).
-
-    Entry n is phi_n a_n r^n e^(-M), formed by `_peak_scaled` with t_n =
-    log a_n + n log r.
-    """
-    t = model.log_coeffs(phi_rows.shape[1] - 1) + np.arange(phi_rows.shape[1]) * math.log(r)
-    return _peak_scaled(phi_rows, np.log(np.abs(phi_rows)) + t, t)[0]
+    return phi_rows * h * h
 
 
 def roots_rows(coeff_rows: np.ndarray, *, first_index: int = 0) -> list[np.ndarray]:
@@ -652,8 +636,8 @@ def roots_rows(coeff_rows: np.ndarray, *, first_index: int = 0) -> list[np.ndarr
     form one stack: roots at 0 for the zero constant terms, and the roots
     of the nonzero part by one Aberth-Ehrlich iteration of the whole stack
     (`_aberth_roots`).  Each residual |p(z*)| is then checked against 1e-8
-    times the max of |p| on the circle |z| = |z*| (64-point grid, a lower
-    bound for the true max, so the check only errs on the strict side).
+    times p's largest term |c_n| |z*|^n, a lower bound for max |p| on
+    |z| = |z*| (Cauchy), so the check only errs on the strict side.
     A row the iteration leaves unconverged, a row in which two
     approximations coincide, and a failing root raise RootResidualError
     naming the sample, `first_index` plus its row.  Row i of the result
@@ -733,7 +717,8 @@ def _aberth_roots(P: np.ndarray, samples) -> np.ndarray:
     RootResidualError naming its entry of `samples`.
     """
     Z = _newton_polygon_starts(P)
-    P, R = _unit_end(P), _unit_end(P[:, ::-1])
+    table = _route_table(_unit_end(P), _unit_end(P[:, ::-1]))
+    moduli = np.abs(table)
     last = np.full(Z.shape, np.inf)  # each approximation's latest step length
     moving = np.ones(Z.shape, dtype=bool)
     active = np.arange(len(P))
@@ -742,7 +727,7 @@ def _aberth_roots(P: np.ndarray, samples) -> np.ndarray:
         width = int(flags.sum(axis=1).max())
         cols = np.argsort(~flags, axis=1, kind="stable")[:, :width]  # moving ones first
         z, still, before = Z[rows, cols], moving[rows, cols], last[rows, cols]
-        step, values = _aberth_steps(P[active], R[active], Z[active], cols)
+        step, values = _aberth_steps(table, moduli, active, Z[active], cols)
         step[~still] = 0
         Z[rows, cols] = z - step
         length = np.abs(step)
@@ -750,7 +735,6 @@ def _aberth_roots(P: np.ndarray, samples) -> np.ndarray:
         stalled = length > 0.5 * before  # a stopped approximation took no step
         if stalled.any():
             stalled[stalled] = values.at_rounding_level(stalled)
-        del values  # its table and values go before the next sweep builds its own
         still &= ~(stalled | (length <= _STEP_REL * np.abs(z)))  # a non-finite step never stops
         moving[rows, cols] = still
         active = active[still.any(axis=1)]
@@ -855,12 +839,12 @@ def _gathered_horner(table: np.ndarray, pick: np.ndarray, x: np.ndarray,
 
 
 class _Values(NamedTuple):
-    """The Horner values v at the points w of one sweep, and the table they came from.
+    """The Horner values v at the points w of one sweep, and the moduli of their coefficients.
 
-    Entry (i, k) ran Horner's rule on coefficients table[:, pick[i, k]].
+    Entry (i, k) ran Horner's rule on coefficients of moduli moduli[:, pick[i, k]].
     """
 
-    table: np.ndarray
+    moduli: np.ndarray
     pick: np.ndarray
     w: np.ndarray
     v: np.ndarray
@@ -871,41 +855,40 @@ class _Values(NamedTuple):
         The bound is summed by Horner's rule on the moduli, in the order
         the values were, only for the selected entries.
         """
-        bound, _ = _gathered_horner(np.abs(self.table), self.pick[which], np.abs(self.w[which]))
+        bound, _ = _gathered_horner(self.moduli, self.pick[which], np.abs(self.w[which]))
         return np.abs(self.v[which]) <= _NOISE_ULPS * np.finfo(float).eps * bound
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _aberth_steps(P: np.ndarray, R: np.ndarray, Z: np.ndarray,
+def _aberth_steps(table: np.ndarray, moduli: np.ndarray, active: np.ndarray, Z: np.ndarray,
                   cols: np.ndarray) -> tuple[np.ndarray, _Values]:
     """Aberth steps of the approximations Z[row, cols[row, k]], and the values of p they used.
 
-    Row i of Z holds all approximations of a row, and row i of cols the
-    columns of those to step.  P holds each row's p_0..p_m and R the same
-    reversed, each scaled by `_unit_end`.  Horner runs on P in z where
-    |z| <= 1 and on R in w = 1/z elsewhere, that is on the reversed
-    polynomial q(w) = w^m p(1/w), where p'(z)/p(z) = w (m - w q'(w)/q(w)).
-    Either way |x| <= 1, so no far approximation overflows and, by the
-    scaling, no value underflows.  Coefficient k of each approximation is
-    one gather from row k of `_route_table`, at column 2 row + (|z| <= 1).
-    The step is 1 / (p'/p - sum_j 1/(z - z_j)), the sum over the whole row
-    of Z (`_pair_sums`); an approximation at which p or q vanishes exactly
-    is a root and takes none.  Horner's rule runs for the value and the derivative only; the
-    returned `_Values` tells, for the approximations the caller asks
-    about, whether the computed value is below 4 eps sum_k |c_k| |x|^k,
-    with c_k the coefficients Horner's rule ran on and x = z or w.
+    Row i of Z holds all approximations of stack row active[i], and row i
+    of cols the columns of those to step.  `table` is the stack's
+    `_route_table` of P (each row's p_0..p_m) and R (the same reversed),
+    each scaled by `_unit_end`, and `moduli` its moduli.  Horner runs on P
+    in z where |z| <= 1 and on R in w = 1/z elsewhere, that is on the
+    reversed polynomial q(w) = w^m p(1/w), where p'(z)/p(z) = w (m - w
+    q'(w)/q(w)).  Either way |x| <= 1, so no far approximation overflows
+    and, by the scaling, no value underflows.  Coefficient k is one gather
+    from row k of the table, at column 2 active[i] + (|z| <= 1).  The step
+    is 1 / (p'/p - sum_j 1/(z - z_j)), the sum over the whole row of Z
+    (`_pair_sums`); an approximation at which p or q vanishes exactly is a
+    root and takes none.  The returned `_Values` tells, for the
+    approximations the caller asks about, whether the computed value is
+    below 4 eps sum_k |c_k| |x|^k, c_k the coefficients Horner ran on.
     """
     m = Z.shape[1]
-    z = np.take_along_axis(Z, cols, 1)
+    z = Z[np.arange(len(Z))[:, None], cols]
     inner = np.abs(z) <= 1.0
     w = np.where(inner, z, 1.0 / z)
-    table = _route_table(P, R)
-    pick = 2 * np.arange(len(z))[:, None] + inner
+    pick = 2 * active[:, None] + inner
     v, dv = _gathered_horner(table, pick, w, derivative=True)
     ratio = dv / v
     step = 1.0 / (np.where(inner, ratio, w * (m - w * ratio)) - _pair_sums(Z, cols))
     step[v == 0] = 0
-    return step, _Values(table, pick, w, v)
+    return step, _Values(moduli, pick, w, v)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore")
@@ -927,11 +910,12 @@ def _pair_sums(Z: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """
     S = np.empty(cols.shape, dtype=np.complex128)
     X, Y = np.ascontiguousarray(Z.real), np.ascontiguousarray(Z.imag)
-    x, y = np.take_along_axis(X, cols, 1)[:, :, None], np.take_along_axis(Y, cols, 1)[:, :, None]
+    x, y = (part[np.arange(len(Z))[:, None], cols][:, :, None] for part in (X, Y))
     wide = not (np.max(np.abs(X)) < 2.0**510 and np.max(np.abs(Y)) < 2.0**510)
     X, Y = X[:, None, :], Y[:, None, :]
     step = max(1, _PAIR_ENTRIES // (cols.shape[1] * Z.shape[1]))
     block = np.empty((4, min(step, len(Z)), cols.shape[1], Z.shape[1]))
+    start = np.arange(0, block[0].size, Z.shape[1]).reshape(block.shape[1:3])  # flat index of (i, k, 0)
     tiny = np.finfo(float).tiny
     for lo in range(0, len(Z), step):
         k = cols[lo: lo + step]
@@ -940,7 +924,7 @@ def _pair_sums(Z: np.ndarray, cols: np.ndarray) -> np.ndarray:
         np.subtract(y[lo: lo + step], Y[lo: lo + step], out=dy)
         np.multiply(dx, dx, out=q)
         q += np.multiply(dy, dy, out=dy2)
-        np.put_along_axis(q, k[:, :, None], 1.0, 2)  # z_i with itself: 0 / 1
+        q.reshape(-1)[start[: len(k)] + k] = 1.0  # z_i with itself: 0 / 1 (q is contiguous)
         if not q.min() >= tiny or wide and q.max() == np.inf:  # rare: take those terms as 1/d
             odd = ~(q >= tiny) | (q == np.inf)
             d = dx[odd].astype(np.complex128)
@@ -978,7 +962,7 @@ def _check_distinct(Z: np.ndarray, samples) -> None:
 
 
 def _check_residuals(C: np.ndarray, roots: np.ndarray, samples=None) -> None:
-    """Raise unless every |p(z*)| is finite and below 1e-8 max|p| on |z| = |z*|.
+    """Raise unless every |p(z*)| is finite and below 1e-8 of p's largest term at |z*|.
 
     C and roots hold one row per polynomial (1-D: one polynomial).  The
     residual is Horner's, in z where |z*| <= 1 and, as in `_aberth_steps`,
@@ -986,15 +970,18 @@ def _check_residuals(C: np.ndarray, roots: np.ndarray, samples=None) -> None:
     scaled by the power of two that brings its constant term c_m into
     [1/2, 1): no power of a far root overflows and, since C is stripped
     (c_m is not zero), no value underflows.  Each root runs Horner on its
-    own route only, gathering its coefficients from `_route_table`.
-    Residual and circle maximum (`_circle_max`, one 64-point FFT per root)
-    are compared in the e^(-s) scale the circle maximum is formed in, where
-    both stay finite.  A residual or maximum that is still not finite (a
-    non-finite root) fails the check.  The error names the first failing row's entry of
-    `samples` (default: its row) and gives both in the e^(-s) scale.
+    own route only, gathering its coefficients from `_route_table`.  The
+    residual is formed in units of e^s, s the log of the largest term
+    |c_n| |z*|^n (`_log_largest_terms`), where it stays finite.  By
+    Cauchy's inequality every term is at most max |p| on |z| = |z*|, so
+    this is stricter than a check against that max.  Residuals stay below
+    1e-13 of e^s on GEF rows at r = 1 to 12, and 1.1e-12 on degree-200
+    Rademacher and Steinhaus rows.  A residual that is not finite (a
+    non-finite root) fails.  The error names the first failing row's
+    entry of `samples` (default: its row).
     """
     C, roots = np.atleast_2d(C), np.atleast_2d(roots)
-    peak, s = _circle_max(C, roots)
+    s = _log_largest_terms(C, roots)
     rho = np.abs(roots)
     far = rho > 1.0
     e = np.frexp(np.abs(C[:, -1:]))[1]  # q = 2^e times the reversed row scaled as in `_unit_end`
@@ -1005,48 +992,40 @@ def _check_residuals(C: np.ndarray, roots: np.ndarray, samples=None) -> None:
         log_v = np.log(np.abs(v))
         resid = np.exp(np.where(far, (C.shape[1] - 1) * np.log(rho) + e * math.log(2.0) + log_v,
                                 log_v) - s)
-    bad = ~np.isfinite(resid) | ~np.isfinite(peak) | (resid > _RESIDUAL_REL * peak)
+    bad = ~(resid <= _RESIDUAL_REL)  # NaN fails too
     if bad.any():
         row, i = (int(k[0]) for k in np.nonzero(bad))
         raise RootResidualError(
             f"sample {row if samples is None else samples[row]}: root {roots[row, i]!r}: "
-            f"residual {resid[row, i]:.3e} against circle max {peak[row, i]:.3e} "
-            f"in units of e^{s[row, i]:.6g} (both must be finite, ratio <= {_RESIDUAL_REL:g})")
+            f"residual {resid[row, i]:.3e} in units of e^{s[row, i]:.6g}, its largest term "
+            f"(must be finite and <= {_RESIDUAL_REL:g})")
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _circle_max(C: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(peak, s) with max |p| = peak e^s over the 64 points |z*| e^(2 pi i k / 64) of each root z*.
+@np.errstate(invalid="ignore", divide="ignore")
+def _log_largest_terms(C: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """s = max_n log|c_n| + n log|z*| for each root z* of each row (0 where not finite).
 
     Row i of C holds p's coefficients c_n and row i of roots its roots.
-    With b_n = c_n |z*|^n e^(-s) folded mod 64, B_j = sum of b_n over
-    n = j mod 64, the 64 values are p(|z*| e^(2 pi i k / 64)) e^(-s) =
-    sum_j B_j e^(2 pi i j k / 64): one 64-point FFT per root, in blocks of
-    about _BLOCK_VALUES values b_n (whole rows of roots when they fit, else
-    runs of one row's roots).  b_n and s are formed by `_peak_scaled` with
-    t_n = n log|z*| (t_0 = 0), one row of t per root and each row of C
-    broadcast over its roots, so every |b_n| <= 1 and no power |z*|^n
-    overflows on its own; a non-finite |z*| still fails.
+    The term n = 0 is log|c_0|, also at a root at 0; an s that is not
+    finite (a root at 0 where c_0 = 0, or a non-finite root) is set to 0.
+    Formed in blocks of about _BLOCK_VALUES terms (whole rows of roots
+    when they fit, else runs of one row's roots).
     """
-    width = -(-C.shape[1] // _RESIDUAL_POINTS) * _RESIDUAL_POINTS
     n = np.arange(C.shape[1])
     log_c = np.log(np.abs(C))[:, None, :]
     log_rho = np.log(np.abs(roots))[:, :, None]
-    peak, scale = np.empty(roots.shape), np.empty(roots.shape)
-    per_row = max(1, min(roots.shape[1], _BLOCK_VALUES // width))  # roots of one row per block
-    step = max(1, _BLOCK_VALUES // (width * per_row))  # rows per block
+    s = np.empty(roots.shape)
+    per_row = max(1, min(roots.shape[1], _BLOCK_VALUES // C.shape[1]))  # roots of one row per block
+    step = max(1, _BLOCK_VALUES // (C.shape[1] * per_row))  # rows per block
     for lo in range(0, len(C), step):
         for k in range(0, roots.shape[1], per_row):
             at = np.s_[lo: lo + step, k: k + per_row]
             t = n * log_rho[at]
             t[..., 0] = 0.0  # rho^0 = 1, also at a root at 0
-            b = np.zeros(t.shape[:2] + (width,), dtype=np.complex128)
-            _, scale[at] = _peak_scaled(C[lo: lo + step, None, :], log_c[lo: lo + step] + t, t,
-                                        out=b[..., : C.shape[1]])
-            B = b.reshape(b.shape[:2] + (-1, _RESIDUAL_POINTS)).sum(axis=2)
-            values = np.fft.ifft(B, axis=-1, norm="forward")
-            peak[at] = np.max(np.abs(values), axis=-1)
-    return peak, scale
+            t += log_c[lo: lo + step]
+            s[at] = np.max(t, axis=-1)
+    s[~np.isfinite(s)] = 0.0
+    return s
 
 
 def min_zero_moduli(phi_rows: np.ndarray, model: CoefficientModel, *,

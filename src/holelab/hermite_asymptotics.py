@@ -70,13 +70,18 @@ def _recurrence_fill(h: np.ndarray, beta: complex, lo: int, hi: int) -> None:
     """Fill h_{lo+1}..h_hi in place from h_{lo-1} and h_lo; lo >= 1.
 
     Every step is the same floating-point operation whatever the block
-    bounds, so filling in blocks gives the same h_n bit for bit.
+    bounds, so filling in blocks gives the same h_n bit for bit.  The last
+    two values are carried as Python complex numbers.
     """
     n = np.arange(float(lo), float(hi))
     inv_sqrt = 1.0 / np.sqrt(n + 1.0)
     ratio = np.sqrt(n / (n + 1.0))
-    for i, step, carry in zip(range(lo, hi), inv_sqrt.tolist(), ratio.tolist()):
-        h[i + 1] = beta * h[i] * step + h[i - 1] * carry
+    prev, cur = complex(h[lo - 1]), complex(h[lo])
+    block = []
+    for step, carry in zip(inv_sqrt.tolist(), ratio.tolist()):
+        prev, cur = cur, beta * cur * step + prev * carry
+        block.append(cur)
+    h[lo + 1: hi + 1] = block
 
 
 def log_g(series: HermiteSeries, n: int) -> complex:

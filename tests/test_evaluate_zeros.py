@@ -988,9 +988,9 @@ def test_moving_first_sweep_equals_the_full_row_sweep(gef, monkeypatch, stack):
     seen = []
     steps = evaluate_zeros._aberth_steps
 
-    def spy(P, R, Z, cols):
+    def spy(table, moduli, active, Z, cols):
         seen.append(cols.shape[1])
-        return steps(P, R, Z, cols)
+        return steps(table, moduli, active, Z, cols)
 
     monkeypatch.setattr(evaluate_zeros, "_aberth_steps", spy)
     got = evaluate_zeros._aberth_roots(P, range(len(P)))
@@ -1028,13 +1028,21 @@ def test_pair_sums_keep_the_range_of_complex_reciprocals():
 
 
 @pytest.mark.parametrize("stack", STACKS)
-def test_fft_circle_max_matches_horner(gef, stack):
+def test_largest_term_bounds_the_circle_max_and_every_residual(gef, stack):
     C = stack(gef)
     roots = np.array(roots_rows(C))
-    circle = np.abs(roots)[..., None] * np.exp(2j * np.pi * np.arange(64) / 64)
+    rho = np.abs(roots)
+    circle = rho[..., None] * np.exp(2j * np.pi * np.arange(64) / 64)
     horner = np.max(np.abs(_horner(C, circle)), axis=-1)
-    peak, s = evaluate_zeros._circle_max(C, roots)
-    np.testing.assert_allclose(peak * np.exp(s), horner, rtol=1e-12, atol=0)
+    s = evaluate_zeros._log_largest_terms(C, roots)
+    # Cauchy: every term |c_n| rho^n, so the largest, is at most max |p| on |z| = rho
+    assert np.all(np.exp(s) <= horner)
+    assert np.max(np.abs(_horner(C, roots)) / np.exp(s)) < 1e-11  # slack under 1e-8
+    # the sum of the terms bounds max |p| from above, and the check above sees it
+    with np.errstate(divide="ignore"):
+        total = np.log(np.sum(np.abs(C)[:, None, :] * rho[..., None] ** np.arange(C.shape[1]),
+                              axis=-1))
+    assert not np.all(np.exp(total) <= horner)
 
 
 def test_stacked_roots_zero_constant_terms_and_mixed_lengths(gef):
@@ -1441,34 +1449,32 @@ def test_all_ones_outer_roots_still_stop_by_the_noise_test(gef, monkeypatch):
     assert sum(stops) == noise.sum()  # each stops by the noise test where it did
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _per_root_circle_max(C, roots):
-    """The circle maximum with each root's coefficient row gathered on its own."""
-    rho = np.abs(roots).ravel()
+def test_a_root_planted_at_zero_is_refused():
+    # the term n = 0 is |c_0| at a root at 0, so a tiny c_0 cannot pass 0 off as a root
+    C, roots = np.array([[1e-9, 1.0]], complex), np.array([[0j]])
+    assert evaluate_zeros._log_largest_terms(C, roots)[0, 0] == pytest.approx(math.log(1e-9))
+    with pytest.raises(RootResidualError, match=r"^sample 0: root .*residual 1\.000e\+00"):
+        evaluate_zeros._check_residuals(C, roots)
+
+
+def _per_root_log_largest_terms(C, roots):
+    """The log of each root's largest term, with its row's coefficients gathered on their own."""
     row = np.repeat(np.arange(len(C)), roots.shape[1])
-    width = -(-C.shape[1] // 64) * 64
-    n = np.arange(C.shape[1])
-    log_c = np.log(np.abs(C))
-    peak, scale = np.empty(len(rho)), np.empty(len(rho))
-    step = max(1, 2**16 // width)
-    for lo in range(0, len(rho), step):
-        t = n * np.log(rho[lo: lo + step, None])
-        t[:, 0] = 0.0
-        block = row[lo: lo + step]
-        b = np.zeros((len(block), width), dtype=np.complex128)
-        _, scale[lo: lo + step] = evaluate_zeros._peak_scaled(C[block], log_c[block] + t, t,
-                                                              out=b[:, : C.shape[1]])
-        values = np.fft.ifft(b.reshape(len(b), -1, 64).sum(axis=1), axis=1, norm="forward")
-        peak[lo: lo + step] = np.max(np.abs(values), axis=1)
-    return peak.reshape(roots.shape), scale.reshape(roots.shape)
+    log_c = np.log(np.abs(C[row]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = log_c + np.arange(C.shape[1]) * np.log(np.abs(roots)).reshape(-1, 1)
+    t[:, 0] = log_c[:, 0]
+    s = np.max(t, axis=1)
+    s[~np.isfinite(s)] = 0.0
+    return s.reshape(roots.shape)
 
 
-@pytest.mark.parametrize("block", [None, 256])  # default blocks, then 4 roots of a row per block
+@pytest.mark.parametrize("block", [None, 256])  # default blocks, then a few roots of a row per block
 @pytest.mark.parametrize("stack", STACKS)
-def test_circle_max_equals_the_per_root_gather(gef, monkeypatch, stack, block):
+def test_largest_terms_equal_the_per_root_gather(gef, monkeypatch, stack, block):
     C = stack(gef)
     roots = np.array(roots_rows(C))
-    want = _per_root_circle_max(C, roots)
+    want = _per_root_log_largest_terms(C, roots)
     if block is not None:
         monkeypatch.setattr(evaluate_zeros, "_BLOCK_VALUES", block)
-    assert _same_bits(evaluate_zeros._circle_max(C, roots), want)
+    assert evaluate_zeros._log_largest_terms(C, roots).tobytes() == want.tobytes()

@@ -555,6 +555,38 @@ def test_hole_mc_unit_radius_regression(gef):
     assert est.ci_low <= other.ci_high and other.ci_low <= est.ci_high
 
 
+def _gef_pair_moment(r):
+    """E C(N, 2) for the GEF zeros in |z| < r, by quadrature at 30 digits.
+
+    The pair correlation of the zeros is k(|z - w|^2 / 2) / pi^2, with
+    k(t) = ((sinh^2 t + t^2) cosh t - 2 t sinh t) / sinh^3 t (Hough,
+    Krishnapur, Peres & Virag, Zeros of Gaussian Analytic Functions and
+    Determinantal Point Processes, AMS 2009).  Over pairs in the disk it
+    integrates over the distance d, weighted by 2 pi d times the area A(d)
+    where two disks of radius r at distance d overlap.
+    """
+    with mp.workdps(30):
+        def k(t):
+            return ((mp.sinh(t) ** 2 + t * t) * mp.cosh(t) - 2 * t * mp.sinh(t)) / mp.sinh(t) ** 3
+
+        def overlap(d):
+            return 2 * r * r * mp.acos(d / (2 * r)) - d / 2 * mp.sqrt(4 * r * r - d * d)
+
+        pairs = mp.quad(lambda d: k(d * d / 2) * 2 * mp.pi * d * overlap(d), [0, 2 * r])
+        return float(pairs / (2 * mp.pi ** 2))
+
+
+@pytest.mark.parametrize("r, pairs", [(0.4, 0.00101894), (0.6, 0.01138152)])
+def test_gef_hole_probability_lies_in_its_bonferroni_bracket(gef, r, pairs):
+    # Bonferroni: 1 - E N <= P(N = 0) <= 1 - E N + E C(N, 2), with E N = r^2
+    # for the GEF.  The Wilson interval of the estimate must meet the bracket;
+    # with the count radius planted 1% too large at r = 0.4 it reads
+    # [0.83528, 0.83852] and misses [0.84, 0.84102].
+    assert _gef_pair_moment(r) == pytest.approx(pairs, abs=5e-9)  # pairs to 8 decimals
+    est = hole_mc(gef, r, 200_000, 3)
+    assert est.ci_low <= 1 - r * r + pairs and 1 - r * r <= est.ci_high
+
+
 def test_omega_clause_one_empirical(gef):
     # P(|phi_0| >= 2r) = exp(-4 r^2): check the Gaussian modulus law that
     # prices the first clause, at r = 1
