@@ -492,9 +492,15 @@ def _sweep_argvs(subcommand: str, rest: list[str]) -> tuple[list[str], list[list
 
     The sweep remainder takes every token after the subcommand.  Each
     `--opt a,b` or `--opt=a,b` there sweeps over a and b.  The sweep's own
-    options are picked out as given, wherever they stand.
+    options are picked out as given, wherever they stand, and so is every
+    flag the subcommand takes without a value (`--verify`), which every
+    grid point then carries.
     """
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[subcommand]
+    switches = {opt for a in sub._actions if a.nargs == 0 for opt in a.option_strings}
     own: list[str] = []
+    fixed: list[str] = []
     flags: list[str] = []
     axes: list[list[str]] = []
     i = 0
@@ -509,6 +515,9 @@ def _sweep_argvs(subcommand: str, rest: list[str]) -> tuple[list[str], list[list
             i += width
             continue
         i += 1
+        if tok in switches:
+            fixed.append(tok)
+            continue
         if len(axes) < len(flags):  # the value of the last swept flag
             axes.append(tok.split(","))
         elif not flag.startswith("--"):
@@ -520,7 +529,7 @@ def _sweep_argvs(subcommand: str, rest: list[str]) -> tuple[list[str], list[list
     if len(axes) < len(flags):
         raise _UsageError(f"flag {flags[-1]!r} is missing a value")
     points = itertools.product(*axes)
-    return own, [[subcommand, *itertools.chain(*zip(flags, point))] for point in points]
+    return own, [[subcommand, *fixed, *itertools.chain(*zip(flags, point))] for point in points]
 
 
 def run(argv: list[str]) -> int:

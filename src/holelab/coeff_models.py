@@ -131,11 +131,6 @@ def peak_bound(model: CoefficientModel, r: float) -> float:
         return math.inf
 
 
-def log_peak_term(model: CoefficientModel, r: float) -> float:
-    """log of the largest term a_n r^n, r > 0."""
-    return float(np.max(_scan_terms(model, r)))
-
-
 def s_of_r(model: CoefficientModel, r: float) -> float:
     """The exact sum 2 * sum(t_n) over the qualifying block {n : t_n >= 0}."""
     return s_of_r_detail(model, r).value

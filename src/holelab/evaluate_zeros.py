@@ -110,7 +110,11 @@ cross-verify each other:
     stands only when the roots and the kernel agree.  The oracle forms its
     rows one way, in log scale (`_disk_rows`): p(r w) e^(-M) for
     `verify_counts`, which counts the roots with |w| < 1, and p(z) e^(-M)
-    for `min_zero_moduli` and `roots_truncated`.
+    for `min_zero_moduli` and `roots_truncated`.  `verify_counts` solves
+    only each row's band, the entries within e^60 of its largest: the
+    dropped ones sum to far less than the rounding bound rho that a
+    certified row clears on the circle, so by Rouche's theorem they move
+    no root across it, and no kept entry underflows at any r.
 
 Each route checks its rows once: a row that is all zero or holds a NaN or
 inf raises ValueError naming its sample, in `_unit_circle_scale` before it
@@ -133,7 +137,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._parallel import _BLOCK_VALUES
-from .coeff_models import CoefficientModel, log_peak_term
+from .coeff_models import CoefficientModel
 
 _FIRST_GRID = 64  # fewest points of the first grid
 _MAX_GRID_POINTS = 2**16  # whole-grid doubling stops here
@@ -148,8 +152,7 @@ _STEP_REL = 1e-15  # an approximation stops once its step is at most this times 
 _COINCIDE_ULPS = 4  # approximations closer than this many ulps of their modulus coincide
 _NOISE_ULPS = 4  # |p(z)| below this many ulps of sum |c_k| |z|^k is rounding noise
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))  # turn between neighbouring start circles
-_TINY = np.finfo(float).tiny  # 2^-1022, the least normal double
-_LOG_TINY_INV = 1022 * math.log(2.0)
+_BAND_FLOOR = math.exp(-60.0)  # the root oracle drops entries below this of a row's largest
 
 
 class ZeroCountError(ArithmeticError):
@@ -201,28 +204,21 @@ def verify_counts(phi_rows: np.ndarray, model: CoefficientModel, r: float,
     """Raise ZeroCountError unless the root oracle finds counts[i] zeros of row i in |z| < r.
 
     Rows hold phi_0..phi_N of samples first_index, first_index + 1, ...;
-    the root oracle (`_root_stacks`) solves them all, on the rows of p(r w)
-    formed by `_disk_rows`, and the zeros in |z| < r are the roots with
-    |w| < 1, counted stack by stack.  The Aberth roots share no code with
-    the winding count.  The error names the first disagreeing sample.  A
-    row of N + 1 coefficients whose constant term of p(r w) e^(-M) is
-    below (N+1)^2 2^-1022 (phi_0 nonzero) is refused by name before any
-    row is solved: above it `_unit_end`'s lift leaves every entry below
-    2^1022 / (N+1)^2, so Horner's value and derivative stay finite on the
-    closed unit disk; below it they could overflow (the iteration ran 200
-    sweeps without converging), and a zero would pass for a root at 0.
-    For GEF at the `zeros` degree that starts near r = 37.3.
+    the root oracle (`_root_stacks`) solves the rows of q(w) = p(r w) e^(-M)
+    formed by `_disk_rows`, cut to their band: entries below e^-60 of the
+    largest (1 up to rounding) are set to zero, so dropped leading terms
+    become exact roots at 0, dropped trailing ones are stripped, and no kept
+    entry underflows at any r.  The zeros in |z| < r are the roots with
+    |w| < 1.  The band cannot move a certified count: on |w| <= 1 the
+    dropped terms sum to at most (N+1) e^-60 < 2.4e-21 (N + 1 <= 2^18, as
+    on every command's rows), while a certified row's computed |q| clears
+    the rounding bound rho >= 6e-15 all round the circle, and the rounding
+    rho covers stays far below it; so q and its band have the same zeros
+    inside it (Rouche).  The Aberth roots share no code with the winding
+    count.  The error names the first disagreeing sample.
     """
     rows = _disk_rows(phi_rows, model, r)
-    size = phi_rows.shape[1]  # N + 1
-    lost = (np.abs(rows[:, 0]) < _TINY * size**2) & (phi_rows[:, 0] != 0)
-    if lost.any():
-        reach = _verify_reach(model, _LOG_TINY_INV - 2.0 * math.log(size))
-        raise ZeroCountError(
-            f"sample {first_index + int(np.flatnonzero(lost)[0])}: the constant term of p(r w) "
-            f"e^(-M) is below (N+1)^2 2^-1022 = {_TINY * size**2:.3g} at r={r!r} (N = "
-            f"{size - 1}), so the root oracle cannot scale the row; --verify reaches at most "
-            f"about r = {reach:.3g}, where the largest a_n r^n is 2^1022 / (N+1)^2")
+    rows[np.abs(rows) < _BAND_FLOOR] = 0.0
     oracle = np.zeros(len(phi_rows), dtype=np.int64)
     for idx, roots in _root_stacks(rows, first_index):
         oracle[idx] = np.count_nonzero(np.abs(roots) < 1.0, axis=1)
@@ -232,22 +228,6 @@ def verify_counts(phi_rows: np.ndarray, model: CoefficientModel, r: float,
         raise ZeroCountError(
             f"sample {first_index + i}: argument principle ({counts[i]}) disagrees "
             f"with root oracle ({oracle[i]}) at r={r!r}")
-
-
-def _verify_reach(model: CoefficientModel, log_peak: float) -> float:
-    """The r >= 1 at which the largest term a_n r^n reaches e^log_peak, to 1e-6 of itself.
-
-    Past it e^(-M) is below e^-log_peak for a row whose entries are of
-    order one, and so is the constant term of p(r w) e^(-M) unless
-    |phi_0| is large.
-    """
-    lo, hi = 1.0, 2.0
-    while log_peak_term(model, hi) < log_peak:
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if log_peak_term(model, mid) < log_peak else (lo, mid)
-    return hi
 
 
 def _unit_circle_scale(moduli: np.ndarray, r: float, log_coeffs: np.ndarray,
@@ -633,11 +613,12 @@ def roots_rows(coeff_rows: np.ndarray, *, first_index: int = 0) -> list[np.ndarr
     a row that is all zero or holds a NaN or inf raises ValueError naming
     its sample, `first_index` plus its row, before any row is solved.
     Rows of equal stripped length and equal number of zero constant terms
-    form one stack: roots at 0 for the zero constant terms, and the roots
-    of the nonzero part by one Aberth-Ehrlich iteration of the whole stack
-    (`_aberth_roots`).  Each residual |p(z*)| is then checked against 1e-8
-    times p's largest term |c_n| |z*|^n, a lower bound for max |p| on
-    |z| = |z*| (Cauchy), so the check only errs on the strict side.
+    form one stack: exact roots at 0 for the zero constant terms, and the
+    roots of the nonzero part g by one Aberth-Ehrlich iteration of the
+    whole stack (`_aberth_roots`).  Each residual |g(z*)| (z^lo g(z*) can
+    underflow) is checked against 1e-8 times g's largest term |g_n| |z*|^n,
+    a lower bound for max |g| on |z| = |z*| (Cauchy), so the check only
+    errs on the strict side.
     A row the iteration leaves unconverged, a row in which two
     approximations coincide, and a failing root raise RootResidualError
     naming the sample, `first_index` plus its row.  Row i of the result
@@ -672,10 +653,9 @@ def _root_stacks(coeff_rows: np.ndarray, first_index: int = 0) -> list[tuple[np.
         C = rows[idx, :n]
         samples = (first_index + idx).tolist()
         roots = np.zeros((len(idx), n - 1), dtype=np.complex128)
-        if n - zeros > 1:
+        if n - zeros > 1:  # roots at 0 are exact; the rest solve the nonzero part
             roots[:, : n - zeros - 1] = _aberth_roots(C[:, zeros:], samples)
-        if n > 1:
-            _check_residuals(C, roots, samples)
+            _check_residuals(C[:, zeros:], roots[:, : n - zeros - 1], samples)
         stacks.append((idx, roots))
     return stacks
 

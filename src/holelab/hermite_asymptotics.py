@@ -108,9 +108,10 @@ def saddle_point_log_approx(beta: complex, n: int) -> complex:
 
 def saddle_deviation(beta: complex, n: int, series: HermiteSeries | None = None) -> float:
     """|g_{n-1} / approximation - 1|, with both sides handled in log scale."""
+    approx = saddle_point_log_approx(beta, n)  # refuses beta = 0 before a log of g_{n-1} = 0
     if series is None:
         series = hermite_coeffs(beta, n - 1)
-    return abs(cmath.exp(log_g(series, n - 1) - saddle_point_log_approx(beta, n)) - 1.0)
+    return abs(cmath.exp(log_g(series, n - 1) - approx) - 1.0)
 
 
 def annulus_escape(beta: complex, c1: float, c2: float, nmax: int) -> int | None:

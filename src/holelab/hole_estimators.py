@@ -228,8 +228,10 @@ def sample_counts(model: CoefficientModel, r: float, degree: int, samples: int, 
     Rows are Gaussian, or conditioned on the event at r (`_row_law`); with
     `verify` the root oracle checks every count.  The jobs are the fewest
     that `_job_rows` allows, of nearly equal size (`sample_ranges`), fixed
-    by sample index.
+    by sample index.  An r that is not positive raises ValueError.
     """
+    if not r > 0:
+        raise ValueError("r must be positive")
     draw = partial(polar_keyed, _row_law(r, degree, conditioned), count=degree + 1)
     job = partial(_count_job, draw, model.log_coeffs(degree), r, tail_eps,
                   model if verify else None, seed)

@@ -8,7 +8,8 @@ the closed form
 
 which this module evaluates in log scale (log m! by `math.lgamma`, the sum
 as a log-sum-exp shifted by its largest term) so that dimensions k in the
-thousands (where the linear value overflows) remain usable.
+thousands remain usable through `volume_exact_log`; where the linear value
+overflows, `volume_exact` refuses it by name.
 """
 
 from __future__ import annotations
@@ -56,7 +57,12 @@ def volume_exact_log(q: VolumeQuery) -> float:
 
 
 def volume_exact(q: VolumeQuery) -> float:
-    return math.exp(volume_exact_log(q))
+    """V_k(t, s); OverflowError, naming the log volume and k, past the largest double."""
+    log_volume, log_max = volume_exact_log(q), math.log(np.finfo(float).max)
+    if log_volume > log_max:
+        raise OverflowError(f"the volume overflows a double: log volume {log_volume:.6g} at "
+                            f"k={q.k}, past {log_max:.6g}")
+    return math.exp(log_volume)
 
 
 def volume_upper_bound_log(q: VolumeQuery) -> float:

@@ -209,39 +209,27 @@ def test_zeros_counts_past_r34(capsys, monkeypatch):
     assert sum(drawn) == 20 * 3769 and max(drawn) <= hole_estimators._BLOCK_VALUES
 
 
-def test_zeros_verify_refuses_a_row_whose_constant_term_underflows(capsys):
-    # at r = 38 e^(-M) is subnormal: the root oracle ran 200 sweeps (1 min 41 s),
-    # warned of an overflow in exp2 and reported no convergence; now the row
-    # is refused by name, before the iteration
+@pytest.mark.parametrize("r, samples, mean_count",
+                         [("38", "2", 1439.5), ("37.5", "4", 1408.0), ("50", "2", 2501.5)],
+                         ids=["r38", "r37.5", "r50"])
+def test_zeros_verify_matches_the_unverified_record(capsys, r, samples, mean_count):
+    # past r = 37.3 the constant terms of p(r w) e^(-M) fell below (N+1)^2
+    # 2^-1022, so every row was refused by name (before that, the iteration
+    # ran 1 min 43 s and did not converge); the oracle now solves each row's
+    # band of terms within e^60 of its largest, and the record is the
+    # unverified one apart from `verified`.  At r = 50, z^lo underflows on
+    # a whole banded row, so residuals are checked on its nonzero part
+    argv = ["zeros", "--r", r, "--samples", samples, "--seed", "1", "--threads", "1"]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = run(["zeros", "--r", "38", "--samples", "2", "--verify", "--seed", "1",
-                    "--threads", "1"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == (
-        "numeric failure: sample 0: the constant term of p(r w) e^(-M) is below (N+1)^2 "
-        "2^-1022 = 3.92e-301 at r=38.0 (N = 4195), so the root oracle cannot scale the row; "
-        "--verify reaches at most about r = 37.3, where the largest a_n r^n is "
-        "2^1022 / (N+1)^2\n")
-
-
-def test_zeros_verify_refuses_a_tiny_normal_constant_term(capsys):
-    # at r = 37.5 the constant terms are 1.1e-305 to 4.1e-305, normal, so
-    # an underflow check passed them; `_unit_end` lifted the rows by about
-    # 2^1013, and the iteration ran 1 min 43 s before it failed with "did
-    # not converge in 200 sweeps".  Below (N+1)^2 2^-1022 the row is refused
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = run(["zeros", "--r", "37.5", "--samples", "4", "--verify", "--seed", "1",
-                    "--threads", "1"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == (
-        "numeric failure: sample 0: the constant term of p(r w) e^(-M) is below (N+1)^2 "
-        "2^-1022 = 3.72e-301 at r=37.5 (N = 4087), so the root oracle cannot scale the row; "
-        "--verify reaches at most about r = 37.3, where the largest a_n r^n is "
-        "2^1022 / (N+1)^2\n")
+        code, out = _capture(capsys, [*argv, "--verify"])
+    assert code == 0
+    verified = json.loads(out)["results"]
+    code, out = _capture(capsys, argv)
+    assert code == 0
+    plain = json.loads(out)["results"]
+    assert verified.pop("verified") is True and plain.pop("verified") is False
+    assert verified == plain and verified["mean_count"] == mean_count
 
 
 def test_zeros_verify_record_at_r20_is_frozen(capsys):
@@ -283,6 +271,26 @@ def test_oversized_grids_and_degrees_are_refused(capsys, argv, message):
     # --degree is refused from floor(e r^2) + 1, before the degree search
     assert run(argv) == 2
     assert capsys.readouterr().err == f"numeric failure: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["zeros", "--r", "-1", "--degree", "5", "--samples", "2"], "r must be positive"),
+    (["zeros", "--r", "0", "--degree", "5", "--samples", "2"], "r must be positive"),
+    (["volume", "--k", "3000", "--t", "2", "--s", "1"],
+     "the volume overflows a double: log volume 2079.44 at k=3000, past 709.783"),
+    (["hermite", "--n", "16", "--beta", "0"], "beta must be nonzero"),
+], ids=["zeros-r-1", "zeros-r0", "volume-k3000", "hermite-beta0"])
+def test_failures_that_had_no_name_are_refused_by_name(capsys, argv, message):
+    # zeros with --degree and r <= 0 printed "math domain error", volume at
+    # k = 3000 "math range error" (exp of a log volume past 709.78), and
+    # hermite at beta = 0 numpy's divide-by-zero warning from a log before
+    # its refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"numeric failure: {message}\n"
 
 
 @pytest.mark.parametrize("argv, r", [
@@ -523,6 +531,25 @@ def test_sweep_two_axes(capsys):
     code, out = _capture(capsys, ["sweep", "volume", "--k", "1,2", "--t", "2,3", "--s", "1"])
     assert code == 0
     assert len(out.strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("line", [["--r", "1,3", "--samples", "10", "--verify"],
+                                  ["--verify", "--r", "1,3", "--samples", "10"]],
+                         ids=["verify-last", "verify-first"])
+def test_sweep_carries_a_flag_without_a_value_to_every_point(capsys, line):
+    # `--verify` takes no value: it exited 1 with "flag '--verify' is
+    # missing a value" last on the line and "unexpected sweep token '10'"
+    # before --samples; it now holds at every grid point, unswept
+    code, out = _capture(capsys, ["sweep", "zeros", *line, "--threads", "1"])
+    assert code == 0
+    swept = [_strip_timing(json.loads(row)) for row in out.strip().splitlines()]
+    alone = []
+    for r in ("1", "3"):
+        code, out = _capture(capsys, ["zeros", "--r", r, "--samples", "10", "--verify",
+                                      "--threads", "1"])
+        assert code == 0
+        alone.append(_strip_timing(json.loads(out)))
+    assert swept == alone and all(rec["results"]["verified"] for rec in swept)
 
 
 def test_emit_to_file(tmp_path):

@@ -1120,39 +1120,62 @@ def test_verify_counts_names_the_failing_sample(gef):
         verify_counts(phi, gef, 1.0, counts, first_index=500)
 
 
-def test_verify_counts_refuses_a_constant_term_below_the_scaling_bound(gef):
-    # p(w) = c + w^2 at r = 1 (phi_2 = sqrt 2 against a_2 = 2^-1/2): the
-    # constant term of p(r w) e^(-M) is c, and at N = 2 the bound (N+1)^2
-    # 2^-1022 is 9 2^-1022.  Just above it `_unit_end` lifts the row by
-    # about 2^1018 and the roots +-i sqrt(c) are found; just below it the
-    # row is refused by name before the iteration
+def test_verify_counts_drops_a_constant_term_below_the_band_floor(gef):
+    # p(w) = c + w^2 at r = 1 (phi_2 = sqrt 2 against a_2 = 2^-1/2): c =
+    # 8.99 2^-1022 was refused by name, below (N+1)^2 2^-1022.  It lies below
+    # e^-60 of the largest term, so the oracle drops it, and the roots +-i
+    # sqrt(c), of modulus about 1e-154, count as two roots at 0.  So does
+    # the root near -c of c + w + w^2 / sqrt 2 with c = 10 2^-1022, on which
+    # the iteration overflowed: its first step was already NaN
     tiny = np.finfo(float).tiny
-
-    def rows(c):
-        return np.array([[1.0, 0.0, 1.0], [c, 0.0, math.sqrt(2.0)]], dtype=np.complex128)
-
+    rows = np.array([[1.0, 0.0, 1.0], [8.99 * tiny, 0.0, math.sqrt(2.0)],
+                     [10 * tiny, 1.0, 1.0]], dtype=np.complex128)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        verify_counts(rows(9.01 * tiny), gef, 1.0, [0, 2])
-    with pytest.raises(ZeroCountError, match=r"^sample 8: the constant term of p\(r w\) "
-                       r"e\^\(-M\) is below \(N\+1\)\^2 2\^-1022 = 2e-307 at r=1\.0 \(N = 2\)"):
-        verify_counts(rows(8.99 * tiny), gef, 1.0, [0, 2], first_index=7)
+        verify_counts(rows, gef, 1.0, [0, 2, 1])
+    with pytest.raises(ZeroCountError, match=r"^sample 8: argument principle \(1\) disagrees "
+                       r"with root oracle \(2\)"):
+        verify_counts(rows, gef, 1.0, [0, 1, 1], first_index=7)
 
 
-def test_verify_counts_hands_the_rows_at_r36_to_the_oracle(gef, monkeypatch):
-    # at the `zeros` degree 3768 for r = 36 the constant terms are near
-    # 1e-281, far above (N+1)^2 2^-1022 = 3.2e-301, so `zeros --r 36
-    # --verify` still verifies; the stub stands in for the 6 s of roots
-    phi = draw_rows(Distribution.COMPLEX_GAUSSIAN, 1, 0, 2, 3769)
+def _oracle_rows(monkeypatch, phi, model, r):
+    """The rows `verify_counts` hands to the root oracle, which a stub stands in for."""
     solved = []
 
     def stacks(rows, first_index=0):
-        solved.append(np.abs(rows[:, 0]))
-        return [(np.arange(len(rows)), np.zeros((len(rows), 1)))]
+        solved.append(rows.copy())
+        return [(np.arange(len(rows)), np.full((len(rows), 1), 2.0 + 0j))]
 
     monkeypatch.setattr(evaluate_zeros, "_root_stacks", stacks)
-    verify_counts(phi, gef, 36.0, [1, 1])
-    assert np.all((1e-282 < solved[0]) & (solved[0] < 1e-280))
+    verify_counts(phi, model, r, np.zeros(len(phi), dtype=np.int64))
+    return solved[0]
+
+
+def test_verify_counts_hands_the_band_of_the_rows_at_r36_to_the_oracle(gef, monkeypatch):
+    # at the `zeros` degree 3768 for r = 36 the constant terms of p(r w)
+    # e^(-M) are near 1e-281: the oracle keeps only zeros and entries within
+    # e^60 of the largest, 1, and each row starts with dropped terms, which
+    # become roots at 0; the stub stands in for the roots
+    phi = draw_rows(Distribution.COMPLEX_GAUSSIAN, 1, 0, 2, 3769)
+    rows = _oracle_rows(monkeypatch, phi, gef, 36.0)
+    size = np.abs(rows)
+    assert np.all((size == 0) | (size >= math.exp(-60.0)))
+    assert np.all(size[:, 0] == 0)
+    np.testing.assert_allclose(np.max(size, axis=1), 1.0, rtol=1e-12)
+    kept = size > 0
+    assert np.array_equal(rows[kept], evaluate_zeros._disk_rows(phi, gef, 36.0)[kept])
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 3.0, 6.0])
+def test_verify_counts_drops_no_entry_at_small_radii(gef, monkeypatch, r):
+    # 2000 rows at the `zeros` degree: their smallest entries lie near e^-26
+    # at r = 0.5 to e^-44 at r = 6, so the oracle solves the rows whole
+    # (GEF rows first lose entries at r = 9)
+    degree = truncation_degree(gef, r, TAIL_EPS, 1e-6 / 2000)
+    phi = draw_rows(Distribution.COMPLEX_GAUSSIAN, 1, 0, 2000, degree + 1)
+    rows = _oracle_rows(monkeypatch, phi, gef, r)
+    assert np.array_equal(rows, evaluate_zeros._disk_rows(phi, gef, r))
+    assert np.all(rows != 0)
 
 
 def test_residual_failure_names_the_sample():
