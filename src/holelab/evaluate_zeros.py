@@ -87,7 +87,8 @@ cross-verify each other:
     operations, rows of equal stripped length form one stack, and all of
     a stack's moving approximations move at once, each by
     1 / (p'/p - sum_j 1/(z - z_j)), with p'/p by Horner in z inside the
-    unit circle and in 1/z outside it, so that no value overflows.  They
+    unit circle and in 1/z outside it, so that no value overflows (where
+    p'/p itself overflows, by its limit p/p').  They
     start on the circles of each row's Newton polygon, whose vertices are
     marked for all rows at once from a table of slopes.  Each sweep puts
     the approximations still moving first in their rows and steps only as
@@ -100,14 +101,16 @@ cross-verify each other:
     its approximations have stopped.  The oracle refuses a row still
     moving after a fixed number of sweeps and a row in which two
     approximations coincide to a few ulps (one root found twice, so
-    another is missed).  Every root's residual, by Horner on its own
-    route, is then checked against p's largest term |c_n| |z*|^n, at most
-    max |p| on its circle (Cauchy), so stricter than that max; residuals
-    stay below 1.1e-12 of it on the rows the tests sample.  A failing root
-    is refused too.  The check proves only that each returned z is a root
-    of a polynomial close to p in that sense; it cannot place an
-    ill-conditioned root within its neighbourhood, which is why a count
-    stands only when the roots and the kernel agree.  The oracle forms its
+    another is missed).  Every root's residual |v|, Horner's value in the
+    route variable x (z or 1/z) on the table the iteration ran on, is
+    then divided by the largest term max |c_n| |x|^n there, with no log
+    scale: the ratio is |p(z*)| over p's largest term at |z*|, at most
+    max |p| on its circle (Cauchy), so the check is stricter than that
+    max; residuals stay below 2e-13 of it on the records' rows, and 5e-11
+    at outer roots of the all-ones row.  A failing root is refused too.  The check proves only that each
+    returned z is a root of a polynomial close to p in that sense; it
+    cannot place an ill-conditioned root within its neighbourhood, which
+    is why a count stands only when the roots and the kernel agree.  The oracle forms its
     rows one way, in log scale (`_disk_rows`): p(r w) e^(-M) for
     `verify_counts`, which counts the roots with |w| < 1, and p(z) e^(-M)
     for `min_zero_moduli` and `roots_truncated`.  `verify_counts` solves
@@ -707,7 +710,8 @@ def _aberth_roots(P: np.ndarray, samples) -> np.ndarray:
         width = int(flags.sum(axis=1).max())
         cols = np.argsort(~flags, axis=1, kind="stable")[:, :width]  # moving ones first
         z, still, before = Z[rows, cols], moving[rows, cols], last[rows, cols]
-        step, values = _aberth_steps(table, moduli, active, Z[active], cols)
+        step, values = _aberth_steps(table, moduli, active, z, Z.real[active], Z.imag[active],
+                                     cols)
         step[~still] = 0
         Z[rows, cols] = z - step
         length = np.abs(step)
@@ -839,65 +843,74 @@ class _Values(NamedTuple):
         return np.abs(self.v[which]) <= _NOISE_ULPS * np.finfo(float).eps * bound
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _aberth_steps(table: np.ndarray, moduli: np.ndarray, active: np.ndarray, Z: np.ndarray,
-                  cols: np.ndarray) -> tuple[np.ndarray, _Values]:
-    """Aberth steps of the approximations Z[row, cols[row, k]], and the values of p they used.
+def _route_points(z: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each point's route: whether |z| <= 1, x = z there and 1/z elsewhere, and its column.
 
-    Row i of Z holds all approximations of stack row active[i], and row i
-    of cols the columns of those to step.  `table` is the stack's
-    `_route_table` of P (each row's p_0..p_m) and R (the same reversed),
-    each scaled by `_unit_end`, and `moduli` its moduli.  Horner runs on P
-    in z where |z| <= 1 and on R in w = 1/z elsewhere, that is on the
-    reversed polynomial q(w) = w^m p(1/w), where p'(z)/p(z) = w (m - w
-    q'(w)/q(w)).  Either way |x| <= 1, so no far approximation overflows
-    and, by the scaling, no value underflows.  Coefficient k is one gather
-    from row k of the table, at column 2 active[i] + (|z| <= 1).  The step
-    is 1 / (p'/p - sum_j 1/(z - z_j)), the sum over the whole row of Z
-    (`_pair_sums`); an approximation at which p or q vanishes exactly is a
-    root and takes none.  The returned `_Values` tells, for the
-    approximations the caller asks about, whether the computed value is
-    below 4 eps sum_k |c_k| |x|^k, c_k the coefficients Horner ran on.
+    |x| <= 1 either way; z[i, k] reads column 2 rows[i] + (|z| <= 1) of `_route_table`.
     """
-    m = Z.shape[1]
-    z = Z[np.arange(len(Z))[:, None], cols]
     inner = np.abs(z) <= 1.0
-    w = np.where(inner, z, 1.0 / z)
-    pick = 2 * active[:, None] + inner
+    return inner, np.where(inner, z, 1.0 / z), 2 * rows[:, None] + inner
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _aberth_steps(table: np.ndarray, moduli: np.ndarray, active: np.ndarray, z: np.ndarray,
+                  X: np.ndarray, Y: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, _Values]:
+    """Aberth steps of the approximations z, and the values of p they used.
+
+    z[i, k] is approximation cols[i, k] of stack row active[i]; rows i of X
+    and Y hold the real and imaginary parts of all of that row's.  `table`
+    is the stack's `_route_table` of P (each row's p_0..p_m) and R (the
+    same reversed), each scaled by `_unit_end`, and `moduli` its moduli.
+    Horner runs on P in z where |z| <= 1 and on R in w = 1/z elsewhere
+    (`_route_points`), that is on q(w) = w^m p(1/w), where p'(z)/p(z) =
+    w (m - w q'(w)/q(w)).  Either way |x| <= 1, so no far approximation
+    overflows and, by the scaling, no value underflows.  The step is
+    1 / (p'/p - sum_j 1/(z - z_j)), the sum over the whole row
+    (`_pair_sums`); where p'/p overflows (on P) it is the limit p/p', and
+    an approximation at which p or q vanishes exactly is a root and takes
+    none.  The returned `_Values` tells, for the approximations the
+    caller asks about, whether the computed value is below 4 eps sum_k
+    |c_k| |x|^k, c_k the coefficients Horner ran on.
+    """
+    inner, w, pick = _route_points(z, active)
     v, dv = _gathered_horner(table, pick, w, derivative=True)
     ratio = dv / v
-    step = 1.0 / (np.where(inner, ratio, w * (m - w * ratio)) - _pair_sums(Z, cols))
+    m = X.shape[1]
+    step = 1.0 / (np.where(inner, ratio, w * (m - w * ratio)) - _pair_sums(z, X, Y, cols))
+    huge = ~np.isfinite(ratio)
+    if huge.any():
+        huge &= inner & (v != 0)
+        step[huge] = v[huge] / dv[huge]
     step[v == 0] = 0
     return step, _Values(moduli, pick, w, v)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore")
-def _pair_sums(Z: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """sum over j != i of 1/(z_i - z_j) for z_i = Z[row, cols[row, k]], in blocks of rows.
+def _pair_sums(z: np.ndarray, X: np.ndarray, Y: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum over j != i of 1/(z_i - z_j) for each z_i = z[row, k], in blocks of rows.
 
-    The sum runs over every z_j of the row in its order, so a z_i takes the
-    same sum whichever columns are asked for with it and however the rows
-    are blocked (about _PAIR_ENTRIES pairs per block, in buffers reused
-    from block to block).  The blocks read the real and imaginary parts
-    of Z, and of the chosen z_i, from contiguous planes taken once per
-    call.  Each term is conj(d)/|d|^2, d = z_i - z_j, in real arithmetic;
-    where |d|^2 leaves the normal range (|d| below about 1e-154 or above
-    about 1e154) it is the complex 1/d instead, so no term underflows or
-    overflows that would not in 1/d.  Exactly zero differences, z_i with
-    itself and any approximations that coincide, are left out.  |d|^2 can
-    only overflow when some |Re z| or |Im z| reaches 2^510 (or is not
-    finite), so only then is it checked for that.
+    z_i is approximation cols[row, k] of its row, whose z_j have real and
+    imaginary parts X[row] and Y[row].  The sum runs over every z_j in
+    order, so a z_i takes the same sum whichever columns are asked for
+    with it and however the rows are blocked (about _PAIR_ENTRIES pairs
+    per block, in buffers reused from block to block).  Each term is conj(d)/|d|^2, d = z_i - z_j, in
+    real arithmetic; where |d|^2 leaves the normal range (|d| below about
+    1e-154 or above about 1e154) it is the complex 1/d instead, so no term
+    underflows or overflows that would not in 1/d.  Exactly zero
+    differences, z_i with itself and any approximations that coincide, are
+    left out.  |d|^2 can only overflow when some |Re z| or |Im z| reaches
+    2^510 (or is not finite), so only then is it checked for that.
     """
     S = np.empty(cols.shape, dtype=np.complex128)
-    X, Y = np.ascontiguousarray(Z.real), np.ascontiguousarray(Z.imag)
-    x, y = (part[np.arange(len(Z))[:, None], cols][:, :, None] for part in (X, Y))
+    x, y = z.real[:, :, None], z.imag[:, :, None]
     wide = not (np.max(np.abs(X)) < 2.0**510 and np.max(np.abs(Y)) < 2.0**510)
+    m = X.shape[1]
     X, Y = X[:, None, :], Y[:, None, :]
-    step = max(1, _PAIR_ENTRIES // (cols.shape[1] * Z.shape[1]))
-    block = np.empty((4, min(step, len(Z)), cols.shape[1], Z.shape[1]))
-    start = np.arange(0, block[0].size, Z.shape[1]).reshape(block.shape[1:3])  # flat index of (i, k, 0)
+    step = max(1, _PAIR_ENTRIES // (cols.shape[1] * m))
+    block = np.empty((4, min(step, len(z)), cols.shape[1], m))
+    start = np.arange(0, block[0].size, m).reshape(block.shape[1:3])  # flat index of (i, k, 0)
     tiny = np.finfo(float).tiny
-    for lo in range(0, len(Z), step):
+    for lo in range(0, len(z), step):
         k = cols[lo: lo + step]
         dx, dy, q, dy2 = block[:, : len(k)]
         np.subtract(x[lo: lo + step], X[lo: lo + step], out=dx)
@@ -942,70 +955,51 @@ def _check_distinct(Z: np.ndarray, samples) -> None:
 
 
 def _check_residuals(C: np.ndarray, roots: np.ndarray, samples=None) -> None:
-    """Raise unless every |p(z*)| is finite and below 1e-8 of p's largest term at |z*|.
+    """Raise unless every residual of `_residuals` is finite and at most 1e-8.
 
-    C and roots hold one row per polynomial (1-D: one polynomial).  The
-    residual is Horner's, in z where |z*| <= 1 and, as in `_aberth_steps`,
-    elsewhere on the reversed polynomial q(w) = w^m p(1/w) in w = 1/z,
-    scaled by the power of two that brings its constant term c_m into
-    [1/2, 1): no power of a far root overflows and, since C is stripped
-    (c_m is not zero), no value underflows.  Each root runs Horner on its
-    own route only, gathering its coefficients from `_route_table`.  The
-    residual is formed in units of e^s, s the log of the largest term
-    |c_n| |z*|^n (`_log_largest_terms`), where it stays finite.  By
-    Cauchy's inequality every term is at most max |p| on |z| = |z*|, so
-    this is stricter than a check against that max.  Residuals stay below
-    1e-13 of e^s on GEF rows at r = 1 to 12, and 1.1e-12 on degree-200
-    Rademacher and Steinhaus rows.  A residual that is not finite (a
-    non-finite root) fails.  The error names the first failing row's
-    entry of `samples` (default: its row).
+    C and roots hold one row per polynomial (1-D: one polynomial).  A
+    residual that is not finite (a non-finite root) fails.  The error names
+    the first failing row's entry of `samples` (default: its row).
     """
     C, roots = np.atleast_2d(C), np.atleast_2d(roots)
-    s = _log_largest_terms(C, roots)
-    rho = np.abs(roots)
-    far = rho > 1.0
-    e = np.frexp(np.abs(C[:, -1:]))[1]  # q = 2^e times the reversed row scaled as in `_unit_end`
-    table = _route_table(C, _unit_end(C[:, ::-1]))
-    pick = 2 * np.arange(len(C))[:, None] + ~far
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v, _ = _gathered_horner(table, pick, np.where(far, 1.0 / roots, roots))
-        log_v = np.log(np.abs(v))
-        resid = np.exp(np.where(far, (C.shape[1] - 1) * np.log(rho) + e * math.log(2.0) + log_v,
-                                log_v) - s)
+    resid = _residuals(C, roots)
     bad = ~(resid <= _RESIDUAL_REL)  # NaN fails too
     if bad.any():
         row, i = (int(k[0]) for k in np.nonzero(bad))
         raise RootResidualError(
             f"sample {row if samples is None else samples[row]}: root {roots[row, i]!r}: "
-            f"residual {resid[row, i]:.3e} in units of e^{s[row, i]:.6g}, its largest term "
+            f"residual {resid[row, i]:.3e} of its largest term on its route "
             f"(must be finite and <= {_RESIDUAL_REL:g})")
 
 
-@np.errstate(invalid="ignore", divide="ignore")
-def _log_largest_terms(C: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """s = max_n log|c_n| + n log|z*| for each root z* of each row (0 where not finite).
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _residuals(C: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """|v| / L for each root of each row: Horner's value over the largest term, in x.
 
-    Row i of C holds p's coefficients c_n and row i of roots its roots.
-    The term n = 0 is log|c_0|, also at a root at 0; an s that is not
-    finite (a root at 0 where c_0 = 0, or a non-finite root) is set to 0.
-    Formed in blocks of about _BLOCK_VALUES terms (whole rows of roots
-    when they fit, else runs of one row's roots).
+    Row i of C holds c_0..c_m (both nonzero) and row i of roots its roots,
+    each on its route as in `_aberth_steps` (`_route_points`), on the
+    table the iteration runs on.  v is Horner's value at x and L = max_n
+    |c_n| |x|^n, by the same recurrence with a max for the sum.  The ratio
+    is the same on either route and under any power-of-two scaling: |p(z*)|
+    over p's largest term at |z*|, which by Cauchy's inequality is at most
+    max |p| on |z| = |z*|, so a check against it is the stricter.  With
+    |x| <= 1 and the route's constant term in [1/2, 1), L >= 1/2 cannot
+    underflow and is at most the largest scaled coefficient; and Horner
+    runs on exactly the values the iteration ran on, so a row on which v
+    overflows is one the iteration could not have converged on.  Residuals
+    stay below 2e-13 on GEF `zeros --verify` rows at r = 1 to 40 and on
+    degree-200 Rademacher and Steinhaus rows, but reach 5e-11 at outer
+    roots of the all-ones row, which stop by the noise test.
     """
-    n = np.arange(C.shape[1])
-    log_c = np.log(np.abs(C))[:, None, :]
-    log_rho = np.log(np.abs(roots))[:, :, None]
-    s = np.empty(roots.shape)
-    per_row = max(1, min(roots.shape[1], _BLOCK_VALUES // C.shape[1]))  # roots of one row per block
-    step = max(1, _BLOCK_VALUES // (C.shape[1] * per_row))  # rows per block
-    for lo in range(0, len(C), step):
-        for k in range(0, roots.shape[1], per_row):
-            at = np.s_[lo: lo + step, k: k + per_row]
-            t = n * log_rho[at]
-            t[..., 0] = 0.0  # rho^0 = 1, also at a root at 0
-            t += log_c[lo: lo + step]
-            s[at] = np.max(t, axis=-1)
-    s[~np.isfinite(s)] = 0.0
-    return s
+    table = _route_table(_unit_end(C), _unit_end(C[:, ::-1]))
+    _, x, pick = _route_points(roots, np.arange(len(C)))
+    v, _ = _gathered_horner(table, pick, x)
+    moduli, size = np.abs(table), np.abs(x)
+    L, c = moduli[-1].take(pick), np.empty(pick.shape)
+    for row in moduli[-2::-1]:
+        L *= size
+        np.maximum(L, row.take(pick, out=c, mode="clip"), out=L)
+    return np.abs(v) / L
 
 
 def min_zero_moduli(phi_rows: np.ndarray, model: CoefficientModel, *,

@@ -947,7 +947,7 @@ def _full_row_steps(P, R, Z):
         v = v * w + np.where(inner, P[:, k, None], R[:, k, None])
         bound = bound * size + np.where(inner, np.abs(P[:, k, None]), np.abs(R[:, k, None]))
     ratio = dv / v
-    sums = evaluate_zeros._pair_sums(Z, np.broadcast_to(np.arange(m), Z.shape))
+    sums = evaluate_zeros._pair_sums(Z, Z.real, Z.imag, np.broadcast_to(np.arange(m), Z.shape))
     step = 1.0 / (np.where(inner, ratio, w * (m - w * ratio)) - sums)
     step[v == 0] = 0
     return step, np.abs(v) <= evaluate_zeros._NOISE_ULPS * np.finfo(float).eps * bound
@@ -988,9 +988,9 @@ def test_moving_first_sweep_equals_the_full_row_sweep(gef, monkeypatch, stack):
     seen = []
     steps = evaluate_zeros._aberth_steps
 
-    def spy(table, moduli, active, Z, cols):
+    def spy(table, moduli, active, z, X, Y, cols):
         seen.append(cols.shape[1])
-        return steps(table, moduli, active, Z, cols)
+        return steps(table, moduli, active, z, X, Y, cols)
 
     monkeypatch.setattr(evaluate_zeros, "_aberth_steps", spy)
     got = evaluate_zeros._aberth_roots(P, range(len(P)))
@@ -1015,7 +1015,7 @@ def test_pair_sums_keep_the_range_of_complex_reciprocals():
         terms = np.where(d == 0, 0, 1 / d)
     want = terms.sum(axis=2)
     for cols in (np.broadcast_to(np.arange(9), Z.shape), np.array([[8, 0, 3]] * 5)):
-        got = evaluate_zeros._pair_sums(Z, cols)
+        got = evaluate_zeros._pair_sums(np.take_along_axis(Z, cols, 1), Z.real, Z.imag, cols)
         pick = np.take_along_axis(want, cols, 1)
         scale = np.take_along_axis(np.abs(terms).sum(axis=2), cols, 1)
         assert np.all(np.isfinite(got))
@@ -1034,7 +1034,7 @@ def test_largest_term_bounds_the_circle_max_and_every_residual(gef, stack):
     rho = np.abs(roots)
     circle = rho[..., None] * np.exp(2j * np.pi * np.arange(64) / 64)
     horner = np.max(np.abs(_horner(C, circle)), axis=-1)
-    s = evaluate_zeros._log_largest_terms(C, roots)
+    s = _per_root_log_largest_terms(C, roots)
     # Cauchy: every term |c_n| rho^n, so the largest, is at most max |p| on |z| = rho
     assert np.all(np.exp(s) <= horner)
     assert np.max(np.abs(_horner(C, roots)) / np.exp(s)) < 1e-11  # slack under 1e-8
@@ -1198,7 +1198,7 @@ def test_far_roots_of_a_high_degree_row_verify(gef):
     far = int(np.argmax(np.abs(roots)))
     assert abs(roots[far]) > 150.0
     roots[far] *= 1 + 1e-6  # a planted bad far root is still refused
-    with pytest.raises(RootResidualError, match=r"^sample 4: root .*in units of e\^"):
+    with pytest.raises(RootResidualError, match=r"^sample 4: root .*of its largest term on its route"):
         evaluate_zeros._check_residuals(C, roots, [4])
 
 
@@ -1475,9 +1475,23 @@ def test_all_ones_outer_roots_still_stop_by_the_noise_test(gef, monkeypatch):
 def test_a_root_planted_at_zero_is_refused():
     # the term n = 0 is |c_0| at a root at 0, so a tiny c_0 cannot pass 0 off as a root
     C, roots = np.array([[1e-9, 1.0]], complex), np.array([[0j]])
-    assert evaluate_zeros._log_largest_terms(C, roots)[0, 0] == pytest.approx(math.log(1e-9))
+    assert evaluate_zeros._residuals(C, roots)[0, 0] == 1.0  # |c_0| / L: so L = |c_0|
     with pytest.raises(RootResidualError, match=r"^sample 0: root .*residual 1\.000e\+00"):
         evaluate_zeros._check_residuals(C, roots)
+
+
+def test_a_root_where_the_log_derivative_overflows_converges():
+    # p(w) = c + w + w^2 / sqrt 2 with c = 10 2^-1022, its roots near -c and
+    # -sqrt 2: scaled by `_unit_end`, p'/p overflows at the root near -c, so
+    # the first step was NaN and the row was refused after 200 sweeps; the
+    # step is now p/p', the limit of the Aberth step, there
+    c = 10 * 2.0**-1022
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (roots,) = roots_rows(np.array([[c, 1.0, 2.0**-0.5]], dtype=np.complex128))
+    small, large = sorted(roots, key=abs)
+    assert abs(small + c) <= 1e-15 * c
+    assert abs(large + math.sqrt(2.0)) <= 1e-15 * math.sqrt(2.0)
 
 
 def _per_root_log_largest_terms(C, roots):
@@ -1492,12 +1506,62 @@ def _per_root_log_largest_terms(C, roots):
     return s.reshape(roots.shape)
 
 
-@pytest.mark.parametrize("block", [None, 256])  # default blocks, then a few roots of a row per block
-@pytest.mark.parametrize("stack", STACKS)
-def test_largest_terms_equal_the_per_root_gather(gef, monkeypatch, stack, block):
-    C = stack(gef)
-    roots = np.array(roots_rows(C))
-    want = _per_root_log_largest_terms(C, roots)
-    if block is not None:
-        monkeypatch.setattr(evaluate_zeros, "_BLOCK_VALUES", block)
-    assert evaluate_zeros._log_largest_terms(C, roots).tobytes() == want.tobytes()
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _log_scale_residuals(C, roots, far):
+    """The residuals as the check formed them in log scale: Horner in z on C
+    for roots not `far`, else in 1/z on the reversed row scaled by `_unit_end`,
+    moved back to z by that scale's exponent and m log|z*|, in units of e^s."""
+    e = np.frexp(np.abs(C[:, -1:]))[1]  # the reversed row was scaled by 2^-e
+    table = evaluate_zeros._route_table(C, evaluate_zeros._unit_end(C[:, ::-1]))
+    pick = 2 * np.arange(len(C))[:, None] + ~far
+    v, _ = evaluate_zeros._gathered_horner(table, pick, np.where(far, 1.0 / roots, roots))
+    log_v = np.log(np.abs(v))
+    log_p = np.where(far, (C.shape[1] - 1) * np.log(np.abs(roots)) + e * math.log(2.0) + log_v,
+                     log_v)
+    return np.exp(log_p - _per_root_log_largest_terms(C, roots))
+
+
+def _banded_r40_rows(gef):
+    """Four `zeros --r 40` rows cut to the band that `verify_counts` hands the oracle."""
+    degree = truncation_degree(gef, 40.0, TAIL_EPS, 1e-6 / 4)
+    rows = evaluate_zeros._disk_rows(draw_rows(Distribution.COMPLEX_GAUSSIAN, 1, 0, 4, degree + 1),
+                                     gef, 40.0)
+    rows[np.abs(rows) < evaluate_zeros._BAND_FLOOR] = 0.0
+    return rows
+
+
+def _flipped_routes(z, rows):
+    """`_route_points` with the roots z* of 0.5 < |z*| < 2 on the other route,
+    where |z*|^m stays within 2^+-512 (m roots a row), so no term overflows."""
+    size = np.abs(z)
+    flip = (0.5 < size) & (size < 2.0) & (z.shape[1] * np.abs(np.log2(size)) < 512)
+    inner = (size <= 1.0) ^ flip
+    return inner, np.where(inner, z, 1.0 / z), 2 * rows[:, None] + inner
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["own-route", "other-route"])
+@pytest.mark.parametrize("stack", [*STACKS, pytest.param(_banded_r40_rows, id="gef-r40-banded")])
+def test_residuals_equal_the_log_scale_formula(gef, monkeypatch, stack, flip):
+    # |v| / L in the route variable is |p(z*)| over p's largest term at |z*|,
+    # as the log-scale formula had it, on either route: with `flip`, roots
+    # of 0.5 < |z*| < 2 take the other route in both
+    checked = []
+    check = evaluate_zeros._check_residuals
+
+    def spy(C, roots, samples=None):
+        checked.append((C, roots))
+        check(C, roots, samples)
+
+    monkeypatch.setattr(evaluate_zeros, "_check_residuals", spy)
+    roots_rows(stack(gef))
+    route = _flipped_routes if flip else evaluate_zeros._route_points
+    monkeypatch.setattr(evaluate_zeros, "_route_points", route)
+    flips = 0
+    for C, roots in checked:
+        inner = route(roots, np.arange(len(C)))[0]
+        flips += np.count_nonzero(inner != (np.abs(roots) <= 1.0))
+        got, want = evaluate_zeros._residuals(C, roots), _log_scale_residuals(C, roots, ~inner)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert np.array_equal(got <= evaluate_zeros._RESIDUAL_REL,
+                              want <= evaluate_zeros._RESIDUAL_REL)
+    assert checked and (flips > 0) == flip

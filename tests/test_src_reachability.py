@@ -121,5 +121,5 @@ def test_the_two_counting_routes_share_no_function():
     kernel = _reached_in_module(path, "winding_counts_polar")
     oracle = _reached_in_module(path, "_root_stacks")
     assert {"_grid_turns", "_bisect", "_certified", "_Arcs"} <= kernel
-    assert {"_aberth_roots", "_check_residuals", "_log_largest_terms", "_Values"} <= oracle
+    assert {"_aberth_roots", "_check_residuals", "_route_points", "_Values"} <= oracle
     assert not kernel & oracle, f"reached by both routes: {sorted(kernel & oracle)}"
