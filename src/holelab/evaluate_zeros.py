@@ -35,35 +35,35 @@ cross-verify each other:
     Rouche's theorem, exactly the k zeros of d_k w^k inside it (Pellet's
     test in its simplest form).  The test is about moduli alone, true for
     every choice of phases, so the pass reads nothing else.  A row comes
-    as its moduli m_n = |phi_n| and, on request, its complex entries
-    (`winding_counts_polar`).  M and the factors h_n come from the moduli
-    once (`_unit_circle_scale`); the pass reads a_n = (m_n h_n) h_n, the
-    largest a_k, its index k and l1 = sum a_n from `_row_bounds`, and
-    tests a_k > (l1 - a_k) + rho + tau, rho and tau those of the first
-    grid.  Only the rows it leaves are formed, as d_n = (phi_n h_n) h_n
-    with the same h_n, and go on to the grid.  rho covers the rounding of
-    that test, in units of u = 2^-53.  The m_n need not be the moduli of
-    the entries formed: a sampler forms phi_n = (m_n cos x_n, m_n sin x_n),
-    and with cos and sin within one ulp (2u) |phi_n| = m_n (1 +- 3u);
-    `winding_counts_batch` takes m_n = |phi_n| rounded, within 2u.  a_n
-    (two rounded products) lies within 2u of m_n h_n^2, and |d_n| (two
-    products, each part rounded) within 2u of |phi_n| h_n^2, so a_n errs
-    from |d_n| by at most 7u of itself.  a_k enters both sides of the
-    test, so these errors move a_k - (l1 - a_k) by at most 7u l1.  np.sum
-    adds a row by numpy's pairwise summation (8 accumulators of at most
-    16 terms, at most 7 terms more, one addition per halving past 128
-    terms), so each term meets at most 26 + log2(N+1) roundings; where the
-    test can pass, a_k >= l1 / 2, so l1 - a_k is exact (Sterbenz); the two
-    additions add 2u.  In all the test errs by less than (35 + log2(N+1))
-    u l1, and rho = 1e-15 log2(P) S, with P >= 64 and P >= (N+1)/2 the
-    first grid's points and S >= l1, is at least 9 max(6, log2(N+1) - 1)
-    u l1, more than that for every N.  On the rows the tests sample, the
-    gap | |phi_n| - m_n | stays below 1.5u m_n and the whole error below
-    0.07 rho.  rho also covers the scaling itself: t_n = log a_n + n log r
-    is formed in double, so |d_n| errs by a factor e^|dt_n| and the row
-    by sum |d_n| (e^|dt_n| - 1) on the circle.  Against mpmath, dt_n
-    reaches 10u at r = 1, 2420u at r = 12 and 146 381u at r = 60 (degree
-    10 416), and that sum at most 3.1% of rho on the rows the tests
+    as its log-moduli log|phi_n| and, on request, its phases
+    (`winding_counts_polar`).  Each entry has one exponent, x_n =
+    log|phi_n| + t_n with t_n = log a_n + n log r, and M is the row's
+    largest (`_unit_circle_scale`); the pass reads a_n = exp(x_n - M), the
+    largest a_k (exactly 1), its index k and l1 = sum a_n from
+    `_row_bounds`, and tests a_k > (l1 - a_k) + rho + tau, rho and tau
+    those of the first grid.  Only the rows it leaves are formed, from the
+    same a_n, as d_n = a_n e^(i theta_n), and go on to the grid.  rho
+    covers the rounding of that test, in units of u = 2^-53.  A sampler
+    forms d_n = (a_n cos y_n, a_n sin y_n), and with cos and sin within
+    one ulp (2u) and each product rounded, |d_n| = a_n (1 +- 3u);
+    `winding_counts_batch` forms (a_n Re c_n / |c_n|, a_n Im c_n / |c_n|),
+    with |c_n|, the quotients and the products each rounded once, also
+    within 3u.  a_k enters both sides of the test, so these errors move
+    a_k - (l1 - a_k) by at most 3u l1.  np.sum adds a row by numpy's
+    pairwise summation (8 accumulators of at most 16 terms, at most 7
+    terms more, one addition per halving past 128 terms), so each term
+    meets at most 26 + log2(N+1) roundings; where the test can pass, a_k
+    >= l1 / 2, so l1 - a_k is exact (Sterbenz); the two additions add 2u.
+    In all the test errs by less than (31 + log2(N+1)) u l1, and rho =
+    1e-15 log2(P) S, with P >= 64 and P >= (N+1)/2 the first grid's points
+    and S >= l1, is at least 9 max(6, log2(N+1) - 1) u l1, more than that
+    for every N.  On the rows the tests sample, the gap | |d_n| - a_n |
+    stays below 1.5u a_n and the whole error below 0.07 rho.  rho also
+    covers the scaling itself: the exponent x_n - M = (1/2) log|phi_n|^2
+    + t_n - M is formed in double, so |d_n| errs by a factor e^|dx_n| and
+    the row by sum |d_n| (e^|dx_n| - 1) on the circle.  Against mpmath,
+    dx_n reaches 33u at r = 1, 2498u at r = 12 and 148 004u at r = 60
+    (degree 10 416), and that sum at most 3.1% of rho on the rows the tests
     sample.  For k = 0 the dominance test is the triangle inequality
     behind the paper's lower bound: on Omega_r, |phi_0| outweighs all the
     other terms on the whole disk, so every conditioned row at a certified
@@ -147,7 +147,7 @@ _MAX_GRID_POINTS = 2**16  # whole-grid doubling stops here
 _BISECT_LEVELS = 48  # an arc of the first grid halved this often is below the angle resolution
 _ROUNDING_REL = 1e-15  # rounding bound per log2(points), times sum (1+n)|d_n|
 _STRIP_REL = 1e-300  # trailing coefficients below this times max|c| are dropped
-_MAX_LOG_RATIO = 745.0  # t_n - M of a nonzero entry is at most -log(2^-1074) = 744.4
+_MAX_LOG_RATIO = 745.0  # `_disk_rows`: t_n - M of a nonzero entry is at most -log(2^-1074) = 744.4
 _RESIDUAL_REL = 1e-8
 _PAIR_ENTRIES = 2**15  # pairs per block of the Aberth sums (256 KB per float64 array, cache-sized)
 _ABERTH_SWEEPS = 200  # sweeps of the Aberth iteration before a row is refused
@@ -233,62 +233,61 @@ def verify_counts(phi_rows: np.ndarray, model: CoefficientModel, r: float,
             f"with root oracle ({oracle[i]}) at r={r!r}")
 
 
-def _unit_circle_scale(moduli: np.ndarray, r: float, log_coeffs: np.ndarray,
-                       first_index: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factors h_n that rescale rows so that |z| = r becomes the unit circle, M, and |d_n|.
+def _unit_circle_scale(log_moduli: np.ndarray, r: float, log_coeffs: np.ndarray,
+                       first_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The moduli |d_n| of rows rescaled so that |z| = r becomes the unit circle, and M.
 
-    `moduli` holds |phi_n| of each row.  Entry n of a row becomes d_n =
-    (phi_n h_n) h_n with h_n = exp((t_n - M)/2), t_n = log a_n + n log r
-    and M the row's largest log|phi_n| + t_n: the row then evaluates
-    p(r w) e^(-M), which winds exactly as p does along |z| = r.  No a_n or
-    r^n is ever formed in linear scale, so no term underflows or overflows
-    on its own.  The factor is split in two halves because exp(t_n - M)
-    alone overflows when the largest term is subnormal (t_n - M up to
-    744.4); |phi_n| h_n stays finite, and so does its product with h_n,
-    which is at most 1.  Past 745 the entry is zero, and the clip keeps h_n
-    finite so that it stays zero.  Returns the h_n (one row per row), M and
-    the scaled moduli (|phi_n| h_n) h_n.  M is not finite exactly when the
-    row is all zero or holds a NaN or inf; such a row raises ValueError
-    naming its sample, row i being sample first_index + i.
+    `log_moduli` holds log|phi_n| of each row and is overwritten.  Entry n
+    of a row has the exponent x_n = log|phi_n| + t_n, t_n = log a_n + n
+    log r, and becomes |d_n| = exp(x_n - M), M the row's largest x_n: the
+    row then evaluates p(r w) e^(-M), which winds exactly as p does along
+    |z| = r.  No a_n, r^n or |phi_n| is formed in linear scale, so nothing
+    underflows or overflows on its own; every |d_n| is at most 1, the
+    largest is exactly 1, and an entry more than 745 below M, or a zero
+    phi_n, is 0.  M is not finite exactly when the row is all zero or
+    holds a NaN or inf; such a row raises ValueError naming its sample,
+    row i being sample first_index + i.
     """
-    t = np.arange(moduli.shape[1]) * math.log(r) + log_coeffs
-    with np.errstate(divide="ignore"):
-        half = np.log(moduli)  # log|phi_n| + t_n, then h_n, in this one buffer
-    half += t
-    top = np.max(half, axis=1, keepdims=True)
+    x = log_moduli
+    x += np.arange(x.shape[1]) * math.log(r) + log_coeffs
+    top = np.max(x, axis=1, keepdims=True)
     bad = ~np.isfinite(top[:, 0])
     if bad.any():
         raise ValueError(f"sample {first_index + int(np.flatnonzero(bad)[0])}: "
                          f"no usable coefficients (all zero, or a NaN or inf entry)")
-    np.subtract(t, top, out=half)
-    np.minimum(half, _MAX_LOG_RATIO, out=half)
-    half *= 0.5
-    np.exp(half, out=half)
-    size = moduli * half
-    size *= half
-    return half, top[:, 0], size
+    x -= top
+    return np.exp(x, out=x), top[:, 0]
 
 
 def _row_bounds(size: np.ndarray, log_scale: np.ndarray, tail_eps: float) -> np.ndarray:
-    """Columns L, M2, S, tau, l1, top, k of rows with scaled moduli `size`.
+    """Columns L, M2, S, tau, l1, top, k of rows with scaled moduli `size`; L and M2 NaN.
 
-    L = sum n|d_n| and M2 = sum n(n-1)|d_n| bound |q'| and |q''| on the
-    closed unit disk; S = sum (1+n)|d_n| scales the rounding bound; tau is
-    the truncation tail tail_eps in the row's units, tail_eps e^(-M).  For
-    the dominant-term pass, l1 = sum |d_n| is summed on its own by np.sum
-    along the row (numpy's pairwise summation), not formed as S - L, a
-    difference of two sums; top is the largest |d_n| and k its first
-    index, exact as a float.
+    The dominant-term pass reads only these: S = sum (1+n)|d_n| scales the
+    rounding bound; tau is the truncation tail tail_eps in the row's units,
+    tail_eps e^(-M); l1 = sum |d_n| is summed on its own by np.sum along the
+    row (numpy's pairwise summation), not formed from S; top is the largest
+    |d_n| and k its first index, exact as a float.  L and M2, which only
+    the grid reads, are set by `_set_slopes` for the rows the pass leaves.
     """
-    n = np.arange(size.shape[1], dtype=np.float64)
     K = np.empty((len(size), 7))
-    K[:, :3] = size @ np.stack([n, n * (n - 1), 1 + n], axis=1)
+    K[:, :2] = np.nan
+    np.matmul(size, np.arange(1.0, size.shape[1] + 1.0), out=K[:, 2])
     np.sum(size, axis=1, out=K[:, 4])
     k = np.argmax(size, axis=1)
     K[:, 5] = size[np.arange(len(size)), k]
     K[:, 6] = k
     with np.errstate(over="ignore"):  # a row far below the tail cannot be certified
         K[:, 3] = np.exp(math.log(tail_eps) - log_scale) if tail_eps > 0 else 0.0
+    return K
+
+
+def _set_slopes(K: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """K with columns L = sum n|d_n| and M2 = sum n(n-1)|d_n| of rows `size` set; K is written.
+
+    L and M2 bound |q'| and |q''| on the closed unit disk.
+    """
+    n = np.arange(size.shape[1], dtype=np.float64)
+    K[:, :2] = size @ np.stack([n, n * (n - 1)], axis=1)
     return K
 
 
@@ -494,38 +493,62 @@ def winding_counts_batch(coeff_rows: np.ndarray, r: float, *,
     Row i holds c_n = phi_n a_n, or phi_n alone when `log_coeffs` gives
     log(a_n) (then no a_n is formed in linear scale, where it underflows);
     without it, zeros are passed, which change no bit of t_n that the
-    scaling reads.  The rows' moduli |c_n| go to `winding_counts_polar`,
-    and the rows it forms for its grid are copies of the caller's rows,
-    which it never writes.  The other arguments and the errors are those
-    of `winding_counts_polar`.
+    scaling reads.  The rows go to `winding_counts_polar` as log|c_n| and
+    their unit phases (`polar_parts`), and are never written.  The other
+    arguments and the errors are those of `winding_counts_polar`.
     """
     rows = np.asarray(coeff_rows, dtype=np.complex128)
     if log_coeffs is None:
         log_coeffs = np.zeros(rows.shape[1])
-    return winding_counts_polar(np.abs(rows), rows.__getitem__, r, log_coeffs=log_coeffs,
+    return winding_counts_polar(*polar_parts(rows), r, log_coeffs=log_coeffs,
                                 tail_eps=tail_eps, first_index=first_index)
 
 
-def winding_counts_polar(moduli: np.ndarray, form_rows, r: float, *, log_coeffs: np.ndarray,
+def polar_parts(rows: np.ndarray):
+    """log|c_n| of complex rows and the `form_rows` of `winding_counts_polar` for them.
+
+    form_rows(idx, moduli) returns the unit phases c_n / |c_n| of rows idx
+    (0 where c_n = 0) times `moduli`, in a new array.  Neither |c_n|^2 nor
+    any product of entries is formed, so subnormal and huge entries stay
+    finite; the rows are never written.
+    """
+    size = np.abs(rows)
+    with np.errstate(divide="ignore"):
+        log_moduli = np.log(size)
+
+    def form_rows(idx, moduli):
+        c, a = rows[idx], size[idx]
+        D = np.zeros(a.shape, dtype=np.complex128)
+        for part, out in ((c.real, D.real), (c.imag, D.imag)):  # real planes: no complex divide
+            np.divide(part, a, out=out, where=a > 0)
+            out *= moduli
+        return D
+
+    return log_moduli, form_rows
+
+
+def winding_counts_polar(log_moduli: np.ndarray, form_rows, r: float, *, log_coeffs: np.ndarray,
                          tail_eps: float = 0.0, first_index: int = 0) -> np.ndarray:
     """Certified winding numbers along |z| = r of rows given in polar form.
 
-    moduli[i] holds |phi_n| of row i and log_coeffs holds log a_n (zeros
-    for rows of c_n themselves); form_rows(idx) returns a new complex
-    array of the rows idx, which the kernel scales in place.  Every row's
-    scale M and factors h_n come from its moduli (`_unit_circle_scale`),
-    and the dominant-term pass (`_dominant_terms`) reads only the scaled
-    moduli, so a row it counts is never formed.  The rows it leaves are
-    formed, scaled by the same h_n, and certified arc by arc, as the
-    module docstring states, with tau = tail_eps e^(-M): a bound on the
-    truncation tail |f - p| on |z| = r makes the count one of f.  Row i
+    log_moduli[i] holds log|phi_n| of row i, which the kernel overwrites,
+    and log_coeffs holds log a_n (zeros for rows of c_n themselves);
+    form_rows(idx, moduli) returns a new complex array of the rows idx
+    with the given moduli and those rows' phases.  Every row's scale M and
+    scaled moduli |d_n| come from its log-moduli, one exponent per entry
+    (`_unit_circle_scale`), and the dominant-term pass (`_dominant_terms`)
+    reads only their sums, so a row it counts is never formed.  The rows
+    it leaves are formed once, at their |d_n|, given their L and M2, and
+    certified arc by arc, as the module docstring states, with tau =
+    tail_eps e^(-M): a bound on the truncation tail |f - p| on |z| = r
+    makes the count one of f.  Row i
     is sample first_index + i.  A row that is all zero or holds a NaN or
     inf raises ValueError before any is counted.  A row nothing certifies, or one that winds a negative
     number of times (impossible for an analytic function), raises
     ZeroCountError naming the first such sample: no caller gets a count
     the kernel could not certify.
     """
-    half, log_scale, size = _unit_circle_scale(moduli, r, log_coeffs, first_index)
+    size, log_scale = _unit_circle_scale(log_moduli, r, log_coeffs, first_index)
     K = _row_bounds(size, log_scale, tail_eps)
     points = _first_grid(size.shape[1])
     k = _dominant_terms(K, math.log2(points))
@@ -533,11 +556,9 @@ def winding_counts_polar(moduli: np.ndarray, form_rows, r: float, *, log_coeffs:
     uncertified = np.zeros(len(k), dtype=bool)
     left = np.flatnonzero(k < 0)
     if len(left):
-        h = half[left]
-        D = form_rows(left)
-        D *= h
-        D *= h
-        turn[left], uncertified[left] = _grid_turns(D, K[left], points)
+        moduli = size[left]
+        turn[left], uncertified[left] = _grid_turns(form_rows(left, moduli),
+                                                    _set_slopes(K[left], moduli), points)
     w_float = turn / (2.0 * np.pi)
     counts = np.rint(w_float).astype(np.int64)
     uncertified |= np.abs(w_float - counts) > 1e-3

@@ -57,13 +57,12 @@ from functools import partial
 import numpy as np
 
 from .coeff_models import CoefficientModel, ModelKind, s_asymptotic, s_of_r
-from .evaluate_zeros import ZeroCountError, verify_counts, winding_counts_polar
+from .evaluate_zeros import ZeroCountError, polar_parts, verify_counts, winding_counts_polar
 from .sampling import (
     _SEED_MASK,
     gaussian_moduli,
     polar_keyed,
     sample_seeds,
-    truncated_exp_from_uniform,
     truncation_degree,
 )
 from ._parallel import _BLOCK_VALUES, _STREAM_VALUES, run_chunked, sample_ranges
@@ -199,8 +198,11 @@ def _count_job(draw, log_coeffs: np.ndarray, r: float, tail_eps: float,
 
     The seeds of all the job's samples are hashed once, and draw gives each
     block's rows in polar form from its slice of them
-    (`sampling.polar_keyed`); with `verify`, the model, they are formed
-    once and the root oracle checks their counts.  The blocks, in sample
+    (`sampling.polar_keyed`).  The kernel reads their log-moduli, taken
+    from |phi_n|^2 with no square root, and forms only the rows its pass
+    leaves, from their phase words; with `verify`, the model, the rows are
+    formed once, the kernel reads them as complex rows (`polar_parts`) and
+    the root oracle checks their counts.  The blocks, in sample
     order, are as few as fit in _BLOCK_VALUES values, of nearly equal size
     (`sample_ranges`), each naming its first sample; the kernel counts
     each row on its own, so they change no count.
@@ -210,11 +212,14 @@ def _count_job(draw, log_coeffs: np.ndarray, r: float, tail_eps: float,
     for span in sample_ranges(samples, max(1, _BLOCK_VALUES // len(log_coeffs))):
         at = slice(span.start - samples.start, span.stop - samples.start)
         block = draw(keys[at])
-        rows = None if verify is None else block.rows()  # rows[idx] is a copy the kernel scales
-        got = winding_counts_polar(block.moduli, block.rows if rows is None else rows.__getitem__,
-                                   r, log_coeffs=log_coeffs, tail_eps=tail_eps,
-                                   first_index=span.start)
-        if rows is not None:
+        if verify is None:
+            log_moduli, form_rows = block.log_moduli(), block.phased
+        else:  # formed once: the kernel scales the oracle's rows
+            rows = block.rows()
+            log_moduli, form_rows = polar_parts(rows)
+        got = winding_counts_polar(log_moduli, form_rows, r, log_coeffs=log_coeffs,
+                                   tail_eps=tail_eps, first_index=span.start)
+        if verify is not None:
             verify_counts(rows, verify, r, got, first_index=span.start)
         counts[at] = got
     return counts
@@ -275,17 +280,19 @@ def conditioned_degree(r: float) -> int:
     return int(math.ceil(er2 + extra))
 
 
-def _conditioned_moduli(r: float, caps_sq: np.ndarray, u_mag: np.ndarray) -> np.ndarray:
-    """|phi_n| of conditioned draws from magnitude uniforms (one row or a row block).
+def _conditioned_moduli(lower: np.ndarray, neg_q: np.ndarray, u_mag: np.ndarray) -> np.ndarray:
+    """|phi_n|^2 of conditioned draws, written over their magnitude uniforms (a row or a block).
 
     |phi_0|^2 is a standard exponential conditioned to at least 4 r^2 and
-    |phi_n|^2, n >= 1, one conditioned to at most caps_sq[n - 1], both by
-    inverse CDF, written straight into the one array returned.
+    |phi_n|^2, n >= 1, one conditioned to at most its cap, both by the
+    inverse CDF of `truncated_exp_from_uniform`, lower - log1p(u (-q)), in
+    one pass over the row: lower is (4 r^2, 0, 0, ...) and -q is (-1,
+    -expm1(-cap_1), ...), which `_row_law` forms once per command.  Each
+    value has the bits of that function's.
     """
-    e_sq = np.empty(u_mag.shape)
-    truncated_exp_from_uniform(u_mag[..., 0], lower=4.0 * r * r, out=e_sq[..., 0])
-    truncated_exp_from_uniform(u_mag[..., 1:], upper=caps_sq, out=e_sq[..., 1:])
-    return np.sqrt(e_sq, out=e_sq)
+    np.multiply(u_mag, neg_q, out=u_mag)
+    np.log1p(u_mag, out=u_mag)
+    return np.subtract(lower, u_mag, out=u_mag)
 
 
 def _row_law(r: float, degree: int, conditioned: bool):
@@ -295,7 +302,12 @@ def _row_law(r: float, degree: int, conditioned: bool):
         raise ValueError(f"{name} {degree} at r={r!r}: at most {_STREAM_VALUES - 1}")
     if not conditioned:
         return gaussian_moduli
-    return partial(_conditioned_moduli, r, np.exp(_conditioned_caps_sq_log(r, degree)))
+    lower = np.zeros(degree + 1)
+    lower[0] = 4.0 * r * r
+    neg_q = np.empty(degree + 1)
+    neg_q[0] = -1.0
+    np.expm1(-np.exp(_conditioned_caps_sq_log(r, degree)), out=neg_q[1:])
+    return partial(_conditioned_moduli, lower, neg_q)
 
 
 def conditioned_draw(r: float, master_seed: int, degree: int | None = None) -> np.ndarray:

@@ -24,16 +24,19 @@ truncated to an interval without any rejection loop, which the conditioned
 hole sampler relies on.
 
 Every law is drawn in polar form, by one generator with one entry
-point: `polar_keyed` turns a uint64 key per row into the moduli of those
-rows, from their magnitude words by the law's moduli function
-(`gaussian_moduli`, ones for Steinhaus, the conditioned caps in
-`hole_estimators`), and keeps their phase words.  `PolarRows.rows` forms
-phi_n = |phi_n| e^(2 pi i u_n) for the rows asked for only, in
+point: `polar_keyed` turns a uint64 key per row into the squared moduli
+|phi_n|^2 of those rows, from their magnitude words by the law's moduli
+function (`gaussian_moduli`, ones for Steinhaus, the conditioned caps in
+`hole_estimators`), each written over the uniforms with no square root,
+and keeps their phase words.  `PolarRows.rows` forms phi_n = |phi_n|
+e^(2 pi i u_n), the root taken there, for the rows asked for only, in
 `_polar_values`, the one place phases are computed.  A Monte Carlo job
-hands the moduli to the kernel, which forms only the rows its
-dominant-term pass leaves; `draw_rows` and `draw_coeffs` form every row
-the same way, so a row has the same bits by any route.  Rademacher signs
-come from the magnitude uniforms alone, drawn under the identity law.
+hands the kernel log|phi_n| = (1/2) log|phi_n|^2, and the kernel forms
+only the rows its dominant-term pass leaves, at their scaled moduli
+(`PolarRows.phased`); `draw_rows` and `draw_coeffs` form every row by
+`rows`, so a drawn phi_n keeps the bits of sqrt(|phi_n|^2) e^(2 pi i u_n).
+Rademacher signs come from the magnitude uniforms alone, drawn under the
+identity law.
 """
 
 from __future__ import annotations
@@ -167,27 +170,39 @@ def uniform_pairs(master_seed: int, count: int) -> tuple[np.ndarray, np.ndarray]
     """Per-index uniform pairs (u_mag, u_phase), each in [0, 1), of one keyed stream."""
     key = np.array([int(master_seed) & _SEED_MASK], dtype=np.uint64)
     block = polar_keyed(np.asarray, key, count)
-    return block.moduli[0], unit_floats(block.phase_words[0])
+    return block.squares[0], unit_floats(block.phase_words[0])
 
 
 class PolarRows(NamedTuple):
-    """Rows of one law in polar form: the moduli at once, complex rows on request.
+    """Rows of one law in polar form: the squared moduli at once, complex rows on request.
 
-    moduli[k, n] is |phi_n| of row k, from its magnitude word, and
+    squares[k, n] is |phi_n|^2 of row k, the law's value of its magnitude
+    word (the magnitude uniform itself under the identity law), and
     phase_words[k, n] that row's phase word 2n+1.  `rows` forms phi_n =
-    |phi_n| e^(2 pi i u_n), u_n the phase word's uniform, for the rows
-    asked for only, so a row read through its moduli alone never pays
-    for its phases.
+    |phi_n| e^(2 pi i u_n), u_n the phase word's uniform, taking the square
+    root only for the rows asked for; `log_moduli` gives the kernel log|phi_n|
+    with no root, and `phased` the rows it forms at its scaled moduli.
     """
 
-    moduli: np.ndarray
+    squares: np.ndarray
     phase_words: np.ndarray
 
     def rows(self, which=None) -> np.ndarray:
         """Complex rows `which` (row indices; all rows when None), in a new array."""
-        moduli, words = self if which is None else (self.moduli[which], self.phase_words[which])
+        which = slice(None) if which is None else which
+        return self.phased(which, np.sqrt(self.squares[which]))
+
+    def phased(self, which, moduli: np.ndarray) -> np.ndarray:
+        """moduli times the phases e^(2 pi i u_n) of rows `which`, in a new array."""
         out = np.empty(moduli.shape, dtype=np.complex128)
-        _polar_values(moduli, unit_floats(words), out)
+        _polar_values(moduli, unit_floats(self.phase_words[which]), out)
+        return out
+
+    def log_moduli(self) -> np.ndarray:
+        """log|phi_n| = (1/2) log|phi_n|^2 of every row, in a new array (-inf for a zero)."""
+        with np.errstate(divide="ignore"):
+            out = np.log(self.squares)
+        out *= 0.5
         return out
 
 
@@ -206,7 +221,10 @@ def _polar_values(moduli: np.ndarray, u_phase: np.ndarray, out: np.ndarray) -> N
 
 
 def polar_keyed(moduli, keys: np.ndarray, count: int) -> PolarRows:
-    """Rows phi_0..phi_{count-1} of the law of `moduli`, one per key (uint64) of `keys`.
+    """Rows phi_0..phi_{count-1} of the law `moduli`, one per key (uint64) of `keys`.
+
+    moduli(u) maps the rows' magnitude uniforms, a new array it may
+    overwrite, to their |phi_n|^2 (`PolarRows.squares`).
 
     Row k reads the stream np.random.Philox(key=keys[k]).  One block: the
     caller bounds len(keys).  Monte Carlo sample i is keyed by
@@ -222,9 +240,8 @@ def polar_keyed(moduli, keys: np.ndarray, count: int) -> PolarRows:
 
 
 def gaussian_moduli(u_mag: np.ndarray) -> np.ndarray:
-    """|phi| of the unit complex Gaussian: |phi|^2 is standard exponential, by inverse CDF."""
-    e_sq = truncated_exp_from_uniform(u_mag)
-    return np.sqrt(e_sq, out=e_sq)
+    """|phi|^2 of the unit complex Gaussian, standard exponential by inverse CDF, over u_mag."""
+    return truncated_exp_from_uniform(u_mag, out=u_mag)
 
 
 # the moduli function of each law; Rademacher draws its magnitude uniforms as they are
@@ -235,7 +252,7 @@ _MODULI = {Distribution.COMPLEX_GAUSSIAN: gaussian_moduli, Distribution.STEINHAU
 def _law_values(dist: Distribution, block: PolarRows) -> np.ndarray:
     """Complex rows of a block drawn under _MODULI[dist]; Rademacher signs from its uniforms."""
     if dist is Distribution.RADEMACHER:
-        return np.where(block.moduli < 0.5, 1.0, -1.0).astype(np.complex128)
+        return np.where(block.squares < 0.5, 1.0, -1.0).astype(np.complex128)
     return block.rows()
 
 

@@ -25,22 +25,21 @@ def refuse_row(monkeypatch):
     The dominant-term pass leaves that row to the grid, and the arc
     bisection refuses it there; every other row takes its usual route.
     The row is known by its scaled row, whose largest term has modulus 1:
-    in the pass by its sums l1 and L to 1e-9, in the bisection by its
+    in the pass by its sums l1 and S to 1e-9, in the bisection by its
     entries to 1e-12.  No two samples come that close.  Forked workers
     inherit the patch.
     """
     def refuse(row, r, log_coeffs):
         t = log_coeffs + np.arange(len(row)) * math.log(r)
-        half = np.exp(0.5 * (t - np.max(np.log(np.abs(row)) + t)))
-        target = row * half * half
-        size = np.abs(target)
-        l1, L = size.sum(), size @ np.arange(len(row))
+        size = np.exp(np.log(np.abs(row)) + t - np.max(np.log(np.abs(row)) + t))
+        target = row / np.abs(row) * size
+        l1, S = size.sum(), size @ (1.0 + np.arange(len(row)))
         dominant, bisect = evaluate_zeros._dominant_terms, evaluate_zeros._bisect
 
         def leave(K, bits):
             k = dominant(K, bits)
             k[np.isclose(K[:, 4], l1, rtol=1e-9, atol=0.0)
-              & np.isclose(K[:, 0], L, rtol=1e-9, atol=0.0)] = -1
+              & np.isclose(K[:, 2], S, rtol=1e-9, atol=0.0)] = -1
             return k
 
         def bisect_refusing(D, *args):

@@ -313,12 +313,12 @@ def _spy_on_paths(monkeypatch):
                                 evaluate_zeros._bisect)
     formed = []  # the caller's indices of the rows formed, one array per call
 
-    def polar_spy(moduli, form_rows, r, **kwargs):
-        def form(idx):
+    def polar_spy(log_moduli, form_rows, r, **kwargs):
+        def form(idx, moduli):
             formed.append(idx)
-            return form_rows(idx)
+            return form_rows(idx, moduli)
 
-        return polar(moduli, form, r, **kwargs)
+        return polar(log_moduli, form, r, **kwargs)
 
     def grid_spy(D, K, idx, points, turn):
         seen["grids"].append(points)
@@ -428,7 +428,7 @@ def test_rows_the_last_grid_leaves_are_bisected(gef, monkeypatch, cap):
     block = polar_keyed(gaussian_moduli, sample_seeds(1, 0, 200), degree + 1)
 
     def counts():
-        return evaluate_zeros.winding_counts_polar(block.moduli, block.rows, 3.0,
+        return evaluate_zeros.winding_counts_polar(block.log_moduli(), block.phased, 3.0,
                                                    log_coeffs=gef.log_coeffs(degree),
                                                    tail_eps=TAIL_EPS)
 
@@ -454,7 +454,9 @@ def test_rows_the_last_grid_leaves_are_bisected(gef, monkeypatch, cap):
 
 def _dominant_rows(rows, r, log_coeffs=None, tail_eps=0.0):
     log_coeffs = np.zeros(rows.shape[1]) if log_coeffs is None else log_coeffs
-    _, log_scale, size = evaluate_zeros._unit_circle_scale(np.abs(rows), r, log_coeffs)
+    with np.errstate(divide="ignore"):
+        log_moduli = np.log(np.abs(rows))
+    size, log_scale = evaluate_zeros._unit_circle_scale(log_moduli, r, log_coeffs)
     K = evaluate_zeros._row_bounds(size, log_scale, tail_eps)
     return evaluate_zeros._dominant_terms(K, math.log2(evaluate_zeros._first_grid(size.shape[1])))
 
@@ -508,24 +510,21 @@ def test_dominant_term_pass_changes_no_count(gef, monkeypatch, case):
 
 @pytest.mark.parametrize("case", _PASS_CASES)
 def test_rho_covers_the_rounding_of_the_dominance_test(gef, case):
-    # the pass reads m_n h_n h_n, from the sampler's moduli m_n; the grid
-    # would form d_n = (phi_n h_n) h_n from the complex row.  The test
-    # |d_k| - sum_{n != k} |d_n| > rho + tau, computed from the moduli
-    # with l1 by np.sum, against the same difference of the |d_n| taken in
-    # extended precision and summed exactly: rho must cover the error.
-    # The gap | |phi_n| - m_n | / m_n is the one the module docstring
-    # bounds by 3u
+    # the pass reads a_n = exp(x_n - M), x_n = log|phi_n| + t_n, and the grid
+    # would form d_n = a_n e^(i theta_n) from the same a_n.  The test
+    # |d_k| - sum_{n != k} |d_n| > rho + tau, computed from the a_n with l1
+    # by np.sum, against the same difference of the |d_n| taken in extended
+    # precision and summed exactly: rho must cover the error.  The gap
+    # | |d_n| - a_n | / a_n is the one the module docstring bounds by 3u
     block, r, log_coeffs, _ = _pass_case(gef, case)
-    half, log_scale, size = evaluate_zeros._unit_circle_scale(block.moduli, r, log_coeffs)
+    size, log_scale = evaluate_zeros._unit_circle_scale(block.log_moduli(), r, log_coeffs)
     K = evaluate_zeros._row_bounds(size, log_scale, 0.0)
     rho = evaluate_zeros._margins(K, math.log2(evaluate_zeros._first_grid(size.shape[1])))[2]
-    rows = block.rows()
-    D = rows * half
-    D *= half
+    D = block.phased(slice(None), size)  # as the kernel forms a row the pass leaves
     u = np.finfo(float).eps / 2
-    phi = np.abs(rows.astype(np.clongdouble))
-    gap = np.abs(phi - block.moduli) / block.moduli / u
     d = np.abs(D.astype(np.clongdouble))
+    kept = size > 0
+    gap = np.abs(d[kept] - size[kept]) / size[kept] / u
     # 2 |d_k| - sum |d_n|, each |d_n| a float64 pair so that math.fsum sums
     # the extended values exactly
     hi = d.astype(np.float64)
@@ -547,11 +546,13 @@ _T_N_CASES = {"gef-r1": (1.0, "gef"), "gef-r12": (12.0, "gef"), "gef-r60": (60.0
 
 @pytest.mark.parametrize("case", _T_N_CASES)
 def test_rho_covers_the_rounding_of_t_n(gef, case):
-    # the kernel scales entry n by exp(t_n - M), with t_n = log a_n + n log r
-    # formed in double; against t_n from mpmath loggamma at 40 digits each
-    # |d_n| errs by the factor e^|dt_n|, so the computed row lies within
-    # sum |d_n| (e^|dt_n| - 1) of the exact one on the circle: rho must
-    # cover that with room to spare for the rounding it was set for
+    # the kernel scales entry n by exp(x_n - M), with the exponent x_n - M =
+    # (1/2) log|phi_n|^2 + t_n - M, t_n = log a_n + n log r, formed in
+    # double; against that exponent from mpmath at 40 digits (log a_n by
+    # loggamma, the double |phi_n|^2 and M taken as exact) each |d_n| errs by
+    # the factor e^|dx_n|, so the computed row lies within sum |d_n|
+    # (e^|dx_n| - 1) of the exact one on the circle: rho must cover that
+    # with room to spare for the rounding it was set for
     r, law = _T_N_CASES[case]
     if law == "gef":
         degree = truncation_degree(gef, r, 1e-9, 1e-9)
@@ -560,17 +561,25 @@ def test_rho_covers_the_rounding_of_t_n(gef, case):
         degree = conditioned_degree(r)
         moduli = hole_estimators._row_law(r, degree, True)
     log_coeffs = gef.log_coeffs(degree)
-    t = np.arange(degree + 1) * math.log(r) + log_coeffs  # as `_unit_circle_scale` forms it
+    block = polar_keyed(moduli, sample_seeds(7, 0, 20), degree + 1)
+    x = block.log_moduli()  # the exponent as `_unit_circle_scale` forms it
+    x += np.arange(degree + 1) * math.log(r) + log_coeffs
+    top = x.max(axis=1)
+    x -= top[:, None]
+    size, log_scale = evaluate_zeros._unit_circle_scale(block.log_moduli(), r, log_coeffs)
+    assert size.tobytes() == np.exp(x).tobytes() and log_scale.tobytes() == top.tobytes()
     with mpmath.workdps(40):
         log_r = mpmath.log(r)
-        dt = np.array([float(mpmath.mpf(float(t[n])) - (n * log_r - mpmath.loggamma(n + 1) / 2))
-                       for n in range(degree + 1)])
-    block = polar_keyed(moduli, sample_seeds(7, 0, 20), degree + 1)
-    _, log_scale, size = evaluate_zeros._unit_circle_scale(block.moduli, r, log_coeffs)
+        t = [n * log_r - mpmath.loggamma(n + 1) / 2 for n in range(degree + 1)]
+        dx = np.zeros_like(x)
+        for i, row in enumerate(block.squares):
+            for n in np.flatnonzero(row > 0):
+                exact = mpmath.log(mpmath.mpf(float(row[n]))) / 2 + t[n] - mpmath.mpf(float(top[i]))
+                dx[i, n] = float(mpmath.mpf(float(x[i, n])) - exact)
     K = evaluate_zeros._row_bounds(size, log_scale, 0.0)
     rho = evaluate_zeros._margins(K, math.log2(evaluate_zeros._first_grid(degree + 1)))[2]
-    error = size @ np.expm1(np.abs(dt))
-    print(f"degree {degree}: largest dt {np.abs(dt).max() / 2**-53:.0f} u; "
+    error = np.sum(size * np.expm1(np.abs(dx)), axis=1)
+    print(f"degree {degree}: largest dx {np.abs(dx).max() / 2**-53:.0f} u; "
           f"largest error / rho: {np.max(error / rho):.3g}")
     assert np.all(error <= rho / 2)
 
@@ -599,11 +608,12 @@ def test_rho_covers_the_rounding_of_the_kernel_values(gef, r, law):
         degree = truncation_degree(gef, r, 1e-9, 1e-9)
         moduli = gaussian_moduli if law == "gef" else np.ones_like
     block = polar_keyed(moduli, sample_seeds(1, 0, 2), degree + 1)
-    half, log_scale, _ = evaluate_zeros._unit_circle_scale(block.moduli, r,
-                                                           gef.log_coeffs(degree))
-    D = block.rows() * half * half  # as the kernel scales a formed row
+    size, log_scale = evaluate_zeros._unit_circle_scale(block.log_moduli(), r,
+                                                        gef.log_coeffs(degree))
+    D = block.phased(slice(None), size)  # as the kernel forms a row: |d_n| e^(i theta_n)
     points = evaluate_zeros._first_grid(degree + 1)
     K = evaluate_zeros._row_bounds(np.abs(D), log_scale, 0.0)
+    evaluate_zeros._set_slopes(K, np.abs(D))
     _, _, rho, rho_g, _ = evaluate_zeros._margins(K, math.log2(points))
     rng = np.random.default_rng(5)
     row = np.repeat(np.arange(len(D)), 2)
@@ -757,7 +767,7 @@ def _replaced_conditioned_moduli(r, caps_sq, u_mag):
     e_sq = np.empty(u_mag.shape)
     e_sq[..., 0] = _replaced_truncated_exp(u_mag[..., 0], lower=4.0 * r * r)
     e_sq[..., 1:] = _replaced_truncated_exp(u_mag[..., 1:], upper=caps_sq)
-    return np.sqrt(e_sq, out=e_sq)
+    return e_sq
 
 
 def _replaced_unit_circle_scale(moduli, r, log_coeffs):
@@ -771,15 +781,40 @@ def _replaced_unit_circle_scale(moduli, r, log_coeffs):
     return half, top[:, 0], size
 
 
+def _replaced_counts(moduli, form_rows, r, log_coeffs, tail_eps):
+    """The kernel's counts on rows scaled as they were, from |phi_n| and form_rows(idx) = phi.
+
+    The pass reads (m_n h_n) h_n of `_replaced_unit_circle_scale`, and the
+    rows it leaves are formed as (phi_n h_n) h_n; the pass and the grid
+    are the kernel's own.  A row either route refuses fails the test.
+    """
+    half, log_scale, size = _replaced_unit_circle_scale(moduli, r, log_coeffs)
+    K = evaluate_zeros._set_slopes(evaluate_zeros._row_bounds(size, log_scale, tail_eps), size)
+    points = evaluate_zeros._first_grid(size.shape[1])
+    k = evaluate_zeros._dominant_terms(K, math.log2(points))
+    turn = 2.0 * np.pi * k
+    refused = np.zeros(len(k), dtype=bool)
+    left = np.flatnonzero(k < 0)
+    if len(left):
+        D = form_rows(left) * half[left]
+        D *= half[left]
+        turn[left], refused[left] = evaluate_zeros._grid_turns(D, K[left], points)
+    counts = np.rint(turn / (2.0 * np.pi))
+    assert not refused.any() and np.all(np.abs(turn / (2.0 * np.pi) - counts) <= 1e-3)
+    return counts.astype(np.int64)
+
+
 @pytest.mark.parametrize("r, rows", [(1.0, 2000), (4.5, 300), (12.0, 300), (30.0, 20)],
                          ids=["gef-r1", "conditioned-r4.5", "conditioned-r12", "conditioned-r30"])
 def test_in_place_moduli_and_scaling_keep_their_bits(gef, r, rows):
-    # the moduli written in place into one buffer, M, h_n and the scaled
-    # moduli equal those of the formulas they replaced bit for bit; at r = 30
-    # the caps of the indices near the peak underflow to 0
+    # the squared moduli written in place over the uniforms equal those of
+    # the inverse CDF they replaced bit for bit, and the rows formed from
+    # them equal the draws sqrt(E) e^(2 pi i u) of the moduli they replaced;
+    # at r = 30 the caps of the indices near the peak underflow to 0.  The
+    # scaling is checked by its counts (`test_counts_equal_those_of_the_replaced_scaling`)
     if r == 1.0:
         degree = truncation_degree(gef, r, TAIL_EPS, 1e-6 / rows)
-        law, replaced = gaussian_moduli, lambda u: np.sqrt(-np.log1p(-u))
+        law, replaced = gaussian_moduli, lambda u: -np.log1p(-u)
     else:
         degree = conditioned_degree(r)
         law = hole_estimators._row_law(r, degree, True)
@@ -788,12 +823,64 @@ def test_in_place_moduli_and_scaling_keep_their_bits(gef, r, rows):
         assert (caps_sq == 0.0).any() == (r == 30.0)
     words = sampling._philox_words(sampling.sample_seeds(3, 0, rows), degree + 1)
     want = replaced(sampling.unit_floats(words[:, 0::2]))
-    got = sampling.polar_keyed(law, sampling.sample_seeds(3, 0, rows), degree + 1).moduli
-    assert got.tobytes() == want.tobytes()
+    block = sampling.polar_keyed(law, sampling.sample_seeds(3, 0, rows), degree + 1)
+    assert block.squares.tobytes() == want.tobytes()
+    angle = sampling.unit_floats(words[:, 1::2]) * (2.0 * np.pi)
+    phi = np.empty(want.shape, dtype=np.complex128)
+    phi.real, phi.imag = np.sqrt(want) * np.cos(angle), np.sqrt(want) * np.sin(angle)
+    assert block.rows().tobytes() == phi.tobytes()
+
+
+def _complex_edge_rows(gef):
+    """(rows, r, log_coeffs): the rows of the subnormal and 600-decade tests, at their radii."""
+    poly = np.array([3.0, 5.0, -26.0, 8.0])
+    tiny = np.zeros((4, 41), dtype=np.complex128)
+    tiny[0, :4] = poly * 77 * 2.0**-1074
+    tiny[1] = 1j * tiny[0]
+    tiny[2, :4] = poly
+    tiny[3, 5] = 2.0**-1074
+    degree = 10_000
+    t = gef.log_coeffs(degree) + np.arange(degree + 1) * math.log(60.0)
+    wide = np.zeros((2, degree + 1), dtype=np.complex128)
+    wide[:, 0], wide[:, -1], wide[0, int(np.argmax(t))] = 1.0, 1j, -1.0
+    return ([(tiny, r, np.zeros(41)) for r in (0.3, 1.0, 4.0)]
+            + [(wide, 60.0, gef.log_coeffs(degree))])
+
+
+# (law, r, rows): GEF rows at the `zeros` degree, seed 11; conditioned rows at
+# theirs; Steinhaus rows at the GEF degree
+_SCALING_CASES = {f"gef-r{r:g}": ("gef", r, rows) for r, rows in
+                  [(0.5, 20_000), (1.0, 5000), (2.0, 5000), (3.0, 2000), (6.0, 500),
+                   (12.0, 200), (40.0, 20), (60.0, 4)]}
+_SCALING_CASES.update({f"conditioned-r{r:g}": ("conditioned", r, rows)
+                       for r, rows in [(4.5, 2000), (12.0, 300), (30.0, 20)]})
+_SCALING_CASES["steinhaus-r1"] = ("steinhaus", 1.0, 2000)
+
+
+@pytest.mark.parametrize("case", [*_SCALING_CASES, "complex-edge-rows"])
+def test_counts_equal_those_of_the_replaced_scaling(gef, case):
+    # one exponent per entry, exp(log|phi_n| + t_n - M), and rows formed
+    # once at those moduli give every count of the replaced route: half
+    # factors h_n, (m_n h_n) h_n for the pass and (phi_n h_n) h_n for the grid
+    if case == "complex-edge-rows":
+        for rows, r, log_coeffs in _complex_edge_rows(gef):
+            got = winding_counts_batch(rows, r, log_coeffs=log_coeffs)
+            want = _replaced_counts(np.abs(rows), rows.__getitem__, r, log_coeffs, 0.0)
+            assert got.tolist() == want.tolist()
+        return
+    law, r, rows = _SCALING_CASES[case]
+    if law == "conditioned":
+        degree = conditioned_degree(r)
+        moduli = hole_estimators._row_law(r, degree, True)
+    else:
+        degree = truncation_degree(gef, r, TAIL_EPS, 1e-9)
+        moduli = gaussian_moduli if law == "gef" else np.ones_like
     log_coeffs = gef.log_coeffs(degree)
-    for new, old in zip(evaluate_zeros._unit_circle_scale(got, r, log_coeffs),
-                        _replaced_unit_circle_scale(want, r, log_coeffs)):
-        assert new.tobytes() == old.tobytes()
+    block = polar_keyed(moduli, sample_seeds(11, 0, rows), degree + 1)
+    got = evaluate_zeros.winding_counts_polar(block.log_moduli(), block.phased, r,
+                                              log_coeffs=log_coeffs, tail_eps=TAIL_EPS)
+    want = _replaced_counts(np.sqrt(block.squares), block.rows, r, log_coeffs, TAIL_EPS)
+    assert got.tolist() == want.tolist()
 
 
 def test_the_inverse_cdf_keeps_the_bits_of_the_replaced_formula():

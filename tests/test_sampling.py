@@ -137,7 +137,7 @@ def _oracle_values(dist, key, count):
 def _uniform_rows(master_seed, start, stop, count):
     """(u_mag, u_phase) of samples start..stop-1: the identity law's moduli and phase uniforms."""
     block = sampling.polar_keyed(np.asarray, sample_seeds(master_seed, start, stop), count)
-    return block.moduli, sampling.unit_floats(block.phase_words)
+    return block.squares, sampling.unit_floats(block.phase_words)
 
 
 def _same_bits(a, b):
