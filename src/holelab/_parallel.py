@@ -32,10 +32,11 @@ threshold (twice the largest block it has freed from `mmap`), so every
 job page-faults them in again.  Each child therefore starts with
 `_keep_freed_memory`, which raises glibc's mmap threshold to 32 MiB and
 its trim threshold to 1 GiB.  In 2-worker runs on a 2-vCPU x86-64 host
-(median over about 46 jobs after each worker's first), a 512-row
-`conditioned --r 12` job then took 0 minor faults instead of about 1 140
-(4.9 ms instead of 6.2 ms), and a 2041-row `hole --r 1` job 1 instead of
-about 1 480 (8.7 ms against 10.0 ms).  The children exit before
+(medians over 144 and 282 jobs after each worker's first, runs with and
+without it alternating), a 512-row `conditioned --r 12` job then took 1
+minor fault instead of about 1 380 (9.5 ms instead of 13.3 ms), and a
+2041-row `hole --r 1` job 3 instead of about 1 190 (13.1 ms against
+16.2 ms).  The children exit before
 `run_chunked` returns, and the memory with them; the serial path leaves
 the caller's allocator alone.  Where the C library has no `mallopt`,
 children run as before, and where there is no `os.fork`, every payload

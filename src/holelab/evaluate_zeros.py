@@ -9,20 +9,21 @@ cross-verify each other:
     through `winding_counts_polar`: every Monte Carlo job (`hole`,
     `conditioned`, `zeros`) calls it on rows in polar form, and
     `winding_counts_batch`, for the one-row functions, on complex rows.
-    Each row is rescaled to
-    q(w) = sum d_n w^n = p(r w) e^(-M) and evaluated by FFT on the unit
-    circle.  A grid point w certifies the two half arcs of length s next
-    to it when
+    Each row is rescaled to q(w) = sum d_n w^n = p(r w) e^(-M) and
+    evaluated by FFT on the unit circle.  An arc of h radians whose ends
+    have the computed values A and B is certified by its chord when
 
-        |q(w)| > min(L s, |w q'(w)| s + M2 s^2 / 2) + rho + tau,
+        Re(B conj A) > (h^2 C2 / 8 + rho + tau) max(|A|, |B|),
 
-    with L = sum n |d_n| and M2 = sum n (n-1) |d_n| bounding |q'| and |q''|
-    on the closed disk, rho the rounding bound of the computed values and
-    tau the truncation tail in the row's scaled units.  On an arc
-    certified from both ends |q| > tau, and each half turns the argument
-    by less than pi/2, so the principal angle of q(w_b) / q(w_a) is the
-    arc's exact increment.  Since the discarded tail is below tau there,
-    Rouche's theorem makes the count one of f itself, holding with the
+    with C2 = sum n^2 |d_n|, rho the rounding bound of the computed values
+    and tau the truncation tail in the row's scaled units (Ying & Katz,
+    Numer. Math. 53, 1988).  C2 bounds |d^2/dtheta^2 q(e^(i theta))| and
+    the error kernel of linear interpolation has one sign, so on the arc
+    q stays within h^2 C2 / 8 + rho of the chord from A to B, whose points
+    have modulus at least min(|A|, |B|) cos(angle(B conj A)) = Re(B conj
+    A) / max(|A|, |B|).  So |q| > tau there, and the arc's increment of
+    the argument is the principal angle of B conj A.  Since the discarded
+    tail is below tau, Rouche's theorem makes the count one of f, with the
     probability the truncation certificate gives (the caller's tail_eps;
     0 counts the polynomial).  Before any circle is evaluated, a
     dominant-term pass counts the rows in which one term outweighs all
@@ -73,15 +74,28 @@ cross-verify each other:
     takes no grid, doubling or bisection; a certified count is the same
     by either route, so no record changes.  The other rows go on to the
     first grid, with the smallest power of two >= 64 and >= (N+1)/2
-    points.  Rows with many failing arcs are evaluated again on a doubled
-    grid, up to 2^16 points; every failing arc a grid leaves is bisected,
-    with q and q' by Horner at the midpoints, one pass over the N+1
-    columns for all of a level's midpoints.  A row raises, naming its
-    sample, and is never guessed, only with more than 2^16 failing arcs at
-    a level, arcs failing after 48 halvings, or a winding that is not a
-    whole number >= 0.  On a 2-vCPU x86-64 host the kernel counts 20 GEF
-    rows at r = 40 in 0.17 s, 4 at r = 50 in 0.15 s and 2 at r = 60 in
-    0.42 s;
+    points, P = 2^b, and each arc between neighbouring points is tested on
+    its chord, from that one FFT.  Rows with many failing arcs are evaluated
+    again on a doubled grid, up to 2^16 points; every failing arc a grid
+    leaves is halved, with q by Horner at the midpoints, one pass over the
+    N+1 columns for all of a level's midpoints, and each half is tested on
+    its own chord.  A slack of 64u max(|A|, |B|) added to the margin covers
+    the test's own rounding, below 60u max(|A|, |B|)^2: 2u |A||B| in Re(B
+    conj A); 48u in C2 (a rounding per product n^2 a_n, np.sum's pairwise
+    sum as for l1, and |d_n| = a_n (1 +- 3u)); 9u more in the margin and its
+    product with max(|A|, |B|), which is below Re(B conj A) <= max(|A|,
+    |B|)^2 where the test passes.  rho covers where q is evaluated: the
+    FFT's points are exact roots of unity, and a bisection keeps arcs in
+    turns, multiples of 2^-(b+j) at level j, so a midpoint rounds (by pi
+    2^-53 < 3.2u radians) only past level 53 - b, at most b - 5 times; 2 pi
+    mid and its exp add 8u, the distance from the circle included.  As |q'|
+    <= L <= S, a value lies within (3.2 b - 8) u S of q at its nominal
+    point, plus Horner's 3.6u S or so, below rho = 1e-15 b S >= 9 b u S.  A
+    row raises, naming its sample, and is never guessed, only with more than
+    2^16 failing arcs at a level, arcs failing after 48 halvings, or a
+    winding that is not a whole number >= 0.  On a 2-vCPU x86-64 host the
+    kernel counts 20 GEF rows at r = 40 in 0.16 s, 4 at r = 50 in 0.12 s and
+    2 at r = 60 in 0.33 s;
   * a root oracle by the Aberth-Ehrlich iteration.  `roots_rows` is the
     one implementation: rows are stripped and grouped with array
     operations, rows of equal stripped length form one stack, and all of
@@ -260,46 +274,45 @@ def _unit_circle_scale(log_moduli: np.ndarray, r: float, log_coeffs: np.ndarray,
 
 
 def _row_bounds(size: np.ndarray, log_scale: np.ndarray, tail_eps: float) -> np.ndarray:
-    """Columns L, M2, S, tau, l1, top, k of rows with scaled moduli `size`; L and M2 NaN.
+    """Columns C2, S, tau, l1, top, k of rows with scaled moduli `size`; C2 NaN.
 
     The dominant-term pass reads only these: S = sum (1+n)|d_n| scales the
     rounding bound; tau is the truncation tail tail_eps in the row's units,
     tail_eps e^(-M); l1 = sum |d_n| is summed on its own by np.sum along the
     row (numpy's pairwise summation), not formed from S; top is the largest
-    |d_n| and k its first index, exact as a float.  L and M2, which only
-    the grid reads, are set by `_set_slopes` for the rows the pass leaves.
+    |d_n| and k its first index, exact as a float.  C2, which only the grid
+    reads, is set by `_set_slopes` for the rows the pass leaves.
     """
-    K = np.empty((len(size), 7))
-    K[:, :2] = np.nan
-    np.matmul(size, np.arange(1.0, size.shape[1] + 1.0), out=K[:, 2])
-    np.sum(size, axis=1, out=K[:, 4])
+    K = np.empty((len(size), 6))
+    K[:, 0] = np.nan
+    np.matmul(size, np.arange(1.0, size.shape[1] + 1.0), out=K[:, 1])
+    np.sum(size, axis=1, out=K[:, 3])
     k = np.argmax(size, axis=1)
-    K[:, 5] = size[np.arange(len(size)), k]
-    K[:, 6] = k
+    K[:, 4] = size[np.arange(len(size)), k]
+    K[:, 5] = k
     with np.errstate(over="ignore"):  # a row far below the tail cannot be certified
-        K[:, 3] = np.exp(math.log(tail_eps) - log_scale) if tail_eps > 0 else 0.0
+        K[:, 2] = np.exp(math.log(tail_eps) - log_scale) if tail_eps > 0 else 0.0
     return K
 
 
 def _set_slopes(K: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """K with columns L = sum n|d_n| and M2 = sum n(n-1)|d_n| of rows `size` set; K is written.
+    """K with column C2 = sum n^2 |d_n| of rows `size` set; K is written.
 
-    L and M2 bound |q'| and |q''| on the closed unit disk.
+    C2 bounds |d^2/dtheta^2 q(e^(i theta))| on the circle; np.sum adds it, as l1.
     """
     n = np.arange(size.shape[1], dtype=np.float64)
-    K[:, :2] = size @ np.stack([n, n * (n - 1)], axis=1)
+    np.sum(size * (n * n), axis=1, out=K[:, 0])
     return K
 
 
 def _margins(K: np.ndarray, bits) -> tuple[np.ndarray, ...]:
-    """L, M2, rho, rho_g, tau for rows with bounds K, last evaluated on 2**bits points.
+    """C2, rho, tau for rows with bounds K, last evaluated on 2**bits points.
 
-    rho bounds the rounding in computed values of q, by FFT or by Horner
-    (which errs by about 4e-16 (1+n) |d_n| per term); rho_g bounds it in
-    w q'(w), whose terms are n d_n.
+    rho bounds the error in computed values of q, by FFT or by Horner
+    (about 4e-16 (1+n) |d_n| per term) at rounded points.
     """
-    L, M2, S, tau = K.T[:4]
-    return L, M2, _ROUNDING_REL * bits * S, _ROUNDING_REL * bits * (M2 + 2 * L), tau
+    C2, S, tau = K.T[:3]
+    return C2, _ROUNDING_REL * bits * S, tau
 
 
 def _dominant_terms(K: np.ndarray, bits: float) -> np.ndarray:
@@ -310,20 +323,23 @@ def _dominant_terms(K: np.ndarray, bits: float) -> np.ndarray:
     `bits`; the module docstring gives the argument.  No other term can
     dominate, since a term that outweighs all the others is the largest.
     """
-    _, _, rho, _, tau = _margins(K, bits)
-    l1, top, k = K.T[4:]
+    _, rho, tau = _margins(K, bits)
+    l1, top, k = K.T[3:]
     return np.where(top > (l1 - top) + rho + tau, k, -1).astype(np.intp)
 
 
-def _certified(absF, absG, s, L, M2, rho, rho_g, tau) -> np.ndarray:
-    """True where |q| > tau on both arcs of length s next to a point w.
+def _chord_gap(length, C2):
+    """(2 pi length)^2 C2 / 8: how far q(e^(i theta)) strays from its chord on `length` turns."""
+    return (2.0 * math.pi * length) ** 2 * C2 / 8
 
-    absF and absG are the computed |q(w)| and |w q'(w)|.  Within arc length
-    s of w, |q - q(w)| <= L s by the mean value bound on the chord, and
-    <= |q'(w)| s + M2 s^2 / 2 by Taylor's theorem.
+
+def _certified(prod, size, length, C2, rho, tau) -> np.ndarray:
+    """True where |q| > tau on an arc of `length` turns whose ends have the values A and B.
+
+    prod is B conj(A) and size max(|A|, |B|); the module docstring gives the test.
     """
-    drift = np.minimum(L * s, (absG + rho_g) * s + 0.5 * M2 * s * s)
-    return absF > drift + rho + tau
+    margin = _chord_gap(length, C2) + rho + tau + 32 * np.finfo(float).eps * size
+    return prod.real > margin * size
 
 
 def _circle_values(D: np.ndarray, points: int) -> np.ndarray:
@@ -342,43 +358,37 @@ def _circle_values(D: np.ndarray, points: int) -> np.ndarray:
     return np.fft.ifft(D, n=points, axis=1, norm="forward")
 
 
-def _values_at(D: np.ndarray, row: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """q(w_j) and w_j q'(w_j) of rows D[row[j]]: Horner on D.T, _BLOCK_VALUES points a pass."""
-    F, G = np.empty((2, len(row)), dtype=np.complex128)
+def _values_at(D: np.ndarray, row: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """q(w_j) of rows D[row[j]]: Horner on D.T, _BLOCK_VALUES points a pass."""
+    F = np.empty(len(row), dtype=np.complex128)
     for lo in range(0, len(row), _BLOCK_VALUES):
         at, z = row[lo: lo + _BLOCK_VALUES], w[lo: lo + _BLOCK_VALUES]
         q = D[at, -1]
-        dq = np.zeros_like(q)
         for c in D.T[-2::-1]:
-            dq *= z
-            dq += q
             q *= z
             q += c[at]
-        F[lo: lo + _BLOCK_VALUES], G[lo: lo + _BLOCK_VALUES] = q, dq * z
-    return F, G
+        F[lo: lo + _BLOCK_VALUES] = q
+    return F
 
 
 class _Arcs(NamedTuple):
-    """Arcs [theta, theta + 2 half] of the unit circle still to certify.
+    """Arcs from theta to theta + 2 half turns of the unit circle still to certify.
 
-    fa, ga and fb, gb hold q and w q'(w) at the two ends; `row` names the
-    kernel row each arc belongs to.
+    fa and fb hold q at the two ends, `row` each arc's kernel row.
     """
 
     row: np.ndarray
     theta: np.ndarray
     half: np.ndarray
     fa: np.ndarray
-    ga: np.ndarray
     fb: np.ndarray
-    gb: np.ndarray
 
     def take(self, keep: np.ndarray) -> _Arcs:
         return _Arcs(*(a[keep] for a in self))
 
 
 _NO_ARCS = _Arcs(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0),
-                 *(np.zeros(0, dtype=np.complex128) for _ in range(4)))
+                 *(np.zeros(0, dtype=np.complex128) for _ in range(2)))
 
 
 def _concat_arcs(parts: list[_Arcs]) -> _Arcs:
@@ -408,45 +418,35 @@ def _grid_pass(D: np.ndarray, K: np.ndarray, idx: np.ndarray, points: int,
                turn: np.ndarray) -> tuple[np.ndarray, _Arcs]:
     """Certify rows D[idx] on `points` grid points, in blocks of about _BLOCK_VALUES values.
 
-    Sets turn[i] to the summed increments of row i's certified arcs.  Returns
-    the rows whose failing arcs cost more to bisect than a doubled grid
-    (failing arcs times coefficients > 4 points; none from a grid of
-    _MAX_GRID_POINTS or more) and the others' failing arcs, with q and
-    w q'(w) at both ends.  w q'(w), a second FFT, is skipped for rows bound
-    to double: |q(w)| > min(L s, M2 s^2 / 2) + rho + tau is necessary for
-    w to certify, so a row failing that on too many arcs doubles at once.
+    Each arc between neighbouring grid points is tested by `_certified` on
+    its chord, from the one FFT of the row's values.  Sets turn[i] to the
+    summed increments of row i's certified arcs.  Returns the rows whose
+    failing arcs cost more to bisect than a doubled grid (failing arcs
+    times coefficients > 4 points; none from a grid of _MAX_GRID_POINTS or
+    more) and the others' failing arcs, with q at both ends.
     """
     n = D.shape[1]
-    s = math.pi / points
-    theta = 2.0 * math.pi / points * np.arange(points)
+    length = 1.0 / points
+    theta = length * np.arange(points)
     cap = 4 * points if points < _MAX_GRID_POINTS else math.inf  # the last grid hands on every row
     again, arcs = [idx[:0]], []
     step = max(1, _BLOCK_VALUES // max(points, n))
     for lo in range(0, len(idx), step):
         rows = idx[lo: lo + step]
-        block = D[rows]
-        F = _circle_values(block, points)
-        absF = np.abs(F)
-        L, M2, rho, rho_g, tau = (m[:, None] for m in _margins(K[rows], math.log2(points)))
-        ok = absF > L * s + rho + tau
-        need = np.flatnonzero(~ok.all(axis=1))
-        maybe = absF[need] > np.minimum(L[need] * s, 0.5 * M2[need] * s * s) + rho[need] + tau[need]
-        need = need[np.count_nonzero(~(maybe & np.roll(maybe, -1, axis=1)), axis=1) * n <= cap]
-        G = np.zeros_like(F)
-        if len(need):
-            G[need] = _circle_values(block[need] * np.arange(n), points)
-            ok[need] = _certified(absF[need], np.abs(G[need]), s, L[need], M2[need],
-                                  rho[need], rho_g[need], tau[need])
-        arc_ok = ok & np.roll(ok, -1, axis=1)
+        F = _circle_values(D[rows], points)
+        prod = _neighbour_products(F)
+        size = np.abs(F)
+        np.maximum(size, np.roll(size, -1, axis=1), out=size)
+        C2, rho, tau = (m[:, None] for m in _margins(K[rows], math.log2(points)))
+        arc_ok = _certified(prod, size, length, C2, rho, tau)
         many = np.count_nonzero(~arc_ok, axis=1) * n > cap
         if many.any():
             again.append(rows[many])
-            rows, F, G, arc_ok = rows[~many], F[~many], G[~many], arc_ok[~many]
-        turn[rows] = np.sum(np.angle(_neighbour_products(F)), axis=1, where=arc_ok)
+            rows, F, prod, arc_ok = rows[~many], F[~many], prod[~many], arc_ok[~many]
+        turn[rows] = np.sum(np.angle(prod), axis=1, where=arc_ok)
         i, k = np.nonzero(~arc_ok)
-        k1 = (k + 1) % points
-        arcs.append(_Arcs(rows[i], theta[k], np.full(len(k), s),
-                          F[i, k], G[i, k], F[i, k1], G[i, k1]))
+        arcs.append(_Arcs(rows[i], theta[k], np.full(len(k), 0.5 * length),
+                          F[i, k], F[i, (k + 1) % points]))
     return np.concatenate(again), _concat_arcs(arcs)
 
 
@@ -454,10 +454,11 @@ def _bisect(D: np.ndarray, K: np.ndarray, bits: np.ndarray, arcs: _Arcs,
             turn: np.ndarray) -> np.ndarray:
     """Halve failing arcs, one level for all rows at once, and certify the halves.
 
-    Adds the increments of the halves that certify to `turn`.  Returns the
-    rows the kernel refuses, its only refusals: those with more than
-    _MAX_GRID_POINTS failing arcs at a level, and those with arcs still
-    failing after _BISECT_LEVELS halvings.
+    q at the midpoints comes from one Horner pass, and each half is tested
+    on its chord.  Adds the increments of the halves that certify to
+    `turn`.  Returns the rows the kernel refuses, its only refusals: those
+    with more than _MAX_GRID_POINTS failing arcs at a level, and those
+    with arcs still failing after _BISECT_LEVELS halvings.
     """
     refused = np.zeros(len(D), dtype=bool)
     for _ in range(_BISECT_LEVELS):
@@ -468,19 +469,17 @@ def _bisect(D: np.ndarray, K: np.ndarray, bits: np.ndarray, arcs: _Arcs,
             refused |= crowded
             arcs = arcs.take(~crowded[arcs.row])
         mid = arcs.theta + arcs.half
-        fm, gm = _values_at(D, arcs.row, np.exp(1j * mid))
-        s = 0.5 * arcs.half
+        fm = _values_at(D, arcs.row, np.exp(2j * np.pi * mid))
         margins = _margins(K[arcs.row], bits[arcs.row])
-        ok_a, ok_m, ok_b = (_certified(np.abs(f), np.abs(g), s, *margins)
-                            for f, g in ((arcs.fa, arcs.ga), (fm, gm), (arcs.fb, arcs.gb)))
-        left, right = ok_a & ok_m, ok_m & ok_b
-        turn += np.bincount(arcs.row[left], weights=np.angle(fm[left] * np.conj(arcs.fa[left])),
-                            minlength=len(D))
-        turn += np.bincount(arcs.row[right], weights=np.angle(arcs.fb[right] * np.conj(fm[right])),
-                            minlength=len(D))
-        arcs = _concat_arcs([
-            _Arcs(arcs.row, arcs.theta, s, arcs.fa, arcs.ga, fm, gm).take(~left),
-            _Arcs(arcs.row, mid, s, fm, gm, arcs.fb, arcs.gb).take(~right)])
+        size = np.abs(fm)
+        prod_l, prod_r = fm * np.conj(arcs.fa), arcs.fb * np.conj(fm)
+        left = _certified(prod_l, np.maximum(np.abs(arcs.fa), size), arcs.half, *margins)
+        right = _certified(prod_r, np.maximum(size, np.abs(arcs.fb)), arcs.half, *margins)
+        turn += np.bincount(arcs.row[left], weights=np.angle(prod_l[left]), minlength=len(D))
+        turn += np.bincount(arcs.row[right], weights=np.angle(prod_r[right]), minlength=len(D))
+        s = 0.5 * arcs.half
+        arcs = _concat_arcs([_Arcs(arcs.row, arcs.theta, s, arcs.fa, fm).take(~left),
+                             _Arcs(arcs.row, mid, s, fm, arcs.fb).take(~right)])
     refused[arcs.row] = True
     return refused
 
@@ -538,7 +537,7 @@ def winding_counts_polar(log_moduli: np.ndarray, form_rows, r: float, *, log_coe
     scaled moduli |d_n| come from its log-moduli, one exponent per entry
     (`_unit_circle_scale`), and the dominant-term pass (`_dominant_terms`)
     reads only their sums, so a row it counts is never formed.  The rows
-    it leaves are formed once, at their |d_n|, given their L and M2, and
+    it leaves are formed once, at their |d_n|, given their C2, and
     certified arc by arc, as the module docstring states, with tau =
     tail_eps e^(-M): a bound on the truncation tail |f - p| on |z| = r
     makes the count one of f.  Row i

@@ -38,8 +38,8 @@ def refuse_row(monkeypatch):
 
         def leave(K, bits):
             k = dominant(K, bits)
-            k[np.isclose(K[:, 4], l1, rtol=1e-9, atol=0.0)
-              & np.isclose(K[:, 2], S, rtol=1e-9, atol=0.0)] = -1
+            k[np.isclose(K[:, 3], l1, rtol=1e-9, atol=0.0)
+              & np.isclose(K[:, 1], S, rtol=1e-9, atol=0.0)] = -1
             return k
 
         def bisect_refusing(D, *args):

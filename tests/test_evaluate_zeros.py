@@ -421,8 +421,8 @@ def test_uncertified_row_raises_naming_its_sample(gef):
 @pytest.mark.parametrize("cap", [64, 128])
 def test_rows_the_last_grid_leaves_are_bisected(gef, monkeypatch, cap):
     # with the grid capped at 64 or 128 points, rows that would double are
-    # bisected from the last grid instead, every arc with q and w q'(w) at
-    # both ends, and count as on the full grids
+    # bisected from the last grid instead, every arc with q at both ends
+    # (theta and half in turns), and count as on the full grids
     degree = truncation_degree(gef, 3.0, TAIL_EPS, 1e-9)
     assert degree == 54
     block = polar_keyed(gaussian_moduli, sample_seeds(1, 0, 200), degree + 1)
@@ -437,11 +437,10 @@ def test_rows_the_last_grid_leaves_are_bisected(gef, monkeypatch, cap):
 
     def spy(D, K, bits, arcs, turn):
         handed.append(len(arcs.row))
-        L = K[arcs.row, 0]
-        for theta, f, g in ((arcs.theta, arcs.fa, arcs.ga),
-                            (arcs.theta + 2 * arcs.half, arcs.fb, arcs.gb)):
-            F, G = evaluate_zeros._values_at(D, arcs.row, np.exp(1j * theta))
-            assert np.all(np.abs(f - F) <= 1e-9 * L) and np.all(np.abs(g - G) <= 1e-9 * L)
+        L = np.abs(D[arcs.row]) @ np.arange(D.shape[1])
+        for theta, f in ((arcs.theta, arcs.fa), (arcs.theta + 2 * arcs.half, arcs.fb)):
+            F = evaluate_zeros._values_at(D, arcs.row, np.exp(2j * np.pi * theta))
+            assert np.all(np.abs(f - F) <= 1e-9 * L)
         return bisect(D, K, bits, arcs, turn)
 
     monkeypatch.setattr(evaluate_zeros, "_MAX_GRID_POINTS", cap)
@@ -519,7 +518,7 @@ def test_rho_covers_the_rounding_of_the_dominance_test(gef, case):
     block, r, log_coeffs, _ = _pass_case(gef, case)
     size, log_scale = evaluate_zeros._unit_circle_scale(block.log_moduli(), r, log_coeffs)
     K = evaluate_zeros._row_bounds(size, log_scale, 0.0)
-    rho = evaluate_zeros._margins(K, math.log2(evaluate_zeros._first_grid(size.shape[1])))[2]
+    rho = evaluate_zeros._margins(K, math.log2(evaluate_zeros._first_grid(size.shape[1])))[1]
     D = block.phased(slice(None), size)  # as the kernel forms a row the pass leaves
     u = np.finfo(float).eps / 2
     d = np.abs(D.astype(np.clongdouble))
@@ -529,11 +528,11 @@ def test_rho_covers_the_rounding_of_the_dominance_test(gef, case):
     # the extended values exactly
     hi = d.astype(np.float64)
     lo = (d - hi).astype(np.float64)
-    k = K[:, 6].astype(np.intp)
+    k = K[:, 5].astype(np.intp)
     exact = np.array([math.fsum(np.concatenate([2.0 * h[[j]], 2.0 * l[[j]], -h, -l]))
                       for h, l, j in zip(hi, lo, k)])
-    error = np.abs((K[:, 5] - (K[:, 4] - K[:, 5])) - exact)
-    assert np.all(K[:, 5] == size.max(axis=1))
+    error = np.abs((K[:, 4] - (K[:, 3] - K[:, 4])) - exact)
+    assert np.all(K[:, 4] == size.max(axis=1))
     print(f"largest gap {gap.max():.3g} u; largest rounding / rho: {np.max(error / rho):.3g}")
     assert gap.max() <= 3.0
     assert np.all(2.0 * error < rho)
@@ -577,7 +576,7 @@ def test_rho_covers_the_rounding_of_t_n(gef, case):
                 exact = mpmath.log(mpmath.mpf(float(row[n]))) / 2 + t[n] - mpmath.mpf(float(top[i]))
                 dx[i, n] = float(mpmath.mpf(float(x[i, n])) - exact)
     K = evaluate_zeros._row_bounds(size, log_scale, 0.0)
-    rho = evaluate_zeros._margins(K, math.log2(evaluate_zeros._first_grid(degree + 1)))[2]
+    rho = evaluate_zeros._margins(K, math.log2(evaluate_zeros._first_grid(degree + 1)))[1]
     error = np.sum(size * np.expm1(np.abs(dx)), axis=1)
     print(f"degree {degree}: largest dx {np.abs(dx).max() / 2**-53:.0f} u; "
           f"largest error / rho: {np.max(error / rho):.3g}")
@@ -596,11 +595,10 @@ _KERNEL_VALUE_CASES = [pytest.param(r, "gef", id=str(r)) for r in (1.0, 12.0, 40
 
 @pytest.mark.parametrize("r, law", _KERNEL_VALUE_CASES)
 def test_rho_covers_the_rounding_of_the_kernel_values(gef, r, law):
-    # q(w) and w q'(w) of scaled rows, by Horner at bisection points
-    # (`_values_at`) and by FFT on the first grid (`_circle_values`), against
-    # Horner in mpmath at 40 digits on the same entries: the errors must lie
-    # well inside rho and rho_g, the bounds `_certified` adds for them on
-    # that grid, the smallest it uses
+    # q(w) of scaled rows, by Horner at bisection points (`_values_at`) and
+    # by FFT on the first grid (`_circle_values`), against Horner in mpmath
+    # at 40 digits on the same entries: the errors must lie well inside rho,
+    # the bound `_certified` adds for them on that grid, the smallest it uses
     if law == "conditioned":
         degree = conditioned_degree(r)
         moduli = hole_estimators._row_law(r, degree, True)
@@ -614,25 +612,95 @@ def test_rho_covers_the_rounding_of_the_kernel_values(gef, r, law):
     points = evaluate_zeros._first_grid(degree + 1)
     K = evaluate_zeros._row_bounds(np.abs(D), log_scale, 0.0)
     evaluate_zeros._set_slopes(K, np.abs(D))
-    _, _, rho, rho_g, _ = evaluate_zeros._margins(K, math.log2(points))
+    _, rho, _ = evaluate_zeros._margins(K, math.log2(points))
     rng = np.random.default_rng(5)
     row = np.repeat(np.arange(len(D)), 2)
     w = np.exp(2j * np.pi * rng.random(len(row)))
     k = rng.integers(points, size=len(row))
-    grid = (evaluate_zeros._circle_values(D, points)[row, k],
-            evaluate_zeros._circle_values(D * np.arange(degree + 1), points)[row, k])
     worst = []
     with mpmath.workdps(40):
-        for (F, G), exact_points in [
+        for F, exact_points in [
                 (evaluate_zeros._values_at(D, row, w), [mpmath.mpc(x) for x in w]),
-                (grid, [mpmath.expjpi(mpmath.mpf(2 * int(j)) / points) for j in k])]:
+                (evaluate_zeros._circle_values(D, points)[row, k],
+                 [mpmath.expjpi(mpmath.mpf(2 * int(j)) / points) for j in k])]:
             for j, (i, x) in enumerate(zip(row, exact_points)):
-                q, dq = mpmath.polyval([mpmath.mpc(c) for c in D[i, ::-1]], x, derivative=True)
-                worst.append((float(abs(F[j] - q)) / rho[i], float(abs(G[j] - x * dq)) / rho_g[i]))
-    worst = np.max(worst, axis=0)
-    print(f"{law} degree {degree}: largest |F - q| / rho {worst[0]:.3g}, "
-          f"|G - w q'| / rho_g {worst[1]:.3g}")
-    assert np.all(worst <= 0.5)
+                q = mpmath.polyval([mpmath.mpc(c) for c in D[i, ::-1]], x)
+                worst.append(float(abs(F[j] - q)) / rho[i])
+    print(f"{law} degree {degree}: largest |F - q| / rho {max(worst):.3g}")
+    assert max(worst) <= 0.5
+
+
+def _chord_distance(d, theta, length, points):
+    """Largest distance of q(e^(i theta)) from its chord over `points` interior points of each arc.
+
+    Row i of d holds d_0..d_N of arc i, which runs from theta[i] to
+    theta[i] + length[i], in turns; q is evaluated by Horner in extended
+    precision (np.clongdouble), and the chord is the straight line through
+    q at the two ends.
+    """
+    d = np.asarray(d, dtype=np.clongdouble)
+    t = np.linspace(0.0, 1.0, points + 2, dtype=np.longdouble)
+    start, length = (np.asarray(x, np.longdouble)[:, None] for x in (theta, length))
+    turns = start + length * t
+    w = np.exp(2j * np.pi * turns.astype(np.clongdouble))
+    q = np.broadcast_to(d[:, -1:], w.shape).copy()
+    for c in d.T[-2::-1]:
+        q *= w
+        q += c[:, None]
+    chord = q[:, :1] + (q[:, -1:] - q[:, :1]) * t
+    return np.abs(q - chord)[:, 1:-1].max(axis=1).astype(np.float64)
+
+
+@pytest.mark.parametrize("r", [1.0, 3.0])
+def test_chord_gap_is_sharp_on_rows_of_nonnegative_terms(gef, r):
+    # on the arc [0, h], h = 2 pi / P, of a row of nonnegative real d_n the
+    # curve's second derivative at 0 is -sum n^2 d_n = -C2, so the largest
+    # distance from its chord tends to the bound h^2 C2 / 8 as h shrinks:
+    # against mpmath at 30 digits over 65 interior points (the midpoint
+    # among them) it must lie between 0.9 and 1 times `_chord_gap`, for
+    # P = 64, 256 and 4096, at degree 21 (r = 1) and 54 (r = 3).  The half
+    # arc length in place of the arc length gives a quarter of the bound
+    degree = truncation_degree(gef, r, TAIL_EPS, 1e-9)
+    t = gef.log_coeffs(degree) + np.arange(degree + 1) * math.log(r)
+    size = np.exp(t - t.max())[None, :]
+    C2 = evaluate_zeros._set_slopes(evaluate_zeros._row_bounds(size, t.max(), 0.0), size)[0, 0]
+    ratios = []
+    with mpmath.workdps(30):
+        coeffs = [mpmath.mpf(float(x)) for x in size[0, ::-1]]
+        for points in (64, 256, 4096):
+            h = 2 * mpmath.pi / points
+            a, b = mpmath.polyval(coeffs, 1), mpmath.polyval(coeffs, mpmath.expj(h))
+            gap = max(abs(mpmath.polyval(coeffs, mpmath.expj(h * j / 66)) - (a + (b - a) * j / 66))
+                      for j in range(1, 66))
+            ratios.append(float(gap) / evaluate_zeros._chord_gap(1.0 / points, C2))
+    print(f"degree {degree}: distance / bound {[f'{x:.4f}' for x in ratios]}")
+    assert all(0.9 <= x <= 1.0 for x in ratios)
+
+
+@pytest.mark.parametrize("r, law", _KERNEL_VALUE_CASES)
+def test_chord_gap_bounds_random_arcs(gef, r, law):
+    # on 50 arcs at random places, of the first grid's length halved 0 to 4
+    # times, the curve of each row stays within `_chord_gap` of its chord
+    # (extended-precision Horner over 31 interior points)
+    if law == "conditioned":
+        degree = conditioned_degree(r)
+        moduli = hole_estimators._row_law(r, degree, True)
+    else:
+        degree = truncation_degree(gef, r, 1e-9, 1e-9)
+        moduli = gaussian_moduli if law == "gef" else np.ones_like
+    block = polar_keyed(moduli, sample_seeds(1, 0, 2), degree + 1)
+    size, log_scale = evaluate_zeros._unit_circle_scale(block.log_moduli(), r,
+                                                        gef.log_coeffs(degree))
+    D = block.phased(slice(None), size)
+    K = evaluate_zeros._set_slopes(evaluate_zeros._row_bounds(np.abs(D), log_scale, 0.0),
+                                   np.abs(D))
+    rng = np.random.default_rng(3)
+    row = rng.integers(len(D), size=50)
+    length = 0.5 ** rng.integers(5, size=50) / evaluate_zeros._first_grid(degree + 1)
+    gap = _chord_distance(D[row], rng.random(50), length, 31)
+    ratio = gap / evaluate_zeros._chord_gap(length, K[row, 0])
+    print(f"{law} degree {degree}: largest distance / bound {ratio.max():.3g}")
+    assert np.all(ratio <= 1.0)
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])

@@ -594,15 +594,16 @@ def test_gef_hole_probability_lies_in_its_bonferroni_bracket(gef, r, pairs):
     assert est.ci_low <= 1 - r * r + pairs and 1 - r * r <= est.ci_high
 
 
-@pytest.mark.parametrize("r", [2.0, 3.0])
+@pytest.mark.parametrize("r", [2.0, 3.0, 6.0])
 def test_gef_count_variance_matches_its_pair_moment(gef, r):
     # Var N = E N + 2 E C(N, 2) - (E N)^2 with E N = r^2 for the GEF, against
     # the sample variance of 20 000 kernel counts (0.7583 against 0.7568 at
-    # r = 2, 1.1344 against 1.1178 at r = 3).  The tolerance is 4.5 standard
-    # errors of the sample variance, sqrt((m4 - s^4 (n-3)/(n-1)) / n) from
-    # the sample's fourth central moment.  A miscount that keeps the mean,
-    # +1 and -1 on alternate rows with a positive count, reads 1.756 at
-    # r = 2 and 2.118 at r = 3, over 50 standard errors off
+    # r = 2, 1.1344 against 1.1178 at r = 3, 2.2197 against 2.2168 at r = 6,
+    # where every row takes the grid and most double).  The tolerance is 4.5
+    # standard errors of the sample variance, sqrt((m4 - s^4 (n-3)/(n-1)) / n)
+    # from the sample's fourth central moment.  A miscount that keeps the
+    # mean, +1 and -1 on alternate rows with a positive count, reads 1.756 at
+    # r = 2, 2.118 at r = 3 and 3.241 at r = 6, over 30 standard errors off
     variance = r * r + 2.0 * _gef_pair_moment(r) - r**4
     degree = truncation_degree(gef, r, TAIL_EPS, 1e-9)
     counts = np.concatenate(sample_counts(gef, r, degree, 20_000, 11)).astype(np.float64)
